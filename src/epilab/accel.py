@@ -28,6 +28,7 @@ and drifts to e + 2*pi = 9.0014..., which is the whole joke of the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -140,19 +141,13 @@ def _e_regrouped_term(k: int) -> Fraction:
         return Fraction(3)
     if k == 2:
         return Fraction(-1, 3)
-    f = 1
-    for i in range(2, k + 2):
-        f *= i
-    return Fraction(1, f)  # 1/(k+1)! for k >= 3
+    return Fraction(1, math.factorial(k + 1))  # 1/(k+1)! for k >= 3
 
 
 def _e_regrouped_tail(k: int) -> Fraction:
     if k == 1:
         return Fraction(1, 3)  # |e - 3| < 1/3
-    f = 1
-    for i in range(2, k + 3):
-        f *= i
-    return Fraction(2, f)  # 2/(k+2)!
+    return Fraction(2, math.factorial(k + 2))  # 2/(k+2)!
 
 
 def e_regrouped() -> SeriesSpec:

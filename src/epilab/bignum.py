@@ -53,6 +53,30 @@ __all__ = [
 _PARSE_RE = re.compile(r"^([+-]?)(\d+)(?:\.(\d+))?$")
 
 
+#: CPython refuses int <-> str conversions longer than 4,300 digits by
+#: default (sys.int_max_str_digits); longer numbers convert in pieces of
+#: at most this many digits, so the process-wide limit stays untouched.
+_STR_CHUNK = 2000
+
+
+def _int_to_digits(n: int) -> str:
+    """Decimal digits of n >= 0, split by divmod with a power of ten."""
+    bits = n.bit_length()
+    if bits <= 3 * _STR_CHUNK:  # under 0.91 * _STR_CHUNK digits
+        return str(n)
+    k = bits // 7  # about half the digits, and below the top one
+    high, low = divmod(n, 10**k)
+    return _int_to_digits(high) + _int_to_digits(low).zfill(k)
+
+
+def _digits_to_int(digits: str) -> int:
+    """Inverse of _int_to_digits: the int of a string of decimal digits."""
+    if len(digits) <= _STR_CHUNK:
+        return int(digits)
+    k = len(digits) // 2
+    return _digits_to_int(digits[:-k]) * 10**k + _digits_to_int(digits[-k:])
+
+
 def _div_nearest(n: int, d: int) -> int:
     """Nearest integer to n/d with ties rounded away from zero.  d > 0."""
     if n >= 0:
@@ -96,7 +120,7 @@ class BigFixed:
         if not m:
             raise ValueError(f"not a decimal literal: {text!r}")
         sign, intpart, fracpart = m.group(1), m.group(2), m.group(3) or ""
-        mantissa = int(intpart + fracpart)
+        mantissa = _digits_to_int(intpart + fracpart)
         if sign == "-":
             mantissa = -mantissa
         return cls(mantissa, len(fracpart))
@@ -111,10 +135,10 @@ class BigFixed:
         accepts both shapes, so the round trip is exact.
         """
         sign = "-" if self.mantissa < 0 else ""
-        q, r = divmod(abs(self.mantissa), 10**self.scale) if self.scale else (abs(self.mantissa), 0)
+        digits = _int_to_digits(abs(self.mantissa)).rjust(self.scale + 1, "0")
         if self.scale == 0:
-            return f"{sign}{q}"
-        return f"{sign}{q}.{r:0{self.scale}d}"
+            return f"{sign}{digits}"
+        return f"{sign}{digits[:-self.scale]}.{digits[-self.scale:]}"
 
     def rescale(self, scale: int) -> "BigFixed":
         """Re-render at a new scale; exact when widening, nearest when narrowing."""

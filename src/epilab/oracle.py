@@ -1,20 +1,30 @@
 """Certified reference values for pi, e, and exp.
 
 Everything downstream that claims "N digits correct" is measured against
-these oracles, so they are deliberately boring and fully certified:
+these oracles, so they are deliberately boring and fully certified.
+
+Every series is summed on integers scaled by 10**work, a few guard
+digits beyond the requested precision, with directed rounding: each term
+is rounded down in a lower sum and up in an upper sum, and the remainder
+bound is added to the bounds as a whole number of units.  The terms come
+from a recurrence of exact floor divisions, so no sum ever pays for a
+gcd of growing rationals (see Brent & Zimmermann, *Modern Computer
+Arithmetic*, sections 4.4 and 4.9).
 
 * pi comes from the Machin identity pi/4 = 4*arctan(1/5) - arctan(1/239),
-  each arctangent evaluated as an alternating Taylor series in exact
-  rational partial sums.  The first omitted term bounds the remainder,
-  which is the entire certificate.
-* e is the factorial series sum(1/n!) with remainder bound 2/(N+1)!.
+  each arctangent an alternating series whose powers divide by q**2 at
+  each step.  The first omitted term bounds the remainder.
+* e is the factorial series sum(1/n!), each term the previous one
+  divided by n, with remainder bound 2/(N+1)!.
 * exp(x) splits x = k + f with integer k and 0 <= f < 1, raises the
-  certified e ball to the k-th power exactly, and evaluates exp(f) by
-  Taylor with remainder bound 2*f^(N+1)/(N+1)!.
+  certified e enclosure to the k-th power on scaled integers, rounded
+  outward, and evaluates exp(f) by Taylor with remainder bound
+  2*f^(N+1)/(N+1)!.
 
 The low-level ``*_interval`` functions return exact rational enclosures
-[lo, hi] and are what the expression evaluator consumes; the public
-``*_oracle`` functions wrap the midpoint into an :class:`OracleValue`.
+[lo, hi], whose denominators divide a power of ten, and are what the
+expression evaluator consumes; the public ``*_oracle`` functions wrap
+the midpoint into an :class:`OracleValue`.
 
 All functions are pure; the module-level caches only ever grow toward
 higher precision and are guarded by a lock, so concurrent callers see
@@ -60,41 +70,82 @@ class OracleValue:
     certified_digits: int
 
 
-def _floor_grid(x: Fraction, scale: int) -> Fraction:
-    p = 10**scale
-    return Fraction((x.numerator * p) // x.denominator, p)
+def _guard(eps_digits: int) -> int:
+    # Each summed term may be off by one unit of 10**-work and the sums
+    # run to O(work) terms, so 10**guard >= 1000 * eps_digits units keep
+    # the width contracts below with room to spare.
+    return len(str(eps_digits)) + 3
 
 
-def _ceil_grid(x: Fraction, scale: int) -> Fraction:
-    p = 10**scale
-    return Fraction(-((-x.numerator * p) // x.denominator), p)
+def _arctan_inv(q: int, work: int) -> tuple[int, int]:
+    """Integer bounds (lo, hi) with lo <= arctan(1/q) * 10**work <= hi, q >= 2.
 
-
-def _round_out(lo: Fraction, hi: Fraction, scale: int) -> tuple[Fraction, Fraction]:
-    return _floor_grid(lo, scale), _ceil_grid(hi, scale)
-
-
-def _arctan_inv(q: int, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """(partial sum, remainder bound) for arctan(1/q), q >= 2.
-
-    Alternating series sum (-1)^k / ((2k+1) q^(2k+1)); the remainder is
-    bounded by the first omitted term.
+    Alternating series sum (-1)^k / ((2k+1) q^(2k+1)).  ``power`` is
+    floor(10**work / q^(2k+1)) exactly, since nested floor divisions by
+    positive integers compose; so is each term's floor.  A term lies
+    below its floor plus one, which rounds it up for the other sum.  The
+    loop ends at the first k with power == 0: every omitted term, and so
+    the remainder, is then under one unit and has the sign of term k.
     """
-    total = Fraction(0)
-    k = 0
     qq = q * q
-    power = q  # q^(2k+1)
-    while True:
-        term = Fraction(1, (2 * k + 1) * power)
+    power = 10**work // q
+    lo = hi = 0
+    k = 0
+    while power:
+        t = power // (2 * k + 1)
         if k % 2:
-            total -= term
+            lo -= t + 1
+            hi -= t
         else:
-            total += term
+            lo += t
+            hi += t + 1
+        power //= qq
         k += 1
-        power *= qq
-        nxt = Fraction(1, (2 * k + 1) * power)
-        if nxt < eps:
-            return total, nxt
+    if k % 2:
+        lo -= 1
+    else:
+        hi += 1
+    return lo, hi
+
+
+def _exp_unit(f: Fraction, work: int) -> tuple[int, int]:
+    """Integer bounds (lo, hi) with lo <= exp(f) * 10**work <= hi, 0 <= f < 1.
+
+    Taylor series on two term chains, one scaled by floor(f * 10**work)
+    and floored at every step, one scaled by the ceiling and ceiled.  The
+    remainder after the terms below n is at most 2 f^n/n! (f/(n+1) <= 1/2
+    for f < 1), so twice the upper chain's n-th term bounds it.
+    """
+    unit = 10**work
+    f_lo = f.numerator * unit // f.denominator
+    f_hi = -(-f.numerator * unit // f.denominator)
+    lo = hi = t_lo = t_hi = unit
+    n = 0
+    while True:
+        n += 1
+        t_lo = t_lo * f_lo // (n * unit)
+        t_hi = -(-t_hi * f_hi // (n * unit))
+        if t_hi <= 1:
+            return lo, hi + 2 * t_hi
+        lo += t_lo
+        hi += t_hi
+
+
+def _e_unit(work: int) -> tuple[int, int]:
+    """Integer bounds (lo, hi) with lo <= e * 10**work <= hi.
+
+    ``term`` is floor(10**work / n!) exactly, by nested floor division.
+    Each of the n summed terms below the first is under its floor plus
+    one, and once a term's floor is 0 the remainder 2/(n+1)! is under
+    one unit.
+    """
+    total = term = 10**work
+    n = 0
+    while term:
+        n += 1
+        term //= n
+        total += term
+    return total, total + n + 1
 
 
 _lock = threading.Lock()
@@ -108,12 +159,12 @@ def pi_interval(eps_digits: int) -> tuple[Fraction, Fraction]:
     with _lock:
         if _pi_cache is not None and _pi_cache[0] >= eps_digits:
             return _pi_cache[1], _pi_cache[2]
-    eps = Fraction(1, 10**eps_digits)
-    a5, r5 = _arctan_inv(5, eps / 32)
-    a239, r239 = _arctan_inv(239, eps / 8)
-    center = 16 * a5 - 4 * a239
-    err = 16 * r5 + 4 * r239  # < eps
-    lo, hi = center - err, center + err
+    work = eps_digits + _guard(eps_digits)
+    a5_lo, a5_hi = _arctan_inv(5, work)
+    a239_lo, a239_hi = _arctan_inv(239, work)
+    unit = 10**work
+    lo = Fraction(16 * a5_lo - 4 * a239_hi, unit)
+    hi = Fraction(16 * a5_hi - 4 * a239_lo, unit)
     with _lock:
         if _pi_cache is None or _pi_cache[0] < eps_digits:
             _pi_cache = (eps_digits, lo, hi)
@@ -126,18 +177,9 @@ def e_interval(eps_digits: int) -> tuple[Fraction, Fraction]:
     with _lock:
         if _e_cache is not None and _e_cache[0] >= eps_digits:
             return _e_cache[1], _e_cache[2]
-    eps = Fraction(1, 10**eps_digits)
-    total = Fraction(1)
-    fact = 1
-    n = 0
-    while True:
-        n += 1
-        fact *= n
-        total += Fraction(1, fact)
-        tail = Fraction(2, fact * (n + 1))
-        if tail < eps:
-            break
-    lo, hi = total, total + tail
+    work = eps_digits + _guard(eps_digits)
+    lo, hi = _e_unit(work)
+    lo, hi = Fraction(lo, 10**work), Fraction(hi, 10**work)
     with _lock:
         if _e_cache is None or _e_cache[0] < eps_digits:
             _e_cache = (eps_digits, lo, hi)
@@ -156,33 +198,28 @@ def exp_interval(x: Fraction, eps_digits: int) -> tuple[Fraction, Fraction]:
     f = x - k  # 0 <= f < 1
     # Integer digits of e^k, to translate relative precision into absolute.
     mag = (abs(k) * 4343) // 10000 + 2
-    target = Fraction(1, 10**eps_digits)
+    out = 10 ** (eps_digits + 4)
     extra = 15
     while True:
         work = eps_digits + mag + extra
+        unit = 10**work
         e_lo, e_hi = e_interval(work)
+        e_lo = e_lo.numerator * unit // e_lo.denominator
+        e_hi = -(-e_hi.numerator * unit // e_hi.denominator)
+        # e^k in units of 10**-work, rounded outward
         if k >= 0:
-            p_lo, p_hi = e_lo**k, e_hi**k
+            p_lo = e_lo**k * unit // unit**k
+            p_hi = -(-e_hi**k * unit // unit**k)
         else:
-            p_lo, p_hi = 1 / e_hi ** (-k), 1 / e_lo ** (-k)
-        p_lo, p_hi = _round_out(p_lo, p_hi, work)
-        # Taylor for exp(f); partial sums underestimate, remainder bound
-        # 2 f^(n+1)/(n+1)! is valid because f/(n+2) <= 1/2 for f < 1.
-        s = Fraction(1)
-        term = Fraction(1)
-        n = 0
-        tiny = Fraction(1, 10**work)
-        while True:
-            n += 1
-            term *= Fraction(f, n)
-            s += term
-            rem = 2 * term * f / (n + 1)
-            if rem < tiny:
-                break
-        t_lo, t_hi = s, s + rem
-        lo, hi = p_lo * t_lo, p_hi * t_hi
-        if hi - lo <= target:
-            return _round_out(lo, hi, eps_digits + 4)
+            p_lo = unit ** (1 - k) // e_hi**-k
+            p_hi = -(-unit ** (1 - k) // e_lo**-k)
+        t_lo, t_hi = _exp_unit(f, work)
+        # the product, rounded outward onto the 10**-(eps_digits + 4) grid
+        shift = unit * (unit // out)
+        lo = p_lo * t_lo // shift
+        hi = -(-p_hi * t_hi // shift)
+        if hi - lo <= 10**4:  # width <= 10**-eps_digits
+            return Fraction(lo, out), Fraction(hi, out)
         extra *= 2
 
 

@@ -18,11 +18,12 @@ Builtins (index ranges are inclusive of start_index):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .bignum import BigFixed, floor_neg_log10, rational_to_fixed
+from .bignum import BigFixed, _div_nearest, floor_neg_log10, rational_to_fixed
 from .oracle import CONSTANTS, OracleValue
 
 __all__ = [
@@ -116,18 +117,12 @@ class ConvergenceRow:
 
 
 def _term_e(n: int) -> Fraction:
-    f = 1
-    for i in range(2, n + 1):
-        f *= i
-    return Fraction(1, f)
+    return Fraction(1, math.factorial(n))
 
 
 def _tail_e(n: int) -> Fraction:
     # sum(1/m!, m > N) <= (1/(N+1)!) * sum (1/(N+2))^j <= 2/(N+1)!
-    f = 1
-    for i in range(2, n + 2):
-        f *= i
-    return Fraction(2, f)
+    return Fraction(2, math.factorial(n + 1))
 
 
 def _term_gl(n: int) -> Fraction:
@@ -263,12 +258,6 @@ def scale_series(spec: SeriesSpec, factor: Fraction, *, name: str | None = None,
         tail_bound=lambda n, _f=abs(factor), _b=spec.tail_bound: _f * _b(n),
         alternating=spec.alternating,
     )
-
-
-def _div_nearest(n: int, d: int) -> int:
-    if n >= 0:
-        return (2 * n + d) // (2 * d)
-    return -((2 * -n + d) // (2 * d))
 
 
 def partial_sum(spec: SeriesSpec, n: int, *, exact_limit: int = EXACT_TERM_LIMIT,

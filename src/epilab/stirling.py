@@ -21,6 +21,7 @@ exact correction 17850625/11943936 = 1.4945... sits close to 3/2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,13 +67,6 @@ def stirling_factor(n: Fraction, k: int) -> Fraction:
     return sum((c / n**j for j, c in enumerate(STIRLING_COEFFS[:k])), Fraction(0))
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 def e_power_approx(n: int, k: int, scale: int = 10) -> BigFixed:
     """sqrt(2 pi n) * n^n / n! * S(n, k), rendered at `scale`.
 
@@ -81,7 +75,7 @@ def e_power_approx(n: int, k: int, scale: int = 10) -> BigFixed:
     if n < 1:
         raise ValueError("n must be >= 1")
     guard = scale + 15
-    exact = Fraction(n**n, _factorial(n)) * stirling_factor(Fraction(n), k)
+    exact = Fraction(n**n, math.factorial(n)) * stirling_factor(Fraction(n), k)
     p_lo, p_hi = pi_interval(guard)
     s_lo, s_hi = sqrt_interval(2 * n * p_lo, 2 * n * p_hi, guard)
     return BigFixed.from_fraction((s_lo + s_hi) / 2 * exact, scale)

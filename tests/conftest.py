@@ -1,0 +1,25 @@
+"""Shared fixtures."""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+#: CPython's default cap on int <-> str conversions (CVE-2020-10735)
+DEFAULT_INT_MAX_STR_DIGITS = 4300
+
+
+@pytest.fixture
+def default_int_str_limit():
+    """Pin the int <-> str cap at its default, so an environment that raises
+    it (PYTHONINTMAXSTRDIGITS) cannot hide a conversion that hits it."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the cap
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(DEFAULT_INT_MAX_STR_DIGITS)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -54,6 +54,22 @@ def test_decimal_string_round_trip(m, s):
     assert BigFixed.parse(x.to_decimal_string()) == x
 
 
+@pytest.mark.parametrize("length, scale", [(4301, 0), (5000, 3), (9000, 4300), (12345, 12345)])
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_decimal_string_round_trip_beyond_int_str_limit(default_int_str_limit, length, scale, sign):
+    digits = "".join(str((7 * i * i + 3 * i + 1) % 10) for i in range(length))
+    digits = "9" + digits[1:]
+    text = sign + (f"{digits[:-scale] or '0'}.{digits[-scale:]}" if scale else digits)
+    x = BigFixed.parse(text)
+    expected = 0
+    for i in range(0, length, 9):  # nine digits at a time, far below the cap
+        chunk = digits[i:i + 9]
+        expected = expected * 10 ** len(chunk) + int(chunk)
+    assert x.mantissa == (-expected if sign else expected)
+    assert x.scale == scale
+    assert x.to_decimal_string() == text
+
+
 @given(fractions, scales)
 def test_from_fraction_within_half_ulp(q, s):
     x = BigFixed.from_fraction(q, s)

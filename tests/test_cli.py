@@ -237,6 +237,31 @@ def test_compare_table(capsys):
     assert lines[4].split() == ["3", "1/24", "-3/70", "8.9988095238", "0.0011904762"]
 
 
+def _pi_floor(digits: int) -> int:
+    """floor(pi * 10**digits), from pi/4 = arctan(1/2) + arctan(1/3) on
+    integers with ten guard digits (a different identity from the oracle's)."""
+    unit = 10 ** (digits + 10)
+
+    def arctan_inv(q: int) -> int:
+        total, power, k = 0, unit // q, 0
+        while power:
+            total += (-1) ** k * (power // (2 * k + 1))
+            power //= q * q
+            k += 1
+        return total
+
+    return 4 * (arctan_inv(2) + arctan_inv(3)) // 10**10
+
+
+def test_compute_beyond_int_str_limit(capsys, default_int_str_limit):
+    rc, out, err = run(capsys, "compute", "pi", "--digits", "5000", "--quiet")
+    assert rc == 0
+    assert err == ""
+    high, low = divmod(_pi_floor(5000), 10**2500)  # each half under the cap
+    expected = f"{high}{low:02500d}"
+    assert out == f"{expected[0]}.{expected[1:]}\n"
+
+
 def test_output_is_deterministic(capsys):
     first = run(capsys, "verify", "--all", "--format", "json")
     second = run(capsys, "verify", "--all", "--format", "json")

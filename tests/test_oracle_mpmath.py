@@ -1,0 +1,107 @@
+"""The oracles against mpmath, a reference that shares no code with them.
+
+Each enclosure must contain mpmath's value computed to 2d + 60 digits
+after the point, and meet its width contract.  The scaled-integer sums
+under them are also checked at a few digits, where one unit of rounding
+left out of a bound would show.  mpmath is a test-only dependency;
+without it these tests are skipped.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from epilab import oracle
+from epilab.oracle import EXP_ARG_LIMIT, e_interval, exp_interval, pi_interval
+
+mpmath = pytest.importorskip("mpmath")
+
+
+def _exact(x) -> Fraction:
+    """The exact binary value of an mpmath number."""
+    man, exp = mpmath.mpf(x).man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("digits", [1, 50, 1000, 5000])
+@pytest.mark.parametrize("name, interval, reference", [
+    ("pi", pi_interval, lambda: +mpmath.pi),
+    ("e", e_interval, lambda: mpmath.e()),
+])
+def test_constant_enclosure_contains_mpmath(name, interval, reference, digits):
+    lo, hi = interval(digits)
+    # an enclosure cached at a higher precision may be far tighter than
+    # asked for, so the reference also resolves the width it returned
+    width_digits = (hi - lo).denominator.bit_length() * 3 // 10
+    with mpmath.workdps(max(2 * digits, width_digits) + 60):
+        ref = _exact(reference())
+    assert lo <= ref <= hi, name
+    assert hi - lo < 2 * Fraction(1, 10**digits)
+
+
+@st.composite
+def exp_arguments(draw) -> Fraction:
+    den = draw(st.integers(min_value=1, max_value=10**300))
+    num = draw(st.integers(min_value=-EXP_ARG_LIMIT * den, max_value=EXP_ARG_LIMIT * den))
+    return Fraction(num, den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exp_arguments(), st.integers(min_value=1, max_value=80))
+@example(Fraction(0), 30)
+@example(Fraction(EXP_ARG_LIMIT), 40)
+@example(Fraction(-EXP_ARG_LIMIT), 40)
+@example(Fraction(5), 1)
+@example(Fraction(-3), 60)
+@example(Fraction(-7, 2), 25)
+@example(Fraction(1, 10**300), 80)
+@example(Fraction(-1, 10**300), 80)
+def test_exp_enclosure_contains_mpmath(x, digits):
+    lo, hi = exp_interval(x, digits)
+    # exp(100) has 44 integer digits; a relative precision of 2d + 110
+    # digits leaves 2d + 60 after the point with room for the rounding
+    # of x itself
+    with mpmath.workdps(2 * digits + 110):
+        ref = _exact(mpmath.exp(mpmath.mpf(x.numerator) / x.denominator))
+    assert lo <= ref <= hi
+    assert hi - lo <= Fraction(1, 10**digits)
+
+
+# -- the scaled sums, at sizes where each unit of rounding counts
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 239])
+def test_arctan_sum_bounds(q):
+    for work in range(0, 60):
+        lo, hi = oracle._arctan_inv(q, work)
+        with mpmath.workdps(work + 40):
+            ref = _exact(mpmath.atan(mpmath.mpf(1) / q) * 10**work)
+        assert lo <= ref <= hi, work
+        assert hi - lo <= 2 * work + 3
+
+
+def test_e_sum_bounds():
+    for work in range(0, 80):
+        lo, hi = oracle._e_unit(work)
+        with mpmath.workdps(work + 40):
+            ref = _exact(mpmath.e() * 10**work)
+        assert lo <= ref <= hi, work
+        assert hi - lo <= 2 * work + 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=0, max_value=1, max_denominator=10**40).filter(lambda f: f < 1),
+       st.integers(min_value=0, max_value=40))
+@example(Fraction(0), 5)
+@example(Fraction(1, 10**40), 3)
+@example(Fraction(10**40 - 1, 10**40), 0)
+def test_exp_taylor_sum_bounds(f, work):
+    lo, hi = oracle._exp_unit(f, work)
+    with mpmath.workdps(work + 80):
+        ref = _exact(mpmath.exp(mpmath.mpf(f.numerator) / f.denominator) * 10**work)
+    assert lo <= ref <= hi
+    assert hi - lo <= 2 * work + 6

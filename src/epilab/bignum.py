@@ -313,16 +313,26 @@ def sqrt_interval(lo: Fraction, hi: Fraction, scale: int) -> tuple[Fraction, Fra
 # exact decimal logarithms
 
 
+def _pow10_at_most(e: int, num: int, den: int) -> bool:
+    """10**e <= num/den, on integers."""
+    if e >= 0:
+        return 10**e * den <= num
+    return den <= num * 10**-e
+
+
 def ilog10_floor(x: Fraction) -> int:
-    """Largest e with 10**e <= x, for x > 0.  Exact."""
+    """Largest e with 10**e <= x, for x > 0.  Exact.
+
+    The bit lengths of numerator and denominator put log10(x) within
+    one of an estimate, which exact comparisons then correct.
+    """
     if x <= 0:
         raise ValueError("ilog10_floor needs a positive value")
-    e = 0
-    while x < 1:
-        x *= 10
+    num, den = x.numerator, x.denominator
+    e = (num.bit_length() - den.bit_length()) * 30103 // 100000
+    while not _pow10_at_most(e, num, den):
         e -= 1
-    while x >= 10:
-        x /= 10
+    while _pow10_at_most(e + 1, num, den):
         e += 1
     return e
 

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .accel import compare_expansions
-from .bignum import BigFixed, root_interval
+from .bignum import BigFixed, floor_neg_log10, root_interval
 from .derive import cfrac, linear_combo_scan
 from .expr import ParseError, PrecisionCapError, parse, to_text
 from .oracle import (
@@ -162,7 +162,14 @@ def cmd_table(args) -> int:
         raise ValueError("--checkpoints must name at least one index")
     if max(checkpoints) > EXACT_TERM_LIMIT:
         raise ValueError(f"checkpoints above {EXACT_TERM_LIMIT} are not supported")
-    reference = constant_reference(spec.constant, 60)
+    # the reference must be finer than every error in the table; the
+    # builtin errors sit within a small factor of their bounds, so ten
+    # digits past the smallest bound suffice (and 60 digits cover every
+    # table whose bounds stay above 10^-50)
+    smallest = min((spec.tail_bound(p) for p in checkpoints if p >= spec.start_index),
+                   default=None)
+    digits = 60 if smallest is None else max(60, floor_neg_log10(smallest) + 10)
+    reference = constant_reference(spec.constant, digits)
     rows = convergence_table(spec, checkpoints, reference, scale=args.scale)
     rendered = [
         [str(r.n), r.value.to_decimal_string(),

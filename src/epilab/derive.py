@@ -112,20 +112,31 @@ def linear_combo_scan(
     """
     if max_coeff < 1:
         raise ValueError("max_coeff must be >= 1")
+    threshold = Fraction(threshold)
     if threshold <= 0 or threshold > Fraction(1, 2):
         raise ValueError("threshold must be in (0, 1/2]")
     plo, phi = pi_interval(digits)
     elo, ehi = e_interval(digits)
+    # The midpoint of the enclosure of n*pi + m*e is (n*(plo + phi) +
+    # m*(elo + ehi))/2 whatever the signs of n and m.  With the endpoints
+    # as integers over one common denominator, each row's midpoint,
+    # nearest integer and residual are integer sums and floor divisions.
+    den = math.lcm(plo.denominator, phi.denominator, elo.denominator, ehi.denominator)
+    pi_sum = (plo.numerator * (den // plo.denominator)
+              + phi.numerator * (den // phi.denominator))
+    e_sum = (elo.numerator * (den // elo.denominator)
+             + ehi.numerator * (den // ehi.denominator))
+    two_den = 2 * den
+    # |residual| < threshold, with the residual's numerator over 2*den
+    limit = threshold.numerator * two_den
     rows = []
     for n in range(-max_coeff, max_coeff + 1):
         for m in range(-max_coeff, max_coeff + 1):
             if n == 0 and m == 0:
                 continue
-            lo = (n * plo if n >= 0 else n * phi) + (m * elo if m >= 0 else m * ehi)
-            hi = (n * phi if n >= 0 else n * plo) + (m * ehi if m >= 0 else m * elo)
-            mid = (lo + hi) / 2
-            nearest = math.floor(mid + Fraction(1, 2))
-            residual = mid - nearest
+            total = n * pi_sum + m * e_sum
+            nearest = (total + den) // two_den
+            residual = total - nearest * two_den
             mod7 = (n - 2 * m) % 7 == 0
             predicted = None
             if mod7:
@@ -133,9 +144,10 @@ def linear_combo_scan(
                 if num % 7 == 0:
                     predicted = num // 7
             rows.append(ScanRow(
-                n=n, m=m, value=mid, nearest=nearest, residual=residual,
+                n=n, m=m, value=Fraction(total, two_den), nearest=nearest,
+                residual=Fraction(residual, two_den),
                 mod7=mod7, predicted=predicted,
-                flagged=abs(residual) < threshold,
+                flagged=abs(residual) * threshold.denominator < limit,
             ))
     return rows
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bignum import BigFixed, floor_neg_log10
-from .expr import Expr, eval_expr, parse
+from .expr import EvalDomainError, Expr, PrecisionCapError, eval_expr, parse
+from .oracle import ExpRangeError
 
 __all__ = [
     "NEAR_EQUAL",
@@ -206,13 +207,15 @@ def verify(relation: Relation, digits: int) -> VerificationReport:
 def verify_all(digits: int) -> list[VerificationReport | VerificationFailure]:
     """Verify every registered relation in registry order.
 
-    A relation that fails to evaluate contributes a VerificationFailure
-    and the run continues; output order matches REGISTRY order.
+    A relation that fails to evaluate (a domain error, an exp argument
+    out of range or the precision cap) contributes a VerificationFailure
+    and the run continues; output order matches REGISTRY order.  Any
+    other exception is a fault and propagates.
     """
     out: list[VerificationReport | VerificationFailure] = []
     for relation in REGISTRY:
         try:
             out.append(verify(relation, digits))
-        except Exception as exc:
+        except (EvalDomainError, ExpRangeError, PrecisionCapError) as exc:
             out.append(VerificationFailure(relation.id, relation.paper_eq, str(exc)))
     return out

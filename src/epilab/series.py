@@ -50,6 +50,9 @@ EXACT_TERM_LIMIT = 10**4
 #: working scale of the fixed-point accumulation path
 FIXED_ACC_SCALE = 40
 
+#: _exact_sum adds runs of at most this many terms one by one
+_LEAF_TERMS = 16
+
 
 class InfeasibleRequest(ValueError):
     """The requested precision needs more terms than the allowed cap."""
@@ -94,10 +97,11 @@ class SeriesSpec:
 class SumResult:
     """Partial sum with certificate.
 
-    value: the partial sum including the offset.  Exact when at most
-    EXACT_TERM_LIMIT terms were requested; otherwise the exact value of
-    the fixed-point accumulation, with the accumulated per-term rounding
-    added to `bound`.
+    value: the partial sum including the offset.  When at most
+    EXACT_TERM_LIMIT terms were requested it is the exact rational sum
+    of the terms (added pairwise, which changes the cost but not the
+    value); otherwise the exact value of the fixed-point accumulation,
+    with the accumulated per-term rounding added to `bound`.
     terms_used: index of the last term included.
     bound: certified bound on |true limit - value|.
     """
@@ -260,12 +264,30 @@ def scale_series(spec: SeriesSpec, factor: Fraction, *, name: str | None = None,
     )
 
 
+def _exact_sum(term: Callable[[int], Fraction], a: int, b: int) -> Fraction:
+    """Exact sum of term(i) for a <= i <= b (zero when a > b).
+
+    The range is halved recursively and the two halves added, so each
+    addition joins partial sums of similar size instead of a term to an
+    ever-growing total, whose gcd dominates the cost of a sequential
+    sum.  Depth-first: only O(log(b - a)) partial sums are alive at once.
+    """
+    if b - a < _LEAF_TERMS:
+        total = Fraction(0)
+        for i in range(a, b + 1):
+            total += term(i)
+        return total
+    mid = (a + b) // 2
+    return _exact_sum(term, a, mid) + _exact_sum(term, mid + 1, b)
+
+
 def partial_sum(spec: SeriesSpec, n: int, *, exact_limit: int = EXACT_TERM_LIMIT,
                 fixed_scale: int = FIXED_ACC_SCALE) -> SumResult:
     """Offset plus terms start_index..n, with a certified bound.
 
-    Up to `exact_limit` terms the sum is exact rational arithmetic and
-    the bound is exactly tail_bound(n).  Beyond that the terms are
+    Up to `exact_limit` terms the sum is exact rational arithmetic,
+    added pairwise (see _exact_sum), and the bound is exactly
+    tail_bound(n).  Beyond that the terms are
     accumulated in fixed point at `fixed_scale` decimal places and the
     per-term rounding (at most half an ulp each) is added to the bound.
     """
@@ -273,9 +295,7 @@ def partial_sum(spec: SeriesSpec, n: int, *, exact_limit: int = EXACT_TERM_LIMIT
         raise ValueError(f"n must be >= start_index ({spec.start_index})")
     count = n - spec.start_index + 1
     if count <= exact_limit:
-        total = spec.offset
-        for i in range(spec.start_index, n + 1):
-            total += spec.term(i)
+        total = spec.offset + _exact_sum(spec.term, spec.start_index, n)
         return SumResult(total, n, spec.tail_bound(n))
     unit = 10**fixed_scale
     acc = 0
@@ -339,9 +359,8 @@ def convergence_table(spec: SeriesSpec, checkpoints: Sequence[int],
     total = spec.offset
     i = spec.start_index
     for point in points:
-        while i <= point:
-            total += spec.term(i)
-            i += 1
+        total += _exact_sum(spec.term, i, point)
+        i = point + 1
         bound = spec.tail_bound(point)
         err = abs(total - ref)
         if 10 * eps > err:

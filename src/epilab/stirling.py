@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bignum import BigFixed, Surd, sqrt_interval
+from .bignum import BigFixed, Surd, ilog10_floor, sqrt_interval
 from .oracle import e_interval, pi_interval
 
 __all__ = [
@@ -74,8 +74,11 @@ def e_power_approx(n: int, k: int, scale: int = 10) -> BigFixed:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    guard = scale + 15
     exact = Fraction(n**n, math.factorial(n)) * stirling_factor(Fraction(n), k)
+    # the error of the root, taken to `guard` places, is multiplied by
+    # `exact` (about e^n, and at least 1), so the guard also covers the
+    # digits of `exact` before the point
+    guard = scale + 16 + ilog10_floor(exact)
     p_lo, p_hi = pi_interval(guard)
     s_lo, s_hi = sqrt_interval(2 * n * p_lo, 2 * n * p_hi, guard)
     return BigFixed.from_fraction((s_lo + s_hi) / 2 * exact, scale)

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from epilab import oracle
+
 #: CPython's default cap on int <-> str conversions (CVE-2020-10735)
 DEFAULT_INT_MAX_STR_DIGITS = 4300
 
@@ -23,3 +25,13 @@ def default_int_str_limit():
         yield
     finally:
         sys.set_int_max_str_digits(old)
+
+
+@pytest.fixture(autouse=True)
+def cold_oracle_caches():
+    """Start every test with empty pi and e caches, as every CLI command
+    starts.  The caches return the tightest enclosure computed so far, so
+    5,000 digits of pi left by one test would make every later scan or
+    table do its exact arithmetic on 5,000-digit integers, and a test's
+    cost would depend on the tests run before it."""
+    oracle._pi_cache = oracle._e_cache = None

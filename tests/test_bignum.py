@@ -217,6 +217,22 @@ def test_log10_helpers():
         floor_neg_log10(Fraction(0))
 
 
+@given(st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(10**6),
+                    max_denominator=10**6),
+       st.integers(min_value=-6000, max_value=6000))
+def test_ilog10_floor_defining_property_far_from_one(x, k):
+    x *= Fraction(10) ** k
+    e = ilog10_floor(x)
+    assert Fraction(10) ** e <= x < Fraction(10) ** (e + 1)
+
+
+@pytest.mark.parametrize("k", [-5000, -301, -1, 0, 1, 302, 5000])
+def test_ilog10_floor_at_powers_of_ten(k):
+    p = Fraction(10) ** k
+    assert ilog10_floor(p) == k
+    assert ilog10_floor(p * Fraction(10**40 - 1, 10**40)) == k - 1
+
+
 @given(st.fractions(min_value=Fraction(1, 10**12), max_value=Fraction(10**12), max_denominator=10**12))
 def test_floor_neg_log10_defining_property(x):
     d = floor_neg_log10(x)

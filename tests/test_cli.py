@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 import subprocess
 import sys
 
@@ -277,3 +278,15 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "2.7182818284\n"
+
+
+def test_table_reference_follows_smallest_bound(capsys):
+    # 2/2001! is far below what a 60-digit reference resolves
+    rc, out, err = run(capsys, "table", "e-factorial", "--checkpoints", "10,2000",
+                       "--format", "json")
+    assert rc == 0, err
+    rows = json.loads(out)
+    assert [r["n"] for r in rows] == ["10", "2000"]
+    last = rows[1]
+    assert Fraction(last["bound"]) >= Fraction(last["abs_error"])
+    assert int(last["digits_correct"]) > 5000

@@ -1,0 +1,83 @@
+"""Golden CLI output: stdout digests and exit codes of a fixed command set.
+
+The set is every command of the benchmark's exact-sweeps workload, the
+scan in all three formats, two convergence tables and Stirling
+approximants of e^n on both sides of n = 35.  cli_golden.json holds the
+sha256 of each command's stdout and its exit code; a refactor that
+changes one printed byte fails here.
+
+Regenerate the digests (only when an output change is intended):
+
+    PYTHONPATH=src python tests/test_cli_golden.py --write
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from epilab.cli import main
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+COMMANDS = [
+    # the exact-sweeps workload
+    ["compute", "e", "--method", "e-factorial", "--terms", "2000"],
+    ["compute", "pi", "--method", "gregory-leibniz", "--digits", "4", "--format", "json"],
+    ["table", "zeta8", "--checkpoints", "10,100,1000,3000"],
+    ["table", "gregory-leibniz", "--checkpoints", "10,100,1000,3000", "--format", "json"],
+    ["scan", "--max", "50", "--format", "csv"],
+    ["compare", "--rows", "200"],
+    ["stirling", "--op", "e8", "--format", "json"],
+    # the scan in every format
+    ["scan", "--max", "10"],
+    ["scan", "--max", "10", "--format", "csv"],
+    ["scan", "--max", "10", "--format", "json"],
+    # tables
+    ["table", "lambda6"],
+    ["table", "nilakantha-paired"],
+    # Stirling approximants of e^n
+    ["stirling", "--op", "approx", "--n", "10", "--k", "1", "--scale", "30"],
+    ["stirling", "--op", "approx", "--n", "34", "--k", "2", "--scale", "30"],
+    ["stirling", "--op", "approx", "--n", "35", "--k", "1", "--scale", "30"],
+    ["stirling", "--op", "approx", "--n", "59", "--k", "1", "--scale", "30"],
+    ["stirling", "--op", "approx", "--n", "80", "--k", "4", "--scale", "30",
+     "--format", "json"],
+]
+
+
+def _key(argv: list[str]) -> str:
+    return " ".join(argv)
+
+
+def capture(argv: list[str]) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return {
+        "exit": code,
+        "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+    }
+
+
+def test_golden_covers_every_command():
+    assert sorted(json.loads(GOLDEN.read_text())) == sorted(map(_key, COMMANDS))
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=_key)
+def test_cli_output_matches_golden(argv):
+    expected = json.loads(GOLDEN.read_text())[_key(argv)]
+    assert capture(argv) == expected
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_cli_golden.py --write")
+    digests = {_key(argv): capture(argv) for argv in COMMANDS}
+    GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")

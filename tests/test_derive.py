@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import epilab.derive
 from epilab.bignum import Surd, surd_eval
 from epilab.derive import (
+    ScanRow,
     binomial_linearize,
     cfrac,
     linear_combo_scan,
@@ -18,7 +21,7 @@ from epilab.derive import (
     solve_pi_quadratic,
 )
 from epilab.expr import PrecisionCapError, parse
-from epilab.oracle import constant_reference
+from epilab.oracle import constant_reference, e_interval, pi_interval
 
 
 def test_solve_pi_quadratic_examples():
@@ -165,6 +168,57 @@ def test_scan_values_track_oracle():
     for r in linear_combo_scan(3, digits=30):
         assert abs(r.value - (r.n * pi_ref + r.m * e_ref)) < Fraction(1, 10**25)
         assert r.nearest == round(r.n * float(pi_ref) + r.m * float(e_ref))
+
+
+def _direct_scan(max_coeff, pi_iv, e_iv, threshold):
+    """The scan's rows in Fractions, from the pi and e enclosures given."""
+    plo, phi = pi_iv
+    elo, ehi = e_iv
+    rows = []
+    for n in range(-max_coeff, max_coeff + 1):
+        for m in range(-max_coeff, max_coeff + 1):
+            if n == 0 and m == 0:
+                continue
+            lo = min(n * plo, n * phi) + min(m * elo, m * ehi)
+            hi = max(n * plo, n * phi) + max(m * elo, m * ehi)
+            mid = (lo + hi) / 2
+            nearest = math.floor(mid + Fraction(1, 2))
+            residual = mid - nearest
+            mod7 = (n - 2 * m) % 7 == 0
+            num = 22 * n + 19 * m
+            predicted = num // 7 if mod7 and num % 7 == 0 else None
+            rows.append(ScanRow(n, m, mid, nearest, residual, mod7, predicted,
+                                abs(residual) < threshold))
+    return rows
+
+
+def _assert_rows_equal(rows, expected):
+    assert len(rows) == len(expected)
+    for got, want in zip(rows, expected):
+        assert got == want
+
+
+@pytest.mark.parametrize("threshold", [Fraction(6, 100), Fraction(1, 2)])
+@pytest.mark.parametrize("digits", [10, 30, 60])
+def test_scan_rows_equal_direct_fraction_evaluation(digits, threshold):
+    expected = _direct_scan(10, pi_interval(digits), e_interval(digits), threshold)
+    _assert_rows_equal(linear_combo_scan(10, digits, threshold), expected)
+
+
+def test_scan_ties_follow_fraction_semantics(monkeypatch):
+    # made-up enclosures with midpoints 7/2 and 147/50 = 2.94, and endpoint
+    # denominators 6 and 350: pi's row lands exactly on a half-integer
+    # (nearest rounds up) and e's residual is exactly -0.06 (not flagged)
+    fake_pi = (Fraction(7, 2) - Fraction(1, 3), Fraction(7, 2) + Fraction(1, 3))
+    fake_e = (Fraction(147, 50) - Fraction(1, 7), Fraction(147, 50) + Fraction(1, 7))
+    monkeypatch.setattr(epilab.derive, "pi_interval", lambda digits: fake_pi)
+    monkeypatch.setattr(epilab.derive, "e_interval", lambda digits: fake_e)
+    threshold = Fraction(6, 100)
+    rows = linear_combo_scan(4, 30, threshold)
+    _assert_rows_equal(rows, _direct_scan(4, fake_pi, fake_e, threshold))
+    by_nm = {(r.n, r.m): r for r in rows}
+    assert by_nm[1, 0].nearest == 4 and by_nm[1, 0].residual == Fraction(-1, 2)
+    assert by_nm[0, 1].residual == -threshold and not by_nm[0, 1].flagged
 
 
 def test_cfrac_rational_terminates_exactly():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import epilab.registry
 from epilab.bignum import BigFixed
-from epilab.expr import parse
+from epilab.expr import EvalDomainError, PrecisionCapError, parse
+from epilab.oracle import ExpRangeError
 from epilab.registry import (
     NEAR_EQUAL,
     NEAR_INTEGER,
@@ -174,6 +175,46 @@ def test_verify_all_continues_past_failures(monkeypatch):
     assert out[1].relation_id == "X01"
     assert "zero" in out[1].error
     assert isinstance(out[2], VerificationReport)
+
+
+def _raising_relation(monkeypatch, exc):
+    """Put a relation whose evaluation raises `exc` between R01 and R02."""
+    faulty = Relation(
+        id="X03",
+        lhs=parse("pi + 1"),
+        rhs=parse("4"),
+        kind=NEAR_EQUAL,
+        paper_eq="none",
+        paper_quote="",
+    )
+    real = epilab.registry.eval_expr
+
+    def eval_expr(expr, digits):
+        if expr is faulty.lhs:
+            raise exc
+        return real(expr, digits)
+
+    monkeypatch.setattr(epilab.registry, "eval_expr", eval_expr)
+    monkeypatch.setattr(epilab.registry, "REGISTRY", (REGISTRY[0], faulty, REGISTRY[1]))
+
+
+@pytest.mark.parametrize("exc", [
+    EvalDomainError("root of a negative"),
+    ExpRangeError("exp argument out of range"),
+    PrecisionCapError("precision cap reached"),
+])
+def test_verify_all_reports_evaluation_failures(monkeypatch, exc):
+    _raising_relation(monkeypatch, exc)
+    out = verify_all(12)
+    assert [type(r) for r in out] == [VerificationReport, VerificationFailure,
+                                      VerificationReport]
+    assert out[1].error == str(exc)
+
+
+def test_verify_all_propagates_programming_errors(monkeypatch):
+    _raising_relation(monkeypatch, TypeError("a fault, not a failed evaluation"))
+    with pytest.raises(TypeError, match="a fault"):
+        verify_all(12)
 
 
 def test_verify_near_integer_demands_integer_rhs():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epilab.bignum import rational_to_fixed
 from epilab.oracle import OracleValue, constant_reference
 from epilab.series import (
     BoundViolation,
@@ -72,6 +73,7 @@ def test_every_builtin_bound_dominates_true_error():
 
 
 def _exact_sum(spec, n):
+    # the sequential reference the pairwise sum must equal exactly
     return sum(spec.term(k) for k in range(spec.start_index, n + 1))
 
 
@@ -183,3 +185,35 @@ def test_exact_term_limit_boundary():
     spec = builtin("zeta8")
     r = partial_sum(spec, EXACT_TERM_LIMIT + spec.start_index - 1)
     assert isinstance(r.value, Fraction)
+
+
+@given(
+    name=st.sampled_from(ALL_NAMES),
+    extra=st.integers(min_value=0, max_value=600),
+    factor=st.one_of(
+        st.none(),
+        st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+        .filter(lambda f: f != 0),
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_pairwise_sum_equals_sequential_sum(name, extra, factor):
+    spec = builtin(name)
+    if factor is not None:
+        spec = scale_series(spec, factor)
+    n = spec.start_index + extra
+    assert partial_sum(spec, n).value == spec.offset + _exact_sum(spec, n)
+
+
+def test_convergence_table_rows_match_partial_sums():
+    for name in ("e-factorial", "nilakantha", "zeta8"):
+        spec = builtin(name)
+        ref = constant_reference(spec.constant, 60)
+        points = (spec.start_index, spec.start_index + 1, 17, 18, 40, 41)
+        rows = convergence_table(spec, points, ref)
+        assert [r.n for r in rows] == sorted(set(points))
+        exact = ref.value.as_fraction()
+        for row in rows:
+            value = partial_sum(spec, row.n).value
+            assert row.abs_error == abs(value - exact), (name, row.n)
+            assert row.value == rational_to_fixed(value, 15), (name, row.n)

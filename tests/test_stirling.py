@@ -134,3 +134,20 @@ def test_e8_decomposition_scale_parameter():
     d = stirling_e8_decomposition(scale=16)
     assert d.e8.scale == 16
     assert d.e8.to_decimal_string() == "2980.9579870417282747"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_e_power_approx_within_one_ulp_of_mpmath(k):
+    # the approximant itself, not e^n: sqrt(2 pi n) * n^n / n! * S(n, k);
+    # its digits before the point grow with n, and the guard must follow
+    mpmath = pytest.importorskip("mpmath")
+    scale = 30
+    ulp = Fraction(1, 10**scale)
+    for n in range(1, 81):
+        exact = Fraction(n**n, factorial(n)) * stirling_factor(Fraction(n), k)
+        with mpmath.workdps(scale + 80):
+            root = mpmath.sqrt(2 * mpmath.pi * n)
+            man, exp = root.man_exp
+            ref = Fraction(man) * Fraction(2) ** exp * exact
+        got = e_power_approx(n, k, scale).as_fraction()
+        assert abs(got - ref) <= ulp, (n, k)

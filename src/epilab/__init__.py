@@ -7,21 +7,13 @@ coincidence registry to the continued-fraction expander.
 
 from .bignum import (
     BigFixed,
-    Rational,
     Surd,
-    add,
-    arith,
-    div,
     floor_neg_log10,
     ilog10_floor,
     iroot,
-    mul,
-    pow_int,
     rational_to_fixed,
     root_interval,
-    sqrt,
     sqrt_interval,
-    sub,
     surd_eval,
 )
 from .oracle import (

@@ -29,9 +29,9 @@ and drifts to e + 2*pi = 9.0014..., which is the whole joke of the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .bignum import BigFixed, rational_to_fixed
 from .series import NILAKANTHA, NILAKANTHA_PAIRED, SeriesSpec, scale_series
 
@@ -167,7 +167,7 @@ def e_regrouped() -> SeriesSpec:
     )
 
 
-@dataclass(frozen=True)
+@record
 class CompareRow:
     k: int
     e_term: Fraction

@@ -2,9 +2,8 @@
 
 Two value types carry every number in this package:
 
-* ``Rational`` is an alias for :class:`fractions.Fraction`.  All internal
-  mathematics happens on exact rationals; nothing is ever evaluated in
-  binary floating point.
+* :class:`fractions.Fraction` carries all internal mathematics as exact
+  rationals; nothing is ever evaluated in binary floating point.
 * :class:`BigFixed` is an immutable base-10 fixed-point number,
   ``mantissa * 10**-scale``.  It exists purely at the edges: parsing
   user input and rendering results with an explicit, certified number of
@@ -25,22 +24,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
+from ._record import record
 
 __all__ = [
-    "Rational",
     "BigFixed",
     "Surd",
-    "arith",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "sqrt",
-    "pow_int",
     "rational_to_fixed",
     "surd_eval",
     "iroot",
@@ -84,7 +74,7 @@ def _div_nearest(n: int, d: int) -> int:
     return -((2 * -n + d) // (2 * d))
 
 
-@dataclass(frozen=True)
+@record
 class BigFixed:
     """Immutable decimal fixed point: value = mantissa * 10**-scale.
 
@@ -188,72 +178,9 @@ class BigFixed:
         return BigFixed(abs(self.mantissa), self.scale)
 
 
-def add(a: BigFixed, b: BigFixed, scale: int) -> BigFixed:
-    return BigFixed.from_fraction(a.as_fraction() + b.as_fraction(), scale)
-
-
-def sub(a: BigFixed, b: BigFixed, scale: int) -> BigFixed:
-    return BigFixed.from_fraction(a.as_fraction() - b.as_fraction(), scale)
-
-
-def mul(a: BigFixed, b: BigFixed, scale: int) -> BigFixed:
-    return BigFixed.from_fraction(a.as_fraction() * b.as_fraction(), scale)
-
-
-def div(a: BigFixed, b: BigFixed, scale: int) -> BigFixed:
-    if b.mantissa == 0:
-        raise ZeroDivisionError("division by zero")
-    return BigFixed.from_fraction(a.as_fraction() / b.as_fraction(), scale)
-
-
-_ARITH_OPS = {"add": add, "sub": sub, "mul": mul, "div": div}
-
-
-def arith(a: BigFixed, b: BigFixed, op: str, scale: int) -> BigFixed:
-    """Dispatch add/sub/mul/div at an explicit result scale.
-
-    Sums and differences whose exact value is representable at the
-    requested scale come back exact; everything else rounds to nearest.
-    """
-    try:
-        fn = _ARITH_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown op {op!r}; expected one of {sorted(_ARITH_OPS)}") from None
-    return fn(a, b, scale)
-
-
 def rational_to_fixed(value: Fraction, scale: int) -> BigFixed:
     """Round an exact rational onto the decimal grid: error <= 1/2 ulp."""
     return BigFixed.from_fraction(value, scale)
-
-
-def sqrt(x: BigFixed, scale: int) -> BigFixed:
-    """Square root with |result - sqrt(x)| <= 10**-scale.
-
-    Works on the integer mantissa via math.isqrt (Newton's method on
-    integers) with five guard digits, then rounds back once.
-    """
-    if scale < 0:
-        raise ValueError("scale must be >= 0")
-    if x.mantissa < 0:
-        raise ValueError("sqrt of negative value")
-    t = max(scale + 5, (x.scale + 1) // 2 + 1)
-    n = x.mantissa * 10 ** (2 * t - x.scale)
-    i = math.isqrt(n)
-    # i/10**t <= sqrt(x) < (i+1)/10**t
-    return BigFixed.from_fraction(Fraction(i, 10**t), scale)
-
-
-def pow_int(x: BigFixed, k: int, scale: int) -> BigFixed:
-    """Integer power, correctly rounded at the requested scale.
-
-    The power is taken exactly on the underlying rational (binary
-    exponentiation on big integers), so the only rounding is the final
-    one: |result - x**k| <= 10**-scale always holds, with room to spare.
-    """
-    if k < 0 and x.mantissa == 0:
-        raise ZeroDivisionError("zero to a negative power")
-    return BigFixed.from_fraction(x.as_fraction() ** k, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +299,7 @@ def _squarefree(r: int) -> tuple[int, int]:
     return s, rest
 
 
-@dataclass(frozen=True)
+@record
 class Surd:
     """Exact quadratic irrational a + b*sqrt(r).
 

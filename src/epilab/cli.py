@@ -5,23 +5,25 @@ Output formats: text (default), csv (always with a header row), json
 (numbers as exact decimal strings).  Identical invocations produce
 byte-identical output; --quiet drops everything except the payload.
 
-Exit codes: 0 success, 1 for an uncertified or infeasible result,
-2 for usage errors.
+Exit codes: 0 success; 1 when a well-formed input has no certified
+result: the value is undefined (a root of a negative number, a division
+by zero), an exp argument lies outside |x| <= 100, the precision cap is
+reached, or a series cannot reach the precision within its term cap;
+2 for usage errors: bad flags or option values, unparsable expressions.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from fractions import Fraction
 
 from .accel import compare_expansions
 from .bignum import BigFixed, floor_neg_log10, root_interval
 from .derive import cfrac, linear_combo_scan
-from .expr import ParseError, PrecisionCapError, parse, to_text
+from .expr import EvalDomainError, ParseError, PrecisionCapError, parse, to_text
 from .oracle import (
+    ExpRangeError,
     constant_reference,
     e_interval,
     e_oracle,
@@ -74,12 +76,14 @@ def _ceil_fixed(x: Fraction, scale: int) -> BigFixed:
 
 
 def _emit_csv(columns: list[str], rows: list[list[str]]) -> None:
+    import csv  # here, not at the top: text output never needs it
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows(rows)
 
 
 def _emit_json(payload) -> None:
+    import json  # here, not at the top: text output never needs it
     print(json.dumps(payload, indent=2))
 
 
@@ -490,7 +494,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InfeasibleRequest, PrecisionCapError) as exc:
+    except (InfeasibleRequest, PrecisionCapError, EvalDomainError, ExpRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ParseError, ValueError, ZeroDivisionError) as exc:

@@ -6,9 +6,9 @@ integer scan over n*pi + m*e, and certified continued fractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .bignum import Surd
 from .expr import Expr, PrecisionCapError, eval_interval
 from .oracle import e_interval, pi_interval
@@ -84,7 +84,7 @@ def solve_linear_2x2(
     return (b1 * a22 - b2 * a12) / det, (a11 * b2 - a21 * b1) / det
 
 
-@dataclass(frozen=True)
+@record
 class ScanRow:
     n: int
     m: int

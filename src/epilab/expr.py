@@ -27,10 +27,10 @@ correctness claim everything downstream leans on.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
+from ._record import record
 from .bignum import BigFixed, iroot, root_interval
 from .oracle import (
     EXP_ARG_LIMIT,
@@ -91,57 +91,57 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class ConstPi(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class ConstE(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class IntLit(Expr):
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class RatLit(Expr):
     value: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@record
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@record
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@record
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@record
 class PowInt(Expr):
     base: Expr
     exponent: int
 
 
-@dataclass(frozen=True)
+@record
 class Root(Expr):
     arg: Expr
     k: int
@@ -151,7 +151,7 @@ class Root(Expr):
             raise ValueError("root index must be >= 1")
 
 
-@dataclass(frozen=True)
+@record
 class Exp(Expr):
     arg: Expr
 
@@ -461,9 +461,8 @@ def _eval(expr: Expr, w: int) -> _IV:
     raise TypeError(f"not an Expr: {expr!r}")
 
 
-class EvalResult(NamedTuple):
-    value: BigFixed
-    error_bound: BigFixed
+#: value: BigFixed, error_bound: BigFixed
+EvalResult = namedtuple("EvalResult", ["value", "error_bound"])
 
 
 def eval_interval(expr: Expr, digits: int, *, max_attempts: int = 8) -> _IV:

@@ -28,15 +28,16 @@ the midpoint into an :class:`OracleValue`.
 
 All functions are pure; the module-level caches only ever grow toward
 higher precision and are guarded by a lock, so concurrent callers see
-consistent values.
+consistent values.  A cached enclosure finer than asked for comes back
+rounded outward to the requested precision.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .bignum import BigFixed
 
 __all__ = [
@@ -62,7 +63,7 @@ class ExpRangeError(ValueError):
     """exp() argument outside the supported range |x| <= 100."""
 
 
-@dataclass(frozen=True)
+@record
 class OracleValue:
     """A rendered reference value with |value - true| < 10**-certified_digits."""
 
@@ -153,12 +154,23 @@ _pi_cache: tuple[int, Fraction, Fraction] | None = None  # (eps_digits, lo, hi)
 _e_cache: tuple[int, Fraction, Fraction] | None = None
 
 
+def _trimmed(cache, eps_digits: int) -> tuple[Fraction, Fraction]:
+    """A cached enclosure at least as tight as asked for, rounded outward
+    onto the grid a fresh one would have, so callers do not pay for the
+    cache's extra digits.  Width < 2 * 10**-(eps_digits + 1) + 2 units of
+    10**-(eps_digits + guard) < 2 * 10**-eps_digits."""
+    _, lo, hi = cache
+    unit = 10 ** (eps_digits + _guard(eps_digits))
+    return (Fraction(lo.numerator * unit // lo.denominator, unit),
+            Fraction(-(-hi.numerator * unit // hi.denominator), unit))
+
+
 def pi_interval(eps_digits: int) -> tuple[Fraction, Fraction]:
     """Exact rational enclosure of pi with width < 2 * 10**-eps_digits."""
     global _pi_cache
     with _lock:
         if _pi_cache is not None and _pi_cache[0] >= eps_digits:
-            return _pi_cache[1], _pi_cache[2]
+            return _trimmed(_pi_cache, eps_digits)
     work = eps_digits + _guard(eps_digits)
     a5_lo, a5_hi = _arctan_inv(5, work)
     a239_lo, a239_hi = _arctan_inv(239, work)
@@ -176,7 +188,7 @@ def e_interval(eps_digits: int) -> tuple[Fraction, Fraction]:
     global _e_cache
     with _lock:
         if _e_cache is not None and _e_cache[0] >= eps_digits:
-            return _e_cache[1], _e_cache[2]
+            return _trimmed(_e_cache, eps_digits)
     work = eps_digits + _guard(eps_digits)
     lo, hi = _e_unit(work)
     lo, hi = Fraction(lo, 10**work), Fraction(hi, 10**work)

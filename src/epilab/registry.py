@@ -19,9 +19,9 @@ reports the distance to the claimed integer as registered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .bignum import BigFixed, floor_neg_log10
 from .expr import EvalDomainError, Expr, PrecisionCapError, eval_expr, parse
 from .oracle import ExpRangeError
@@ -45,7 +45,7 @@ NEAR_INTEGER = "near_integer"
 _KINDS = (NEAR_EQUAL, NEAR_INTEGER)
 
 
-@dataclass(frozen=True)
+@record
 class Relation:
     id: str
     lhs: Expr
@@ -63,7 +63,7 @@ class Relation:
             raise ValueError("min_digits must be >= 6")
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     relation_id: str
     paper_eq: str
@@ -90,7 +90,7 @@ class VerificationReport:
         }
 
 
-@dataclass(frozen=True)
+@record
 class VerificationFailure:
     relation_id: str
     paper_eq: str

@@ -19,10 +19,10 @@ Builtins (index ranges are inclusive of start_index):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Sequence
 
+from ._record import record
 from .bignum import BigFixed, _div_nearest, floor_neg_log10, rational_to_fixed
 from .oracle import CONSTANTS, OracleValue
 
@@ -70,7 +70,7 @@ class BoundViolation(AssertionError):
     """A certified tail bound failed to dominate the measured error."""
 
 
-@dataclass(frozen=True)
+@record
 class SeriesSpec:
     """Immutable description of a series and its error certificate.
 
@@ -93,7 +93,7 @@ class SeriesSpec:
             raise ValueError(f"unknown constant {self.constant!r}")
 
 
-@dataclass(frozen=True)
+@record
 class SumResult:
     """Partial sum with certificate.
 
@@ -111,7 +111,7 @@ class SumResult:
     bound: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class ConvergenceRow:
     n: int
     value: BigFixed

@@ -22,9 +22,9 @@ exact correction 17850625/11943936 = 1.4945... sits close to 3/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .bignum import BigFixed, Surd, ilog10_floor, sqrt_interval
 from .oracle import e_interval, pi_interval
 
@@ -117,7 +117,7 @@ def e_half_integer(n: int, k: int) -> Surd:
     return Surd.make(Fraction(0), coef, 2)
 
 
-@dataclass(frozen=True)
+@record
 class E8Decomposition:
     """The pieces of e^8 ~ 96 pi^3, all independently certified."""
 

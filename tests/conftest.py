@@ -30,8 +30,6 @@ def default_int_str_limit():
 @pytest.fixture(autouse=True)
 def cold_oracle_caches():
     """Start every test with empty pi and e caches, as every CLI command
-    starts.  The caches return the tightest enclosure computed so far, so
-    5,000 digits of pi left by one test would make every later scan or
-    table do its exact arithmetic on 5,000-digit integers, and a test's
-    cost would depend on the tests run before it."""
+    starts, so that no test's result or cost depends on the tests run
+    before it."""
     oracle._pi_cache = oracle._e_cache = None

@@ -11,19 +11,12 @@ from hypothesis import strategies as st
 from epilab.bignum import (
     BigFixed,
     Surd,
-    add,
-    arith,
-    div,
     floor_neg_log10,
     ilog10_floor,
     iroot,
-    mul,
-    pow_int,
     rational_to_fixed,
     root_interval,
-    sqrt,
     sqrt_interval,
-    sub,
     surd_eval,
 )
 
@@ -107,66 +100,9 @@ def test_rescale_rounds_to_nearest():
     assert x.rescale(8) == x
 
 
-@given(fractions, fractions, scales)
-def test_arith_half_ulp(p, q, s):
-    a = BigFixed.from_fraction(p, 20)
-    b = BigFixed.from_fraction(q, 20)
-    ulp = Fraction(1, 10**s)
-    for op, fn in (("add", add), ("sub", sub), ("mul", mul)):
-        exact = {
-            "add": a.as_fraction() + b.as_fraction(),
-            "sub": a.as_fraction() - b.as_fraction(),
-            "mul": a.as_fraction() * b.as_fraction(),
-        }[op]
-        got = fn(a, b, s)
-        assert abs(got.as_fraction() - exact) <= ulp / 2
-        assert arith(a, b, op, s) == got
-
-
-def test_div_nearest_and_zero():
-    one = BigFixed.from_int(1)
-    three = BigFixed.from_int(3)
-    assert div(one, three, 5).to_decimal_string() == "0.33333"
-    assert div(BigFixed.from_int(2), three, 5).to_decimal_string() == "0.66667"
-    with pytest.raises(ZeroDivisionError):
-        div(one, BigFixed.from_int(0), 5)
-    with pytest.raises(ValueError):
-        arith(one, three, "mod", 5)
-
-
 def test_rational_to_fixed_matches_from_fraction():
     q = Fraction(355, 113)
     assert rational_to_fixed(q, 15) == BigFixed.from_fraction(q, 15)
-
-
-def test_sqrt_known_digits():
-    s = sqrt(BigFixed.from_int(2), 30)
-    assert s.to_decimal_string() == "1.414213562373095048801688724210"
-    assert sqrt(BigFixed.from_int(0), 10).mantissa == 0
-    with pytest.raises(ValueError):
-        sqrt(BigFixed.from_int(-1), 10)
-
-
-@given(st.fractions(min_value=Fraction(0), max_value=Fraction(10**6), max_denominator=10**6), scales)
-def test_sqrt_within_one_ulp(q, s):
-    x = BigFixed.from_fraction(q, 25)
-    r = sqrt(x, s).as_fraction()
-    u = Fraction(1, 10**s)
-    # r is within one ulp of the true square root of x
-    assert (r - u) ** 2 < x.as_fraction() or r <= u
-    assert x.as_fraction() < (r + u) ** 2
-
-
-@given(fractions, st.integers(min_value=-6, max_value=6))
-def test_pow_int_matches_fraction_power(q, k):
-    x = BigFixed.from_fraction(q, 8)
-    if x.mantissa == 0 and k < 0:
-        with pytest.raises(ZeroDivisionError):
-            pow_int(x, k, 10)
-        return
-    exact = x.as_fraction() ** k
-    got = pow_int(x, k, 10)
-    assert abs(got.as_fraction() - exact) <= Fraction(1, 2 * 10**10)
 
 
 @given(st.integers(min_value=0, max_value=10**30), st.integers(min_value=1, max_value=9))

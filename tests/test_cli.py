@@ -182,6 +182,23 @@ def test_cfrac_bad_expression_exits_two(capsys):
     assert "error" in err
 
 
+def test_cfrac_exp_out_of_range_exits_one(capsys):
+    # parses, but exp() is certified only for |x| <= 100
+    rc, out, err = run(capsys, "cfrac", "exp(101)")
+    assert (rc, out, err) == (1, "", "error: exp argument outside |x| <= 100\n")
+
+
+def test_cfrac_root_of_negative_exits_one(capsys):
+    rc, out, err = run(capsys, "cfrac", "root(2, 0-pi)")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: root of a negative value")
+
+
+def test_cfrac_unfinished_expression_exits_two(capsys):
+    rc, out, err = run(capsys, "cfrac", "pi+")
+    assert (rc, out, err) == (2, "", "error: unexpected end of expression\n")
+
+
 def test_stirling_e_half(capsys):
     rc, out, _ = run(capsys, "stirling", "--op", "e-half", "--n", "0", "--k", "2")
     assert rc == 0

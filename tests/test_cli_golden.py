@@ -1,8 +1,9 @@
 """Golden CLI output: stdout digests and exit codes of a fixed command set.
 
-The set is every command of the benchmark's exact-sweeps workload, the
-scan in all three formats, two convergence tables and Stirling
-approximants of e^n on both sides of n = 35.  cli_golden.json holds the
+The set is every command of the benchmark's exact-sweeps and catalog
+workloads and the fixed commands of its deep-digits workload, the scan
+in all three formats, two convergence tables and Stirling approximants
+of e^n on both sides of n = 35.  cli_golden.json holds the
 sha256 of each command's stdout and its exit code; a refactor that
 changes one printed byte fails here.
 
@@ -49,6 +50,19 @@ COMMANDS = [
     ["stirling", "--op", "approx", "--n", "59", "--k", "1", "--scale", "30"],
     ["stirling", "--op", "approx", "--n", "80", "--k", "4", "--scale", "30",
      "--format", "json"],
+    # the catalog workload
+    *[["verify", "--all", "--digits", digits, "--format", fmt]
+      for fmt in ("text", "json", "csv") for digits in ("30", "100", "150")],
+    # the fixed commands of the deep-digits workload
+    *[["compute", constant, "--digits", str(digits), "--format",
+       ("text", "json", "csv")[(i + j) % 3]]
+      for i, digits in enumerate((1000, 2000, 3000, 4000))
+      for j, constant in enumerate(("pi", "e"))],
+    ["compute", "pi", "--digits", "5000"],
+    ["cfrac", "pi", "--terms", "1000"],
+    ["cfrac", "e", "--terms", "1000", "--format", "json"],
+    ["cfrac", "exp(pi)", "--terms", "200", "--format", "csv"],
+    ["cfrac", "exp(pi*sqrt(163))", "--terms", "60"],
 ]
 
 

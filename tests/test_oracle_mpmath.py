@@ -43,6 +43,24 @@ def test_constant_enclosure_contains_mpmath(name, interval, reference, digits):
     assert hi - lo < 2 * Fraction(1, 10**digits)
 
 
+@pytest.mark.parametrize("digits", [1, 30, 4999])
+@pytest.mark.parametrize("name, interval, reference", [
+    ("pi", pi_interval, lambda: +mpmath.pi),
+    ("e", e_interval, lambda: mpmath.e()),
+])
+def test_cached_enclosure_trimmed_to_request(name, interval, reference, digits):
+    fine_lo, fine_hi = interval(5000)
+    lo, hi = interval(digits)
+    unit = 10 ** (digits + oracle._guard(digits))
+    assert unit % lo.denominator == 0 and unit % hi.denominator == 0, name
+    # the 5,000-digit enclosure rounded outward: at most two grid units wider
+    assert hi - lo <= fine_hi - fine_lo + Fraction(2, unit)
+    assert hi - lo < 2 * Fraction(1, 10**digits)
+    with mpmath.workdps(2 * digits + 60):
+        ref = _exact(reference())
+    assert lo <= ref <= hi, name
+
+
 @st.composite
 def exp_arguments(draw) -> Fraction:
     den = draw(st.integers(min_value=1, max_value=10**300))

@@ -1,0 +1,117 @@
+"""The frozen value types: construction, equality, hashing, repr,
+immutability, and a start-up that loads no class-generation machinery."""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from epilab.bignum import BigFixed
+from epilab.derive import ScanRow
+from epilab.expr import Add, ConstE, ConstPi, EvalResult, IntLit, Root, Sub, eval_expr, parse
+from epilab.registry import NEAR_EQUAL, Relation
+from epilab.series import SeriesSpec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _spec(**kw) -> SeriesSpec:
+    return SeriesSpec("t", kw.pop("constant", "e"), Fraction(0), 0,
+                      lambda n: Fraction(1, 2**n), lambda n: Fraction(1, 2**n), **kw)
+
+
+def test_equality_within_one_class_only():
+    a, b = IntLit(1), ConstPi()
+    assert Add(a, b) == Add(IntLit(1), ConstPi())
+    assert Add(a, b) != Sub(a, b)
+    assert Add(a, b) != Add(b, a)
+    assert ConstPi() == ConstPi() and ConstPi() != ConstE()
+    assert Add(a, b) != (a, b)
+
+
+def test_equal_values_hash_equal():
+    assert hash(parse("pi^2 + 8*pi")) == hash(parse("pi^2 + 8*pi"))
+    assert len({parse("exp(pi) - pi"), parse("exp(pi) - pi"), parse("e")}) == 2
+    row = ScanRow(1, -1, Fraction(1, 2), 0, Fraction(1, 2), False, None, False)
+    assert row == ScanRow(1, -1, Fraction(1, 2), 0, Fraction(1, 2), False, None, False)
+    assert hash(row) == hash(ScanRow(1, -1, Fraction(1, 2), 0, Fraction(1, 2), False, None, False))
+
+
+def test_fields_cannot_be_assigned_or_deleted():
+    node = Add(IntLit(1), ConstPi())
+    with pytest.raises(AttributeError):
+        node.left = IntLit(2)
+    with pytest.raises(AttributeError):
+        del node.right
+    with pytest.raises(AttributeError):
+        node.extra = 1
+    fixed = BigFixed(15, 1)
+    with pytest.raises(AttributeError):
+        fixed.scale = 2
+    assert node == Add(IntLit(1), ConstPi()) and fixed.scale == 1
+
+
+def test_keyword_construction_and_defaults():
+    assert _spec().alternating is False
+    assert _spec(alternating=True).alternating is True
+    rel = Relation("X", ConstPi(), IntLit(3), NEAR_EQUAL, "Eq. (0)", "3")
+    assert (rel.min_digits, rel.note) == (6, "")
+    rel = Relation(id="X", lhs=ConstPi(), rhs=IntLit(3), kind=NEAR_EQUAL, paper_eq="Eq. (0)",
+                   paper_quote="3", note="n", min_digits=9)
+    assert (rel.id, rel.min_digits, rel.note) == ("X", 9, "n")
+    with pytest.raises(TypeError):
+        Add(IntLit(1))
+
+
+def test_post_init_rejects_bad_input():
+    with pytest.raises(ValueError):
+        Root(ConstPi(), 0)
+    with pytest.raises(ValueError):
+        BigFixed(1, -1)
+    with pytest.raises(ValueError):
+        _spec(constant="tau")
+    with pytest.raises(ValueError):
+        Relation("X", ConstPi(), IntLit(3), "near", "Eq. (0)", "3")
+    with pytest.raises(ValueError):
+        Relation("X", ConstPi(), IntLit(3), NEAR_EQUAL, "Eq. (0)", "3", min_digits=5)
+
+
+def test_repr_names_every_field():
+    assert repr(Add(IntLit(1), ConstPi())) == "Add(left=IntLit(value=1), right=ConstPi())"
+    assert repr(Root(ConstE(), 3)) == "Root(arg=ConstE(), k=3)"
+    row = ScanRow(1, 2, Fraction(7, 2), 4, Fraction(-1, 2), False, None, True)
+    assert repr(row) == (
+        "ScanRow(n=1, m=2, value=Fraction(7, 2), nearest=4, residual=Fraction(-1, 2), "
+        "mod7=False, predicted=None, flagged=True)"
+    )
+
+
+def test_class_defined_methods_are_kept():
+    # BigFixed compares numerically and renders its digits
+    assert BigFixed(150, 2) == BigFixed(15, 1) == Fraction(3, 2)
+    assert hash(BigFixed(150, 2)) == hash(BigFixed(15, 1))
+    assert repr(BigFixed(150, 2)) == "BigFixed('1.50')"
+
+
+def test_eval_result_unpacks():
+    result = eval_expr(parse("e + 2*pi"), 10)
+    value, err = result
+    assert (value, err) == (result.value, result.error_bound)
+    assert isinstance(result, EvalResult) and isinstance(result, tuple)
+
+
+def test_cli_import_loads_no_class_generation_modules():
+    # -S: the interpreter's site hooks may import typing on their own;
+    # -E: no PYTHONPATH, so this checkout's sources are the ones imported
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import epilab.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'json', 'csv'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-E", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

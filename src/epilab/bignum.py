@@ -100,7 +100,8 @@ class BigFixed:
         """Round an exact rational to the given scale (nearest, <= 1/2 ulp)."""
         if scale < 0:
             raise ValueError("scale must be >= 0")
-        value = Fraction(value)
+        if not isinstance(value, (Fraction, int)):
+            value = Fraction(value)
         return cls(_div_nearest(value.numerator * 10**scale, value.denominator), scale)
 
     @classmethod

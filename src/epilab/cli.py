@@ -82,6 +82,14 @@ def _emit_csv(columns: list[str], rows: list[list[str]]) -> None:
     writer.writerows(rows)
 
 
+def _emit_text_table(columns: list[str], rows: list[list[str]]) -> None:
+    # each column as wide as its widest cell, header included, and two
+    # spaces between columns; with no rows only the header is printed
+    widths = [max(map(len, cells)) for cells in zip(columns, *rows)]
+    for row in (columns, *rows):
+        print("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
+
+
 def _emit_json(payload) -> None:
     import json  # here, not at the top: text output never needs it
     print(json.dumps(payload, indent=2))
@@ -190,10 +198,7 @@ def cmd_table(args) -> int:
     else:
         if not args.quiet:
             print(f"series = {spec.name} (limit: {spec.constant})")
-        widths = [max(len(c), *(len(row[i]) for row in rendered)) for i, c in enumerate(columns)]
-        print("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip())
-        for row in rendered:
-            print("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
+        _emit_text_table(columns, rendered)
     return 0
 
 
@@ -384,10 +389,7 @@ def cmd_scan(args) -> int:
             print(f"combinations n*pi + m*e with |n|, |m| <= {args.max}; "
                   f"{flagged} of {len(rows)} rows within {args.threshold} of an integer"
                   + ("" if args.all_rows else " (shown; --all-rows for the rest)"))
-        widths = [max(len(c), *(len(row[i]) for row in rendered)) for i, c in enumerate(columns)]
-        print("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip())
-        for row in rendered:
-            print("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
+        _emit_text_table(columns, rendered)
     return 0
 
 
@@ -411,10 +413,7 @@ def cmd_compare(args) -> int:
         if not args.quiet:
             print("e expansion (3 - 1/3 + 1/24 + ...) against 2*pi "
                   "(6 + 1/3 - 3/70 - ...); running sum tracks e + 2*pi")
-        widths = [max(len(c), *(len(row[i]) for row in rendered)) for i, c in enumerate(columns)]
-        print("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip())
-        for row in rendered:
-            print("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
+        _emit_text_table(columns, rendered)
     return 0
 
 

@@ -436,19 +436,29 @@ def _eval(expr: Expr, w: int) -> _IV:
         return _out(*_iv_pow(a, expr.exponent), w)
     if isinstance(expr, Root):
         lo, hi = _eval(expr.arg, w)
-        if hi < 0:
-            raise EvalDomainError(f"root of a negative value (<= {float(hi):g})")
-        if lo < 0:
-            # might be a genuinely negative value seen too coarsely, or a
-            # tiny true value straddled by the interval; retry either way
-            raise _Undecided
+        k = expr.k
+        if k % 2 == 0:
+            if hi < 0:
+                raise EvalDomainError(f"root of a negative value (<= {float(hi):g})")
+            if lo < 0:
+                # might be a genuinely negative value seen too coarsely, or a
+                # tiny true value straddled by the interval; retry either way
+                raise _Undecided
         if lo == hi:
             # exact argument: keep a perfect k-th power exact
-            p = iroot(lo.numerator, expr.k)
-            q = iroot(lo.denominator, expr.k)
-            if p**expr.k == lo.numerator and q**expr.k == lo.denominator:
-                return Fraction(p, q), Fraction(p, q)
-        return root_interval(lo, hi, expr.k, w)
+            p = iroot(abs(lo.numerator), k)
+            q = iroot(lo.denominator, k)
+            if p**k == abs(lo.numerator) and q**k == lo.denominator:
+                r = Fraction(p if lo >= 0 else -p, q)
+                return r, r
+        if lo >= 0:
+            return root_interval(lo, hi, k, w)
+        # odd k: the root is an odd function, so take it on the mirror image
+        if hi <= 0:
+            r_lo, r_hi = root_interval(-hi, -lo, k, w)
+            return -r_hi, -r_lo
+        zero = Fraction(0)
+        return -root_interval(zero, -lo, k, w)[1], root_interval(zero, hi, k, w)[1]
     if isinstance(expr, Exp):
         lo, hi = _eval(expr.arg, w)
         if lo > EXP_ARG_LIMIT or hi < -EXP_ARG_LIMIT:

@@ -1,10 +1,16 @@
 """Series definitions, certified partial sums, and convergence tables.
 
 A :class:`SeriesSpec` bundles everything needed to evaluate and certify a
-series: an exact offset, a term function over an integer index, and a
-tail bound ``tail_bound(N)`` that dominates the true remainder after the
-term with index N.  Tail bounds are the load-bearing part; each builtin
-documents its derivation next to its definition.
+series: an exact offset, its terms, and a tail bound ``tail_bound(N)``
+that dominates the true remainder after the term with index N.  Tail
+bounds are the load-bearing part; each builtin documents its derivation
+next to its definition.
+
+The sums read the terms as runs of integer pairs, ``pairs(a, b)``, so a
+run builds no Fraction per term and can carry state from one term to
+the next (the factorial of the e series is multiplied up, not rebuilt).
+Each builtin writes its formula once, as that run; its ``term(n)`` is
+the run of one index.
 
 Builtins (index ranges are inclusive of start_index):
 
@@ -19,8 +25,9 @@ Builtins (index ranges are inclusive of start_index):
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
+from itertools import cycle, islice
 
 from ._record import record
 from .bignum import BigFixed, _div_nearest, floor_neg_log10, rational_to_fixed
@@ -78,6 +85,11 @@ class SeriesSpec:
     value of the sum of all terms with index > N.  alternating marks
     series whose terms strictly alternate in sign with non-increasing
     magnitude (which is what makes |term(N+1)| a valid tail bound).
+
+    pairs(a, b) yields the terms with indices a..b in order as integer
+    pairs (p, q), q > 0, p/q == term(i), not necessarily in lowest
+    terms; nothing when a > b.  The sums read only this form.  A spec
+    built without pairs derives them from term.
     """
 
     name: str
@@ -87,10 +99,14 @@ class SeriesSpec:
     term: Callable[[int], Fraction]
     tail_bound: Callable[[int], Fraction]
     alternating: bool = False
+    pairs: Callable[[int, int], Iterable[tuple[int, int]]] | None = None
 
     def __post_init__(self) -> None:
         if self.constant not in CONSTANTS:
             raise ValueError(f"unknown constant {self.constant!r}")
+        if self.pairs is None:
+            object.__setattr__(self, "pairs", lambda a, b, _t=self.term: (
+                _t(i).as_integer_ratio() for i in range(a, b + 1)))
 
 
 @record
@@ -120,8 +136,20 @@ class ConvergenceRow:
     digits_correct: int
 
 
-def _term_e(n: int) -> Fraction:
-    return Fraction(1, math.factorial(n))
+def _term_of(pairs: Callable[[int, int], Iterable[tuple[int, int]]]) -> Callable[[int], Fraction]:
+    """term(n) of a series given by its runs: the run of index n alone."""
+    def term(n: int) -> Fraction:
+        [(p, q)] = pairs(n, n)
+        return Fraction(p, q)
+    return term
+
+
+def _pairs_e(a: int, b: int) -> Iterator[tuple[int, int]]:
+    # 1/n!, with n! multiplied up from a! along the run
+    q = math.factorial(a)
+    for n in range(a, b + 1):
+        yield 1, q
+        q *= n + 1
 
 
 def _tail_e(n: int) -> Fraction:
@@ -129,17 +157,17 @@ def _tail_e(n: int) -> Fraction:
     return Fraction(2, math.factorial(n + 1))
 
 
-def _term_gl(n: int) -> Fraction:
-    return Fraction(4 if n % 2 == 0 else -4, 2 * n + 1)
+def _pairs_gl(a: int, b: int) -> Iterator[tuple[int, int]]:
+    # 4 (-1)^n / (2n + 1): signs alternating from that of index a
+    return zip(cycle((4, -4) if a % 2 == 0 else (-4, 4)), range(2 * a + 1, 2 * b + 2, 2))
 
 
-def _term_nila(n: int) -> Fraction:
-    v = Fraction(1, n * (2 * n + 1) * (n + 1))
-    return v if n % 2 else -v
+def _pairs_nila(a: int, b: int) -> Iterator[tuple[int, int]]:
+    return ((1 if n % 2 else -1, n * (2 * n + 1) * (n + 1)) for n in range(a, b + 1))
 
 
-def _term_paired(n: int) -> Fraction:
-    return Fraction(-3, n * (n + 1) * (4 * n + 1) * (4 * n + 3))
+def _pairs_paired(a: int, b: int) -> Iterator[tuple[int, int]]:
+    return ((-3, n * (n + 1) * (4 * n + 1) * (4 * n + 3)) for n in range(a, b + 1))
 
 
 def _tail_paired(n: int) -> Fraction:
@@ -149,8 +177,8 @@ def _tail_paired(n: int) -> Fraction:
     return Fraction(1, 16 * n**3)
 
 
-def _term_lambda6(n: int) -> Fraction:
-    return Fraction(960, (2 * n + 1) ** 6)
+def _pairs_lambda6(a: int, b: int) -> Iterator[tuple[int, int]]:
+    return ((960, (2 * n + 1) ** 6) for n in range(a, b + 1))
 
 
 def _tail_lambda6(n: int) -> Fraction:
@@ -159,8 +187,8 @@ def _tail_lambda6(n: int) -> Fraction:
     return Fraction(96, (2 * n + 1) ** 5)
 
 
-def _term_zeta8(n: int) -> Fraction:
-    return Fraction(9450, n**8)
+def _pairs_zeta8(a: int, b: int) -> Iterator[tuple[int, int]]:
+    return ((9450, n**8) for n in range(a, b + 1))
 
 
 def _tail_zeta8(n: int) -> Fraction:
@@ -173,8 +201,9 @@ E_FACTORIAL = SeriesSpec(
     constant="e",
     offset=Fraction(0),
     start_index=0,
-    term=_term_e,
+    term=_term_of(_pairs_e),
     tail_bound=_tail_e,
+    pairs=_pairs_e,
 )
 
 GREGORY_LEIBNIZ = SeriesSpec(
@@ -182,9 +211,10 @@ GREGORY_LEIBNIZ = SeriesSpec(
     constant="pi",
     offset=Fraction(0),
     start_index=0,
-    term=_term_gl,
+    term=_term_of(_pairs_gl),
     tail_bound=lambda n: Fraction(4, 2 * n + 3),
     alternating=True,
+    pairs=_pairs_gl,
 )
 
 NILAKANTHA = SeriesSpec(
@@ -192,9 +222,10 @@ NILAKANTHA = SeriesSpec(
     constant="pi",
     offset=Fraction(3),
     start_index=1,
-    term=_term_nila,
+    term=_term_of(_pairs_nila),
     tail_bound=lambda n: Fraction(1, (n + 1) * (2 * n + 3) * (n + 2)),
     alternating=True,
+    pairs=_pairs_nila,
 )
 
 NILAKANTHA_PAIRED = SeriesSpec(
@@ -202,8 +233,9 @@ NILAKANTHA_PAIRED = SeriesSpec(
     constant="two_pi",
     offset=Fraction(19, 3),
     start_index=1,
-    term=_term_paired,
+    term=_term_of(_pairs_paired),
     tail_bound=_tail_paired,
+    pairs=_pairs_paired,
 )
 
 LAMBDA6 = SeriesSpec(
@@ -211,8 +243,9 @@ LAMBDA6 = SeriesSpec(
     constant="pi6",
     offset=Fraction(0),
     start_index=0,
-    term=_term_lambda6,
+    term=_term_of(_pairs_lambda6),
     tail_bound=_tail_lambda6,
+    pairs=_pairs_lambda6,
 )
 
 ZETA8 = SeriesSpec(
@@ -220,8 +253,9 @@ ZETA8 = SeriesSpec(
     constant="pi8",
     offset=Fraction(0),
     start_index=1,
-    term=_term_zeta8,
+    term=_term_of(_pairs_zeta8),
     tail_bound=_tail_zeta8,
+    pairs=_pairs_zeta8,
 )
 
 _BUILTINS = {
@@ -253,55 +287,62 @@ def scale_series(spec: SeriesSpec, factor: Fraction, *, name: str | None = None,
     factor = Fraction(factor)
     if factor == 0:
         raise ValueError("factor must be nonzero")
+
+    def pairs(a: int, b: int, _p=spec.pairs, _n=factor.numerator,
+              _d=factor.denominator) -> Iterator[tuple[int, int]]:
+        return ((_n * p, _d * q) for p, q in _p(a, b))
+
     return SeriesSpec(
         name=name or f"{spec.name}-scaled",
         constant=constant or spec.constant,
         offset=spec.offset * factor,
         start_index=spec.start_index,
-        term=lambda n, _f=factor, _t=spec.term: _f * _t(n),
+        term=_term_of(pairs),
         tail_bound=lambda n, _f=abs(factor), _b=spec.tail_bound: _f * _b(n),
         alternating=spec.alternating,
+        pairs=pairs,
     )
 
 
-def _exact_sum(term: Callable[[int], Fraction], a: int, b: int) -> Fraction:
-    """Exact sum of term(i) for a <= i <= b (zero when a > b).
+def _exact_sum(pairs: Iterator[tuple[int, int]], count: int) -> Fraction:
+    """Exact sum of the next `count` terms of `pairs` (zero when count is 0).
 
-    The range is halved recursively and the two halves added, so each
+    The run is halved recursively and the two halves added, so each
     addition joins partial sums of similar size instead of a term to an
     ever-growing total, whose gcd dominates the cost of a sequential
-    sum.  Depth-first: only O(log(b - a)) partial sums are alive at once.
+    sum.  Depth-first, left half first, so the terms are drawn in order
+    and only O(log count) partial sums are alive at once.
     """
-    if b - a < _LEAF_TERMS:
+    if count <= _LEAF_TERMS:
         total = Fraction(0)
-        for i in range(a, b + 1):
-            total += term(i)
+        for p, q in islice(pairs, count):
+            total += Fraction(p, q)
         return total
-    mid = (a + b) // 2
-    return _exact_sum(term, a, mid) + _exact_sum(term, mid + 1, b)
+    half = (count + 1) // 2
+    return _exact_sum(pairs, half) + _exact_sum(pairs, count - half)
 
 
-def partial_sum(spec: SeriesSpec, n: int, *, exact_limit: int = EXACT_TERM_LIMIT,
-                fixed_scale: int = FIXED_ACC_SCALE) -> SumResult:
+def partial_sum(spec: SeriesSpec, n: int, *, exact_limit: int = EXACT_TERM_LIMIT) -> SumResult:
     """Offset plus terms start_index..n, with a certified bound.
 
     Up to `exact_limit` terms the sum is exact rational arithmetic,
     added pairwise (see _exact_sum), and the bound is exactly
-    tail_bound(n).  Beyond that the terms are
-    accumulated in fixed point at `fixed_scale` decimal places and the
-    per-term rounding (at most half an ulp each) is added to the bound.
+    tail_bound(n).  Beyond that each term p/q is rounded to the nearest
+    multiple of 10**-FIXED_ACC_SCALE (ties away from zero), the integers
+    are added, and the per-term rounding (at most half an ulp each) is
+    added to the bound.
     """
     if n < spec.start_index:
         raise ValueError(f"n must be >= start_index ({spec.start_index})")
     count = n - spec.start_index + 1
+    pairs = iter(spec.pairs(spec.start_index, n))
     if count <= exact_limit:
-        total = spec.offset + _exact_sum(spec.term, spec.start_index, n)
+        total = spec.offset + _exact_sum(pairs, count)
         return SumResult(total, n, spec.tail_bound(n))
-    unit = 10**fixed_scale
+    unit = 10**FIXED_ACC_SCALE
     acc = 0
-    for i in range(spec.start_index, n + 1):
-        t = spec.term(i)
-        acc += _div_nearest(t.numerator * unit, t.denominator)
+    for p, q in pairs:
+        acc += _div_nearest(p * unit, q)
     value = spec.offset + Fraction(acc, unit)
     rounding = Fraction(count, 2 * unit)
     return SumResult(value, n, spec.tail_bound(n) + rounding)
@@ -357,9 +398,10 @@ def convergence_table(spec: SeriesSpec, checkpoints: Sequence[int],
     eps = Fraction(1, 10**reference.certified_digits)
     rows = []
     total = spec.offset
+    pairs = iter(spec.pairs(spec.start_index, points[-1]))
     i = spec.start_index
     for point in points:
-        total += _exact_sum(spec.term, i, point)
+        total += _exact_sum(pairs, point - i + 1)
         i = point + 1
         bound = spec.tail_bound(point)
         err = abs(total - ref)

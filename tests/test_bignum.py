@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,15 @@ def test_rounding_ties_away_from_zero():
     assert BigFixed.from_fraction(Fraction(-1, 2), 0).mantissa == -1
     assert BigFixed.from_fraction(Fraction(25, 1000), 2).to_decimal_string() == "0.03"
     assert BigFixed.from_fraction(Fraction(-25, 1000), 2).to_decimal_string() == "-0.03"
+
+
+def test_from_fraction_accepts_every_rational_form():
+    # Fractions and ints are read directly; anything Fraction() takes still works
+    assert BigFixed.from_fraction(7, 2).to_decimal_string() == "7.00"
+    assert BigFixed.from_fraction(True, 0).to_decimal_string() == "1"
+    assert BigFixed.from_fraction(-0.375, 2).to_decimal_string() == "-0.38"
+    assert BigFixed.from_fraction(Decimal("2.345"), 2).to_decimal_string() == "2.35"
+    assert BigFixed.from_fraction("-1/3", 4).to_decimal_string() == "-0.3333"
 
 
 def test_equality_is_numeric_across_scales():

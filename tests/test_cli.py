@@ -194,6 +194,16 @@ def test_cfrac_root_of_negative_exits_one(capsys):
     assert err.startswith("error: root of a negative value")
 
 
+def test_cfrac_odd_root_of_negative_value(capsys):
+    rc, out, err = run(capsys, "cfrac", "root(3, 0-8)")
+    assert (rc, out, err) == (0, "expr = root(3, 0 - 8)\n-2\n", "")
+
+
+def test_scan_text_without_flagged_rows_prints_the_header(capsys):
+    rc, out, err = run(capsys, "scan", "--max", "1", "--threshold", "0.0001", "--quiet")
+    assert (rc, out, err) == (0, "n  m  value  nearest  residual  mod7  predicted  flagged\n", "")
+
+
 def test_cfrac_unfinished_expression_exits_two(capsys):
     rc, out, err = run(capsys, "cfrac", "pi+")
     assert (rc, out, err) == (2, "", "error: unexpected end of expression\n")

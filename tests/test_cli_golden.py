@@ -2,8 +2,9 @@
 
 The set is every command of the benchmark's exact-sweeps and catalog
 workloads and the fixed commands of its deep-digits workload, the scan
-in all three formats, two convergence tables and Stirling approximants
-of e^n on both sides of n = 35.  cli_golden.json holds the
+in all three formats, three convergence tables, every builtin series
+summed past the exact-sum limit (its fixed-point path) and Stirling
+approximants of e^n on both sides of n = 35.  cli_golden.json holds the
 sha256 of each command's stdout and its exit code; a refactor that
 changes one printed byte fails here.
 
@@ -43,6 +44,13 @@ COMMANDS = [
     # tables
     ["table", "lambda6"],
     ["table", "nilakantha-paired"],
+    ["table", "e-factorial", "--checkpoints", "10,2000"],
+    # every builtin series on the fixed-point path (over 10^4 terms)
+    ["compute", "pi", "--method", "nilakantha", "--digits", "12"],
+    ["compute", "pi", "--method", "nilakantha-paired", "--digits", "13"],
+    ["compute", "pi", "--method", "lambda6", "--digits", "20"],
+    ["compute", "pi", "--method", "zeta8", "--digits", "30"],
+    ["compute", "e", "--method", "e-factorial", "--digits", "30", "--format", "csv"],
     # Stirling approximants of e^n
     ["stirling", "--op", "approx", "--n", "10", "--k", "1", "--scale", "30"],
     ["stirling", "--op", "approx", "--n", "34", "--k", "2", "--scale", "30"],

@@ -187,6 +187,31 @@ def test_domain_errors():
         eval_interval(parse("0^-1"), 10)
 
 
+def test_odd_roots_of_negative_values():
+    assert exact("root(3, 0-8)") == -2
+    assert exact("root(5, 0 - 32/243)") == Fraction(-2, 3)
+    # an argument that straddles zero encloses zero
+    lo, hi = eval_interval(parse("root(3, pi - pi)"), 10)
+    assert lo <= 0 <= hi and hi - lo <= Fraction(1, 10**10)
+    # about -6.7e-15, whose enclosure at the first guard digits straddles
+    # zero; at one digit that coarse enclosure is already narrow enough
+    arg = parse("314159265358980/10^14 - pi")
+    lo, hi = eval_interval(Root(arg, 3), 1)
+    arg_lo, arg_hi = eval_interval(arg, 60)
+    assert lo**3 <= arg_lo and arg_hi <= hi**3 and lo < 0 < hi
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+def test_odd_root_of_negative_contains_mpmath(digits):
+    mpmath = pytest.importorskip("mpmath")
+    lo, hi = eval_interval(parse("root(3, 0-pi)"), digits)
+    with mpmath.workdps(2 * digits + 60):
+        man, exp = mpmath.cbrt(mpmath.pi).man_exp  # the mantissa carries no sign
+    ref = -Fraction(man) * Fraction(2) ** exp
+    assert lo <= ref <= hi
+    assert hi - lo <= Fraction(1, 10**digits)
+
+
 def test_division_by_vanishing_width_hits_precision_cap():
     with pytest.raises(PrecisionCapError):
         eval_interval(parse("1/(pi - pi)"), 10)

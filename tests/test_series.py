@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from epilab.oracle import OracleValue, constant_reference
 from epilab.series import (
     BoundViolation,
     EXACT_TERM_LIMIT,
+    FIXED_ACC_SCALE,
     InfeasibleRequest,
     SeriesSpec,
     builtin,
@@ -217,3 +219,77 @@ def test_convergence_table_rows_match_partial_sums():
             value = partial_sum(spec, row.n).value
             assert row.abs_error == abs(value - exact), (name, row.n)
             assert row.value == rational_to_fixed(value, 15), (name, row.n)
+
+
+# the builtin terms written out one by one, as a reference for the runs
+REFERENCE_TERMS = {
+    "e-factorial": lambda n: Fraction(1, math.factorial(n)),
+    "gregory-leibniz": lambda n: Fraction(4 if n % 2 == 0 else -4, 2 * n + 1),
+    "nilakantha": lambda n: Fraction(1 if n % 2 else -1, n * (2 * n + 1) * (n + 1)),
+    "nilakantha-paired": lambda n: Fraction(-3, n * (n + 1) * (4 * n + 1) * (4 * n + 3)),
+    "lambda6": lambda n: Fraction(960, (2 * n + 1) ** 6),
+    "zeta8": lambda n: Fraction(9450, n**8),
+}
+
+
+@given(
+    name=st.sampled_from(ALL_NAMES),
+    ends=st.lists(st.integers(min_value=0, max_value=600), min_size=2, max_size=2),
+    factor=st.one_of(
+        st.none(),
+        st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+        .filter(lambda f: f != 0),
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_pair_runs_equal_the_terms(name, ends, factor):
+    spec = builtin(name)
+    a, b = (spec.start_index + k for k in sorted(ends))
+    expected = [REFERENCE_TERMS[name](i) for i in range(a, b + 1)]
+    if factor is not None:
+        spec = scale_series(spec, factor)
+        expected = [factor * t for t in expected]
+    run = list(spec.pairs(a, b))
+    assert all(q > 0 for _, q in run)
+    assert [Fraction(p, q) for p, q in run] == expected
+    assert [spec.term(i) for i in range(a, b + 1)] == expected
+    assert list(spec.pairs(b + 1, b)) == []
+
+
+def _rounded_at_fixed_scale(t: Fraction) -> int:
+    # nearest multiple of 10**-FIXED_ACC_SCALE, in units, ties away from zero
+    units = abs(t) * 10**FIXED_ACC_SCALE
+    return math.floor(units + Fraction(1, 2)) * (1 if t >= 0 else -1)
+
+
+def test_fixed_point_path_rounds_each_term_to_nearest():
+    specs = [builtin(name) for name in ALL_NAMES]
+    specs.append(scale_series(builtin("nilakantha"), Fraction(-7, 3)))
+    # every term lies halfway between two grid points, of either sign
+    specs.append(SeriesSpec("ties", "pi", Fraction(3), 0,
+                            lambda n: Fraction((-1) ** n * (2 * n + 1), 2 * 10**FIXED_ACC_SCALE),
+                            lambda n: Fraction(1)))
+    unit = 10**FIXED_ACC_SCALE
+    for spec in specs:
+        n = spec.start_index + 150
+        r = partial_sum(spec, n, exact_limit=10)
+        units = sum(_rounded_at_fixed_scale(spec.term(i)) for i in range(spec.start_index, n + 1))
+        assert r.value == spec.offset + Fraction(units, unit), spec.name
+        assert r.bound == spec.tail_bound(n) + Fraction(151, 2 * unit), spec.name
+
+
+def _no_term(n):
+    raise AssertionError("the sums must read the pair runs, not term()")
+
+
+def test_sums_read_only_the_pair_runs():
+    for name in ALL_NAMES:
+        spec = builtin(name)
+        bare = SeriesSpec(spec.name, spec.constant, spec.offset, spec.start_index, _no_term,
+                          spec.tail_bound, spec.alternating, pairs=spec.pairs)
+        n = spec.start_index + 40
+        assert partial_sum(bare, n) == partial_sum(spec, n)
+        assert partial_sum(bare, n, exact_limit=10) == partial_sum(spec, n, exact_limit=10)
+        ref = constant_reference(spec.constant, 60)
+        points = (spec.start_index, spec.start_index + 17, n)
+        assert convergence_table(bare, points, ref) == convergence_table(spec, points, ref)

@@ -3,8 +3,10 @@
 The set is every command of the benchmark's exact-sweeps and catalog
 workloads and the fixed commands of its deep-digits workload, the scan
 in all three formats, three convergence tables, every builtin series
-summed past the exact-sum limit (its fixed-point path) and Stirling
-approximants of e^n on both sides of n = 35.  cli_golden.json holds the
+summed past the exact-sum limit (its fixed-point path), Stirling
+approximants of e^n on both sides of n = 35, of e by the factorial
+ratio, the e^8 ~ 96 pi^3 assembly in every format and the e and 2*pi
+expansions as json.  cli_golden.json holds the
 sha256 of each command's stdout and its exit code; a refactor that
 changes one printed byte fails here.
 
@@ -58,6 +60,15 @@ COMMANDS = [
     ["stirling", "--op", "approx", "--n", "59", "--k", "1", "--scale", "30"],
     ["stirling", "--op", "approx", "--n", "80", "--k", "4", "--scale", "30",
      "--format", "json"],
+    ["stirling", "--op", "approx", "--n", "100", "--k", "4", "--scale", "50"],
+    # Stirling approximants of e itself, and the e^8 ~ 96 pi^3 assembly
+    ["stirling", "--op", "ratio", "--n", "1", "--k", "3"],
+    ["stirling", "--op", "ratio", "--n", "6", "--k", "4", "--scale", "30"],
+    ["stirling", "--op", "ratio", "--n", "50", "--k", "2", "--scale", "30",
+     "--format", "csv"],
+    ["stirling", "--op", "e8", "--scale", "40"],
+    ["stirling", "--op", "e8", "--format", "csv"],
+    ["compare", "--rows", "12", "--format", "json"],
     # the catalog workload
     *[["verify", "--all", "--digits", digits, "--format", fmt]
       for fmt in ("text", "json", "csv") for digits in ("30", "100", "150")],

@@ -11,7 +11,6 @@ from .bignum import (
     floor_neg_log10,
     ilog10_floor,
     iroot,
-    rational_to_fixed,
     root_interval,
     sqrt_interval,
     surd_eval,

@@ -29,11 +29,13 @@ and drifts to e + 2*pi = 9.0014..., which is the whole joke of the
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import chain
 
 from ._record import record
-from .bignum import BigFixed, rational_to_fixed
-from .series import NILAKANTHA, NILAKANTHA_PAIRED, SeriesSpec, scale_series
+from .bignum import BigFixed
+from .series import NILAKANTHA, NILAKANTHA_PAIRED, SeriesSpec, _pairs_e, scale_series
 
 __all__ = [
     "gl_regroup_term",
@@ -113,8 +115,11 @@ def pair_transform(spec: SeriesSpec, fold_into_offset: int = 1) -> SeriesSpec:
     for i in range(spec.start_index, s):
         offset += spec.term(i)
 
-    def term(k: int, _t=spec.term, _s=s) -> Fraction:
-        return _t(_s + 2 * k - 2) + _t(_s + 2 * k - 1)
+    def pairs(a: int, b: int, _p=spec.pairs, _s=s) -> Iterator[tuple[int, int]]:
+        # new terms a..b are the original terms s + 2a - 2 .. s + 2b - 1,
+        # read as one run and added two at a time
+        run = iter(_p(_s + 2 * a - 2, _s + 2 * b - 1))
+        return ((p1 * q2 + p2 * q1, q1 * q2) for (p1, q1), (p2, q2) in zip(run, run))
 
     def tail(k: int, _t=spec.term, _s=s) -> Fraction:
         return abs(_t(_s + 2 * k))
@@ -124,7 +129,7 @@ def pair_transform(spec: SeriesSpec, fold_into_offset: int = 1) -> SeriesSpec:
         constant=spec.constant,
         offset=offset,
         start_index=1,
-        term=term,
+        pairs=pairs,
         tail_bound=tail,
         alternating=False,
     )
@@ -135,13 +140,10 @@ def nilakantha_doubled() -> SeriesSpec:
     return scale_series(NILAKANTHA, Fraction(2), name="nilakantha-doubled", constant="two_pi")
 
 
-def _e_regrouped_term(k: int) -> Fraction:
-    # 1 + 1 + 1/2 + 1/6 = 3 - 1/3, then the plain factorial terms.
-    if k == 1:
-        return Fraction(3)
-    if k == 2:
-        return Fraction(-1, 3)
-    return Fraction(1, math.factorial(k + 1))  # 1/(k+1)! for k >= 3
+def _e_regrouped_pairs(a: int, b: int) -> Iterator[tuple[int, int]]:
+    # 1 + 1 + 1/2 + 1/6 = 3 - 1/3, then the plain factorial terms: term
+    # k >= 3 is 1/(k+1)!, term k + 1 of the factorial series
+    return chain(((3, 1), (-1, 3))[a - 1:b], _pairs_e(max(a, 3) + 1, b + 1))
 
 
 def _e_regrouped_tail(k: int) -> Fraction:
@@ -162,7 +164,7 @@ def e_regrouped() -> SeriesSpec:
         constant="e",
         offset=Fraction(0),
         start_index=1,
-        term=_e_regrouped_term,
+        pairs=_e_regrouped_pairs,
         tail_bound=_e_regrouped_tail,
     )
 
@@ -207,8 +209,8 @@ def compare_expansions(rows: int, scale: int = 10) -> list[CompareRow]:
                 k=k,
                 e_term=et,
                 two_pi_term=pt,
-                running=rational_to_fixed(running, scale),
-                distance_to_9=rational_to_fixed(abs(running - 9), scale),
+                running=BigFixed.from_fraction(running, scale),
+                distance_to_9=BigFixed.from_fraction(abs(running - 9), scale),
             )
         )
     return out

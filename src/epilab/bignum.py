@@ -9,11 +9,11 @@ Two value types carry every number in this package:
   user input and rendering results with an explicit, certified number of
   decimal places.
 
-Every operation that rounds does so faithfully: the result returned at a
-requested scale differs from the exact value by at most one unit in the
-last place (the implementations below actually round to nearest, so the
-error is at most half an ulp).  Rounding of ties is away from zero,
-symmetrically for negative values.
+Rounding onto the decimal grid 10**-scale happens in two ways only.
+:meth:`BigFixed.from_fraction` rounds to nearest (error at most half an
+ulp, ties away from zero, symmetrically for negative values);
+:func:`floor_grid` and :func:`ceil_grid` round down and up, and are the
+one directed rounding every enclosure in the package is built with.
 
 :class:`Surd` represents quadratic irrationals ``a + b*sqrt(r)`` exactly,
 with the square part of ``r`` factored into ``b`` so the radicand is
@@ -31,7 +31,8 @@ from ._record import record
 __all__ = [
     "BigFixed",
     "Surd",
-    "rational_to_fixed",
+    "floor_grid",
+    "ceil_grid",
     "surd_eval",
     "iroot",
     "root_interval",
@@ -179,9 +180,14 @@ class BigFixed:
         return BigFixed(abs(self.mantissa), self.scale)
 
 
-def rational_to_fixed(value: Fraction, scale: int) -> BigFixed:
-    """Round an exact rational onto the decimal grid: error <= 1/2 ulp."""
-    return BigFixed.from_fraction(value, scale)
+def floor_grid(x: Fraction, scale: int) -> int:
+    """floor(x * 10**scale): x rounded down onto the 10**-scale grid, in units."""
+    return x.numerator * 10**scale // x.denominator
+
+
+def ceil_grid(x: Fraction, scale: int) -> int:
+    """ceil(x * 10**scale): x rounded up onto the 10**-scale grid, in units."""
+    return -(-x.numerator * 10**scale // x.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +231,8 @@ def root_interval(lo: Fraction, hi: Fraction, k: int, scale: int) -> tuple[Fract
         raise ValueError("root of negative value")
     if hi < lo:
         raise ValueError("empty interval")
-    shift = 10 ** (k * scale)
-    n_lo = (lo.numerator * shift) // lo.denominator
-    r_lo = Fraction(iroot(n_lo, k), 10**scale)
-    n_hi = -((-hi.numerator * shift) // hi.denominator)  # ceil
-    r_hi = Fraction(iroot(n_hi, k) + 1, 10**scale)
+    r_lo = Fraction(iroot(floor_grid(lo, k * scale), k), 10**scale)
+    r_hi = Fraction(iroot(ceil_grid(hi, k * scale), k) + 1, 10**scale)
     return r_lo, r_hi
 
 

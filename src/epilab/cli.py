@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from .accel import compare_expansions
-from .bignum import BigFixed, floor_neg_log10, root_interval
+from .bignum import BigFixed, ceil_grid, floor_grid, floor_neg_log10, root_interval
 from .derive import cfrac, linear_combo_scan
 from .expr import EvalDomainError, ParseError, PrecisionCapError, parse, to_text
 from .oracle import (
@@ -59,20 +59,6 @@ __all__ = ["main"]
 _PI_METHODS = ("oracle", "gregory-leibniz", "nilakantha", "nilakantha-paired",
                "lambda6", "zeta8")
 _E_METHODS = ("oracle", "e-factorial")
-
-
-def _trunc_fixed(x: Fraction, scale: int) -> BigFixed:
-    # truncation toward zero: rendered digits are a prefix of the exact
-    # decimal expansion, which is what "value to N digits" means here
-    p = 10**scale
-    if x >= 0:
-        return BigFixed((x.numerator * p) // x.denominator, scale)
-    return BigFixed(-((-x.numerator * p) // x.denominator), scale)
-
-
-def _ceil_fixed(x: Fraction, scale: int) -> BigFixed:
-    p = 10**scale
-    return BigFixed(-((-x.numerator * p) // x.denominator), scale)
 
 
 def _emit_csv(columns: list[str], rows: list[list[str]]) -> None:
@@ -130,8 +116,11 @@ def cmd_compute(args) -> int:
         elif spec.constant == "pi8":
             lo, hi = root_interval(max(lo, Fraction(0)), hi, 8, digits + 6)
         mid, halfwidth = (lo + hi) / 2, (hi - lo) / 2
-    value = _trunc_fixed(mid, digits)
-    bound = _ceil_fixed(halfwidth + abs(mid - value.as_fraction()), digits + 4)
+    # mid > 0, so rounding down makes the rendered digits a prefix of its
+    # decimal expansion, which is what "value to N digits" means here
+    value = BigFixed(floor_grid(mid, digits), digits)
+    err = halfwidth + abs(mid - value.as_fraction())
+    bound = BigFixed(ceil_grid(err, digits + 4), digits + 4)
 
     if args.format == "json":
         _emit_json({
@@ -186,7 +175,7 @@ def cmd_table(args) -> int:
     rendered = [
         [str(r.n), r.value.to_decimal_string(),
          BigFixed.from_fraction(r.abs_error, 25).to_decimal_string(),
-         _ceil_fixed(r.bound, 25).to_decimal_string(),
+         BigFixed(ceil_grid(r.bound, 25), 25).to_decimal_string(),
          str(r.digits_correct)]
         for r in rows
     ]
@@ -288,7 +277,7 @@ def cmd_cfrac(args) -> int:
 def _rel_error(approx: BigFixed, lo: Fraction, hi: Fraction) -> BigFixed:
     a = approx.as_fraction()
     worst = max(abs(a - lo), abs(a - hi))
-    return _ceil_fixed(worst / min(abs(lo), abs(hi)), 10)
+    return BigFixed(ceil_grid(worst / min(abs(lo), abs(hi)), 10), 10)
 
 
 def cmd_stirling(args) -> int:
@@ -305,8 +294,9 @@ def cmd_stirling(args) -> int:
         text = f"{s}; squared = {sq.numerator}/{sq.denominator} " \
                f"≈ {payload['squared_decimal']}"
     elif args.op == "approx":
-        value = e_power_approx(args.n, args.k, scale)
+        # the target first: its range check names why a large n fails
         lo, hi = exp_interval(Fraction(args.n), scale + 10)
+        value = e_power_approx(args.n, args.k, scale)
         payload = {
             "op": "approx", "n": args.n, "k": args.k,
             "value": value.to_decimal_string(),
@@ -358,30 +348,31 @@ def cmd_stirling(args) -> int:
 # scan
 
 
+def _cell(value) -> str:
+    # a json value spelled as csv and text show it; null is an empty cell
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
 def cmd_scan(args) -> int:
     threshold = Fraction(args.threshold)
     rows = linear_combo_scan(args.max, args.digits, threshold)
     shown = rows if (args.all_rows or args.format != "text") else [r for r in rows if r.flagged]
-    rendered = [
-        [str(r.n), str(r.m),
-         BigFixed.from_fraction(r.value, 6).to_decimal_string(),
-         str(r.nearest),
-         BigFixed.from_fraction(r.residual, 6).to_decimal_string(),
-         "true" if r.mod7 else "false",
-         "" if r.predicted is None else str(r.predicted),
-         "true" if r.flagged else "false"]
+    typed = [
+        [r.n, r.m, BigFixed.from_fraction(r.value, 6).to_decimal_string(), r.nearest,
+         BigFixed.from_fraction(r.residual, 6).to_decimal_string(), r.mod7, r.predicted,
+         r.flagged]
         for r in shown
     ]
     columns = ["n", "m", "value", "nearest", "residual", "mod7", "predicted", "flagged"]
     if args.format == "json":
-        _emit_json([
-            {**dict(zip(columns, row)),
-             "nearest": int(row[3]), "n": int(row[0]), "m": int(row[1]),
-             "mod7": row[5] == "true", "flagged": row[7] == "true",
-             "predicted": None if row[6] == "" else int(row[6])}
-            for row in rendered
-        ])
-    elif args.format == "csv":
+        _emit_json([dict(zip(columns, row)) for row in typed])
+        return 0
+    rendered = [[_cell(v) for v in row] for row in typed]
+    if args.format == "csv":
         _emit_csv(columns, rendered)
     else:
         if not args.quiet:

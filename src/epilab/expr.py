@@ -31,7 +31,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from ._record import record
-from .bignum import BigFixed, iroot, root_interval
+from .bignum import BigFixed, ceil_grid, floor_grid, iroot, root_interval
 from .oracle import (
     EXP_ARG_LIMIT,
     ExpRangeError,
@@ -360,22 +360,13 @@ def parse(text: str) -> Expr:
 _IV = tuple[Fraction, Fraction]
 
 
-def _floor_grid(x: Fraction, scale: int) -> Fraction:
-    p = 10**scale
-    return Fraction((x.numerator * p) // x.denominator, p)
-
-
-def _ceil_grid(x: Fraction, scale: int) -> Fraction:
-    p = 10**scale
-    return Fraction(-((-x.numerator * p) // x.denominator), p)
-
-
 def _out(lo: Fraction, hi: Fraction, w: int) -> _IV:
     if lo == hi:
         # exact subtree (rational literals and arithmetic on them); keep
         # it exact so downstream consumers can detect true rationals
         return lo, hi
-    return _floor_grid(lo, w), _ceil_grid(hi, w)
+    p = 10**w
+    return Fraction(floor_grid(lo, w), p), Fraction(ceil_grid(hi, w), p)
 
 
 def _iv_mul(a: _IV, b: _IV) -> _IV:
@@ -509,4 +500,4 @@ def eval_expr(expr: Expr, digits: int) -> EvalResult:
     lo, hi = eval_interval(expr, digits + 1)
     value = BigFixed.from_fraction((lo + hi) / 2, digits + 2)
     err = (hi - lo) / 2 + abs(value.as_fraction() - (lo + hi) / 2)
-    return EvalResult(value, BigFixed.from_fraction(_ceil_grid(err, digits + 6), digits + 6))
+    return EvalResult(value, BigFixed(ceil_grid(err, digits + 6), digits + 6))

@@ -38,7 +38,7 @@ import threading
 from fractions import Fraction
 
 from ._record import record
-from .bignum import BigFixed
+from .bignum import BigFixed, ceil_grid, floor_grid
 
 __all__ = [
     "OracleValue",
@@ -118,8 +118,7 @@ def _exp_unit(f: Fraction, work: int) -> tuple[int, int]:
     for f < 1), so twice the upper chain's n-th term bounds it.
     """
     unit = 10**work
-    f_lo = f.numerator * unit // f.denominator
-    f_hi = -(-f.numerator * unit // f.denominator)
+    f_lo, f_hi = floor_grid(f, work), ceil_grid(f, work)
     lo = hi = t_lo = t_hi = unit
     n = 0
     while True:
@@ -160,9 +159,9 @@ def _trimmed(cache, eps_digits: int) -> tuple[Fraction, Fraction]:
     cache's extra digits.  Width < 2 * 10**-(eps_digits + 1) + 2 units of
     10**-(eps_digits + guard) < 2 * 10**-eps_digits."""
     _, lo, hi = cache
-    unit = 10 ** (eps_digits + _guard(eps_digits))
-    return (Fraction(lo.numerator * unit // lo.denominator, unit),
-            Fraction(-(-hi.numerator * unit // hi.denominator), unit))
+    work = eps_digits + _guard(eps_digits)
+    unit = 10**work
+    return Fraction(floor_grid(lo, work), unit), Fraction(ceil_grid(hi, work), unit)
 
 
 def pi_interval(eps_digits: int) -> tuple[Fraction, Fraction]:
@@ -216,8 +215,7 @@ def exp_interval(x: Fraction, eps_digits: int) -> tuple[Fraction, Fraction]:
         work = eps_digits + mag + extra
         unit = 10**work
         e_lo, e_hi = e_interval(work)
-        e_lo = e_lo.numerator * unit // e_lo.denominator
-        e_hi = -(-e_hi.numerator * unit // e_hi.denominator)
+        e_lo, e_hi = floor_grid(e_lo, work), ceil_grid(e_hi, work)
         # e^k in units of 10**-work, rounded outward
         if k >= 0:
             p_lo = e_lo**k * unit // unit**k
@@ -262,11 +260,6 @@ def exp_oracle(x: BigFixed, digits: int) -> OracleValue:
     return OracleValue(value, digits)
 
 
-def _iv_pow(lo: Fraction, hi: Fraction, k: int) -> tuple[Fraction, Fraction]:
-    # positive interval, positive power
-    return lo**k, hi**k
-
-
 def constant_reference(constant: str, digits: int) -> OracleValue:
     """Certified reference for any constant a builtin series describes.
 
@@ -281,10 +274,9 @@ def constant_reference(constant: str, digits: int) -> OracleValue:
     if constant == "two_pi":
         lo, hi = pi_interval(digits + 6)
         return OracleValue(BigFixed.from_fraction(lo + hi, digits + 3), digits + 2)
-    if constant == "pi6":
-        lo, hi = _iv_pow(*pi_interval(digits + 10), 6)
-        return OracleValue(BigFixed.from_fraction((lo + hi) / 2, digits + 3), digits + 2)
-    if constant == "pi8":
-        lo, hi = _iv_pow(*pi_interval(digits + 10), 8)
-        return OracleValue(BigFixed.from_fraction((lo + hi) / 2, digits + 3), digits + 2)
+    if constant in ("pi6", "pi8"):
+        # pi > 0, so the power of each endpoint bounds the power of pi
+        k = 6 if constant == "pi6" else 8
+        lo, hi = pi_interval(digits + 10)
+        return OracleValue(BigFixed.from_fraction((lo**k + hi**k) / 2, digits + 3), digits + 2)
     raise ValueError(f"unknown constant {constant!r}; expected one of {CONSTANTS}")

@@ -6,11 +6,11 @@ that dominates the true remainder after the term with index N.  Tail
 bounds are the load-bearing part; each builtin documents its derivation
 next to its definition.
 
-The sums read the terms as runs of integer pairs, ``pairs(a, b)``, so a
-run builds no Fraction per term and can carry state from one term to
-the next (the factorial of the e series is multiplied up, not rebuilt).
-Each builtin writes its formula once, as that run; its ``term(n)`` is
-the run of one index.
+A spec states its terms once, as runs of integer pairs ``pairs(a, b)``,
+so a run builds no Fraction per term and can carry state from one term
+to the next (the factorial of the e series is multiplied up, not
+rebuilt).  The sums read only these runs; ``term(n)`` is derived from
+them as the run of one index.
 
 Builtins (index ranges are inclusive of start_index):
 
@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import cycle, islice
 
 from ._record import record
-from .bignum import BigFixed, _div_nearest, floor_neg_log10, rational_to_fixed
+from .bignum import BigFixed, _div_nearest, floor_neg_log10
 from .oracle import CONSTANTS, OracleValue
 
 __all__ = [
@@ -81,32 +81,31 @@ class BoundViolation(AssertionError):
 class SeriesSpec:
     """Immutable description of a series and its error certificate.
 
-    term(n) is the exact n-th term; tail_bound(N) bounds the absolute
-    value of the sum of all terms with index > N.  alternating marks
-    series whose terms strictly alternate in sign with non-increasing
-    magnitude (which is what makes |term(N+1)| a valid tail bound).
-
-    pairs(a, b) yields the terms with indices a..b in order as integer
-    pairs (p, q), q > 0, p/q == term(i), not necessarily in lowest
-    terms; nothing when a > b.  The sums read only this form.  A spec
-    built without pairs derives them from term.
+    A spec is its pairs: pairs(a, b) yields the terms with indices a..b
+    in order as integer pairs (p, q), q > 0, the term being p/q, not
+    necessarily in lowest terms; nothing when a > b.  term(n) is derived
+    from them.  tail_bound(N) bounds the absolute value of the sum of
+    all terms with index > N.  alternating marks series whose terms
+    strictly alternate in sign with non-increasing magnitude (which is
+    what makes |term(N+1)| a valid tail bound).
     """
 
     name: str
     constant: str
     offset: Fraction
     start_index: int
-    term: Callable[[int], Fraction]
+    pairs: Callable[[int, int], Iterable[tuple[int, int]]]
     tail_bound: Callable[[int], Fraction]
     alternating: bool = False
-    pairs: Callable[[int, int], Iterable[tuple[int, int]]] | None = None
 
     def __post_init__(self) -> None:
         if self.constant not in CONSTANTS:
             raise ValueError(f"unknown constant {self.constant!r}")
-        if self.pairs is None:
-            object.__setattr__(self, "pairs", lambda a, b, _t=self.term: (
-                _t(i).as_integer_ratio() for i in range(a, b + 1)))
+
+    def term(self, n: int) -> Fraction:
+        """The exact n-th term: the run of index n alone."""
+        [(p, q)] = self.pairs(n, n)
+        return Fraction(p, q)
 
 
 @record
@@ -134,14 +133,6 @@ class ConvergenceRow:
     abs_error: Fraction
     bound: Fraction
     digits_correct: int
-
-
-def _term_of(pairs: Callable[[int, int], Iterable[tuple[int, int]]]) -> Callable[[int], Fraction]:
-    """term(n) of a series given by its runs: the run of index n alone."""
-    def term(n: int) -> Fraction:
-        [(p, q)] = pairs(n, n)
-        return Fraction(p, q)
-    return term
 
 
 def _pairs_e(a: int, b: int) -> Iterator[tuple[int, int]]:
@@ -201,9 +192,8 @@ E_FACTORIAL = SeriesSpec(
     constant="e",
     offset=Fraction(0),
     start_index=0,
-    term=_term_of(_pairs_e),
-    tail_bound=_tail_e,
     pairs=_pairs_e,
+    tail_bound=_tail_e,
 )
 
 GREGORY_LEIBNIZ = SeriesSpec(
@@ -211,10 +201,9 @@ GREGORY_LEIBNIZ = SeriesSpec(
     constant="pi",
     offset=Fraction(0),
     start_index=0,
-    term=_term_of(_pairs_gl),
+    pairs=_pairs_gl,
     tail_bound=lambda n: Fraction(4, 2 * n + 3),
     alternating=True,
-    pairs=_pairs_gl,
 )
 
 NILAKANTHA = SeriesSpec(
@@ -222,10 +211,9 @@ NILAKANTHA = SeriesSpec(
     constant="pi",
     offset=Fraction(3),
     start_index=1,
-    term=_term_of(_pairs_nila),
+    pairs=_pairs_nila,
     tail_bound=lambda n: Fraction(1, (n + 1) * (2 * n + 3) * (n + 2)),
     alternating=True,
-    pairs=_pairs_nila,
 )
 
 NILAKANTHA_PAIRED = SeriesSpec(
@@ -233,9 +221,8 @@ NILAKANTHA_PAIRED = SeriesSpec(
     constant="two_pi",
     offset=Fraction(19, 3),
     start_index=1,
-    term=_term_of(_pairs_paired),
-    tail_bound=_tail_paired,
     pairs=_pairs_paired,
+    tail_bound=_tail_paired,
 )
 
 LAMBDA6 = SeriesSpec(
@@ -243,9 +230,8 @@ LAMBDA6 = SeriesSpec(
     constant="pi6",
     offset=Fraction(0),
     start_index=0,
-    term=_term_of(_pairs_lambda6),
-    tail_bound=_tail_lambda6,
     pairs=_pairs_lambda6,
+    tail_bound=_tail_lambda6,
 )
 
 ZETA8 = SeriesSpec(
@@ -253,9 +239,8 @@ ZETA8 = SeriesSpec(
     constant="pi8",
     offset=Fraction(0),
     start_index=1,
-    term=_term_of(_pairs_zeta8),
-    tail_bound=_tail_zeta8,
     pairs=_pairs_zeta8,
+    tail_bound=_tail_zeta8,
 )
 
 _BUILTINS = {
@@ -297,10 +282,9 @@ def scale_series(spec: SeriesSpec, factor: Fraction, *, name: str | None = None,
         constant=constant or spec.constant,
         offset=spec.offset * factor,
         start_index=spec.start_index,
-        term=_term_of(pairs),
+        pairs=pairs,
         tail_bound=lambda n, _f=abs(factor), _b=spec.tail_bound: _f * _b(n),
         alternating=spec.alternating,
-        pairs=pairs,
     )
 
 
@@ -416,7 +400,7 @@ def convergence_table(spec: SeriesSpec, checkpoints: Sequence[int],
         rows.append(
             ConvergenceRow(
                 n=point,
-                value=rational_to_fixed(total, scale),
+                value=BigFixed.from_fraction(total, scale),
                 abs_error=err,
                 bound=bound,
                 digits_correct=max(0, floor_neg_log10(err_hi / abs(ref))),

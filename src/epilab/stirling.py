@@ -17,6 +17,13 @@ Three rearrangements of Stirling's formula are implemented:
 ``stirling_e8_decomposition`` assembles the e^8 ~ 96 pi^3 coincidence:
 e^8 = (e^1)^4 * (e^2)^2 ~ 64 pi^3 * (13/12)^4 * (25/24)^2, where the
 exact correction 17850625/11943936 = 1.4945... sits close to 3/2.
+
+Each rendered value is built as an :mod:`epilab.expr` tree, the exact
+rational parts as literals, and rendered from its certified enclosure
+two digits finer than asked for.  So the guard digits that pi, e and
+the square roots need are chosen by ``eval_interval``, the same way as
+for every other expression, also when the value has many digits before
+the point.
 """
 
 from __future__ import annotations
@@ -25,8 +32,8 @@ import math
 from fractions import Fraction
 
 from ._record import record
-from .bignum import BigFixed, Surd, ilog10_floor, sqrt_interval
-from .oracle import e_interval, pi_interval
+from .bignum import BigFixed, Surd
+from .expr import ConstE, ConstPi, Div, Expr, IntLit, Mul, PowInt, RatLit, Sqrt, eval_interval
 
 __all__ = [
     "STIRLING_COEFFS",
@@ -67,21 +74,23 @@ def stirling_factor(n: Fraction, k: int) -> Fraction:
     return sum((c / n**j for j, c in enumerate(STIRLING_COEFFS[:k])), Fraction(0))
 
 
+def _render(tree: Expr, scale: int) -> BigFixed:
+    """The tree's value rounded to `scale` places, from its enclosure."""
+    lo, hi = eval_interval(tree, scale + 2)
+    return BigFixed.from_fraction((lo + hi) / 2, scale)
+
+
 def e_power_approx(n: int, k: int, scale: int = 10) -> BigFixed:
     """sqrt(2 pi n) * n^n / n! * S(n, k), rendered at `scale`.
 
-    Approximates e^n; the relative error decreases as n grows.
+    Approximates e^n; the relative error decreases as n grows.  Raises
+    PrecisionCapError once e^n has more digits before the point than the
+    evaluator's largest guard (n above about 2,900).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     exact = Fraction(n**n, math.factorial(n)) * stirling_factor(Fraction(n), k)
-    # the error of the root, taken to `guard` places, is multiplied by
-    # `exact` (about e^n, and at least 1), so the guard also covers the
-    # digits of `exact` before the point
-    guard = scale + 16 + ilog10_floor(exact)
-    p_lo, p_hi = pi_interval(guard)
-    s_lo, s_hi = sqrt_interval(2 * n * p_lo, 2 * n * p_hi, guard)
-    return BigFixed.from_fraction((s_lo + s_hi) / 2 * exact, scale)
+    return _render(Mul(RatLit(exact), Sqrt(Mul(IntLit(2 * n), ConstPi()))), scale)
 
 
 def e_from_ratio(n: int, k: int, scale: int = 10) -> BigFixed:
@@ -92,11 +101,9 @@ def e_from_ratio(n: int, k: int, scale: int = 10) -> BigFixed:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    guard = scale + 15
     base = Fraction(n + 1, n)
     exact = base**n * stirling_factor(Fraction(n + 1), k) / stirling_factor(Fraction(n), k)
-    s_lo, s_hi = sqrt_interval(base, base, guard)
-    return BigFixed.from_fraction((s_lo + s_hi) / 2 * exact, scale)
+    return _render(Mul(RatLit(exact), Sqrt(RatLit(base))), scale)
 
 
 def e_half_integer(n: int, k: int) -> Surd:
@@ -136,19 +143,13 @@ def stirling_e8_decomposition(scale: int = 10) -> E8Decomposition:
     17850625/11943936, which misses 3/2 by about -0.0055; replacing it
     with 3/2 gives the round form 96 pi^3.
     """
-    guard = scale + 15
-    p_lo, p_hi = pi_interval(guard)
-    c_lo, c_hi = p_lo**3, p_hi**3
-    e_lo, e_hi = e_interval(guard)
-    e8_lo, e8_hi = e_lo**8, e_hi**8
+    pi3, e8 = PowInt(ConstPi(), 3), PowInt(ConstE(), 8)
     correction = Fraction(13, 12) ** 4 * Fraction(25, 24) ** 2
-    ratio_lo = e8_lo / (96 * c_hi)
-    ratio_hi = e8_hi / (96 * c_lo)
     return E8Decomposition(
-        base_64pi3=BigFixed.from_fraction(32 * (c_lo + c_hi), scale),
+        base_64pi3=_render(Mul(IntLit(64), pi3), scale),
         correction=correction,
         gap_from_3_2=correction - Fraction(3, 2),
-        value_96pi3=BigFixed.from_fraction(48 * (c_lo + c_hi), scale),
-        e8=BigFixed.from_fraction((e8_lo + e8_hi) / 2, scale),
-        ratio=BigFixed.from_fraction((ratio_lo + ratio_hi) / 2, scale),
+        value_96pi3=_render(Mul(IntLit(96), pi3), scale),
+        e8=_render(e8, scale),
+        ratio=_render(Div(e8, Mul(IntLit(96), pi3)), scale),
     )

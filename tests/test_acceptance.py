@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from epilab.accel import compare_expansions, gl_regroup_term, paired_term_identity
-from epilab.bignum import BigFixed, rational_to_fixed, root_interval, surd_eval
+from epilab.bignum import BigFixed, root_interval, surd_eval
 from epilab.derive import binomial_linearize, cfrac, linear_combo_scan, solve_linear_2x2, solve_pi_quadratic
 from epilab.expr import eval_expr, eval_interval, parse
 from epilab.oracle import constant_reference, exp_interval, pi_interval
@@ -123,7 +123,7 @@ def test_criterion_07_derivation_chain():
     assert binomial_linearize(s, 7) == Fraction(22, 7)
     # 2*pi + e = 9 and pi + 4*e = 14, solved exactly
     assert solve_linear_2x2(2, 1, 9, 1, 4, 14) == (Fraction(22, 7), Fraction(19, 7))
-    assert rational_to_fixed(Fraction(512, 163), 10).to_decimal_string().startswith("3.1411")
+    assert BigFixed.from_fraction(Fraction(512, 163), 10).to_decimal_string().startswith("3.1411")
     print("criterion 07 PASS: quadratic -> sqrt(51)-4 -> 22/7; 2x2 -> (22/7, 19/7); 512/163 = 3.1411...")
 
 

@@ -6,16 +6,17 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from epilab.bignum import (
     BigFixed,
     Surd,
+    ceil_grid,
+    floor_grid,
     floor_neg_log10,
     ilog10_floor,
     iroot,
-    rational_to_fixed,
     root_interval,
     sqrt_interval,
     surd_eval,
@@ -78,6 +79,18 @@ def test_rounding_ties_away_from_zero():
     assert BigFixed.from_fraction(Fraction(-25, 1000), 2).to_decimal_string() == "-0.03"
 
 
+@given(st.fractions(max_denominator=10**40), st.integers(min_value=0, max_value=60))
+@example(Fraction(-1, 3), 0)
+@example(Fraction(-5, 2), 1)
+@example(Fraction(7, 10**61), 60)
+def test_grid_rounding_is_directed(x, s):
+    units = x * 10**s
+    lo, hi = floor_grid(x, s), ceil_grid(x, s)
+    assert lo <= units < lo + 1
+    assert hi - 1 < units <= hi
+    assert (lo == hi) == (units.denominator == 1)
+
+
 def test_from_fraction_accepts_every_rational_form():
     # Fractions and ints are read directly; anything Fraction() takes still works
     assert BigFixed.from_fraction(7, 2).to_decimal_string() == "7.00"
@@ -108,11 +121,6 @@ def test_rescale_rounds_to_nearest():
     assert x.rescale(2).to_decimal_string() == "2.72"
     assert x.rescale(8).to_decimal_string() == "2.71828000"
     assert x.rescale(8) == x
-
-
-def test_rational_to_fixed_matches_from_fraction():
-    q = Fraction(355, 113)
-    assert rational_to_fixed(q, 15) == BigFixed.from_fraction(q, 15)
 
 
 @given(st.integers(min_value=0, max_value=10**30), st.integers(min_value=1, max_value=9))

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epilab import oracle
+from epilab.expr import eval_interval, parse
 from epilab.oracle import EXP_ARG_LIMIT, e_interval, exp_interval, pi_interval
 
 mpmath = pytest.importorskip("mpmath")
@@ -23,8 +24,19 @@ mpmath = pytest.importorskip("mpmath")
 
 def _exact(x) -> Fraction:
     """The exact binary value of an mpmath number."""
-    man, exp = mpmath.mpf(x).man_exp
-    return Fraction(man) * Fraction(2) ** exp
+    # man_exp drops the sign, so read it from the raw (sign, man, exp, bc)
+    sign, man, exp, _ = mpmath.mpf(x)._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def test_exact_keeps_the_sign():
+    assert _exact(-3) == -3
+    assert _exact(mpmath.mpf(3) / 4) == Fraction(3, 4)
+    lo, hi = eval_interval(parse("root(3, 0-pi)"), 30)
+    with mpmath.workdps(120):
+        ref = _exact(-mpmath.cbrt(mpmath.pi))
+    assert ref < 0
+    assert lo <= ref <= hi
 
 
 @pytest.mark.parametrize("digits", [1, 50, 1000, 5000])

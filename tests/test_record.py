@@ -21,7 +21,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def _spec(**kw) -> SeriesSpec:
     return SeriesSpec("t", kw.pop("constant", "e"), Fraction(0), 0,
-                      lambda n: Fraction(1, 2**n), lambda n: Fraction(1, 2**n), **kw)
+                      lambda a, b: ((1, 2**n) for n in range(a, b + 1)),
+                      lambda n: Fraction(1, 2**n), **kw)
 
 
 def test_equality_within_one_class_only():

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epilab.bignum import rational_to_fixed
+from epilab.accel import e_regrouped, nilakantha_doubled, pair_transform
+from epilab.bignum import BigFixed
 from epilab.oracle import OracleValue, constant_reference
 from epilab.series import (
     BoundViolation,
@@ -153,7 +154,7 @@ def test_convergence_table_catches_lying_bound():
         constant="pi",
         offset=honest.offset,
         start_index=honest.start_index,
-        term=honest.term,
+        pairs=honest.pairs,
         tail_bound=lambda n: Fraction(1, 10**30),
         alternating=honest.alternating,
     )
@@ -218,10 +219,12 @@ def test_convergence_table_rows_match_partial_sums():
         for row in rows:
             value = partial_sum(spec, row.n).value
             assert row.abs_error == abs(value - exact), (name, row.n)
-            assert row.value == rational_to_fixed(value, 15), (name, row.n)
+            assert row.value == BigFixed.from_fraction(value, 15), (name, row.n)
 
 
-# the builtin terms written out one by one, as a reference for the runs
+# the terms written out one by one, as a reference for the runs: the
+# builtins, the regrouped e series and the paired doubled Nilakantha
+# series, which is the closed paired form term by term
 REFERENCE_TERMS = {
     "e-factorial": lambda n: Fraction(1, math.factorial(n)),
     "gregory-leibniz": lambda n: Fraction(4 if n % 2 == 0 else -4, 2 * n + 1),
@@ -229,11 +232,17 @@ REFERENCE_TERMS = {
     "nilakantha-paired": lambda n: Fraction(-3, n * (n + 1) * (4 * n + 1) * (4 * n + 3)),
     "lambda6": lambda n: Fraction(960, (2 * n + 1) ** 6),
     "zeta8": lambda n: Fraction(9450, n**8),
+    "e-factorial-regrouped": lambda k: (
+        (Fraction(3), Fraction(-1, 3))[k - 1] if k < 3 else Fraction(1, math.factorial(k + 1))),
 }
+REFERENCE_TERMS["nilakantha-doubled-paired"] = REFERENCE_TERMS["nilakantha-paired"]
+
+RUN_SPECS = {name: builtin(name) for name in ALL_NAMES}
+RUN_SPECS.update((s.name, s) for s in (e_regrouped(), pair_transform(nilakantha_doubled())))
 
 
 @given(
-    name=st.sampled_from(ALL_NAMES),
+    name=st.sampled_from(sorted(RUN_SPECS)),
     ends=st.lists(st.integers(min_value=0, max_value=600), min_size=2, max_size=2),
     factor=st.one_of(
         st.none(),
@@ -243,7 +252,7 @@ REFERENCE_TERMS = {
 )
 @settings(max_examples=80, deadline=None)
 def test_pair_runs_equal_the_terms(name, ends, factor):
-    spec = builtin(name)
+    spec = RUN_SPECS[name]
     a, b = (spec.start_index + k for k in sorted(ends))
     expected = [REFERENCE_TERMS[name](i) for i in range(a, b + 1)]
     if factor is not None:
@@ -267,7 +276,8 @@ def test_fixed_point_path_rounds_each_term_to_nearest():
     specs.append(scale_series(builtin("nilakantha"), Fraction(-7, 3)))
     # every term lies halfway between two grid points, of either sign
     specs.append(SeriesSpec("ties", "pi", Fraction(3), 0,
-                            lambda n: Fraction((-1) ** n * (2 * n + 1), 2 * 10**FIXED_ACC_SCALE),
+                            lambda a, b: (((-1) ** n * (2 * n + 1), 2 * 10**FIXED_ACC_SCALE)
+                                          for n in range(a, b + 1)),
                             lambda n: Fraction(1)))
     unit = 10**FIXED_ACC_SCALE
     for spec in specs:
@@ -277,19 +287,3 @@ def test_fixed_point_path_rounds_each_term_to_nearest():
         assert r.value == spec.offset + Fraction(units, unit), spec.name
         assert r.bound == spec.tail_bound(n) + Fraction(151, 2 * unit), spec.name
 
-
-def _no_term(n):
-    raise AssertionError("the sums must read the pair runs, not term()")
-
-
-def test_sums_read_only_the_pair_runs():
-    for name in ALL_NAMES:
-        spec = builtin(name)
-        bare = SeriesSpec(spec.name, spec.constant, spec.offset, spec.start_index, _no_term,
-                          spec.tail_bound, spec.alternating, pairs=spec.pairs)
-        n = spec.start_index + 40
-        assert partial_sum(bare, n) == partial_sum(spec, n)
-        assert partial_sum(bare, n, exact_limit=10) == partial_sum(spec, n, exact_limit=10)
-        ref = constant_reference(spec.constant, 60)
-        points = (spec.start_index, spec.start_index + 17, n)
-        assert convergence_table(bare, points, ref) == convergence_table(spec, points, ref)

@@ -371,7 +371,8 @@ def cmd_scan(args) -> int:
     if args.format == "json":
         _emit_json([dict(zip(columns, row)) for row in typed])
         return 0
-    rendered = [[_cell(v) for v in row] for row in typed]
+    # a generator, so csv streams the cells and holds no second table
+    rendered = ([_cell(v) for v in row] for row in typed)
     if args.format == "csv":
         _emit_csv(columns, rendered)
     else:
@@ -380,7 +381,7 @@ def cmd_scan(args) -> int:
             print(f"combinations n*pi + m*e with |n|, |m| <= {args.max}; "
                   f"{flagged} of {len(rows)} rows within {args.threshold} of an integer"
                   + ("" if args.all_rows else " (shown; --all-rows for the rest)"))
-        _emit_text_table(columns, rendered)
+        _emit_text_table(columns, list(rendered))
     return 0
 
 

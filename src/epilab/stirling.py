@@ -85,7 +85,7 @@ def e_power_approx(n: int, k: int, scale: int = 10) -> BigFixed:
 
     Approximates e^n; the relative error decreases as n grows.  Raises
     PrecisionCapError once e^n has more digits before the point than the
-    evaluator's largest guard (n above about 2,900).
+    evaluator's largest guard (n above about 2,940).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import chain
 
 from ._record import record
-from .bignum import BigFixed
+from .bignum import BigFixed, _div_nearest
 from .series import NILAKANTHA, NILAKANTHA_PAIRED, SeriesSpec, _pairs_e, scale_series
 
 __all__ = [
@@ -178,15 +178,6 @@ class CompareRow:
     distance_to_9: BigFixed
 
 
-def _two_pi_view_term(k: int) -> Fraction:
-    # offset split into display rows: 6, then +1/3, then the paired terms
-    if k == 1:
-        return Fraction(6)
-    if k == 2:
-        return Fraction(1, 3)
-    return NILAKANTHA_PAIRED.term(k - 2)
-
-
 def compare_expansions(rows: int, scale: int = 10) -> list[CompareRow]:
     """Term-by-term table of the e and 2*pi expansions and their sum.
 
@@ -197,20 +188,26 @@ def compare_expansions(rows: int, scale: int = 10) -> list[CompareRow]:
     """
     if rows < 1:
         raise ValueError("rows must be >= 1")
-    e_spec = e_regrouped()
+    # the 2*pi view splits the offset into display rows: 6, then +1/3
+    two_pi_run = chain(((6, 1), (1, 3)), NILAKANTHA_PAIRED.pairs(1, rows - 2))
+    # The running sum is num/den with den = eq * pq: eq the last e
+    # denominator, which each next one is a multiple of (1, 3, then 4!,
+    # 5!, ...), and pq the product of the 2*pi denominators so far.  So
+    # every row multiplies by small ints only, and pays no gcd.
+    num, den, eq, pq = 0, 1, 1, 1
     out = []
-    running = Fraction(0)
-    for k in range(1, rows + 1):
-        et = e_spec.term(k)
-        pt = _two_pi_view_term(k)
-        running += et + pt
+    for k, ((ep, q_e), (pp, q_p)) in enumerate(zip(e_regrouped().pairs(1, rows), two_pi_run), 1):
+        m = q_e // eq
+        num = (num * m + ep * pq) * q_p + pp * den * m
+        den *= m * q_p
+        eq, pq = q_e, pq * q_p
         out.append(
             CompareRow(
                 k=k,
-                e_term=et,
-                two_pi_term=pt,
-                running=BigFixed.from_fraction(running, scale),
-                distance_to_9=BigFixed.from_fraction(abs(running - 9), scale),
+                e_term=Fraction(ep, q_e),
+                two_pi_term=Fraction(pp, q_p),
+                running=BigFixed(_div_nearest(num * 10**scale, den), scale),
+                distance_to_9=BigFixed(_div_nearest(abs(num - 9 * den) * 10**scale, den), scale),
             )
         )
     return out

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from .accel import compare_expansions
-from .bignum import BigFixed, ceil_grid, floor_grid, floor_neg_log10, root_interval
+from .bignum import BigFixed, _int_to_digits, ceil_grid, floor_grid, floor_neg_log10, root_interval
 from .derive import cfrac, linear_combo_scan
 from .expr import EvalDomainError, ParseError, PrecisionCapError, parse, to_text
 from .oracle import (
@@ -258,15 +258,19 @@ def cmd_verify(args) -> int:
 def cmd_cfrac(args) -> int:
     expr = parse(args.expr)
     quotients = cfrac(expr, args.terms, args.digits)
+    # a quotient can pass the 4,300 digits str() converts, so each is
+    # rendered in pieces; json gets the layout json.dumps(indent=2) gives
+    digits = [("-" if q < 0 else "") + _int_to_digits(abs(q)) for q in quotients]
     if args.format == "json":
-        _emit_json({"expr": to_text(expr), "quotients": quotients})
+        import json
+        body = ",\n".join(f"    {d}" for d in digits)
+        print(f'{{\n  "expr": {json.dumps(to_text(expr))},\n  "quotients": [\n{body}\n  ]\n}}')
     elif args.format == "csv":
-        _emit_csv(["index", "quotient"],
-                  [[str(i), str(q)] for i, q in enumerate(quotients)])
+        _emit_csv(["index", "quotient"], [[str(i), d] for i, d in enumerate(digits)])
     else:
         if not args.quiet:
             print(f"expr = {to_text(expr)}")
-        print(" ".join(str(q) for q in quotients))
+        print(" ".join(digits))
     return 0
 
 

@@ -153,24 +153,26 @@ def linear_combo_scan(
 
 
 def _floor_cf(lo: Fraction, hi: Fraction, n_terms: int) -> list[int] | None:
-    # floor-algorithm continued fraction on an interval; every emitted
-    # quotient is certain because both endpoints agree on it.  None
-    # means the interval is too wide to decide the next quotient.
+    # floor-algorithm continued fraction on an interval, as integer
+    # Euclid on the endpoints a/b <= c/d; every emitted quotient is
+    # certain because both endpoints agree on it.  None means the
+    # interval is too wide to decide the next quotient.
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     out: list[int] = []
     while len(out) < n_terms:
-        flo = math.floor(lo)
-        if flo != math.floor(hi):
+        q, a = divmod(a, b)
+        if c // d != q:
             return None
-        out.append(flo)
-        lo -= flo
-        hi -= flo
-        if hi == 0:
+        out.append(q)
+        c -= q * d
+        if c == 0:
             break
-        if lo == 0:
+        if a == 0:
             # an endpoint terminates but the interval does not; only
             # more precision can tell a huge quotient from termination
             return None
-        lo, hi = 1 / hi, 1 / lo
+        # the reciprocals of the remainders a/b <= c/d swap the ends
+        a, b, c, d = d, c, b, a
     return out
 
 

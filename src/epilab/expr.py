@@ -18,10 +18,11 @@ Evaluation is exact rational interval arithmetic: constants enter as
 certified oracle enclosures, every operation is computed on interval
 endpoints, and endpoints are rounded outward onto a decimal grid after
 each node so denominators stay bounded.  If the interval comes out too
-wide (or a comparison like "is the divisor nonzero" cannot be decided),
-the whole tree is re-evaluated with doubled guard digits.  The result
-interval always contains the true value; that containment is the
-correctness claim everything downstream leans on.
+wide, the whole tree is re-evaluated with the guard digits raised by as
+many as the width missed by, and at least doubled; if a comparison like
+"is the divisor nonzero" cannot be decided, with doubled guard digits.
+The result interval always contains the true value; that containment
+is the correctness claim everything downstream leans on.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from ._record import record
-from .bignum import BigFixed, ceil_grid, floor_grid, iroot, root_interval
+from .bignum import BigFixed, ceil_grid, floor_grid, ilog10_floor, iroot, root_interval
 from .oracle import (
     EXP_ARG_LIMIT,
     ExpRangeError,
@@ -469,10 +470,13 @@ EvalResult = namedtuple("EvalResult", ["value", "error_bound"])
 def eval_interval(expr: Expr, digits: int, *, max_attempts: int = 8) -> _IV:
     """Certified enclosure of the expression, width <= 10**-digits.
 
-    The true value always lies in [lo, hi].  Guard digits double on each
-    retry; PrecisionCapError signals that the cap was reached (for
-    example when a subexpression is exactly zero where a nonzero value
-    is needed).
+    The true value always lies in [lo, hi].  An attempt that comes back
+    too wide retries with the guard raised by the digits the width missed
+    by, plus a margin, or doubled if that is more, so a value with many
+    digits before the point costs two attempts; an undecided comparison
+    doubles the guard.  PrecisionCapError signals that the attempts ran
+    out (for example when a subexpression is exactly zero where a
+    nonzero value is needed).
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -488,7 +492,10 @@ def eval_interval(expr: Expr, digits: int, *, max_attempts: int = 8) -> _IV:
             continue
         if hi - lo <= target:
             return lo, hi
-        guard *= 2
+        # Add the digits the width missed by, and one more for the rounding
+        # the estimate leaves out; but at least double, since the width of
+        # an odd root near zero shrinks slower than 10**-guard
+        guard += max(guard, ilog10_floor((hi - lo) / target) + 2)
     raise PrecisionCapError(
         f"interval did not narrow to 10^-{digits} within {max_attempts} attempts"
     )

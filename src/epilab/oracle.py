@@ -3,23 +3,25 @@
 Everything downstream that claims "N digits correct" is measured against
 these oracles, so they are deliberately boring and fully certified.
 
-Every series is summed on integers scaled by 10**work, a few guard
-digits beyond the requested precision, with directed rounding: each term
-is rounded down in a lower sum and up in an upper sum, and the remainder
-bound is added to the bounds as a whole number of units.  The terms come
-from a recurrence of exact floor divisions, so no sum ever pays for a
-gcd of growing rationals (see Brent & Zimmermann, *Modern Computer
-Arithmetic*, sections 4.4 and 4.9).
+Each value comes from an integer kernel that returns bounds (lo, hi) on
+the value times 10**work, a few guard digits beyond the requested
+precision.  Every step rounds outward, down in the lower bound and up in
+the upper, and every truncated series adds its remainder bound as a
+whole number of units, so no bound ever pays for a gcd of growing
+rationals (see Brent & Zimmermann, *Modern Computer Arithmetic*,
+sections 4.4 and 4.9).
 
-* pi comes from the Machin identity pi/4 = 4*arctan(1/5) - arctan(1/239),
-  each arctangent an alternating series whose powers divide by q**2 at
-  each step.  The first omitted term bounds the remainder.
+* pi comes from the Chudnovsky series (Chudnovsky & Chudnovsky, 1988),
+  about 14 digits a term, summed exactly into one fraction T/Q by binary
+  splitting (Haible & Papanikolaou, ANTS 1998).  One integer division
+  by T, with sqrt(10005) from math.isqrt, gives pi within 3 units.
 * e is the factorial series sum(1/n!), each term the previous one
   divided by n, with remainder bound 2/(N+1)!.
 * exp(x) splits x = k + f with integer k and 0 <= f < 1, raises the
   certified e enclosure to the k-th power on scaled integers, rounded
-  outward, and evaluates exp(f) by Taylor with remainder bound
-  2*f^(N+1)/(N+1)!.
+  outward, and evaluates exp(f) by argument reduction: a Taylor series
+  for exp(f/2**r), remainder bound twice the first omitted term, then r
+  squarings on a binary grid, each rounded outward.
 
 The low-level ``*_interval`` functions return exact rational enclosures
 [lo, hi], whose denominators divide a power of ten, and are what the
@@ -34,6 +36,7 @@ rounded outward to the requested precision.
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 
@@ -78,57 +81,90 @@ def _guard(eps_digits: int) -> int:
     return len(str(eps_digits)) + 3
 
 
-def _arctan_inv(q: int, work: int) -> tuple[int, int]:
-    """Integer bounds (lo, hi) with lo <= arctan(1/q) * 10**work <= hi, q >= 2.
+_A, _B, _Q1 = 13591409, 545140134, 640320**3 // 24
 
-    Alternating series sum (-1)^k / ((2k+1) q^(2k+1)).  ``power`` is
-    floor(10**work / q^(2k+1)) exactly, since nested floor divisions by
-    positive integers compose; so is each term's floor.  A term lies
-    below its floor plus one, which rounds it up for the other sum.  The
-    loop ends at the first k with power == 0: every omitted term, and so
-    the remainder, is then under one unit and has the sign of term k.
+
+def _chudnovsky(a: int, b: int) -> tuple[int, int, int]:
+    """Binary splitting (P, Q, T) of the Chudnovsky terms a <= k < b.
+
+    426880 sqrt(10005) / pi is the sum of the terms t_k = (-1)^k (6k)!
+    (_A + _B k) / ((3k)! k!^3 640320^(3k)), and t_k / t_(k-1) is -p(k)/q(k)
+    with p(k) = (6k-5)(2k-1)(6k-1) and q(k) = k^3 _Q1.  P and Q are the
+    products of p and q over the range, and T/Q is the sum of its terms in
+    units of term a-1 (of 1 for a = 0), exactly: the halves join as P1 P2,
+    Q1 Q2 and T1 Q2 + P1 T2.
     """
-    qq = q * q
-    power = 10**work // q
-    lo = hi = 0
-    k = 0
-    while power:
-        t = power // (2 * k + 1)
-        if k % 2:
-            lo -= t + 1
-            hi -= t
-        else:
-            lo += t
-            hi += t + 1
-        power //= qq
-        k += 1
-    if k % 2:
-        lo -= 1
-    else:
-        hi += 1
-    return lo, hi
+    if b - a == 1:
+        if a == 0:
+            return 1, 1, _A
+        p = (6 * a - 5) * (2 * a - 1) * (6 * a - 1)
+        t = p * (_A + _B * a)
+        return p, a * a * a * _Q1, -t if a % 2 else t
+    m = (a + b) // 2
+    p1, q1, t1 = _chudnovsky(a, m)
+    p2, q2, t2 = _chudnovsky(m, b)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
+def _pi_unit(work: int) -> tuple[int, int]:
+    """Integer bounds (lo, hi) with lo <= pi * 10**work <= hi = lo + 3.
+
+    pi = 426880 sqrt(10005) / S with S the Chudnovsky sum, whose terms
+    obey |t_k| <= (_A + _B k) / 151931373056000**k: (6k)!/((3k)! k!^3) is
+    C(6k, 3k) (3k)!/k!^3 <= 2^(6k) 3^(3k) = 1728^k, and 640320^3 is
+    1728 * 151931373056000.  Successive bounds shrink by over 10**12, so
+    the remainder after n terms is under twice the n-th bound; with
+    151931373056000 > 2**47 and 10 < 2**3.33, the check below puts it
+    under one unit of 10**-work.  So S = T/Q + rho with |rho| 10**work < 1,
+    and S > 10**7.  With s = isqrt(10005 * 10**(2 work)) and
+    y = floor(426880 s Q / T), pi * 10**work exceeds y - 10**-6 (rho moves
+    the quotient by under 4 * 10**work rho / S units) and is below
+    y + 1.04 (sqrt(10005) * 10**work < s + 1 adds under 426880/S units).
+    """
+    n = work // 14 + 2
+    # closed-form term count, checked once without a big power
+    assert 47 * n >= (333 * work + 99) // 100 + (2 * (_A + _B * n)).bit_length()
+    _, q, t = _chudnovsky(0, n)
+    y = 426880 * math.isqrt(10005 * 100**work) * q // t
+    return y - 1, y + 2
 
 
 def _exp_unit(f: Fraction, work: int) -> tuple[int, int]:
     """Integer bounds (lo, hi) with lo <= exp(f) * 10**work <= hi, 0 <= f < 1.
 
-    Taylor series on two term chains, one scaled by floor(f * 10**work)
-    and floored at every step, one scaled by the ceiling and ceiled.  The
-    remainder after the terms below n is at most 2 f^n/n! (f/(n+1) <= 1/2
-    for f < 1), so twice the upper chain's n-th term bounds it.
+    Argument reduction on the binary grid of 2**-bits: exp(f) is
+    exp(x)**(2**r) with x = f/2**r and r = isqrt(3 work), which balances
+    the Taylor terms against the squarings.  exp(x) is summed on two term
+    chains, one scaled by floor(x 2**bits) and floored at every step, one
+    by the ceiling and ceiled; the remainder after the terms below n is at
+    most 2 x^n/n! (x/(n+1) <= 1/2), so twice the upper chain's n-th term
+    bounds it.  Then r squarings, the lower bound floored and the upper
+    ceiled.  Every value lies in [1, e), so a squaring at most doubles the
+    relative width, plus one unit: the Taylor width, a few units per
+    term, grows by a factor under 3 * 2**r, which the r + 2 log2(work)
+    guard bits beyond 10**work absorb.
     """
-    unit = 10**work
-    f_lo, f_hi = floor_grid(f, work), ceil_grid(f, work)
+    r = math.isqrt(3 * work)
+    bits = 10 * work // 3 + r + 2 * (work + 16).bit_length()
+    unit = 1 << bits
+    x = f.numerator << (bits - r)
+    x_lo, x_hi = x // f.denominator, -(-x // f.denominator)
     lo = hi = t_lo = t_hi = unit
     n = 0
     while True:
         n += 1
-        t_lo = t_lo * f_lo // (n * unit)
-        t_hi = -(-t_hi * f_hi // (n * unit))
+        t_lo = (t_lo * x_lo >> bits) // n
+        t_hi = -((-t_hi * x_hi >> bits) // n)
         if t_hi <= 1:
-            return lo, hi + 2 * t_hi
+            hi += 2 * t_hi
+            break
         lo += t_lo
         hi += t_hi
+    for _ in range(r):
+        lo = lo * lo >> bits
+        hi = -(-hi * hi >> bits)
+    scale = 10**work
+    return lo * scale >> bits, -(-hi * scale >> bits)
 
 
 def _e_unit(work: int) -> tuple[int, int]:
@@ -171,11 +207,8 @@ def pi_interval(eps_digits: int) -> tuple[Fraction, Fraction]:
         if _pi_cache is not None and _pi_cache[0] >= eps_digits:
             return _trimmed(_pi_cache, eps_digits)
     work = eps_digits + _guard(eps_digits)
-    a5_lo, a5_hi = _arctan_inv(5, work)
-    a239_lo, a239_hi = _arctan_inv(239, work)
-    unit = 10**work
-    lo = Fraction(16 * a5_lo - 4 * a239_hi, unit)
-    hi = Fraction(16 * a5_hi - 4 * a239_lo, unit)
+    lo, hi = _pi_unit(work)
+    lo, hi = Fraction(lo, 10**work), Fraction(hi, 10**work)
     with _lock:
         if _pi_cache is None or _pi_cache[0] < eps_digits:
             _pi_cache = (eps_digits, lo, hi)

@@ -83,9 +83,7 @@ def _render(tree: Expr, scale: int) -> BigFixed:
 def e_power_approx(n: int, k: int, scale: int = 10) -> BigFixed:
     """sqrt(2 pi n) * n^n / n! * S(n, k), rendered at `scale`.
 
-    Approximates e^n; the relative error decreases as n grows.  Raises
-    PrecisionCapError once e^n has more digits before the point than the
-    evaluator's largest guard (n above about 2,940).
+    Approximates e^n; the relative error decreases as n grows.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -9,9 +9,13 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from epilab.accel import compare_expansions, gl_regroup_term, paired_term_identity
 from epilab.bignum import BigFixed, root_interval, surd_eval
-from epilab.derive import binomial_linearize, cfrac, linear_combo_scan, solve_linear_2x2, solve_pi_quadratic
+from epilab.derive import _floor_cf, binomial_linearize, cfrac, linear_combo_scan, solve_linear_2x2, solve_pi_quadratic
 from epilab.expr import eval_expr, eval_interval, parse
 from epilab.oracle import constant_reference, exp_interval, pi_interval
 from epilab.registry import get_relation, relation_ids, verify, verify_all
@@ -127,16 +131,23 @@ def test_criterion_07_derivation_chain():
     print("criterion 07 PASS: quadratic -> sqrt(51)-4 -> 22/7; 2x2 -> (22/7, 19/7); 512/163 = 3.1411...")
 
 
-def _cfrac_by_floor_walk(lo: Fraction, hi: Fraction, n_terms: int) -> list[int]:
+def _cfrac_by_floor_walk(lo: Fraction, hi: Fraction, n_terms: int) -> list[int] | None:
     # independent quotient extraction: plain floor-and-reciprocal walk on
-    # an enclosure so tight every floor is unambiguous
+    # an enclosure, on Fractions.  It stops early where the enclosure is
+    # one rational that ends, and gives None where the floors differ or
+    # only one endpoint ends.
     out = []
-    for _ in range(n_terms):
+    while len(out) < n_terms:
         f_lo = lo.numerator // lo.denominator
         f_hi = hi.numerator // hi.denominator
-        assert f_lo == f_hi, "enclosure too loose for a certain quotient"
+        if f_lo != f_hi:
+            return None
         out.append(f_lo)
         lo, hi = lo - f_lo, hi - f_lo
+        if hi == 0:
+            break
+        if lo == 0:
+            return None
         lo, hi = 1 / hi, 1 / lo
     return out
 
@@ -155,6 +166,50 @@ def test_criterion_08_continued_fraction():
     # expansion keeps it, see README discrepancy notes
     assert got[3] == 3
     print("criterion 08 PASS: [23; 7, 9] confirmed; 7-term expansion matches oracle floor-walk")
+
+
+@st.composite
+def _rational_intervals(draw) -> tuple[Fraction, Fraction]:
+    # Endpoints of either sign, exact integers among them, and widths from
+    # zero (one rational) through tiny to a few units (straddling
+    # quotients).  Either end may be the drawn anchor, so a short rational
+    # expansion can end at the lower end or at the upper one.
+    anchor = draw(st.one_of(
+        st.integers(-30, 30).map(Fraction),
+        st.fractions(min_value=-30, max_value=30, max_denominator=100),
+        st.fractions(min_value=-30, max_value=30, max_denominator=10**30)))
+    width = draw(st.one_of(
+        st.just(Fraction(0)),
+        st.integers(1, 3).map(Fraction),
+        st.integers(1, 60).map(lambda k: Fraction(1, 10**k)),
+        st.fractions(min_value=0, max_value=2, max_denominator=10**30)))
+    return (anchor, anchor + width) if draw(st.booleans()) else (anchor - width, anchor)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_intervals(), st.integers(1, 40))
+@example((Fraction(3), Fraction(3)), 5)
+@example((Fraction(-22, 7), Fraction(-22, 7)), 5)
+@example((Fraction(2), Fraction(5, 2)), 5)  # only the lower end is an integer
+@example((Fraction(5, 2), Fraction(3)), 5)  # only the upper end is
+@example((Fraction(-31, 10), Fraction(-29, 10)), 5)  # straddles -3
+@example((Fraction(355, 113), Fraction(355, 113) + Fraction(1, 10**40)), 40)
+@example((Fraction(22, 7) - Fraction(1, 10**40), Fraction(22, 7)), 5)
+def test_integer_floor_cf_matches_fraction_walk(interval, n_terms):
+    lo, hi = interval
+    assert _floor_cf(lo, hi, n_terms) == _cfrac_by_floor_walk(lo, hi, n_terms)
+
+
+@pytest.mark.parametrize("name", ["pi", "e"])
+def test_cfrac_1000_terms_match_mpmath(name):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(3000):
+        man, exp = (+mpmath.pi if name == "pi" else mpmath.e()).man_exp
+    # mpmath rounds its constants correctly: within half a unit in the last place
+    mid, ulp = man * Fraction(2) ** exp, Fraction(2) ** exp
+    expected = _cfrac_by_floor_walk(mid - ulp, mid + ulp, 1000)
+    assert expected is not None and len(expected) == 1000
+    assert cfrac(parse(name), 1000) == expected
 
 
 def test_criterion_09_linear_scan():

@@ -290,6 +290,21 @@ def test_compute_beyond_int_str_limit(capsys, default_int_str_limit):
     assert out == f"{expected[0]}.{expected[1:]}\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_cfrac_quotient_beyond_int_str_limit(capsys, default_int_str_limit, fmt):
+    rc, out, err = run(capsys, "cfrac", "10^4400 + pi", "--terms", "3", "--format", fmt)
+    assert rc == 0, err
+    expected = ["1" + "0" * 4399 + "3", "7", "15"]
+    if fmt == "json":
+        body = out[out.index("[") + 1:out.index("]")]
+        got = [line.strip().rstrip(",") for line in body.strip().splitlines()]
+    elif fmt == "csv":
+        got = [line.split(",")[1] for line in out.splitlines()[1:]]
+    else:
+        got = out.splitlines()[1].split()
+    assert got == expected
+
+
 def test_output_is_deterministic(capsys):
     first = run(capsys, "verify", "--all", "--format", "json")
     second = run(capsys, "verify", "--all", "--format", "json")

@@ -212,6 +212,15 @@ def test_odd_root_of_negative_contains_mpmath(digits):
     assert hi - lo <= Fraction(1, 10**digits)
 
 
+@pytest.mark.parametrize("text", ["root(3, pi - pi)", "root(5, e - e)"])
+def test_odd_root_of_vanishing_width_narrows(text):
+    # the root's width shrinks only as 10**(-guard/k), so the guard must
+    # keep growing geometrically, not by the digits each attempt missed by
+    lo, hi = eval_interval(parse(text), 100)
+    assert lo <= 0 <= hi
+    assert hi - lo <= Fraction(1, 10**100)
+
+
 def test_division_by_vanishing_width_hits_precision_cap():
     with pytest.raises(PrecisionCapError):
         eval_interval(parse("1/(pi - pi)"), 10)

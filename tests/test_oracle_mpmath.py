@@ -9,6 +9,7 @@ without it these tests are skipped.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,20 @@ def test_constant_enclosure_contains_mpmath(name, interval, reference, digits):
     # asked for, so the reference also resolves the width it returned
     width_digits = (hi - lo).denominator.bit_length() * 3 // 10
     with mpmath.workdps(max(2 * digits, width_digits) + 60):
+        ref = _exact(reference())
+    assert lo <= ref <= hi, name
+    assert hi - lo < 2 * Fraction(1, 10**digits)
+
+
+@pytest.mark.parametrize("name, interval, reference", [
+    ("pi", pi_interval, lambda: +mpmath.pi),
+    ("e", e_interval, lambda: mpmath.e()),
+])
+def test_deep_constant_enclosure_contains_mpmath(name, interval, reference):
+    # the deep end of the kernels: 20,000 digits, past every benchmark size
+    digits = 20000
+    lo, hi = interval(digits)
+    with mpmath.workdps(2 * digits + 60):
         ref = _exact(reference())
     assert lo <= ref <= hi, name
     assert hi - lo < 2 * Fraction(1, 10**digits)
@@ -101,17 +116,27 @@ def test_exp_enclosure_contains_mpmath(x, digits):
     assert hi - lo <= Fraction(1, 10**digits)
 
 
+@pytest.mark.parametrize("digits", [1000, 5000])
+@pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(-7, 3), Fraction(EXP_ARG_LIMIT - 1, 7)],
+                         ids=str)
+def test_deep_exp_enclosure_contains_mpmath(x, digits):
+    lo, hi = exp_interval(x, digits)
+    with mpmath.workdps(2 * digits + 110):
+        ref = _exact(mpmath.exp(mpmath.mpf(x.numerator) / x.denominator))
+    assert lo <= ref <= hi
+    assert hi - lo <= Fraction(1, 10**digits)
+
+
 # -- the scaled sums, at sizes where each unit of rounding counts
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 7, 239])
-def test_arctan_sum_bounds(q):
+def test_pi_sum_bounds():
     for work in range(0, 60):
-        lo, hi = oracle._arctan_inv(q, work)
+        lo, hi = oracle._pi_unit(work)
         with mpmath.workdps(work + 40):
-            ref = _exact(mpmath.atan(mpmath.mpf(1) / q) * 10**work)
+            ref = _exact(mpmath.pi * 10**work)
         assert lo <= ref <= hi, work
-        assert hi - lo <= 2 * work + 3
+        assert hi - lo <= 3
 
 
 def test_e_sum_bounds():
@@ -135,3 +160,21 @@ def test_exp_taylor_sum_bounds(f, work):
         ref = _exact(mpmath.exp(mpmath.mpf(f.numerator) / f.denominator) * 10**work)
     assert lo <= ref <= hi
     assert hi - lo <= 2 * work + 6
+
+
+def _reduction_thresholds(top: int) -> list[int]:
+    # each work where the squaring count isqrt(3 work) steps up, and the
+    # work just below it
+    return sorted({w + d for w in range(1, top) if math.isqrt(3 * w) > math.isqrt(3 * w - 3)
+                   for d in (-1, 0)})
+
+
+@pytest.mark.parametrize("f", [Fraction(1, 7), Fraction(10**40 - 1, 10**40), Fraction(1, 10**300)],
+                         ids=["1/7", "1-1e-40", "1e-300"])
+def test_exp_reduction_thresholds(f):
+    for work in _reduction_thresholds(1200):
+        lo, hi = oracle._exp_unit(f, work)
+        with mpmath.workdps(work + 80):
+            ref = _exact(mpmath.exp(mpmath.mpf(f.numerator) / f.denominator) * 10**work)
+        assert lo <= ref <= hi, work
+        assert hi - lo <= 3, work

@@ -7,6 +7,7 @@ from math import factorial
 
 import pytest
 
+from epilab import expr
 from epilab.bignum import BigFixed
 from epilab.oracle import constant_reference, e_oracle, exp_oracle
 from epilab.stirling import (
@@ -151,3 +152,30 @@ def test_e_power_approx_within_one_ulp_of_mpmath(k):
             ref = Fraction(man) * Fraction(2) ** exp * exact
         got = e_power_approx(n, k, scale).as_fraction()
         assert abs(got - ref) <= ulp, (n, k)
+
+
+def test_e_power_approx_beyond_2944_within_one_ulp_of_mpmath():
+    # e^3000 has 1,303 digits before the point, more than eight doublings
+    # of a 10-digit guard could cover
+    mpmath = pytest.importorskip("mpmath")
+    n, k, scale = 3000, 4, 10
+    exact = Fraction(n**n, factorial(n)) * stirling_factor(Fraction(n), k)
+    with mpmath.workdps(scale + 1400):
+        man, exp = mpmath.sqrt(2 * mpmath.pi * n).man_exp
+    ref = Fraction(man) * Fraction(2) ** exp * exact
+    got = e_power_approx(n, k, scale).as_fraction()
+    assert abs(got - ref) <= Fraction(1, 10**scale)
+
+
+def test_e_power_approx_evaluates_its_tree_at_most_twice(monkeypatch):
+    # every attempt evaluates the whole tree at one working precision
+    precisions = set()
+    real = expr._eval
+
+    def counting(node, w):
+        precisions.add(w)
+        return real(node, w)
+
+    monkeypatch.setattr(expr, "_eval", counting)
+    e_power_approx(100, 4, 50)
+    assert len(precisions) <= 2

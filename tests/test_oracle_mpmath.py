@@ -130,11 +130,25 @@ def test_deep_exp_enclosure_contains_mpmath(x, digits):
 # -- the scaled sums, at sizes where each unit of rounding counts
 
 
-def test_pi_sum_bounds():
+# pi/4 as a sum of c * arctan(1/u), one identity holding each q: Euler,
+# Hutton, Machin, Hermann and Stormer.  The references come from mpmath's
+# arctangent, not from its pi.
+MACHIN_LIKE = {
+    2: ((1, 2), (1, 3)),
+    3: ((2, 3), (1, 7)),
+    5: ((4, 5), (-1, 239)),
+    7: ((2, 2), (-1, 7)),
+    239: ((6, 8), (2, 57), (1, 239)),
+}
+
+
+@pytest.mark.parametrize("q", sorted(MACHIN_LIKE))
+def test_arctan_sum_bounds(q):
     for work in range(0, 60):
         lo, hi = oracle._pi_unit(work)
         with mpmath.workdps(work + 40):
-            ref = _exact(mpmath.pi * 10**work)
+            quarter = sum(c * mpmath.atan(mpmath.mpf(1) / u) for c, u in MACHIN_LIKE[q])
+            ref = _exact(4 * quarter * 10**work)
         assert lo <= ref <= hi, work
         assert hi - lo <= 3
 

@@ -5,8 +5,8 @@ workloads and the fixed commands of its deep-digits workload, the scan
 in all three formats, three convergence tables, every builtin series
 summed past the exact-sum limit (its fixed-point path), Stirling
 approximants of e^n on both sides of n = 35, of e by the factorial
-ratio, the e^8 ~ 96 pi^3 assembly in every format and the e and 2*pi
-expansions as json.  cli_golden.json holds the sha256 of each command's
+ratio, the e^8 ~ 96 pi^3 assembly in every format, the e and 2*pi
+expansions as json, and exp of negative, large and fractional arguments.  cli_golden.json holds the sha256 of each command's
 stdout and its exit code; a refactor that changes one printed byte
 fails here.
 
@@ -82,6 +82,14 @@ COMMANDS = [
     ["cfrac", "e", "--terms", "1000", "--format", "json"],
     ["cfrac", "exp(pi)", "--terms", "200", "--format", "csv"],
     ["cfrac", "exp(pi*sqrt(163))", "--terms", "60"],
+    # exp of negative, large and fractional arguments, and the exp relations
+    ["cfrac", "exp(-pi)", "--terms", "100"],
+    ["cfrac", "exp(100)", "--terms", "30", "--format", "json"],
+    ["cfrac", "exp(-100)", "--terms", "30"],
+    ["cfrac", "exp(99/7)", "--terms", "80", "--format", "csv"],
+    ["cfrac", "exp(-1/3)", "--terms", "300"],
+    ["verify", "R07", "--digits", "300"],
+    ["verify", "R18", "--digits", "1000", "--format", "csv"],
 ]
 
 

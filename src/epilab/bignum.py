@@ -60,6 +60,13 @@ def _int_to_digits(n: int) -> str:
     return _int_to_digits(high) + _int_to_digits(low).zfill(k)
 
 
+def _rational_to_digits(q: Fraction | int) -> str:
+    """str(q) for an int or a Fraction, "n" or "n/d", with no cap on the
+    digits (str() refuses ints past CPython's int->str limit)."""
+    text = ("-" if q < 0 else "") + _int_to_digits(abs(q.numerator))
+    return text if q.denominator == 1 else f"{text}/{_int_to_digits(q.denominator)}"
+
+
 def _digits_to_int(digits: str) -> int:
     """Inverse of _int_to_digits: the int of a string of decimal digits."""
     if len(digits) <= _STR_CHUNK:
@@ -352,15 +359,15 @@ class Surd:
 
     def __str__(self) -> str:
         if self.b == 0:
-            return str(self.a)
+            return _rational_to_digits(self.a)
         root = f"sqrt({self.r})"
         if self.b != 1:
-            root = f"{root}*{self.b}"
+            root = f"{root}*{_rational_to_digits(self.b)}"
         if self.a == 0:
             return root
         if self.a < 0:
-            return f"{root} - {-self.a}"
-        return f"{self.a} + {root}"
+            return f"{root} - {_rational_to_digits(-self.a)}"
+        return f"{_rational_to_digits(self.a)} + {root}"
 
 
 def surd_eval(s: Surd, scale: int) -> BigFixed:

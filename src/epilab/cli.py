@@ -19,7 +19,8 @@ import sys
 from fractions import Fraction
 
 from .accel import compare_expansions
-from .bignum import BigFixed, _int_to_digits, ceil_grid, floor_grid, floor_neg_log10, root_interval
+from .bignum import (BigFixed, _int_to_digits, _rational_to_digits, ceil_grid, floor_grid,
+                     floor_neg_log10, root_interval)
 from .derive import cfrac, linear_combo_scan
 from .expr import EvalDomainError, ParseError, PrecisionCapError, parse, to_text
 from .oracle import (
@@ -260,7 +261,7 @@ def cmd_cfrac(args) -> int:
     quotients = cfrac(expr, args.terms, args.digits)
     # a quotient can pass the 4,300 digits str() converts, so each is
     # rendered in pieces; json gets the layout json.dumps(indent=2) gives
-    digits = [("-" if q < 0 else "") + _int_to_digits(abs(q)) for q in quotients]
+    digits = [_rational_to_digits(q) for q in quotients]
     if args.format == "json":
         import json
         body = ",\n".join(f"    {d}" for d in digits)
@@ -292,11 +293,10 @@ def cmd_stirling(args) -> int:
         payload = {
             "op": "e-half", "n": args.n, "k": args.k,
             "surd": str(s),
-            "squared": f"{sq.numerator}/{sq.denominator}",
+            "squared": f"{_int_to_digits(sq.numerator)}/{_int_to_digits(sq.denominator)}",
             "squared_decimal": BigFixed.from_fraction(sq, 4).to_decimal_string(),
         }
-        text = f"{s}; squared = {sq.numerator}/{sq.denominator} " \
-               f"≈ {payload['squared_decimal']}"
+        text = f"{s}; squared = {payload['squared']} ≈ {payload['squared_decimal']}"
     elif args.op == "approx":
         # the target first: its range check names why a large n fails
         lo, hi = exp_interval(Fraction(args.n), scale + 10)
@@ -396,7 +396,7 @@ def cmd_scan(args) -> int:
 def cmd_compare(args) -> int:
     rows = compare_expansions(args.rows, scale=args.scale)
     rendered = [
-        [str(r.k), str(r.e_term), str(r.two_pi_term),
+        [str(r.k), _rational_to_digits(r.e_term), _rational_to_digits(r.two_pi_term),
          r.running.to_decimal_string(), r.distance_to_9.to_decimal_string()]
         for r in rows
     ]

@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 MAX_DEPTH = 64
+_MAX_ATTEMPTS = 8  # evaluations eval_interval tries before PrecisionCapError
 
 
 class ParseError(ValueError):
@@ -467,7 +468,7 @@ def _eval(expr: Expr, w: int) -> _IV:
 EvalResult = namedtuple("EvalResult", ["value", "error_bound"])
 
 
-def eval_interval(expr: Expr, digits: int, *, max_attempts: int = 8) -> _IV:
+def eval_interval(expr: Expr, digits: int) -> _IV:
     """Certified enclosure of the expression, width <= 10**-digits.
 
     The true value always lies in [lo, hi].  An attempt that comes back
@@ -484,7 +485,7 @@ def eval_interval(expr: Expr, digits: int, *, max_attempts: int = 8) -> _IV:
         raise ValueError(f"expression deeper than {MAX_DEPTH}")
     target = Fraction(1, 10**digits)
     guard = 10
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         try:
             lo, hi = _eval(expr, digits + guard)
         except _Undecided:
@@ -497,7 +498,7 @@ def eval_interval(expr: Expr, digits: int, *, max_attempts: int = 8) -> _IV:
         # an odd root near zero shrinks slower than 10**-guard
         guard += max(guard, ilog10_floor((hi - lo) / target) + 2)
     raise PrecisionCapError(
-        f"interval did not narrow to 10^-{digits} within {max_attempts} attempts"
+        f"interval did not narrow to 10^-{digits} within {_MAX_ATTEMPTS} attempts"
     )
 
 

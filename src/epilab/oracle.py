@@ -17,21 +17,23 @@ sections 4.4 and 4.9).
   by T, with sqrt(10005) from math.isqrt, gives pi within 3 units.
 * e is the factorial series sum(1/n!), each term the previous one
   divided by n, with remainder bound 2/(N+1)!.
-* exp(x) splits x = k + f with integer k and 0 <= f < 1, raises the
-  certified e enclosure to the k-th power on scaled integers, rounded
-  outward, and evaluates exp(f) by argument reduction: a Taylor series
-  for exp(f/2**r), remainder bound twice the first omitted term, then r
-  squarings on a binary grid, each rounded outward.
+* exp(x), for 0 <= x <= EXP_ARG_LIMIT, comes from argument reduction
+  alone: a Taylor series for exp(x/2**r), remainder bound twice the
+  first omitted term, then r squarings on a binary grid, each rounded
+  outward.  Every value squared is at least 1, so each rounding costs at
+  most one unit of relative width and the kernel's width is proved, not
+  retried.  exp(-x) is the reciprocal, rounded outward.
 
 The low-level ``*_interval`` functions return exact rational enclosures
 [lo, hi], whose denominators divide a power of ten, and are what the
 expression evaluator consumes; the public ``*_oracle`` functions wrap
 the midpoint into an :class:`OracleValue`.
 
-All functions are pure; the module-level caches only ever grow toward
-higher precision and are guarded by a lock, so concurrent callers see
-consistent values.  A cached enclosure finer than asked for comes back
-rounded outward to the requested precision.
+All functions are pure; the module-level cache of pi and e only ever
+grows toward higher precision and is guarded by a lock, so concurrent
+callers see consistent values.  A cached enclosure finer than asked for
+comes back rounded outward to the requested precision.  exp is not
+cached: its cost grows only with the digits of its result.
 """
 
 from __future__ import annotations
@@ -129,32 +131,40 @@ def _pi_unit(work: int) -> tuple[int, int]:
     return y - 1, y + 2
 
 
-def _exp_unit(f: Fraction, work: int) -> tuple[int, int]:
-    """Integer bounds (lo, hi) with lo <= exp(f) * 10**work <= hi, 0 <= f < 1.
+def _exp_unit(x: Fraction, work: int) -> tuple[int, int]:
+    """Integer bounds (lo, hi) with lo <= exp(x) * 10**work <= hi and
+    hi - lo <= exp(x)/2 + 2, for 0 <= x <= EXP_ARG_LIMIT.
 
-    Argument reduction on the binary grid of 2**-bits: exp(f) is
-    exp(x)**(2**r) with x = f/2**r and r = isqrt(3 work), which balances
-    the Taylor terms against the squarings.  exp(x) is summed on two term
-    chains, one scaled by floor(x 2**bits) and floored at every step, one
-    by the ceiling and ceiled; the remainder after the terms below n is at
-    most 2 x^n/n! (x/(n+1) <= 1/2), so twice the upper chain's n-th term
-    bounds it.  Then r squarings, the lower bound floored and the upper
-    ceiled.  Every value lies in [1, e), so a squaring at most doubles the
-    relative width, plus one unit: the Taylor width, a few units per
-    term, grows by a factor under 3 * 2**r, which the r + 2 log2(work)
-    guard bits beyond 10**work absorb.
+    Argument reduction on the binary grid of 2**-bits: exp(x) is
+    exp(y)**(2**r) with y = x/2**r and r = isqrt(3 work) +
+    bit_length(floor(x)), so y < 2**-isqrt(3 work) <= 1 and the squarings
+    balance the Taylor terms.  exp(y) is summed on two term chains, one
+    scaled by floor(y 2**bits) and floored at every step, one by the
+    ceiling and ceiled; the remainder after the terms below n is at most
+    2 y^n/n! (y/(n+1) <= 1/2), so twice the upper chain's n-th term bounds
+    it.  The chains part by under 5 units a term, so the sum is W units
+    wide, W under 5 units a term plus 2.  Then r squarings, the lower
+    bound floored and the upper ceiled.  Every value squared lies in
+    [1, exp(x)], so its floor or ceiling moves it by at most one unit of
+    relative width: a squaring takes a relative width of d units to at
+    most 2 d + 2 units, plus d**2 / 2**bits.  So r squarings leave under
+    1.2 * 2**r (W + 2) units, the 1.2 covering the d**2 terms, which are
+    largest at work = 0.  With 2**bits >= 10**work 2**r (work + 16)**2 /
+    1.6, that is under 2 (W + 2)/(work + 16)**2 * 10**-work, below
+    10**-work/2: W is under 60 at work = 0 and grows only as sqrt(work),
+    with the number of terms.  The two roundings onto 10**-work add the 2.
     """
-    r = math.isqrt(3 * work)
+    r = math.isqrt(3 * work) + (x.numerator // x.denominator).bit_length()
     bits = 10 * work // 3 + r + 2 * (work + 16).bit_length()
     unit = 1 << bits
-    x = f.numerator << (bits - r)
-    x_lo, x_hi = x // f.denominator, -(-x // f.denominator)
+    num = x.numerator << (bits - r)
+    y_lo, y_hi = num // x.denominator, -(-num // x.denominator)
     lo = hi = t_lo = t_hi = unit
     n = 0
     while True:
         n += 1
-        t_lo = (t_lo * x_lo >> bits) // n
-        t_hi = -((-t_hi * x_hi >> bits) // n)
+        t_lo = (t_lo * y_lo >> bits) // n
+        t_hi = -((-t_hi * y_hi >> bits) // n)
         if t_hi <= 1:
             hi += 2 * t_hi
             break
@@ -185,85 +195,64 @@ def _e_unit(work: int) -> tuple[int, int]:
 
 
 _lock = threading.Lock()
-_pi_cache: tuple[int, Fraction, Fraction] | None = None  # (eps_digits, lo, hi)
-_e_cache: tuple[int, Fraction, Fraction] | None = None
+#: kernel -> (eps_digits, lo, hi), the finest enclosure it has given
+_cache: dict = {}
 
 
-def _trimmed(cache, eps_digits: int) -> tuple[Fraction, Fraction]:
-    """A cached enclosure at least as tight as asked for, rounded outward
-    onto the grid a fresh one would have, so callers do not pay for the
-    cache's extra digits.  Width < 2 * 10**-(eps_digits + 1) + 2 units of
+def _cached(kernel, eps_digits: int) -> tuple[Fraction, Fraction]:
+    """The kernel's enclosure at eps_digits, from the cache when it holds
+    one at least as tight.  A cached one is rounded outward onto the grid
+    a fresh one would have, so callers do not pay for the cache's extra
+    digits: width < 2 * 10**-(eps_digits + 1) + 2 units of
     10**-(eps_digits + guard) < 2 * 10**-eps_digits."""
-    _, lo, hi = cache
     work = eps_digits + _guard(eps_digits)
     unit = 10**work
-    return Fraction(floor_grid(lo, work), unit), Fraction(ceil_grid(hi, work), unit)
+    with _lock:
+        hit = _cache.get(kernel)
+    if hit is not None and hit[0] >= eps_digits:
+        return Fraction(floor_grid(hit[1], work), unit), Fraction(ceil_grid(hit[2], work), unit)
+    lo, hi = kernel(work)
+    lo, hi = Fraction(lo, unit), Fraction(hi, unit)
+    with _lock:
+        hit = _cache.get(kernel)
+        if hit is None or hit[0] < eps_digits:
+            _cache[kernel] = (eps_digits, lo, hi)
+    return lo, hi
 
 
 def pi_interval(eps_digits: int) -> tuple[Fraction, Fraction]:
     """Exact rational enclosure of pi with width < 2 * 10**-eps_digits."""
-    global _pi_cache
-    with _lock:
-        if _pi_cache is not None and _pi_cache[0] >= eps_digits:
-            return _trimmed(_pi_cache, eps_digits)
-    work = eps_digits + _guard(eps_digits)
-    lo, hi = _pi_unit(work)
-    lo, hi = Fraction(lo, 10**work), Fraction(hi, 10**work)
-    with _lock:
-        if _pi_cache is None or _pi_cache[0] < eps_digits:
-            _pi_cache = (eps_digits, lo, hi)
-    return lo, hi
+    return _cached(_pi_unit, eps_digits)
 
 
 def e_interval(eps_digits: int) -> tuple[Fraction, Fraction]:
     """Exact rational enclosure of e with width < 2 * 10**-eps_digits."""
-    global _e_cache
-    with _lock:
-        if _e_cache is not None and _e_cache[0] >= eps_digits:
-            return _trimmed(_e_cache, eps_digits)
-    work = eps_digits + _guard(eps_digits)
-    lo, hi = _e_unit(work)
-    lo, hi = Fraction(lo, 10**work), Fraction(hi, 10**work)
-    with _lock:
-        if _e_cache is None or _e_cache[0] < eps_digits:
-            _e_cache = (eps_digits, lo, hi)
-    return lo, hi
+    return _cached(_e_unit, eps_digits)
 
 
 def exp_interval(x: Fraction, eps_digits: int) -> tuple[Fraction, Fraction]:
     """Exact rational enclosure of exp(x), width <= 10**-eps_digits.
 
-    Requires |x| <= EXP_ARG_LIMIT.
+    Requires |x| <= EXP_ARG_LIMIT.  With mag = floor(0.4343 |x|) + 1,
+    exp(|x|) < 10**mag, so at work = eps_digits + mag the kernel's width
+    exp(|x|)/2 + 2 units of 10**-work is under 10**-eps_digits/2 +
+    2 * 10**-(eps_digits + 1).  Its reciprocal, for x < 0, is no wider
+    than 1/2 + 2/exp(|x|) + 2 units: the bounds' product is at least
+    exp(|x|) 10**(2 work).  Rounding outward onto the 10**-(eps_digits + 4)
+    grid adds two units of that grid, so the width contract holds with no
+    retry.
     """
     x = Fraction(x)
     if abs(x) > EXP_ARG_LIMIT:
         raise ExpRangeError(f"exp argument {float(x):g} outside |x| <= {EXP_ARG_LIMIT}")
-    k = x.numerator // x.denominator
-    f = x - k  # 0 <= f < 1
-    # Integer digits of e^k, to translate relative precision into absolute.
-    mag = (abs(k) * 4343) // 10000 + 2
+    mag = abs(x) * 4343 // 10000 + 1
+    work = eps_digits + mag
+    lo, hi = _exp_unit(abs(x), work)
+    if x < 0:
+        lo, hi = 100**work // hi, -(-100**work // lo)
     out = 10 ** (eps_digits + 4)
-    extra = 15
-    while True:
-        work = eps_digits + mag + extra
-        unit = 10**work
-        e_lo, e_hi = e_interval(work)
-        e_lo, e_hi = floor_grid(e_lo, work), ceil_grid(e_hi, work)
-        # e^k in units of 10**-work, rounded outward
-        if k >= 0:
-            p_lo = e_lo**k * unit // unit**k
-            p_hi = -(-e_hi**k * unit // unit**k)
-        else:
-            p_lo = unit ** (1 - k) // e_hi**-k
-            p_hi = -(-unit ** (1 - k) // e_lo**-k)
-        t_lo, t_hi = _exp_unit(f, work)
-        # the product, rounded outward onto the 10**-(eps_digits + 4) grid
-        shift = unit * (unit // out)
-        lo = p_lo * t_lo // shift
-        hi = -(-p_hi * t_hi // shift)
-        if hi - lo <= 10**4:  # width <= 10**-eps_digits
-            return Fraction(lo, out), Fraction(hi, out)
-        extra *= 2
+    unit = 10**work
+    return Fraction(lo * out // unit, out), Fraction(-(-hi * out // unit), out)
 
 
 def pi_oracle(digits: int) -> OracleValue:

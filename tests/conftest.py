@@ -29,7 +29,7 @@ def default_int_str_limit():
 
 @pytest.fixture(autouse=True)
 def cold_oracle_caches():
-    """Start every test with empty pi and e caches, as every CLI command
+    """Start every test with an empty pi and e cache, as every CLI command
     starts, so that no test's result or cost depends on the tests run
     before it."""
-    oracle._pi_cache = oracle._e_cache = None
+    oracle._cache.clear()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 import subprocess
 import sys
@@ -303,6 +304,17 @@ def test_cfrac_quotient_beyond_int_str_limit(capsys, default_int_str_limit, fmt)
     else:
         got = out.splitlines()[1].split()
     assert got == expected
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv", [
+    ["stirling", "--op", "e-half", "--n", "3000"],  # the surd and its square
+    ["compare", "--rows", "1600"],  # e_term is 1/(k+1)!
+], ids=["stirling-e-half", "compare"])
+def test_exact_rationals_beyond_int_str_limit(capsys, default_int_str_limit, argv, fmt):
+    rc, out, err = run(capsys, *argv, "--format", fmt)
+    assert (rc, err) == (0, "")
+    assert len(max(re.findall(r"\d+", out), key=len)) > 4300
 
 
 def test_output_is_deterministic(capsys):

@@ -6,9 +6,9 @@ in all three formats, three convergence tables, every builtin series
 summed past the exact-sum limit (its fixed-point path), Stirling
 approximants of e^n on both sides of n = 35, of e by the factorial
 ratio, the e^8 ~ 96 pi^3 assembly in every format, the e and 2*pi
-expansions as json, and exp of negative, large and fractional arguments.  cli_golden.json holds the sha256 of each command's
-stdout and its exit code; a refactor that changes one printed byte
-fails here.
+expansions as json, and exp of negative, large and fractional
+arguments.  cli_golden.json holds the sha256 of each command's stdout
+and its exit code; a refactor that changes one printed byte fails here.
 
 Regenerate the digests (only when an output change is intended):
 

@@ -114,6 +114,9 @@ def test_exp_enclosure_contains_mpmath(x, digits):
         ref = _exact(mpmath.exp(mpmath.mpf(x.numerator) / x.denominator))
     assert lo <= ref <= hi
     assert hi - lo <= Fraction(1, 10**digits)
+    # rounded onto the 10**-(digits + 4) grid, so its denominators stay small
+    grid = 10 ** (digits + 4)
+    assert grid % lo.denominator == 0 and grid % hi.denominator == 0
 
 
 @pytest.mark.parametrize("digits", [1000, 5000])
@@ -162,18 +165,36 @@ def test_e_sum_bounds():
         assert hi - lo <= 2 * work + 4
 
 
+def _check_exp_unit(x: Fraction, work: int) -> None:
+    lo, hi = oracle._exp_unit(x, work)
+    # exp(100) has 44 digits before the point, so 100 more leave 56 after it
+    with mpmath.workdps(work + 100):
+        ref = _exact(mpmath.exp(mpmath.mpf(x.numerator) / x.denominator) * 10**work)
+    assert lo <= ref <= hi, work
+    # the width exp_interval's proof rests on: exp(x)/2 + 2 units
+    assert hi - lo <= ref / (2 * 10**work) + 2, work
+
+
+#: where the squaring count's bit_length(floor(x)) steps up, and just below
+POWERS_OF_TWO = {f"{2**j}{tag}": Fraction(2**j) - d
+                 for j in range(7) for tag, d in (("-1e-40", Fraction(1, 10**40)), ("", 0))}
+
+
+def _exp_examples(test):
+    for x in [*POWERS_OF_TWO.values(), Fraction(EXP_ARG_LIMIT)]:
+        test = example(x, 7)(test)
+    return test
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.fractions(min_value=0, max_value=1, max_denominator=10**40).filter(lambda f: f < 1),
+@given(st.fractions(min_value=0, max_value=EXP_ARG_LIMIT, max_denominator=10**40),
        st.integers(min_value=0, max_value=40))
 @example(Fraction(0), 5)
 @example(Fraction(1, 10**40), 3)
 @example(Fraction(10**40 - 1, 10**40), 0)
-def test_exp_taylor_sum_bounds(f, work):
-    lo, hi = oracle._exp_unit(f, work)
-    with mpmath.workdps(work + 80):
-        ref = _exact(mpmath.exp(mpmath.mpf(f.numerator) / f.denominator) * 10**work)
-    assert lo <= ref <= hi
-    assert hi - lo <= 2 * work + 6
+@_exp_examples
+def test_exp_taylor_sum_bounds(x, work):
+    _check_exp_unit(x, work)
 
 
 def _reduction_thresholds(top: int) -> list[int]:
@@ -183,12 +204,9 @@ def _reduction_thresholds(top: int) -> list[int]:
                    for d in (-1, 0)})
 
 
-@pytest.mark.parametrize("f", [Fraction(1, 7), Fraction(10**40 - 1, 10**40), Fraction(1, 10**300)],
-                         ids=["1/7", "1-1e-40", "1e-300"])
-def test_exp_reduction_thresholds(f):
+@pytest.mark.parametrize("x", [Fraction(1, 7), Fraction(1, 10**300), *POWERS_OF_TWO.values(),
+                               Fraction(EXP_ARG_LIMIT)],
+                         ids=["1/7", "1e-300", *POWERS_OF_TWO, str(EXP_ARG_LIMIT)])
+def test_exp_reduction_thresholds(x):
     for work in _reduction_thresholds(1200):
-        lo, hi = oracle._exp_unit(f, work)
-        with mpmath.workdps(work + 80):
-            ref = _exact(mpmath.exp(mpmath.mpf(f.numerator) / f.denominator) * 10**work)
-        assert lo <= ref <= hi, work
-        assert hi - lo <= 3, work
+        _check_exp_unit(x, work)

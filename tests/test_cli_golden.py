@@ -2,13 +2,15 @@
 
 The set is every command of the benchmark's exact-sweeps and catalog
 workloads and the fixed commands of its deep-digits workload, the scan
-in all three formats, three convergence tables, every builtin series
-summed past the exact-sum limit (its fixed-point path), Stirling
-approximants of e^n on both sides of n = 35, of e by the factorial
-ratio, the e^8 ~ 96 pi^3 assembly in every format, the e and 2*pi
-expansions as json, and exp of negative, large and fractional
-arguments.  cli_golden.json holds the sha256 of each command's stdout
-and its exit code; a refactor that changes one printed byte fails here.
+in all three formats (also with every row, with wide low-digit
+enclosures, at the threshold's 1/2 limit and with --quiet), three
+convergence tables, every builtin series summed past the exact-sum
+limit (its fixed-point path), Stirling approximants of e^n on both
+sides of n = 35, of e by the factorial ratio, the e^8 ~ 96 pi^3
+assembly in every format, the e and 2*pi expansions as json, and exp
+of negative, large and fractional arguments.  cli_golden.json holds the sha256 of each command's stdout
+and its exit code, each taken with cold oracle caches as in a fresh
+process; a refactor that changes one printed byte fails here.
 
 Regenerate the digests (only when an output change is intended):
 
@@ -26,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from epilab import oracle
 from epilab.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -43,6 +46,10 @@ COMMANDS = [
     ["scan", "--max", "10"],
     ["scan", "--max", "10", "--format", "csv"],
     ["scan", "--max", "10", "--format", "json"],
+    ["scan", "--max", "12", "--all-rows"],
+    ["scan", "--max", "20", "--digits", "8", "--threshold", "0.5", "--format", "json"],
+    ["scan", "--max", "30", "--threshold", "0.01", "--quiet"],
+    ["scan", "--max", "5", "--digits", "3", "--format", "csv"],
     # tables
     ["table", "lambda6"],
     ["table", "nilakantha-paired"],
@@ -98,6 +105,9 @@ def _key(argv: list[str]) -> str:
 
 
 def capture(argv: list[str]) -> dict:
+    # cold caches, as in a fresh CLI process: a trimmed cached enclosure
+    # can have another midpoint than a fresh one at the same digits
+    oracle._cache.clear()
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(list(argv))

@@ -372,6 +372,7 @@ class Surd:
 
 def surd_eval(s: Surd, scale: int) -> BigFixed:
     """Render a surd at the given scale: |result - exact| <= 10**-scale."""
-    guard = scale + 8 + max(0, len(str(abs(s.b.numerator))) if s.b else 0)
+    # b's numerator has at most guard - scale - 8 digits, from its bit length
+    guard = scale + 9 + s.b.numerator.bit_length() * 30103 // 100000
     lo, hi = s.interval(guard)
     return BigFixed.from_fraction((lo + hi) / 2, scale)

@@ -19,9 +19,9 @@ import sys
 from fractions import Fraction
 
 from .accel import compare_expansions
-from .bignum import (BigFixed, _int_to_digits, _rational_to_digits, ceil_grid, floor_grid,
-                     floor_neg_log10, root_interval)
-from .derive import cfrac, linear_combo_scan
+from .bignum import (BigFixed, _div_nearest, _int_to_digits, _rational_to_digits, ceil_grid,
+                     floor_grid, floor_neg_log10, root_interval)
+from .derive import _scan_units, cfrac
 from .expr import EvalDomainError, ParseError, PrecisionCapError, parse, to_text
 from .oracle import (
     ExpRangeError,
@@ -352,36 +352,34 @@ def cmd_stirling(args) -> int:
 # scan
 
 
-def _cell(value) -> str:
-    # a json value spelled as csv and text show it; null is an empty cell
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def cmd_scan(args) -> int:
-    threshold = Fraction(args.threshold)
-    rows = linear_combo_scan(args.max, args.digits, threshold)
-    shown = rows if (args.all_rows or args.format != "text") else [r for r in rows if r.flagged]
-    typed = [
-        [r.n, r.m, BigFixed.from_fraction(r.value, 6).to_decimal_string(), r.nearest,
-         BigFixed.from_fraction(r.residual, 6).to_decimal_string(), r.mod7, r.predicted,
-         r.flagged]
-        for r in shown
-    ]
+    two_den, rows = _scan_units(args.max, args.digits, Fraction(args.threshold))
+
+    def fixed6(num: int) -> str:
+        return BigFixed(_div_nearest(num * 10**6, two_den), 6).to_decimal_string()
+
     columns = ["n", "m", "value", "nearest", "residual", "mod7", "predicted", "flagged"]
     if args.format == "json":
-        _emit_json([dict(zip(columns, row)) for row in typed])
+        _emit_json([
+            dict(zip(columns, (n, m, fixed6(total), nearest, fixed6(residual), mod7,
+                               predicted, flagged)))
+            for n, m, total, nearest, residual, mod7, predicted, flagged in rows
+        ])
         return 0
-    # a generator, so csv streams the cells and holds no second table
-    rendered = ([_cell(v) for v in row] for row in typed)
+    shown = rows if (args.all_rows or args.format == "csv") else [r for r in rows if r[7]]
+    # a generator, so csv streams the cells and holds no second table;
+    # booleans and the missing prediction are spelled as json spells them
+    rendered = (
+        [str(n), str(m), fixed6(total), str(nearest), fixed6(residual),
+         "true" if mod7 else "false", "" if predicted is None else str(predicted),
+         "true" if flagged else "false"]
+        for n, m, total, nearest, residual, mod7, predicted, flagged in shown
+    )
     if args.format == "csv":
         _emit_csv(columns, rendered)
     else:
         if not args.quiet:
-            flagged = sum(1 for r in rows if r.flagged)
+            flagged = sum(1 for r in rows if r[7])
             print(f"combinations n*pi + m*e with |n|, |m| <= {args.max}; "
                   f"{flagged} of {len(rows)} rows within {args.threshold} of an integer"
                   + ("" if args.all_rows else " (shown; --all-rows for the rest)"))

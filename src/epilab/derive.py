@@ -96,19 +96,14 @@ class ScanRow:
     flagged: bool
 
 
-def linear_combo_scan(
-    max_coeff: int,
-    digits: int = 30,
-    threshold: Fraction = Fraction(6, 100),
-) -> list[ScanRow]:
-    """Scan n*pi + m*e for all |n|, |m| <= max_coeff, (n, m) != (0, 0).
-
-    Each row records the midpoint value, the nearest integer, the signed
-    residual, whether n - 2m is divisible by 7, and for such rows the
-    predicted integer (22n + 19m)/7 (always exact when 7 | n - 2m).  A
-    row is flagged when |residual| < threshold.  Interval widths at the
-    default precision are ~1e-28, far below any threshold in use, so the
-    midpoint comparisons are decisive.
+def _scan_units(max_coeff: int, digits: int, threshold: Fraction) -> tuple[int, list[tuple]]:
+    """linear_combo_scan's rows as tuples (n, m, total, nearest, residual,
+    mod7, predicted, flagged), with total and residual the numerators of
+    the value and the residual over the returned two_den.  The value is
+    the midpoint of the enclosure of n*pi + m*e, (n*(plo + phi) +
+    m*(elo + ehi))/2 whatever the signs of n and m; with the endpoints
+    over one common denominator each field is an integer sum or floor
+    division.
     """
     if max_coeff < 1:
         raise ValueError("max_coeff must be >= 1")
@@ -117,10 +112,6 @@ def linear_combo_scan(
         raise ValueError("threshold must be in (0, 1/2]")
     plo, phi = pi_interval(digits)
     elo, ehi = e_interval(digits)
-    # The midpoint of the enclosure of n*pi + m*e is (n*(plo + phi) +
-    # m*(elo + ehi))/2 whatever the signs of n and m.  With the endpoints
-    # as integers over one common denominator, each row's midpoint,
-    # nearest integer and residual are integer sums and floor divisions.
     den = math.lcm(plo.denominator, phi.denominator, elo.denominator, ehi.denominator)
     pi_sum = (plo.numerator * (den // plo.denominator)
               + phi.numerator * (den // phi.denominator))
@@ -138,18 +129,28 @@ def linear_combo_scan(
             nearest = (total + den) // two_den
             residual = total - nearest * two_den
             mod7 = (n - 2 * m) % 7 == 0
-            predicted = None
-            if mod7:
-                num = 22 * n + 19 * m
-                if num % 7 == 0:
-                    predicted = num // 7
-            rows.append(ScanRow(
-                n=n, m=m, value=Fraction(total, two_den), nearest=nearest,
-                residual=Fraction(residual, two_den),
-                mod7=mod7, predicted=predicted,
-                flagged=abs(residual) * threshold.denominator < limit,
-            ))
-    return rows
+            # 22n + 19m = 21n + 21m + (n - 2m), so 7 divides it too
+            predicted = (22 * n + 19 * m) // 7 if mod7 else None
+            rows.append((n, m, total, nearest, residual, mod7, predicted,
+                         abs(residual) * threshold.denominator < limit))
+    return two_den, rows
+
+
+def linear_combo_scan(
+    max_coeff: int,
+    digits: int = 30,
+    threshold: Fraction = Fraction(6, 100),
+) -> list[ScanRow]:
+    """Scan n*pi + m*e for all |n|, |m| <= max_coeff, (n, m) != (0, 0).
+
+    Each row records the midpoint value, the nearest integer, the signed
+    residual, whether n - 2m is divisible by 7, and for such rows the
+    predicted integer (22n + 19m)/7 (always exact when 7 | n - 2m).  A
+    row is flagged when |residual| < threshold, judged on the midpoint.
+    """
+    two_den, rows = _scan_units(max_coeff, digits, threshold)
+    return [ScanRow(n, m, Fraction(total, two_den), nearest, Fraction(residual, two_den), *rest)
+            for n, m, total, nearest, residual, *rest in rows]
 
 
 def _floor_cf(lo: Fraction, hi: Fraction, n_terms: int) -> list[int] | None:

@@ -458,9 +458,9 @@ def _eval(expr: Expr, w: int) -> _IV:
             raise ExpRangeError(f"exp argument outside |x| <= {EXP_ARG_LIMIT}")
         if hi > EXP_ARG_LIMIT or lo < -EXP_ARG_LIMIT:
             raise _Undecided
-        e_lo = exp_interval(lo, w)[0]
-        e_hi = exp_interval(hi, w)[1]
-        return e_lo, e_hi
+        if lo == hi:
+            return exp_interval(lo, w)
+        return exp_interval(lo, w)[0], exp_interval(hi, w)[1]
     raise TypeError(f"not an Expr: {expr!r}")
 
 

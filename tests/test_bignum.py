@@ -232,3 +232,17 @@ def test_surd_interval_contains_value(a, b, r):
 def test_surd_eval_known_value():
     got = surd_eval(Surd.make(Fraction(-4), Fraction(1), 51), 10)
     assert got.to_decimal_string() == "3.1414284285"
+
+
+def test_surd_eval_beyond_int_str_limit(default_int_str_limit):
+    # e^3000.5 ~ sqrt(2) * 6001^3001 / 6001!! with two Stirling terms: the
+    # surd's coefficient has more than 4,300 digits, its value 1,304
+    mpmath = pytest.importorskip("mpmath")
+    from epilab.stirling import e_half_integer
+
+    s = e_half_integer(3000, 2)
+    got = surd_eval(s, 10)
+    with mpmath.workdps(1400):
+        exact = (mpmath.mpf(s.a.numerator) / s.a.denominator
+                 + mpmath.mpf(s.b.numerator) / s.b.denominator * mpmath.sqrt(s.r))
+        assert abs(mpmath.mpf(got.mantissa) / 10**10 - exact) <= mpmath.mpf(10) ** -10

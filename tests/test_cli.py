@@ -257,6 +257,76 @@ def test_scan_csv_always_full(capsys):
     assert len(lines) == 49
 
 
+def _reference_scan(fmt, max_coeff, digits, threshold):
+    """`scan --format csv|json` output built the slow way, as a check on the
+    CLI's integer rendering: linear_combo_scan's Fraction rows, each value
+    and residual through BigFixed.from_fraction at 6 places, and in csv
+    json's spellings of booleans, with null as an empty cell."""
+    import csv
+    import io
+
+    from epilab.bignum import BigFixed
+    from epilab.derive import linear_combo_scan
+
+    columns = ["n", "m", "value", "nearest", "residual", "mod7", "predicted", "flagged"]
+    typed = [
+        [r.n, r.m, BigFixed.from_fraction(r.value, 6).to_decimal_string(), r.nearest,
+         BigFixed.from_fraction(r.residual, 6).to_decimal_string(), r.mod7, r.predicted,
+         r.flagged]
+        for r in linear_combo_scan(max_coeff, digits, Fraction(threshold))
+    ]
+    if fmt == "json":
+        return json.dumps([dict(zip(columns, row)) for row in typed], indent=2) + "\n"
+
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return str(value)
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([cell(v) for v in row] for row in typed)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("threshold", ["0.06", "0.5"])
+@pytest.mark.parametrize("digits", [3, 10, 30])
+def test_scan_cells_equal_fraction_rendering(capsys, fmt, threshold, digits):
+    rc, out, _ = run(capsys, "scan", "--max", "12", "--digits", str(digits),
+                     "--threshold", threshold, "--format", fmt)
+    assert rc == 0
+    assert out.splitlines() == _reference_scan(fmt, 12, digits, threshold).splitlines()
+    assert out.endswith("\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_cells_round_ties_away_and_drop_the_sign_of_zero(monkeypatch, capsys, fmt):
+    # made-up enclosures with midpoints 3 + 5e-7 and 3 + 8e-7 and endpoint
+    # denominators 6 and 7: pi's row is a tie at the sixth place, and
+    # pi - e = -3e-7 is a small negative value that rounds to zero
+    import epilab.derive
+
+    pi_mid = 3 + Fraction(5, 10**7)
+    e_mid = 3 + Fraction(8, 10**7)
+    fake_pi = (pi_mid - Fraction(1, 3), pi_mid + Fraction(1, 3))
+    fake_e = (e_mid - Fraction(1, 7), e_mid + Fraction(1, 7))
+    monkeypatch.setattr(epilab.derive, "pi_interval", lambda digits: fake_pi)
+    monkeypatch.setattr(epilab.derive, "e_interval", lambda digits: fake_e)
+    rc, out, _ = run(capsys, "scan", "--max", "2", "--format", fmt)
+    assert rc == 0
+    assert out.splitlines() == _reference_scan(fmt, 2, 30, "0.06").splitlines()
+    if fmt == "csv":
+        lines = out.splitlines()
+        assert "1,0,3.000001,3,0.000001,false,,true" in lines
+        assert "-1,0,-3.000001,-3,-0.000001,false,,true" in lines
+        assert "1,-1,0.000000,0,0.000000,false,,true" in lines
+        assert "-0.000000" not in out
+
+
 def test_compare_table(capsys):
     rc, out, _ = run(capsys, "compare", "--rows", "3")
     assert rc == 0

@@ -239,3 +239,23 @@ def test_interval_width_honors_request():
     for digits in (6, 18, 34):
         lo, hi = eval_interval(parse("pi^9/e^8"), digits)
         assert hi - lo <= Fraction(10, 10**digits)
+
+
+@pytest.mark.parametrize("text, per_attempt", [("exp(100)", 1), ("exp(-1/3)", 1), ("exp(pi)", 2)])
+def test_exp_of_a_point_calls_the_kernel_once_per_attempt(monkeypatch, text, per_attempt):
+    # each attempt evaluates at a new precision, so the calls at each
+    # precision are the calls of one attempt: one for an exact argument,
+    # one per endpoint otherwise
+    import epilab.expr
+    from epilab.oracle import exp_interval
+
+    calls = []
+
+    def counting(x, eps_digits):
+        calls.append(eps_digits)
+        return exp_interval(x, eps_digits)
+
+    monkeypatch.setattr(epilab.expr, "exp_interval", counting)
+    lo, hi = eval_interval(parse(text), 30)
+    assert hi - lo <= Fraction(1, 10**30)
+    assert calls and all(calls.count(w) == per_attempt for w in calls)

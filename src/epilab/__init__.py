@@ -21,11 +21,8 @@ from .oracle import (
     OracleValue,
     constant_reference,
     e_interval,
-    e_oracle,
     exp_interval,
-    exp_oracle,
     pi_interval,
-    pi_oracle,
 )
 from .series import (
     DEFAULT_MAX_TERMS,

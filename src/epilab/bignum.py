@@ -5,9 +5,8 @@ Two value types carry every number in this package:
 * :class:`fractions.Fraction` carries all internal mathematics as exact
   rationals; nothing is ever evaluated in binary floating point.
 * :class:`BigFixed` is an immutable base-10 fixed-point number,
-  ``mantissa * 10**-scale``.  It exists purely at the edges: parsing
-  user input and rendering results with an explicit, certified number of
-  decimal places.
+  ``mantissa * 10**-scale``.  It exists purely at the edge: rendering
+  results with an explicit, certified number of decimal places.
 
 Rounding onto the decimal grid 10**-scale happens in two ways only.
 :meth:`BigFixed.from_fraction` rounds to nearest (error at most half an
@@ -23,7 +22,6 @@ canonical.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 
 from ._record import record
@@ -40,9 +38,6 @@ __all__ = [
     "floor_neg_log10",
     "ilog10_floor",
 ]
-
-_PARSE_RE = re.compile(r"^([+-]?)(\d+)(?:\.(\d+))?$")
-
 
 #: CPython refuses int <-> str conversions longer than 4,300 digits by
 #: default (sys.int_max_str_digits); longer numbers convert in pieces of
@@ -67,14 +62,6 @@ def _rational_to_digits(q: Fraction | int) -> str:
     return text if q.denominator == 1 else f"{text}/{_int_to_digits(q.denominator)}"
 
 
-def _digits_to_int(digits: str) -> int:
-    """Inverse of _int_to_digits: the int of a string of decimal digits."""
-    if len(digits) <= _STR_CHUNK:
-        return int(digits)
-    k = len(digits) // 2
-    return _digits_to_int(digits[:-k]) * 10**k + _digits_to_int(digits[-k:])
-
-
 def _div_nearest(n: int, d: int) -> int:
     """Nearest integer to n/d with ties rounded away from zero.  d > 0."""
     if n >= 0:
@@ -86,10 +73,9 @@ def _div_nearest(n: int, d: int) -> int:
 class BigFixed:
     """Immutable decimal fixed point: value = mantissa * 10**-scale.
 
-    Equality and ordering compare numeric values, so BigFixed("1.50") ==
-    BigFixed("1.5") even though the two keep different scales.  The
-    (mantissa, scale) pair itself is preserved exactly by
-    ``to_decimal_string`` / ``parse`` round trips.
+    Equality compares numeric values, so BigFixed(150, 2) == BigFixed(15, 1)
+    even though the two keep different scales; ``to_decimal_string``
+    renders the (mantissa, scale) pair itself, every digit of it.
     """
 
     mantissa: int
@@ -100,10 +86,6 @@ class BigFixed:
             raise ValueError("scale must be >= 0")
 
     @classmethod
-    def from_int(cls, value: int, scale: int = 0) -> "BigFixed":
-        return cls(value * 10**scale, scale)
-
-    @classmethod
     def from_fraction(cls, value: Fraction, scale: int) -> "BigFixed":
         """Round an exact rational to the given scale (nearest, <= 1/2 ulp)."""
         if scale < 0:
@@ -112,26 +94,13 @@ class BigFixed:
             value = Fraction(value)
         return cls(_div_nearest(value.numerator * 10**scale, value.denominator), scale)
 
-    @classmethod
-    def parse(cls, text: str) -> "BigFixed":
-        """Parse a plain decimal literal; scale = number of fractional digits."""
-        m = _PARSE_RE.match(text.strip())
-        if not m:
-            raise ValueError(f"not a decimal literal: {text!r}")
-        sign, intpart, fracpart = m.group(1), m.group(2), m.group(3) or ""
-        mantissa = _digits_to_int(intpart + fracpart)
-        if sign == "-":
-            mantissa = -mantissa
-        return cls(mantissa, len(fracpart))
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.mantissa, 10**self.scale)
 
     def to_decimal_string(self) -> str:
         """Sign, integer part, '.', exactly `scale` fractional digits.
 
-        No exponent form ever.  At scale 0 the dot is omitted; parse()
-        accepts both shapes, so the round trip is exact.
+        No exponent form ever.  At scale 0 the dot is omitted.
         """
         sign = "-" if self.mantissa < 0 else ""
         digits = _int_to_digits(abs(self.mantissa)).rjust(self.scale + 1, "0")
@@ -162,29 +131,6 @@ class BigFixed:
 
     def __hash__(self) -> int:
         return hash(self.as_fraction())
-
-    def _cmp_key(self, other: "BigFixed | int | Fraction") -> Fraction:
-        if isinstance(other, BigFixed):
-            return other.as_fraction()
-        return Fraction(other)
-
-    def __lt__(self, other) -> bool:
-        return self.as_fraction() < self._cmp_key(other)
-
-    def __le__(self, other) -> bool:
-        return self.as_fraction() <= self._cmp_key(other)
-
-    def __gt__(self, other) -> bool:
-        return self.as_fraction() > self._cmp_key(other)
-
-    def __ge__(self, other) -> bool:
-        return self.as_fraction() >= self._cmp_key(other)
-
-    def __neg__(self) -> "BigFixed":
-        return BigFixed(-self.mantissa, self.scale)
-
-    def __abs__(self) -> "BigFixed":
-        return BigFixed(abs(self.mantissa), self.scale)
 
 
 def floor_grid(x: Fraction, scale: int) -> int:

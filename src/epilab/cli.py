@@ -8,13 +8,15 @@ byte-identical output; --quiet drops everything except the payload.
 Exit codes: 0 success; 1 when a well-formed input has no certified
 result: the value is undefined (a root of a negative number, a division
 by zero), an exp argument lies outside |x| <= 100, the precision cap is
-reached, or a series cannot reach the precision within its term cap;
-2 for usage errors: bad flags or option values, unparsable expressions.
+reached, a series cannot reach the precision within its term cap, or
+stdout closes before the output ends; 2 for usage errors: bad flags or
+option values, unparsable expressions.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -23,14 +25,7 @@ from .bignum import (BigFixed, _div_nearest, _int_to_digits, _rational_to_digits
                      floor_grid, floor_neg_log10, root_interval)
 from .derive import _scan_units, cfrac
 from .expr import EvalDomainError, ParseError, PrecisionCapError, parse, to_text
-from .oracle import (
-    ExpRangeError,
-    constant_reference,
-    e_interval,
-    e_oracle,
-    exp_interval,
-    pi_oracle,
-)
+from .oracle import ExpRangeError, constant_reference, e_interval, exp_interval
 from .registry import (
     REGISTRY,
     VerificationFailure,
@@ -96,7 +91,7 @@ def cmd_compute(args) -> int:
         )
     terms = None
     if args.method == "oracle":
-        ov = pi_oracle(digits) if args.constant == "pi" else e_oracle(digits)
+        ov = constant_reference(args.constant, digits)
         mid = ov.value.as_fraction()
         halfwidth = Fraction(1, 10**ov.certified_digits)
     else:
@@ -486,7 +481,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: point fd 1 at devnull, so the flush at
+        # interpreter exit finds nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output ended", file=sys.stderr)
+        return 1
     except (InfeasibleRequest, PrecisionCapError, EvalDomainError, ExpRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

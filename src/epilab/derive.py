@@ -25,6 +25,9 @@ __all__ = [
 
 RationalLike = int | Fraction
 
+#: cfrac doubles its precision up to this many digits before PrecisionCapError
+CFRAC_MAX_DIGITS = 4096
+
 
 def solve_pi_quadratic(b: RationalLike, c: RationalLike) -> Surd:
     """Larger root of x^2 + b*x = c as an exact Surd.
@@ -177,13 +180,12 @@ def _floor_cf(lo: Fraction, hi: Fraction, n_terms: int) -> list[int] | None:
     return out
 
 
-def cfrac(expr: Expr, n_terms: int, digits: int = 30, *,
-          max_digits: int = 4096) -> list[int]:
+def cfrac(expr: Expr, n_terms: int, digits: int = 30) -> list[int]:
     """Certified continued fraction [a0; a1, ...] of an expression.
 
     Quotients are emitted only while both endpoints of the certified
     interval produce the same partial quotient; precision doubles on
-    demand up to max_digits.  An exactly rational value terminates
+    demand up to CFRAC_MAX_DIGITS.  An exactly rational value terminates
     early with its full (shorter) expansion.  Note an expression that is
     rational but not syntactically so (e.g. pi - pi + 1) cannot certify
     its termination and exhausts the cap instead.
@@ -198,8 +200,8 @@ def cfrac(expr: Expr, n_terms: int, digits: int = 30, *,
         terms = _floor_cf(lo, hi, n_terms)
         if terms is not None:
             return terms
-        if d >= max_digits:
+        if d >= CFRAC_MAX_DIGITS:
             raise PrecisionCapError(
-                f"could not certify {n_terms} partial quotients at {max_digits} digits"
+                f"could not certify {n_terms} partial quotients at {CFRAC_MAX_DIGITS} digits"
             )
-        d = min(2 * d, max_digits)
+        d = min(2 * d, CFRAC_MAX_DIGITS)

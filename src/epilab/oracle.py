@@ -24,33 +24,29 @@ sections 4.4 and 4.9).
   most one unit of relative width and the kernel's width is proved, not
   retried.  exp(-x) is the reciprocal, rounded outward.
 
-The low-level ``*_interval`` functions return exact rational enclosures
-[lo, hi], whose denominators divide a power of ten, and are what the
-expression evaluator consumes; the public ``*_oracle`` functions wrap
-the midpoint into an :class:`OracleValue`.
+The ``*_interval`` functions return exact rational enclosures [lo, hi],
+whose denominators divide a power of ten, and are what the expression
+evaluator consumes; :func:`constant_reference` renders the midpoint of
+one into an :class:`OracleValue`.
 
-All functions are pure; the module-level cache of pi and e only ever
-grows toward higher precision and is guarded by a lock, so concurrent
-callers see consistent values.  A cached enclosure finer than asked for
-comes back rounded outward to the requested precision.  exp is not
+All functions are pure.  The module-level cache keeps the last pi and
+the last e enclosure, keyed by the kernel's exact work precision, and
+hands back only that enclosure: a warm call returns what a cold call
+would, so no printed digit depends on the calls before it.  exp is not
 cached: its cost grows only with the digits of its result.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 
 from ._record import record
-from .bignum import BigFixed, ceil_grid, floor_grid
+from .bignum import BigFixed
 
 __all__ = [
     "OracleValue",
     "ExpRangeError",
-    "pi_oracle",
-    "e_oracle",
-    "exp_oracle",
     "pi_interval",
     "e_interval",
     "exp_interval",
@@ -194,29 +190,26 @@ def _e_unit(work: int) -> tuple[int, int]:
     return total, total + n + 1
 
 
-_lock = threading.Lock()
-#: kernel -> (eps_digits, lo, hi), the finest enclosure it has given
+#: kernel -> (work, lo, hi), the enclosure it gave last
 _cache: dict = {}
 
 
 def _cached(kernel, eps_digits: int) -> tuple[Fraction, Fraction]:
-    """The kernel's enclosure at eps_digits, from the cache when it holds
-    one at least as tight.  A cached one is rounded outward onto the grid
-    a fresh one would have, so callers do not pay for the cache's extra
-    digits: width < 2 * 10**-(eps_digits + 1) + 2 units of
-    10**-(eps_digits + guard) < 2 * 10**-eps_digits."""
+    """The kernel's enclosure at eps_digits, on the 10**-work grid with
+    work = eps_digits + guard.  An entry is returned only at its own
+    work, so a warm call returns exactly what a cold one does.  A result
+    depends on work alone, so with no lock a race only computes it twice;
+    the entry is read once, into a local."""
+    if eps_digits < 1:
+        raise ValueError("digits must be >= 1")
     work = eps_digits + _guard(eps_digits)
+    hit = _cache.get(kernel)
+    if hit is not None and hit[0] == work:
+        return hit[1], hit[2]
     unit = 10**work
-    with _lock:
-        hit = _cache.get(kernel)
-    if hit is not None and hit[0] >= eps_digits:
-        return Fraction(floor_grid(hit[1], work), unit), Fraction(ceil_grid(hit[2], work), unit)
     lo, hi = kernel(work)
     lo, hi = Fraction(lo, unit), Fraction(hi, unit)
-    with _lock:
-        hit = _cache.get(kernel)
-        if hit is None or hit[0] < eps_digits:
-            _cache[kernel] = (eps_digits, lo, hi)
+    _cache[kernel] = (work, lo, hi)
     return lo, hi
 
 
@@ -242,6 +235,8 @@ def exp_interval(x: Fraction, eps_digits: int) -> tuple[Fraction, Fraction]:
     grid adds two units of that grid, so the width contract holds with no
     retry.
     """
+    if eps_digits < 1:
+        raise ValueError("digits must be >= 1")
     x = Fraction(x)
     if abs(x) > EXP_ARG_LIMIT:
         raise ExpRangeError(f"exp argument {float(x):g} outside |x| <= {EXP_ARG_LIMIT}")
@@ -255,33 +250,6 @@ def exp_interval(x: Fraction, eps_digits: int) -> tuple[Fraction, Fraction]:
     return Fraction(lo * out // unit, out), Fraction(-(-hi * out // unit), out)
 
 
-def pi_oracle(digits: int) -> OracleValue:
-    """pi to at least `digits` certified decimal places."""
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    lo, hi = pi_interval(digits + 5)
-    value = BigFixed.from_fraction((lo + hi) / 2, digits + 3)
-    return OracleValue(value, digits + 2)
-
-
-def e_oracle(digits: int) -> OracleValue:
-    """e to at least `digits` certified decimal places."""
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    lo, hi = e_interval(digits + 5)
-    value = BigFixed.from_fraction((lo + hi) / 2, digits + 3)
-    return OracleValue(value, digits + 2)
-
-
-def exp_oracle(x: BigFixed, digits: int) -> OracleValue:
-    """exp(x) to at least `digits` certified decimal places, |x| <= 100."""
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    lo, hi = exp_interval(x.as_fraction(), digits + 4)
-    value = BigFixed.from_fraction((lo + hi) / 2, digits + 2)
-    return OracleValue(value, digits)
-
-
 def constant_reference(constant: str, digits: int) -> OracleValue:
     """Certified reference for any constant a builtin series describes.
 
@@ -289,10 +257,11 @@ def constant_reference(constant: str, digits: int) -> OracleValue:
     enclosure by exact interval arithmetic, so their certificates remain
     rigorous.
     """
-    if constant == "pi":
-        return pi_oracle(digits)
-    if constant == "e":
-        return e_oracle(digits)
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    if constant in ("pi", "e"):
+        lo, hi = (pi_interval if constant == "pi" else e_interval)(digits + 5)
+        return OracleValue(BigFixed.from_fraction((lo + hi) / 2, digits + 3), digits + 2)
     if constant == "two_pi":
         lo, hi = pi_interval(digits + 6)
         return OracleValue(BigFixed.from_fraction(lo + hi, digits + 3), digits + 2)

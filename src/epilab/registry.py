@@ -186,10 +186,6 @@ def verify(relation: Relation, digits: int) -> VerificationReport:
         raise ValueError(f"{relation.id}: near_integer rhs is not an integer")
     residual = lhs_f - rhs_f
     err = lhs_err.as_fraction() + rhs_err.as_fraction()
-    if residual == 0:
-        agreement = d
-    else:
-        agreement = max(0, min(d, floor_neg_log10(abs(residual) / abs(rhs_f))))
     return VerificationReport(
         relation_id=relation.id,
         paper_eq=relation.paper_eq,
@@ -198,7 +194,7 @@ def verify(relation: Relation, digits: int) -> VerificationReport:
         rhs_value=rhs_value.rescale(d),
         abs_residual=BigFixed.from_fraction(residual, d + 10),
         rel_residual=BigFixed.from_fraction(abs(residual) / abs(rhs_f), d + 10),
-        digits_of_agreement=agreement,
+        digits_of_agreement=digits_of_agreement(lhs_value, rhs_value, cap=d),
         precision_used=d,
         certified=10 * err < abs(residual),
     )

@@ -306,10 +306,10 @@ def _exact_sum(pairs: Iterator[tuple[int, int]], count: int) -> Fraction:
     return _exact_sum(pairs, half) + _exact_sum(pairs, count - half)
 
 
-def partial_sum(spec: SeriesSpec, n: int, *, exact_limit: int = EXACT_TERM_LIMIT) -> SumResult:
+def partial_sum(spec: SeriesSpec, n: int) -> SumResult:
     """Offset plus terms start_index..n, with a certified bound.
 
-    Up to `exact_limit` terms the sum is exact rational arithmetic,
+    Up to EXACT_TERM_LIMIT terms the sum is exact rational arithmetic,
     added pairwise (see _exact_sum), and the bound is exactly
     tail_bound(n).  Beyond that each term p/q is rounded to the nearest
     multiple of 10**-FIXED_ACC_SCALE (ties away from zero), the integers
@@ -320,7 +320,7 @@ def partial_sum(spec: SeriesSpec, n: int, *, exact_limit: int = EXACT_TERM_LIMIT
         raise ValueError(f"n must be >= start_index ({spec.start_index})")
     count = n - spec.start_index + 1
     pairs = iter(spec.pairs(spec.start_index, n))
-    if count <= exact_limit:
+    if count <= EXACT_TERM_LIMIT:
         total = spec.offset + _exact_sum(pairs, count)
         return SumResult(total, n, spec.tail_bound(n))
     unit = 10**FIXED_ACC_SCALE

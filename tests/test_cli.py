@@ -404,6 +404,43 @@ def test_module_entry_point_subprocess():
     assert proc.stdout == "2.7182818284\n"
 
 
+def test_closed_stdout_ends_quietly():
+    # about 250 kB of rows, far more than a pipe holds, so the writes
+    # after the reader has gone fail
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "epilab.cli", "scan", "--max", "30", "--all-rows"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"combinations")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == "error: stdout was closed before the output ended\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--max", "2", "--digits", "-3"],
+    ["scan", "--max", "2", "--digits", "0"],
+    ["stirling", "--op", "approx", "--n", "3", "--scale", "-20"],
+], ids=" ".join)
+def test_non_positive_precision_exits_two(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: digits must be >= 1\n"
+
+
+def test_scan_digits_do_not_depend_on_earlier_commands(capsys):
+    # the autouse fixture starts the test with cold caches; compute then
+    # leaves 45-digit enclosures of pi and e in them
+    argv = ["scan", "--max", "5", "--digits", "3", "--format", "csv"]
+    cold = run(capsys, *argv)
+    run(capsys, "compute", "pi", "--digits", "40")
+    run(capsys, "compute", "e", "--digits", "40")
+    assert run(capsys, *argv) == cold
+
+
 def test_table_reference_follows_smallest_bound(capsys):
     # 2/2001! is far below what a 60-digit reference resolves
     rc, out, err = run(capsys, "table", "e-factorial", "--checkpoints", "10,2000",

@@ -105,8 +105,7 @@ def _key(argv: list[str]) -> str:
 
 
 def capture(argv: list[str]) -> dict:
-    # cold caches, as in a fresh CLI process: a trimmed cached enclosure
-    # can have another midpoint than a fresh one at the same digits
+    # cold caches, as in a fresh CLI process
     oracle._cache.clear()
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

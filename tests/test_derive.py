@@ -253,10 +253,11 @@ def test_cfrac_convergents_bracket_value():
             assert c >= lo
 
 
-def test_cfrac_argument_validation_and_cap():
+def test_cfrac_argument_validation_and_cap(monkeypatch):
     with pytest.raises(ValueError):
         cfrac(parse("pi"), 0)
+    monkeypatch.setattr(epilab.derive, "CFRAC_MAX_DIGITS", 128)
     # exactly 2 but never syntactically rational: no quotient after the
     # first can ever be certified, so the precision ladder must give up
     with pytest.raises(PrecisionCapError):
-        cfrac(parse("sqrt(2)*sqrt(2)"), 2, max_digits=128)
+        cfrac(parse("sqrt(2)*sqrt(2)"), 2)

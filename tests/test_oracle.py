@@ -11,18 +11,14 @@ from fractions import Fraction
 
 import pytest
 
-from epilab.bignum import BigFixed
 from epilab.oracle import (
     CONSTANTS,
     EXP_ARG_LIMIT,
     ExpRangeError,
     constant_reference,
     e_interval,
-    e_oracle,
     exp_interval,
-    exp_oracle,
     pi_interval,
-    pi_oracle,
 )
 
 PI_50 = "3.14159265358979323846264338327950288419716939937510"
@@ -50,20 +46,20 @@ def independent_pi(eps_digits: int) -> Fraction:
 
 
 def test_pi_frozen_prefix():
-    assert pi_oracle(50).value.to_decimal_string().startswith(PI_50)
-    assert pi_oracle(10).value.to_decimal_string().startswith("3.1415926535")
+    assert constant_reference("pi", 50).value.to_decimal_string().startswith(PI_50)
+    assert constant_reference("pi", 10).value.to_decimal_string().startswith("3.1415926535")
 
 
 def test_e_frozen_prefix():
-    assert e_oracle(50).value.to_decimal_string().startswith(E_50)
-    assert e_oracle(10).value.to_decimal_string().startswith("2.7182818284")
+    assert constant_reference("e", 50).value.to_decimal_string().startswith(E_50)
+    assert constant_reference("e", 10).value.to_decimal_string().startswith("2.7182818284")
 
 
 def test_pi_agrees_with_independent_identity():
     # reference computed from a different arctan decomposition
     ref = independent_pi(40)
     for digits in (10, 25, 35):
-        v = pi_oracle(digits)
+        v = constant_reference("pi", digits)
         assert v.certified_digits >= digits
         assert abs(v.value.as_fraction() - ref) <= 2 * Fraction(1, 10**digits)
 
@@ -77,13 +73,12 @@ def test_e_agrees_with_inline_factorial_sum():
         total += Fraction(1, fact)
         n += 1
         fact *= n
-    v = e_oracle(35)
+    v = constant_reference("e", 35)
     assert abs(v.value.as_fraction() - total) <= 2 * Fraction(1, 10**35)
 
 
 def test_interval_width_and_containment():
-    # the reference itself carries ~1e-39 error and the cached enclosure
-    # may be far tighter than requested, hence the slack term
+    # the reference itself carries ~1e-39 error, hence the slack term
     ref_pi = independent_pi(40)
     slack = Fraction(1, 10**38)
     for d in (5, 15, 30):
@@ -100,20 +95,24 @@ def test_interval_width_and_containment():
 
 
 def test_oracle_results_are_cached_consistently():
-    a = pi_oracle(20)
-    b = pi_oracle(20)
+    a = constant_reference("pi", 20)
+    b = constant_reference("pi", 20)
     assert a == b
     # the 60-digit value refines, never contradicts, the 20-digit one
-    wide = pi_oracle(60).value.as_fraction()
+    wide = constant_reference("pi", 60).value.as_fraction()
     assert abs(a.value.as_fraction() - wide) <= Fraction(1, 10**19)
+    # and a warm 20-digit call is the cold one, whatever came between
+    assert constant_reference("pi", 20) == a
 
 
 def test_exp_zero_and_one():
-    zero = BigFixed.from_int(0)
-    one = BigFixed.from_int(1)
-    assert exp_oracle(zero, 20).value.as_fraction() == 1
-    e20 = exp_oracle(one, 20).value
-    assert e20.to_decimal_string().startswith(E_50[:20])
+    assert exp_interval(Fraction(0), 20) == (1, 1)
+    lo, hi = exp_interval(Fraction(1), 20)
+    # the 50-digit prefix brackets e from below within one ulp
+    trunc = Fraction(int(E_50.replace(".", "")), 10**50)
+    assert lo <= trunc + Fraction(1, 10**50)
+    assert trunc <= hi
+    assert hi - lo <= Fraction(1, 10**20)
 
 
 def test_exp_half_against_inline_taylor():
@@ -127,8 +126,8 @@ def test_exp_half_against_inline_taylor():
         total += term
         k += 1
         term = term * x / k
-    got = exp_oracle(BigFixed.parse("0.5"), 30).value.as_fraction()
-    assert abs(got - total) <= 2 * Fraction(1, 10**30)
+    lo, hi = exp_interval(Fraction(1, 2), 30)
+    assert abs((lo + hi) / 2 - total) <= 2 * Fraction(1, 10**30)
 
 
 def test_exp_addition_identity():
@@ -153,15 +152,25 @@ def test_exp_range_limit():
         exp_interval(Fraction(EXP_ARG_LIMIT + 1), 5)
     with pytest.raises(ExpRangeError):
         exp_interval(Fraction(-EXP_ARG_LIMIT - 1), 5)
-    with pytest.raises(ExpRangeError):
-        exp_oracle(BigFixed.from_int(200), 5)
+
+
+@pytest.mark.parametrize("digits", [0, -10])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_non_positive_precision_is_rejected(warm, digits):
+    if warm:
+        pi_interval(30)
+        e_interval(30)
+    for oracle in (pi_interval, e_interval, lambda d: exp_interval(Fraction(1, 3), d),
+                   *(lambda d, c=c: constant_reference(c, d) for c in CONSTANTS)):
+        with pytest.raises(ValueError, match="digits must be >= 1"):
+            oracle(digits)
 
 
 def test_constant_reference_all_names():
     assert set(CONSTANTS) == {"e", "pi", "two_pi", "pi6", "pi8"}
-    pi_f = pi_oracle(40).value.as_fraction()
+    pi_f = constant_reference("pi", 40).value.as_fraction()
     expected = {
-        "e": e_oracle(30).value.as_fraction(),
+        "e": constant_reference("e", 30).value.as_fraction(),
         "pi": pi_f,
         "two_pi": 2 * pi_f,
         "pi6": pi_f**6,

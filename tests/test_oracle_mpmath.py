@@ -47,10 +47,7 @@ def test_exact_keeps_the_sign():
 ])
 def test_constant_enclosure_contains_mpmath(name, interval, reference, digits):
     lo, hi = interval(digits)
-    # an enclosure cached at a higher precision may be far tighter than
-    # asked for, so the reference also resolves the width it returned
-    width_digits = (hi - lo).denominator.bit_length() * 3 // 10
-    with mpmath.workdps(max(2 * digits, width_digits) + 60):
+    with mpmath.workdps(2 * digits + 60):
         ref = _exact(reference())
     assert lo <= ref <= hi, name
     assert hi - lo < 2 * Fraction(1, 10**digits)
@@ -75,13 +72,14 @@ def test_deep_constant_enclosure_contains_mpmath(name, interval, reference):
     ("pi", pi_interval, lambda: +mpmath.pi),
     ("e", e_interval, lambda: mpmath.e()),
 ])
-def test_cached_enclosure_trimmed_to_request(name, interval, reference, digits):
-    fine_lo, fine_hi = interval(5000)
+def test_warm_enclosure_equals_cold(name, interval, reference, digits):
+    cold = interval(digits)
+    interval(5000)
+    # a finer enclosure in the cache does not change the one asked for
     lo, hi = interval(digits)
+    assert (lo, hi) == cold, name
     unit = 10 ** (digits + oracle._guard(digits))
     assert unit % lo.denominator == 0 and unit % hi.denominator == 0, name
-    # the 5,000-digit enclosure rounded outward: at most two grid units wider
-    assert hi - lo <= fine_hi - fine_lo + Fraction(2, unit)
     assert hi - lo < 2 * Fraction(1, 10**digits)
     with mpmath.workdps(2 * digits + 60):
         ref = _exact(reference())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -65,15 +66,16 @@ def test_catalog_notes():
 
 
 def test_digits_of_agreement_examples():
-    assert digits_of_agreement(BigFixed.parse("9.001"), BigFixed.from_int(9)) == 3
-    assert digits_of_agreement(BigFixed.parse("0.999999956"), BigFixed.from_int(1)) == 7
-    assert digits_of_agreement(BigFixed.parse("1.5"), BigFixed.from_int(1)) == 0
+    one, three, nine = BigFixed(1, 0), BigFixed(3, 0), BigFixed(9, 0)
+    assert digits_of_agreement(BigFixed(9001, 3), nine) == 3
+    assert digits_of_agreement(BigFixed(999999956, 9), one) == 7
+    assert digits_of_agreement(BigFixed(15, 1), one) == 0
     with pytest.raises(ValueError):
-        digits_of_agreement(BigFixed.from_int(3), BigFixed.from_int(0))
+        digits_of_agreement(three, BigFixed(0, 0))
     with pytest.raises(ValueError):
-        digits_of_agreement(BigFixed.from_int(3), BigFixed.from_int(3))
-    assert digits_of_agreement(BigFixed.from_int(3), BigFixed.from_int(3), cap=30) == 30
-    assert digits_of_agreement(BigFixed.parse("9.001"), BigFixed.from_int(9), cap=2) == 2
+        digits_of_agreement(three, three)
+    assert digits_of_agreement(three, three, cap=30) == 30
+    assert digits_of_agreement(BigFixed(9001, 3), nine, cap=2) == 2
 
 
 @given(
@@ -147,7 +149,8 @@ def test_to_dict_wire_schema():
     assert isinstance(d["certified"], bool)
     for key in ("lhs", "rhs", "abs_residual", "rel_residual"):
         assert isinstance(d[key], str)
-        BigFixed.parse(d[key])  # every numeric column is plain decimal text
+        # every numeric column is plain decimal text
+        assert re.fullmatch(r"-?\d+(\.\d+)?", d[key]), d[key]
 
 
 def test_verify_all_full_catalog():

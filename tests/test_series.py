@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epilab import series
 from epilab.accel import e_regrouped, nilakantha_doubled, pair_transform
 from epilab.bignum import BigFixed
 from epilab.oracle import OracleValue, constant_reference
@@ -87,10 +88,11 @@ def test_partial_sum_matches_direct_summation():
         assert partial_sum(spec, n).value == spec.offset + _exact_sum(spec, n)
 
 
-def test_fixed_point_path_agrees_with_exact():
+def test_fixed_point_path_agrees_with_exact(monkeypatch):
     spec = builtin("nilakantha")
     exact = partial_sum(spec, 200).value
-    fixed = partial_sum(spec, 200, exact_limit=10)
+    monkeypatch.setattr(series, "EXACT_TERM_LIMIT", 10)
+    fixed = partial_sum(spec, 200)
     # the fixed path accumulates on the 10**-40 grid
     assert 10**40 % fixed.value.denominator == 0
     assert abs(fixed.value - exact) <= Fraction(1, 10**35)
@@ -271,7 +273,8 @@ def _rounded_at_fixed_scale(t: Fraction) -> int:
     return math.floor(units + Fraction(1, 2)) * (1 if t >= 0 else -1)
 
 
-def test_fixed_point_path_rounds_each_term_to_nearest():
+def test_fixed_point_path_rounds_each_term_to_nearest(monkeypatch):
+    monkeypatch.setattr(series, "EXACT_TERM_LIMIT", 10)
     specs = [builtin(name) for name in ALL_NAMES]
     specs.append(scale_series(builtin("nilakantha"), Fraction(-7, 3)))
     # every term lies halfway between two grid points, of either sign
@@ -282,7 +285,7 @@ def test_fixed_point_path_rounds_each_term_to_nearest():
     unit = 10**FIXED_ACC_SCALE
     for spec in specs:
         n = spec.start_index + 150
-        r = partial_sum(spec, n, exact_limit=10)
+        r = partial_sum(spec, n)
         units = sum(_rounded_at_fixed_scale(spec.term(i)) for i in range(spec.start_index, n + 1))
         assert r.value == spec.offset + Fraction(units, unit), spec.name
         assert r.bound == spec.tail_bound(n) + Fraction(151, 2 * unit), spec.name

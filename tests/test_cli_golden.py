@@ -4,8 +4,10 @@ The set is every command of the benchmark's exact-sweeps and catalog
 workloads and the fixed commands of its deep-digits workload, the scan
 in all three formats (also with every row, with wide low-digit
 enclosures, at the threshold's 1/2 limit and with --quiet), three
-convergence tables, every builtin series summed past the exact-sum
-limit (its fixed-point path), Stirling approximants of e^n on both
+convergence tables (one with checkpoints on both sides of the exact
+sum's 16-term leaf), every builtin series summed past the exact-sum
+limit (its fixed-point path, also on an all-negative and an alternating
+run given by --terms), Stirling approximants of e^n on both
 sides of n = 35, of e by the factorial ratio, the e^8 ~ 96 pi^3
 assembly in every format, the e and 2*pi expansions as json, and exp
 of negative, large and fractional arguments.  cli_golden.json holds the sha256 of each command's stdout
@@ -60,6 +62,11 @@ COMMANDS = [
     ["compute", "pi", "--method", "lambda6", "--digits", "20"],
     ["compute", "pi", "--method", "zeta8", "--digits", "30"],
     ["compute", "e", "--method", "e-factorial", "--digits", "30", "--format", "csv"],
+    # the fixed-point path on an all-negative and on an alternating run,
+    # and a table whose checkpoints straddle the exact sum's leaf size
+    ["compute", "pi", "--method", "nilakantha-paired", "--terms", "12000", "--format", "json"],
+    ["compute", "pi", "--method", "nilakantha", "--terms", "30000", "--format", "csv"],
+    ["table", "nilakantha", "--checkpoints", "1,16,17,5000"],
     # Stirling approximants of e^n
     ["stirling", "--op", "approx", "--n", "10", "--k", "1", "--scale", "30"],
     ["stirling", "--op", "approx", "--n", "34", "--k", "2", "--scale", "30"],

@@ -107,10 +107,8 @@ def cmd_compute(args) -> int:
         lo, hi = result.value - result.bound, result.value + result.bound
         if spec.constant == "two_pi":
             lo, hi = lo / 2, hi / 2
-        elif spec.constant == "pi6":
-            lo, hi = root_interval(max(lo, Fraction(0)), hi, 6, digits + 6)
-        elif spec.constant == "pi8":
-            lo, hi = root_interval(max(lo, Fraction(0)), hi, 8, digits + 6)
+        elif spec.constant in ("pi6", "pi8"):  # pi^k: take the k-th root
+            lo, hi = root_interval(max(lo, Fraction(0)), hi, int(spec.constant[2]), digits + 6)
         mid, halfwidth = (lo + hi) / 2, (hi - lo) / 2
     # mid > 0, so rounding down makes the rendered digits a prefix of its
     # decimal expansion, which is what "value to N digits" means here
@@ -282,6 +280,8 @@ def _rel_error(approx: BigFixed, lo: Fraction, hi: Fraction) -> BigFixed:
 
 def cmd_stirling(args) -> int:
     scale = args.scale
+    if scale < 0:
+        raise ValueError("scale must be >= 0")
     if args.op == "e-half":
         s = e_half_integer(args.n, args.k)
         sq = s.squared().as_fraction()

@@ -9,8 +9,9 @@ next to its definition.
 A spec states its terms once, as runs of integer pairs ``pairs(a, b)``,
 so a run builds no Fraction per term and can carry state from one term
 to the next (the factorial of the e series is multiplied up, not
-rebuilt).  The sums read only these runs; ``term(n)`` is derived from
-them as the run of one index.
+rebuilt).  The sums read only these runs: an exact sum joins them over
+the lcm of their denominators into one Fraction per sum, a fixed-point
+sum rounds each pair inline.  ``term(n)`` is the run of one index.
 
 Builtins (index ranges are inclusive of start_index):
 
@@ -30,7 +31,7 @@ from fractions import Fraction
 from itertools import cycle, islice
 
 from ._record import record
-from .bignum import BigFixed, _div_nearest, floor_neg_log10
+from .bignum import BigFixed, floor_neg_log10
 from .oracle import CONSTANTS, OracleValue
 
 __all__ = [
@@ -114,9 +115,9 @@ class SumResult:
 
     value: the partial sum including the offset.  When at most
     EXACT_TERM_LIMIT terms were requested it is the exact rational sum
-    of the terms (added pairwise, which changes the cost but not the
-    value); otherwise the exact value of the fixed-point accumulation,
-    with the accumulated per-term rounding added to `bound`.
+    of the terms (joined as integer pairs over their lcm, one Fraction
+    per sum); otherwise the exact value of the fixed-point accumulation
+    (each term rounded inline), with the rounding added to `bound`.
     terms_used: index of the last term included.
     bound: certified bound on |true limit - value|.
     """
@@ -288,48 +289,58 @@ def scale_series(spec: SeriesSpec, factor: Fraction, *, name: str | None = None,
     )
 
 
-def _exact_sum(pairs: Iterator[tuple[int, int]], count: int) -> Fraction:
-    """Exact sum of the next `count` terms of `pairs` (zero when count is 0).
+def _join(p1: int, q1: int, p2: int, q2: int) -> tuple[int, int]:
+    """p1/q1 + p2/q2 as a pair over lcm(q1, q2), cheaply when q1 divides q2."""
+    k, r = divmod(q2, q1)
+    if r == 0:
+        return p1 * k + p2, q2
+    g = math.gcd(q1, q2)
+    return p1 * (q2 // g) + p2 * (q1 // g), q1 // g * q2
 
-    The run is halved recursively and the two halves added, so each
-    addition joins partial sums of similar size instead of a term to an
-    ever-growing total, whose gcd dominates the cost of a sequential
-    sum.  Depth-first, left half first, so the terms are drawn in order
-    and only O(log count) partial sums are alive at once.
+
+def _exact_sum(pairs: Iterator[tuple[int, int]], count: int) -> tuple[int, int]:
+    """Exact sum of the next `count` terms of `pairs` as integers (P, Q),
+    Q > 0, not in lowest terms; (0, 1) when count is 0.
+
+    Terms and partial sums are joined over the lcm of their denominators,
+    so the gcd that puts a sum in lowest terms is paid once, by the
+    caller's Fraction.  The run is halved recursively so that each join
+    meets sums of similar size; depth-first, so terms are drawn in order.
     """
     if count <= _LEAF_TERMS:
-        total = Fraction(0)
+        total = 0, 1
         for p, q in islice(pairs, count):
-            total += Fraction(p, q)
+            total = _join(*total, p, q)
         return total
     half = (count + 1) // 2
-    return _exact_sum(pairs, half) + _exact_sum(pairs, count - half)
+    return _join(*_exact_sum(pairs, half), *_exact_sum(pairs, count - half))
 
 
 def partial_sum(spec: SeriesSpec, n: int) -> SumResult:
     """Offset plus terms start_index..n, with a certified bound.
 
-    Up to EXACT_TERM_LIMIT terms the sum is exact rational arithmetic,
-    added pairwise (see _exact_sum), and the bound is exactly
-    tail_bound(n).  Beyond that each term p/q is rounded to the nearest
-    multiple of 10**-FIXED_ACC_SCALE (ties away from zero), the integers
-    are added, and the per-term rounding (at most half an ulp each) is
-    added to the bound.
+    Up to EXACT_TERM_LIMIT terms the sum is exact (see _exact_sum) and
+    the bound is exactly tail_bound(n).  Beyond that each term p/q is
+    rounded inline to the nearest multiple of 10**-FIXED_ACC_SCALE (ties
+    away from zero, as bignum._div_nearest), the integers are added, and
+    the per-term rounding (at most half an ulp each) joins the bound.
     """
     if n < spec.start_index:
         raise ValueError(f"n must be >= start_index ({spec.start_index})")
     count = n - spec.start_index + 1
     pairs = iter(spec.pairs(spec.start_index, n))
     if count <= EXACT_TERM_LIMIT:
-        total = spec.offset + _exact_sum(pairs, count)
-        return SumResult(total, n, spec.tail_bound(n))
+        return SumResult(spec.offset + Fraction(*_exact_sum(pairs, count)), n, spec.tail_bound(n))
     unit = 10**FIXED_ACC_SCALE
+    two_unit = 2 * unit
     acc = 0
     for p, q in pairs:
-        acc += _div_nearest(p * unit, q)
+        if p >= 0:
+            acc += (p * two_unit + q) // (2 * q)
+        else:
+            acc -= (q - p * two_unit) // (2 * q)
     value = spec.offset + Fraction(acc, unit)
-    rounding = Fraction(count, 2 * unit)
-    return SumResult(value, n, spec.tail_bound(n) + rounding)
+    return SumResult(value, n, spec.tail_bound(n) + Fraction(count, two_unit))
 
 
 def terms_needed(spec: SeriesSpec, digits: int, *, cap: int = DEFAULT_MAX_TERMS) -> int:
@@ -345,8 +356,7 @@ def terms_needed(spec: SeriesSpec, digits: int, *, cap: int = DEFAULT_MAX_TERMS)
         return lo
     hi = max(lo * 2, lo + 1)
     while hi < cap and spec.tail_bound(hi) >= target:
-        lo = hi
-        hi *= 2
+        lo, hi = hi, hi * 2
     if hi >= cap:
         hi = cap
         if spec.tail_bound(hi) >= target:
@@ -381,11 +391,12 @@ def convergence_table(spec: SeriesSpec, checkpoints: Sequence[int],
     ref = reference.value.as_fraction()
     eps = Fraction(1, 10**reference.certified_digits)
     rows = []
-    total = spec.offset
+    pq = 0, 1  # the terms so far, carried as a pair between checkpoints
     pairs = iter(spec.pairs(spec.start_index, points[-1]))
     i = spec.start_index
     for point in points:
-        total += _exact_sum(pairs, point - i + 1)
+        pq = _join(*pq, *_exact_sum(pairs, point - i + 1))
+        total = spec.offset + Fraction(*pq)
         i = point + 1
         bound = spec.tail_bound(point)
         err = abs(total - ref)
@@ -396,14 +407,13 @@ def convergence_table(spec: SeriesSpec, checkpoints: Sequence[int],
                 f"{spec.name} at N={point}: measured error {float(err):g} "
                 f"exceeds certified bound {float(bound):g}"
             )
-        err_hi = err + eps
         rows.append(
             ConvergenceRow(
                 n=point,
                 value=BigFixed.from_fraction(total, scale),
                 abs_error=err,
                 bound=bound,
-                digits_correct=max(0, floor_neg_log10(err_hi / abs(ref))),
+                digits_correct=max(0, floor_neg_log10((err + eps) / abs(ref))),
             )
         )
     return rows

@@ -428,7 +428,18 @@ def test_non_positive_precision_exits_two(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert out == ""
-    assert err == "error: digits must be >= 1\n"
+    cause = {"scan": "digits must be >= 1", "stirling": "scale must be >= 0"}[argv[0]]
+    assert err == f"error: {cause}\n"
+
+
+@pytest.mark.parametrize("op", ["approx", "ratio", "e-half", "e8"])
+def test_negative_scale_exits_two_for_every_op(capsys, op):
+    # --scale is checked once, before the op runs, and named as given
+    for scale in ("-1", "-5"):
+        assert run(capsys, "stirling", "--op", op, "--n", "3", "--scale", scale) == (
+            2, "", "error: scale must be >= 0\n")
+    rc, out, err = run(capsys, "stirling", "--op", op, "--n", "3", "--scale", "0")
+    assert (rc, err) == (0, "") and out
 
 
 def test_scan_digits_do_not_depend_on_earlier_commands(capsys):

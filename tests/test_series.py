@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from epilab import series
 from epilab.accel import e_regrouped, nilakantha_doubled, pair_transform
-from epilab.bignum import BigFixed
+from epilab.bignum import BigFixed, _div_nearest
 from epilab.oracle import OracleValue, constant_reference
 from epilab.series import (
     BoundViolation,
@@ -290,3 +291,55 @@ def test_fixed_point_path_rounds_each_term_to_nearest(monkeypatch):
         assert r.value == spec.offset + Fraction(units, unit), spec.name
         assert r.bound == spec.tail_bound(n) + Fraction(151, 2 * unit), spec.name
 
+
+
+# runs of integer pairs (p, q), q > 0, for the split sum: p of any sign
+# and zero; q free, or with shared factors (factorial chains, powers of
+# one base, n^8 as in zeta8); or every term a tie on the fixed-point grid
+_UNIT = 10**FIXED_ACC_SCALE
+_NUMERATORS = st.integers(min_value=-10**30, max_value=10**30)
+_COUNTS = st.one_of(st.sampled_from([0, 1, 16, 17]), st.integers(min_value=0, max_value=70))
+
+
+def _chain(make_q):
+    return st.tuples(st.integers(min_value=0, max_value=40), _COUNTS).flatmap(
+        lambda s: st.lists(_NUMERATORS, min_size=s[1], max_size=s[1]).map(
+            lambda ps: [(p, make_q(s[0] + i)) for i, p in enumerate(ps)]))
+
+
+_PAIR_RUNS = st.one_of(
+    _COUNTS.flatmap(lambda n: st.lists(st.tuples(_NUMERATORS, st.one_of(
+        st.integers(min_value=1, max_value=10**12),
+        st.builds(math.factorial, st.integers(min_value=0, max_value=60)),
+        st.builds(pow, st.sampled_from([2, 3, 6, 10]), st.integers(min_value=0, max_value=50)),
+    )), min_size=n, max_size=n)),
+    _chain(math.factorial),
+    _chain(lambda k: 6**k),
+    _chain(lambda k: (k + 1) ** 8),
+    # (2j + 1) d / (2 d unit): exactly half way between two grid points
+    _COUNTS.flatmap(lambda n: st.lists(st.builds(
+        lambda j, d: ((2 * j + 1) * d, 2 * d * _UNIT),
+        st.integers(min_value=-10**6, max_value=10**6), st.integers(min_value=1, max_value=99),
+    ), min_size=n, max_size=n)),
+)
+
+
+@given(run=_PAIR_RUNS, offset=st.fractions(max_denominator=50))
+@settings(max_examples=300, deadline=None)
+def test_split_sum_equals_fraction_sum_and_fixed_sum_rounds_each_term(run, offset):
+    # the exact split draws exactly `count` pairs, in order
+    rest = iter([*run, (7, 11)])
+    big_p, big_q = series._exact_sum(rest, len(run))
+    assert big_q > 0
+    assert Fraction(big_p, big_q) == sum((Fraction(p, q) for p, q in run), Fraction(0))
+    assert next(rest) == (7, 11)
+    if not run:
+        return
+    spec = SeriesSpec("run", "pi", offset, 0, lambda a, b: run[a:b + 1], lambda n: Fraction(1))
+    n = len(run) - 1
+    assert partial_sum(spec, n).value == offset + Fraction(big_p, big_q)
+    with mock.patch.object(series, "EXACT_TERM_LIMIT", 0):
+        fixed = partial_sum(spec, n)
+    units = sum(_div_nearest(p * _UNIT, q) for p, q in run)
+    assert fixed.value == offset + Fraction(units, _UNIT)
+    assert fixed.bound == 1 + Fraction(len(run), 2 * _UNIT)

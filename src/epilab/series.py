@@ -323,7 +323,7 @@ def partial_sum(spec: SeriesSpec, n: int) -> SumResult:
     the bound is exactly tail_bound(n).  Beyond that each term p/q is
     rounded inline to the nearest multiple of 10**-FIXED_ACC_SCALE (ties
     away from zero, as bignum._div_nearest), the integers are added, and
-    the per-term rounding (at most half an ulp each) joins the bound.
+    the per-term rounding (at most half an ulp each) is added to the bound.
     """
     if n < spec.start_index:
         raise ValueError(f"n must be >= start_index ({spec.start_index})")

@@ -3,108 +3,48 @@
 Exact rationals and decimal fixed point only; every approximate value
 carries a proven error bound, from the series engines through the
 coincidence registry to the continued-fraction expander.
+
+Importing the package imports none of its modules: each public name (and
+each module, as an attribute) is resolved on first access through the
+table below, so a CLI command loads only the modules it runs.
 """
 
-from .bignum import (
-    BigFixed,
-    Surd,
-    floor_neg_log10,
-    ilog10_floor,
-    iroot,
-    root_interval,
-    sqrt_interval,
-    surd_eval,
-)
-from .oracle import (
-    CONSTANTS,
-    ExpRangeError,
-    OracleValue,
-    constant_reference,
-    e_interval,
-    exp_interval,
-    pi_interval,
-)
-from .series import (
-    DEFAULT_MAX_TERMS,
-    E_FACTORIAL,
-    GREGORY_LEIBNIZ,
-    LAMBDA6,
-    NILAKANTHA,
-    NILAKANTHA_PAIRED,
-    ZETA8,
-    BoundViolation,
-    ConvergenceRow,
-    InfeasibleRequest,
-    SeriesSpec,
-    SumResult,
-    builtin,
-    builtin_names,
-    convergence_table,
-    partial_sum,
-    scale_series,
-    terms_needed,
-)
-from .accel import (
-    CompareRow,
-    compare_expansions,
-    e_regrouped,
-    gl_regroup_term,
-    nilakantha_doubled,
-    pair_transform,
-    paired_term_identity,
-)
-from .stirling import (
-    STIRLING_COEFFS,
-    E8Decomposition,
-    double_factorial,
-    e_from_ratio,
-    e_half_integer,
-    e_power_approx,
-    stirling_e8_decomposition,
-    stirling_factor,
-)
-from .expr import (
-    Add,
-    ConstE,
-    ConstPi,
-    Div,
-    EvalDomainError,
-    EvalResult,
-    Exp,
-    Expr,
-    IntLit,
-    Mul,
-    ParseError,
-    PowInt,
-    PrecisionCapError,
-    RatLit,
-    Root,
-    Sqrt,
-    Sub,
-    eval_expr,
-    eval_interval,
-    parse,
-    to_text,
-)
-from .registry import (
-    REGISTRY,
-    Relation,
-    VerificationFailure,
-    VerificationReport,
-    digits_of_agreement,
-    get_relation,
-    relation_ids,
-    verify,
-    verify_all,
-)
-from .derive import (
-    ScanRow,
-    binomial_linearize,
-    cfrac,
-    linear_combo_scan,
-    linearize_error_bound,
-    solve_linear_2x2,
-    solve_pi_quadratic,
-)
+from importlib import import_module
+
+#: every public name, by the module that defines it
+_EXPORTS = {
+    "bignum": "BigFixed Surd floor_neg_log10 ilog10_floor iroot root_interval sqrt_interval "
+              "surd_eval",
+    "oracle": "CONSTANTS ExpRangeError OracleValue constant_reference e_interval exp_interval "
+              "pi_interval",
+    "series": "DEFAULT_MAX_TERMS E_FACTORIAL GREGORY_LEIBNIZ LAMBDA6 NILAKANTHA "
+              "NILAKANTHA_PAIRED ZETA8 BoundViolation ConvergenceRow InfeasibleRequest "
+              "SeriesSpec SumResult builtin builtin_names convergence_table partial_sum "
+              "scale_series terms_needed",
+    "accel": "CompareRow compare_expansions e_regrouped gl_regroup_term nilakantha_doubled "
+             "pair_transform paired_term_identity",
+    "stirling": "STIRLING_COEFFS E8Decomposition double_factorial e_from_ratio e_half_integer "
+                "e_power_approx stirling_e8_decomposition stirling_factor",
+    "expr": "Add ConstE ConstPi Div EvalDomainError EvalResult Exp Expr IntLit Mul ParseError "
+            "PowInt PrecisionCapError RatLit Root Sqrt Sub eval_expr eval_interval parse to_text",
+    "registry": "REGISTRY Relation VerificationFailure VerificationReport digits_of_agreement "
+                "get_relation relation_ids verify verify_all",
+    "derive": "ScanRow binomial_linearize cfrac linear_combo_scan linearize_error_bound "
+              "solve_linear_2x2 solve_pi_quadratic",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_MODULE_OF})

@@ -20,19 +20,10 @@ import os
 import sys
 from fractions import Fraction
 
-from .accel import compare_expansions
 from .bignum import (BigFixed, _div_nearest, _int_to_digits, _rational_to_digits, ceil_grid,
                      floor_grid, floor_neg_log10, root_interval)
-from .derive import _scan_units, cfrac
 from .expr import EvalDomainError, ParseError, PrecisionCapError, parse, to_text
 from .oracle import ExpRangeError, constant_reference, e_interval, exp_interval
-from .registry import (
-    REGISTRY,
-    VerificationFailure,
-    get_relation,
-    verify,
-    verify_all,
-)
 from .series import (
     DEFAULT_MAX_TERMS,
     EXACT_TERM_LIMIT,
@@ -43,12 +34,9 @@ from .series import (
     partial_sum,
     terms_needed,
 )
-from .stirling import (
-    e_from_ratio,
-    e_half_integer,
-    e_power_approx,
-    stirling_e8_decomposition,
-)
+
+# registry, derive, stirling and accel are imported inside the commands
+# that run them: every command is a fresh process, and pays for its imports
 
 __all__ = ["main"]
 
@@ -190,6 +178,7 @@ def cmd_table(args) -> int:
 
 
 def _report_row(rep) -> list[str]:
+    from .registry import VerificationFailure
     if isinstance(rep, VerificationFailure):
         return [rep.relation_id, rep.paper_eq, "", "", "", "", "", "", "false"]
     d = rep.to_dict()
@@ -199,6 +188,7 @@ def _report_row(rep) -> list[str]:
 
 
 def cmd_verify(args) -> int:
+    from .registry import VerificationFailure, get_relation, verify, verify_all
     if args.all == (args.id is not None):
         raise ValueError("name exactly one relation id, or pass --all")
     if args.all:
@@ -250,6 +240,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cfrac(args) -> int:
+    from .derive import cfrac
     expr = parse(args.expr)
     quotients = cfrac(expr, args.terms, args.digits)
     # a quotient can pass the 4,300 digits str() converts, so each is
@@ -279,7 +270,8 @@ def _rel_error(approx: BigFixed, lo: Fraction, hi: Fraction) -> BigFixed:
 
 
 def cmd_stirling(args) -> int:
-    scale = args.scale
+    from .stirling import e_from_ratio, e_half_integer, e_power_approx, stirling_e8_decomposition
+    scale = 10 if args.scale is None else args.scale
     if scale < 0:
         raise ValueError("scale must be >= 0")
     if args.op == "e-half":
@@ -289,7 +281,8 @@ def cmd_stirling(args) -> int:
             "op": "e-half", "n": args.n, "k": args.k,
             "surd": str(s),
             "squared": f"{_int_to_digits(sq.numerator)}/{_int_to_digits(sq.denominator)}",
-            "squared_decimal": BigFixed.from_fraction(sq, 4).to_decimal_string(),
+            "squared_decimal": BigFixed.from_fraction(
+                sq, 4 if args.scale is None else args.scale).to_decimal_string(),
         }
         text = f"{s}; squared = {payload['squared']} ≈ {payload['squared_decimal']}"
     elif args.op == "approx":
@@ -347,17 +340,23 @@ def cmd_stirling(args) -> int:
 # scan
 
 
+def _scan_cell(num: int, two_den: int) -> str:
+    # num / two_den at six places, as BigFixed(units, 6) renders it but
+    # with no record per cell; the sign is the rounded value's, so a tiny
+    # negative reads 0.000000
+    units = _div_nearest(num * 10**6, two_den)
+    whole, frac = divmod(abs(units), 10**6)
+    return f"{'-' if units < 0 else ''}{whole}.{frac:06d}"
+
+
 def cmd_scan(args) -> int:
+    from .derive import _scan_units
     two_den, rows = _scan_units(args.max, args.digits, Fraction(args.threshold))
-
-    def fixed6(num: int) -> str:
-        return BigFixed(_div_nearest(num * 10**6, two_den), 6).to_decimal_string()
-
     columns = ["n", "m", "value", "nearest", "residual", "mod7", "predicted", "flagged"]
     if args.format == "json":
         _emit_json([
-            dict(zip(columns, (n, m, fixed6(total), nearest, fixed6(residual), mod7,
-                               predicted, flagged)))
+            dict(zip(columns, (n, m, _scan_cell(total, two_den), nearest,
+                               _scan_cell(residual, two_den), mod7, predicted, flagged)))
             for n, m, total, nearest, residual, mod7, predicted, flagged in rows
         ])
         return 0
@@ -365,8 +364,9 @@ def cmd_scan(args) -> int:
     # a generator, so csv streams the cells and holds no second table;
     # booleans and the missing prediction are spelled as json spells them
     rendered = (
-        [str(n), str(m), fixed6(total), str(nearest), fixed6(residual),
-         "true" if mod7 else "false", "" if predicted is None else str(predicted),
+        [str(n), str(m), _scan_cell(total, two_den), str(nearest),
+         _scan_cell(residual, two_den), "true" if mod7 else "false",
+         "" if predicted is None else str(predicted),
          "true" if flagged else "false"]
         for n, m, total, nearest, residual, mod7, predicted, flagged in shown
     )
@@ -387,6 +387,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .accel import compare_expansions
     rows = compare_expansions(args.rows, scale=args.scale)
     rendered = [
         [str(r.k), _rational_to_digits(r.e_term), _rational_to_digits(r.two_pi_term),
@@ -457,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", choices=("approx", "ratio", "e-half", "e8"), required=True)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--scale", type=int, default=10)
+    p.add_argument("--scale", type=int, default=None,
+                   help="decimal places (default 10; e-half's square: 4)")
     common(p, digits=False)
     p.set_defaults(func=cmd_stirling)
 

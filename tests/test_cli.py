@@ -9,8 +9,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from epilab.cli import main
+from epilab.bignum import BigFixed, _div_nearest
+from epilab.cli import _scan_cell, main
 
 
 def run(capsys, *args):
@@ -214,6 +217,10 @@ def test_stirling_e_half(capsys):
     rc, out, _ = run(capsys, "stirling", "--op", "e-half", "--n", "0", "--k", "2")
     assert rc == 0
     assert out == "sqrt(2)*7/6; squared = 49/18 ≈ 2.7222\n"
+    # an explicit --scale sets the places of the square; without it, 4
+    for scale, square in (("2", "2.72"), ("0", "3"), ("30", "2." + "7" + "2" * 29)):
+        assert run(capsys, "stirling", "--op", "e-half", "--n", "0", "--scale", scale) == (
+            0, f"sqrt(2)*7/6; squared = 49/18 ≈ {square}\n", "")
 
 
 def test_stirling_approx_reports_relative_error(capsys):
@@ -265,7 +272,6 @@ def _reference_scan(fmt, max_coeff, digits, threshold):
     import csv
     import io
 
-    from epilab.bignum import BigFixed
     from epilab.derive import linear_combo_scan
 
     columns = ["n", "m", "value", "nearest", "residual", "mod7", "predicted", "flagged"]
@@ -325,6 +331,30 @@ def test_scan_cells_round_ties_away_and_drop_the_sign_of_zero(monkeypatch, capsy
         assert "-1,0,-3.000001,-3,-0.000001,false,,true" in lines
         assert "1,-1,0.000000,0,0.000000,false,,true" in lines
         assert "-0.000000" not in out
+
+
+@st.composite
+def _scan_cells(draw):
+    """(num, two_den) for one scan cell.  two_den = 2 * 10**6 * c makes one
+    unit of the sixth place 2c in num, so half-unit ties and negatives
+    that round to zero can be drawn directly."""
+    c = draw(st.integers(1, 10**6))
+    num = draw(st.one_of(
+        st.integers(-10**20, 10**20),  # either sign, up to 5 * 10**13
+        st.integers(-10**13, 10**13).map(lambda u: (2 * u + 1) * c),  # ties
+        st.integers(1, c).map(lambda j: -j),  # above -1/2 unit: 0.000000
+    ))
+    return num, draw(st.sampled_from([2 * 10**6 * c, 2 * c + 1]))
+
+
+@given(_scan_cells())
+@example((-1, 4 * 10**6)).via("a tiny negative")
+@example((-1, 2 * 10**6)).via("a negative half-unit tie")
+@example((3 * 10**13, 2)).via("a value above 10**6")
+def test_scan_cell_is_the_bigfixed_rendering(cell):
+    num, two_den = cell
+    expected = BigFixed(_div_nearest(num * 10**6, two_den), 6).to_decimal_string()
+    assert _scan_cell(num, two_den) == expected
 
 
 def test_compare_table(capsys):

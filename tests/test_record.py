@@ -64,15 +64,33 @@ def test_keyword_construction_and_defaults():
     rel = Relation(id="X", lhs=ConstPi(), rhs=IntLit(3), kind=NEAR_EQUAL, paper_eq="Eq. (0)",
                    paper_quote="3", note="n", min_digits=9)
     assert (rel.id, rel.min_digits, rel.note) == ("X", 9, "n")
-    with pytest.raises(TypeError):
-        Add(IntLit(1))
+    rel = Relation(id="X", lhs=ConstPi(), rhs=IntLit(3), kind=NEAR_EQUAL, paper_eq="Eq. (0)",
+                   paper_quote="3")
+    assert (rel.min_digits, rel.note) == (6, "")
+    assert Add(right=ConstPi(), left=IntLit(1)) == Add(IntLit(1), ConstPi())
+
+
+@pytest.mark.parametrize("args, kwargs, cause", [
+    ((IntLit(1),), {}, "missing required argument 'right'"),
+    ((IntLit(1), ConstPi(), ConstE()), {}, "takes 2 positional arguments but 3 were given"),
+    ((IntLit(1), ConstPi()), {"middle": ConstE()}, "unexpected keyword argument 'middle'"),
+    ((IntLit(1),), {"left": ConstE(), "right": ConstPi()}, "multiple values for argument 'left'"),
+    ((), {"left": IntLit(1)}, "missing required argument 'right'"),
+], ids=["missing", "too-many", "unknown-keyword", "position-and-keyword", "keywords-missing"])
+def test_bad_arguments_raise_type_error(args, kwargs, cause):
+    with pytest.raises(TypeError, match=f"^Add\\(\\) .*{cause}"):
+        Add(*args, **kwargs)
 
 
 def test_post_init_rejects_bad_input():
     with pytest.raises(ValueError):
         Root(ConstPi(), 0)
     with pytest.raises(ValueError):
+        Root(arg=ConstPi(), k=0)
+    with pytest.raises(ValueError):
         BigFixed(1, -1)
+    with pytest.raises(ValueError):
+        BigFixed(mantissa=1, scale=-1)
     with pytest.raises(ValueError):
         _spec(constant="tau")
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ each module, as an attribute) is resolved on first access through the
 table below, so a CLI command loads only the modules it runs.
 """
 
-from importlib import import_module
+from importlib import import_module as _import_module
 
 #: every public name, by the module that defines it
 _EXPORTS = {
@@ -33,16 +33,18 @@ _EXPORTS = {
               "solve_linear_2x2 solve_pi_quadratic",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+# a star import resolves these through __getattr__, and so loads every module
+__all__ = [*_EXPORTS, *_MODULE_OF]
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
     if name in _EXPORTS:
-        return import_module(f"{__name__}.{name}")
+        return _import_module(f"{__name__}.{name}")
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    value = globals()[name] = getattr(_import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
     return value
 
 

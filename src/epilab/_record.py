@@ -23,6 +23,9 @@ def _bind(cls, args: tuple, kwargs: dict) -> list:
     if len(args) > len(fields):
         raise TypeError(f"{name}() takes {len(fields)} positional arguments "
                         f"but {len(args)} were given")
+    for field in fields[:len(args)]:
+        if field in kwargs:
+            raise TypeError(f"{name}() got multiple values for argument {field!r}")
     values = list(args)
     for field in fields[len(args):]:
         if field in kwargs:
@@ -32,9 +35,7 @@ def _bind(cls, args: tuple, kwargs: dict) -> list:
         else:
             raise TypeError(f"{name}() missing required argument {field!r}")
     if kwargs:
-        key = next(iter(kwargs))
-        reason = "multiple values for" if key in fields else "an unexpected keyword"
-        raise TypeError(f"{name}() got {reason} argument {key!r}")
+        raise TypeError(f"{name}() got an unexpected keyword argument {next(iter(kwargs))!r}")
     return values
 
 

@@ -69,6 +69,17 @@ def _div_nearest(n: int, d: int) -> int:
     return -((2 * -n + d) // (2 * d))
 
 
+def _fixed_to_string(mantissa: int, scale: int) -> str:
+    """mantissa * 10**-scale as sign, integer part, '.', exactly `scale`
+    fractional digits.  No exponent form ever.  At scale 0 the dot is omitted.
+    """
+    sign = "-" if mantissa < 0 else ""
+    digits = _int_to_digits(abs(mantissa)).rjust(scale + 1, "0")
+    if scale == 0:
+        return f"{sign}{digits}"
+    return f"{sign}{digits[:-scale]}.{digits[-scale:]}"
+
+
 @record
 class BigFixed:
     """Immutable decimal fixed point: value = mantissa * 10**-scale.
@@ -98,15 +109,7 @@ class BigFixed:
         return Fraction(self.mantissa, 10**self.scale)
 
     def to_decimal_string(self) -> str:
-        """Sign, integer part, '.', exactly `scale` fractional digits.
-
-        No exponent form ever.  At scale 0 the dot is omitted.
-        """
-        sign = "-" if self.mantissa < 0 else ""
-        digits = _int_to_digits(abs(self.mantissa)).rjust(self.scale + 1, "0")
-        if self.scale == 0:
-            return f"{sign}{digits}"
-        return f"{sign}{digits[:-self.scale]}.{digits[-self.scale:]}"
+        return _fixed_to_string(self.mantissa, self.scale)
 
     def rescale(self, scale: int) -> "BigFixed":
         """Re-render at a new scale; exact when widening, nearest when narrowing."""

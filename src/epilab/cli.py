@@ -20,8 +20,8 @@ import os
 import sys
 from fractions import Fraction
 
-from .bignum import (BigFixed, _div_nearest, _int_to_digits, _rational_to_digits, ceil_grid,
-                     floor_grid, floor_neg_log10, root_interval)
+from .bignum import (BigFixed, _div_nearest, _fixed_to_string, _int_to_digits, _rational_to_digits,
+                     ceil_grid, floor_grid, floor_neg_log10, root_interval)
 from .expr import EvalDomainError, ParseError, PrecisionCapError, parse, to_text
 from .oracle import ExpRangeError, constant_reference, e_interval, exp_interval
 from .series import (
@@ -271,7 +271,7 @@ def _rel_error(approx: BigFixed, lo: Fraction, hi: Fraction) -> BigFixed:
 
 def cmd_stirling(args) -> int:
     from .stirling import e_from_ratio, e_half_integer, e_power_approx, stirling_e8_decomposition
-    scale = 10 if args.scale is None else args.scale
+    scale = (4 if args.op == "e-half" else 10) if args.scale is None else args.scale
     if scale < 0:
         raise ValueError("scale must be >= 0")
     if args.op == "e-half":
@@ -281,8 +281,7 @@ def cmd_stirling(args) -> int:
             "op": "e-half", "n": args.n, "k": args.k,
             "surd": str(s),
             "squared": f"{_int_to_digits(sq.numerator)}/{_int_to_digits(sq.denominator)}",
-            "squared_decimal": BigFixed.from_fraction(
-                sq, 4 if args.scale is None else args.scale).to_decimal_string(),
+            "squared_decimal": BigFixed.from_fraction(sq, scale).to_decimal_string(),
         }
         text = f"{s}; squared = {payload['squared']} ≈ {payload['squared_decimal']}"
     elif args.op == "approx":
@@ -340,23 +339,18 @@ def cmd_stirling(args) -> int:
 # scan
 
 
-def _scan_cell(num: int, two_den: int) -> str:
-    # num / two_den at six places, as BigFixed(units, 6) renders it but
-    # with no record per cell; the sign is the rounded value's, so a tiny
-    # negative reads 0.000000
-    units = _div_nearest(num * 10**6, two_den)
-    whole, frac = divmod(abs(units), 10**6)
-    return f"{'-' if units < 0 else ''}{whole}.{frac:06d}"
-
-
 def cmd_scan(args) -> int:
     from .derive import _scan_units
     two_den, rows = _scan_units(args.max, args.digits, Fraction(args.threshold))
     columns = ["n", "m", "value", "nearest", "residual", "mod7", "predicted", "flagged"]
+    # value and residual are num / two_den; each cell renders at six places
+    # as BigFixed does, with no record built per cell
     if args.format == "json":
         _emit_json([
-            dict(zip(columns, (n, m, _scan_cell(total, two_den), nearest,
-                               _scan_cell(residual, two_den), mod7, predicted, flagged)))
+            dict(zip(columns, (n, m, _fixed_to_string(_div_nearest(total * 10**6, two_den), 6),
+                               nearest,
+                               _fixed_to_string(_div_nearest(residual * 10**6, two_den), 6),
+                               mod7, predicted, flagged)))
             for n, m, total, nearest, residual, mod7, predicted, flagged in rows
         ])
         return 0
@@ -364,8 +358,9 @@ def cmd_scan(args) -> int:
     # a generator, so csv streams the cells and holds no second table;
     # booleans and the missing prediction are spelled as json spells them
     rendered = (
-        [str(n), str(m), _scan_cell(total, two_den), str(nearest),
-         _scan_cell(residual, two_den), "true" if mod7 else "false",
+        [str(n), str(m), _fixed_to_string(_div_nearest(total * 10**6, two_den), 6), str(nearest),
+         _fixed_to_string(_div_nearest(residual * 10**6, two_den), 6),
+         "true" if mod7 else "false",
          "" if predicted is None else str(predicted),
          "true" if flagged else "false"]
         for n, m, total, nearest, residual, mod7, predicted, flagged in shown

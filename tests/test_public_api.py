@@ -72,6 +72,20 @@ def test_unknown_package_name_raises_attribute_error():
     assert not hasattr(epilab, "cli_main")
 
 
+def test_star_import_binds_every_package_name():
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+        "from epilab import *\n"
+        "print(BigFixed.__module__, verify.__module__, derive.__name__, 'import_module' in dir())\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-E", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "epilab.bignum epilab.registry epilab.derive False\n"
+    names = {n for names in PACKAGE_EXPORTS.values() for n in names} | set(PACKAGE_EXPORTS)
+    assert set(epilab.__all__) == names
+
+
 def test_cli_imports_only_what_the_command_runs():
     # -S: no site hooks; -E: no PYTHONPATH, so this checkout's sources are
     # the ones imported; compute needs no registry, derive, stirling or accel

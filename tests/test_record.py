@@ -76,7 +76,9 @@ def test_keyword_construction_and_defaults():
     ((IntLit(1), ConstPi()), {"middle": ConstE()}, "unexpected keyword argument 'middle'"),
     ((IntLit(1),), {"left": ConstE(), "right": ConstPi()}, "multiple values for argument 'left'"),
     ((), {"left": IntLit(1)}, "missing required argument 'right'"),
-], ids=["missing", "too-many", "unknown-keyword", "position-and-keyword", "keywords-missing"])
+    ((IntLit(1),), {"left": ConstE()}, "multiple values for argument 'left'"),
+], ids=["missing", "too-many", "unknown-keyword", "position-and-keyword", "keywords-missing",
+        "position-and-keyword-missing"])
 def test_bad_arguments_raise_type_error(args, kwargs, cause):
     with pytest.raises(TypeError, match=f"^Add\\(\\) .*{cause}"):
         Add(*args, **kwargs)

@@ -9,8 +9,10 @@ sum's 16-term leaf), every builtin series summed past the exact-sum
 limit (its fixed-point path, also on an all-negative and an alternating
 run given by --terms), Stirling approximants of e^n on both
 sides of n = 35, of e by the factorial ratio, the e^8 ~ 96 pi^3
-assembly in every format, the e and 2*pi expansions as json, and exp
-of negative, large and fractional arguments.  cli_golden.json holds the sha256 of each command's stdout
+assembly in every format, the e and 2*pi expansions as json, exp
+of negative, large and fractional arguments, and every output path left
+(each format and --quiet of every command, and a json quotient past the
+int->str cap).  cli_golden.json holds the sha256 of each command's stdout
 and its exit code, each taken with cold oracle caches as in a fresh
 process; a refactor that changes one printed byte fails here.
 
@@ -104,6 +106,20 @@ COMMANDS = [
     ["cfrac", "exp(-1/3)", "--terms", "300"],
     ["verify", "R07", "--digits", "300"],
     ["verify", "R18", "--digits", "1000", "--format", "csv"],
+    # every command's remaining formats and --quiet paths
+    ["table", "lambda6", "--format", "csv"],
+    ["table", "zeta8", "--checkpoints", "10,100", "--quiet"],
+    ["compare", "--rows", "12", "--format", "csv"],
+    ["compare", "--rows", "12", "--quiet"],
+    ["verify", "R02", "--format", "json"],
+    ["verify", "R02", "--quiet"],
+    ["stirling", "--op", "approx", "--n", "10", "--k", "1", "--format", "csv"],
+    ["stirling", "--op", "ratio", "--n", "6", "--k", "4", "--format", "json"],
+    *[["stirling", "--op", "e-half", "--n", "7", "--format", fmt]
+      for fmt in ("text", "json", "csv")],
+    ["cfrac", "pi", "--quiet"],
+    ["compute", "e", "--digits", "10", "--quiet"],
+    ["cfrac", "10^4400 + pi", "--terms", "3", "--format", "json"],
 ]
 
 

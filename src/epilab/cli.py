@@ -5,12 +5,22 @@ Output formats: text (default), csv (always with a header row), json
 (numbers as exact decimal strings).  Identical invocations produce
 byte-identical output; --quiet drops everything except the payload.
 
-Exit codes: 0 success; 1 when a well-formed input has no certified
-result: the value is undefined (a root of a negative number, a division
-by zero), an exp argument lies outside |x| <= 100, the precision cap is
-reached, a series cannot reach the precision within its term cap, or
-stdout closes before the output ends; 2 for usage errors: bad flags or
-option values, unparsable expressions.
+Each command builds its output once, as rows of string cells under named
+columns, and hands them to one emitter, _emit, which alone looks at
+--format: csv writes the cells as they are, json writes them as records
+through one writer in json.dumps(indent=2)'s layout, and text prints the
+command's own layout or the rows as a table.  A command names its
+literal columns, whose cells are json literals (integers, true, false;
+the empty cell is null); every other cell is a json string.
+
+Exit codes, decided in main alone: 0 success; 1 when a well-formed input
+has no certified result (an error derived from oracle.NoCertifiedResult:
+the value is undefined, such as a root of a negative number or a
+division by zero, an exp argument lies outside |x| <= 100, the precision
+cap is reached, or a series cannot reach the precision within its term
+cap), or when stdout closes before the output ends; 2 for usage errors
+(ValueError or KeyError): bad flags or option values, unparsable
+expressions.  Anything else is a fault and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -22,12 +32,10 @@ from fractions import Fraction
 
 from .bignum import (BigFixed, _div_nearest, _fixed_to_string, _int_to_digits, _rational_to_digits,
                      ceil_grid, floor_grid, floor_neg_log10, root_interval)
-from .expr import EvalDomainError, ParseError, PrecisionCapError, parse, to_text
-from .oracle import ExpRangeError, constant_reference, e_interval, exp_interval
+from .oracle import NoCertifiedResult, constant_reference, e_interval, exp_interval
 from .series import (
     DEFAULT_MAX_TERMS,
     EXACT_TERM_LIMIT,
-    InfeasibleRequest,
     builtin,
     builtin_names,
     convergence_table,
@@ -35,8 +43,9 @@ from .series import (
     terms_needed,
 )
 
-# registry, derive, stirling and accel are imported inside the commands
-# that run them: every command is a fresh process, and pays for its imports
+# expr, registry, derive, stirling and accel are imported inside the
+# commands that run them: every command is a fresh process, and pays for
+# its imports
 
 __all__ = ["main"]
 
@@ -44,25 +53,68 @@ _PI_METHODS = ("oracle", "gregory-leibniz", "nilakantha", "nilakantha-paired",
                "lambda6", "zeta8")
 _E_METHODS = ("oracle", "e-factorial")
 
-
-def _emit_csv(columns: list[str], rows: list[list[str]]) -> None:
-    import csv  # here, not at the top: text output never needs it
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
+#: how a literal cell spells False and True; an empty literal cell is null
+_BOOL = ("false", "true")
 
 
-def _emit_text_table(columns: list[str], rows: list[list[str]]) -> None:
-    # each column as wide as its widest cell, header included, and two
-    # spaces between columns; with no rows only the header is printed
-    widths = [max(map(len, cells)) for cells in zip(columns, *rows)]
-    for row in (columns, *rows):
-        print("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
+def _json(payload, literal=()) -> str:
+    """payload in the layout json.dumps(payload, indent=2) gives it.
+
+    payload is a record or a list of records, and a record is a dict or
+    an iterable of (key, cell) pairs; a cell is a string, or a list of
+    strings.  A cell under a key in literal is written as it is, and as
+    null when empty; every other cell is a json string, escaped by json's
+    own encoder.  No literal goes through int -> str, so integers past
+    its 4,300-digit cap are written too.
+    """
+    from json.encoder import encode_basestring_ascii as quote
+
+    def value(key, cell, pad):
+        if isinstance(cell, list):
+            inner = pad + "  "
+            items = f",\n{inner}".join(value(key, c, inner) for c in cell)
+            return f"[\n{inner}{items}\n{pad}]" if cell else "[]"
+        return (cell or "null") if key in literal else quote(cell)
+
+    def record(pairs, pad):
+        inner = pad + "  "
+        body = f",\n{inner}".join(
+            f"{quote(k)}: {value(k, c, inner)}"
+            for k, c in (pairs.items() if isinstance(pairs, dict) else pairs))
+        return f"{{\n{inner}{body}\n{pad}}}" if body else "{}"
+
+    if not isinstance(payload, list):
+        return record(payload, "")
+    body = ",\n  ".join(record(r, "  ") for r in payload)
+    return f"[\n  {body}\n]" if payload else "[]"
 
 
-def _emit_json(payload) -> None:
-    import json  # here, not at the top: text output never needs it
-    print(json.dumps(payload, indent=2))
+def _emit(args, columns, rows, literal=(), *, payload=None, text=None, table=None) -> None:
+    """Write a command's output in the format asked for.
+
+    rows are lists of string cells under columns (any iterable: csv
+    streams them).  csv writes them under a header row; json writes them
+    as a list of records, or writes payload in their place when the
+    command's json has another shape (see _json).  text prints text, the
+    command's own layout, when given, and then table, rows for a text
+    table, when given: each column as wide as its widest cell, header
+    included, two spaces apart.
+    """
+    if args.format == "json":
+        print(_json([zip(columns, row) for row in rows] if payload is None else payload, literal))
+    elif args.format == "csv":
+        import csv  # here, not at the top: text output never needs it
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+    else:
+        if text is not None:
+            print(text)
+        if table is not None:
+            table = list(table)
+            widths = [max(map(len, cells)) for cells in zip(columns, *table)]
+            for row in (columns, *table):
+                print("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +129,9 @@ def cmd_compute(args) -> int:
             f"method {args.method!r} not valid for {args.constant}; "
             f"choose from {', '.join(allowed)}"
         )
-    terms = None
+    if args.max_terms < 1:
+        raise ValueError("--max-terms must be >= 1")
+    terms = ""
     if args.method == "oracle":
         ov = constant_reference(args.constant, digits)
         mid = ov.value.as_fraction()
@@ -91,7 +145,7 @@ def cmd_compute(args) -> int:
             if last < spec.start_index:
                 raise ValueError("--terms must be >= 1")
         result = partial_sum(spec, last)
-        terms = result.terms_used - spec.start_index + 1
+        terms = str(result.terms_used - spec.start_index + 1)
         lo, hi = result.value - result.bound, result.value + result.bound
         if spec.constant == "two_pi":
             lo, hi = lo / 2, hi / 2
@@ -102,32 +156,13 @@ def cmd_compute(args) -> int:
     # decimal expansion, which is what "value to N digits" means here
     value = BigFixed(floor_grid(mid, digits), digits)
     err = halfwidth + abs(mid - value.as_fraction())
-    bound = BigFixed(ceil_grid(err, digits + 4), digits + 4)
-
-    if args.format == "json":
-        _emit_json({
-            "constant": args.constant,
-            "method": args.method,
-            "digits": digits,
-            "terms": terms,
-            "value": value.to_decimal_string(),
-            "error_bound": bound.to_decimal_string(),
-        })
-    elif args.format == "csv":
-        _emit_csv(
-            ["constant", "method", "digits", "terms", "value", "error_bound"],
-            [[args.constant, args.method, str(digits),
-              "" if terms is None else str(terms),
-              value.to_decimal_string(), bound.to_decimal_string()]],
-        )
-    elif args.quiet:
-        print(value.to_decimal_string())
-    else:
-        print(f"{args.constant} = {value.to_decimal_string()}")
-        print(f"method = {args.method}")
-        if terms is not None:
-            print(f"terms = {terms}")
-        print(f"error <= {bound.to_decimal_string()}")
+    cells = {"constant": args.constant, "method": args.method, "digits": str(digits),
+             "terms": terms, "value": value.to_decimal_string(),
+             "error_bound": BigFixed(ceil_grid(err, digits + 4), digits + 4).to_decimal_string()}
+    text = cells["value"] if args.quiet else "\n".join([
+        f"{args.constant} = {cells['value']}", f"method = {args.method}",
+        *([f"terms = {terms}"] if terms else []), f"error <= {cells['error_bound']}"])
+    _emit(args, list(cells), [list(cells.values())], {"digits", "terms"}, payload=cells, text=text)
     return 0
 
 
@@ -153,23 +188,16 @@ def cmd_table(args) -> int:
                    default=None)
     digits = 60 if smallest is None else max(60, floor_neg_log10(smallest) + 10)
     reference = constant_reference(spec.constant, digits)
-    rows = convergence_table(spec, checkpoints, reference, scale=args.scale)
-    rendered = [
+    rows = [
         [str(r.n), r.value.to_decimal_string(),
          BigFixed.from_fraction(r.abs_error, 25).to_decimal_string(),
          BigFixed(ceil_grid(r.bound, 25), 25).to_decimal_string(),
          str(r.digits_correct)]
-        for r in rows
+        for r in convergence_table(spec, checkpoints, reference, scale=args.scale)
     ]
-    columns = ["n", "value", "abs_error", "bound", "digits_correct"]
-    if args.format == "json":
-        _emit_json([dict(zip(columns, row)) for row in rendered])
-    elif args.format == "csv":
-        _emit_csv(columns, rendered)
-    else:
-        if not args.quiet:
-            print(f"series = {spec.name} (limit: {spec.constant})")
-        _emit_text_table(columns, rendered)
+    _emit(args, ["n", "value", "abs_error", "bound", "digits_correct"], rows,
+          text=None if args.quiet else f"series = {spec.name} (limit: {spec.constant})",
+          table=rows)
     return 0
 
 
@@ -177,17 +205,8 @@ def cmd_table(args) -> int:
 # verify
 
 
-def _report_row(rep) -> list[str]:
-    from .registry import VerificationFailure
-    if isinstance(rep, VerificationFailure):
-        return [rep.relation_id, rep.paper_eq, "", "", "", "", "", "", "false"]
-    d = rep.to_dict()
-    return [d["id"], d["paper_eq"], d["lhs"], d["rhs"], d["abs_residual"],
-            d["rel_residual"], str(d["digits_of_agreement"]),
-            str(d["precision_used"]), "true" if d["certified"] else "false"]
-
-
 def cmd_verify(args) -> int:
+    from .expr import to_text
     from .registry import VerificationFailure, get_relation, verify, verify_all
     if args.all == (args.id is not None):
         raise ValueError("name exactly one relation id, or pass --all")
@@ -195,44 +214,41 @@ def cmd_verify(args) -> int:
         reports = verify_all(args.digits)
     else:
         reports = [verify(get_relation(args.id), args.digits)]
-    ok = all(
-        not isinstance(r, VerificationFailure) and r.certified for r in reports
-    )
     columns = ["id", "paper_eq", "lhs", "rhs", "abs_residual", "rel_residual",
                "digits_of_agreement", "precision_used", "certified"]
-    if args.format == "json":
-        payload = [
-            {"id": r.relation_id, "paper_eq": r.paper_eq, "error": r.error}
-            if isinstance(r, VerificationFailure) else r.to_dict()
-            for r in reports
-        ]
-        _emit_json(payload if args.all else payload[0])
-    elif args.format == "csv":
-        _emit_csv(columns, [_report_row(r) for r in reports])
+    # a relation whose evaluation failed has no values, and is not certified
+    rows = [
+        [r.relation_id, r.paper_eq, "", "", "", "", "", "", _BOOL[False]]
+        if isinstance(r, VerificationFailure) else
+        [r.relation_id, r.paper_eq, r.lhs_value.to_decimal_string(),
+         r.rhs_value.to_decimal_string(), r.abs_residual.to_decimal_string(),
+         r.rel_residual.to_decimal_string(), str(r.digits_of_agreement),
+         str(r.precision_used), _BOOL[r.certified]]
+        for r in reports
+    ]
+    if args.all:
+        # in json a failed relation is a record of its own: its id and error
+        payload = [{"id": r.relation_id, "paper_eq": r.paper_eq, "error": r.error}
+                   if isinstance(r, VerificationFailure) else zip(columns, row)
+                   for r, row in zip(reports, rows)]
+        text = "\n".join(
+            f"{r.relation_id}  FAILED: {r.error}" if isinstance(r, VerificationFailure) else
+            f"{r.relation_id}  {'certified' if r.certified else 'UNCERTIFIED':11s}  "
+            f"digits_of_agreement={r.digits_of_agreement:2d}  lhs={row[2]}  residual={row[4]}"
+            for r, row in zip(reports, rows))
     else:
-        for r in reports:
-            if isinstance(r, VerificationFailure):
-                print(f"{r.relation_id}  FAILED: {r.error}")
-                continue
-            relation = get_relation(r.relation_id)
-            if args.all:
-                mark = "certified" if r.certified else "UNCERTIFIED"
-                print(f"{r.relation_id}  {mark:11s}  digits_of_agreement={r.digits_of_agreement:2d}  "
-                      f"lhs={r.lhs_value}  residual={r.abs_residual}")
-                continue
-            if not args.quiet:
-                print(f"{relation.id}: {to_text(relation.lhs)} vs {to_text(relation.rhs)} "
-                      f"[{relation.kind}, {relation.paper_eq}]")
-                if relation.note:
-                    print(f"note: {relation.note}")
-            print(f"lhs = {r.lhs_value}")
-            print(f"rhs = {r.rhs_value}")
-            print(f"abs_residual = {r.abs_residual}")
-            print(f"rel_residual = {r.rel_residual}")
-            print(f"digits_of_agreement = {r.digits_of_agreement}")
-            print(f"precision_used = {r.precision_used}")
-            print(f"certified = {'yes' if r.certified else 'NO'}")
-    return 0 if ok else 1
+        (r,), (row,) = reports, rows
+        relation = get_relation(r.relation_id)
+        payload = dict(zip(columns, row))
+        head = [] if args.quiet else [
+            f"{relation.id}: {to_text(relation.lhs)} vs {to_text(relation.rhs)} "
+            f"[{relation.kind}, {relation.paper_eq}]",
+            *([f"note: {relation.note}"] if relation.note else [])]
+        text = "\n".join([*head, *(f"{c} = {v}" for c, v in zip(columns[2:8], row[2:8])),
+                          f"certified = {'yes' if r.certified else 'NO'}"])
+    _emit(args, columns, rows, {"digits_of_agreement", "precision_used", "certified"},
+          payload=payload, text=text)
+    return 0 if all(not isinstance(r, VerificationFailure) and r.certified for r in reports) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -241,21 +257,16 @@ def cmd_verify(args) -> int:
 
 def cmd_cfrac(args) -> int:
     from .derive import cfrac
+    from .expr import parse, to_text
     expr = parse(args.expr)
-    quotients = cfrac(expr, args.terms, args.digits)
     # a quotient can pass the 4,300 digits str() converts, so each is
-    # rendered in pieces; json gets the layout json.dumps(indent=2) gives
-    digits = [_rational_to_digits(q) for q in quotients]
-    if args.format == "json":
-        import json
-        body = ",\n".join(f"    {d}" for d in digits)
-        print(f'{{\n  "expr": {json.dumps(to_text(expr))},\n  "quotients": [\n{body}\n  ]\n}}')
-    elif args.format == "csv":
-        _emit_csv(["index", "quotient"], [[str(i), d] for i, d in enumerate(digits)])
-    else:
-        if not args.quiet:
-            print(f"expr = {to_text(expr)}")
-        print(" ".join(digits))
+    # rendered in pieces
+    quotients = [_rational_to_digits(q) for q in cfrac(expr, args.terms, args.digits)]
+    shown = to_text(expr)
+    text = " ".join(quotients)
+    _emit(args, ["index", "quotient"], ([str(i), q] for i, q in enumerate(quotients)),
+          {"quotients"}, payload={"expr": shown, "quotients": quotients},
+          text=text if args.quiet else f"expr = {shown}\n{text}")
     return 0
 
 
@@ -263,10 +274,10 @@ def cmd_cfrac(args) -> int:
 # stirling
 
 
-def _rel_error(approx: BigFixed, lo: Fraction, hi: Fraction) -> BigFixed:
+def _rel_error(approx: BigFixed, lo: Fraction, hi: Fraction) -> str:
     a = approx.as_fraction()
     worst = max(abs(a - lo), abs(a - hi))
-    return BigFixed(ceil_grid(worst / min(abs(lo), abs(hi)), 10), 10)
+    return BigFixed(ceil_grid(worst / min(abs(lo), abs(hi)), 10), 10).to_decimal_string()
 
 
 def cmd_stirling(args) -> int:
@@ -277,39 +288,34 @@ def cmd_stirling(args) -> int:
     if args.op == "e-half":
         s = e_half_integer(args.n, args.k)
         sq = s.squared().as_fraction()
-        payload = {
-            "op": "e-half", "n": args.n, "k": args.k,
+        cells = {
+            "op": "e-half", "n": str(args.n), "k": str(args.k),
             "surd": str(s),
             "squared": f"{_int_to_digits(sq.numerator)}/{_int_to_digits(sq.denominator)}",
             "squared_decimal": BigFixed.from_fraction(sq, scale).to_decimal_string(),
         }
-        text = f"{s}; squared = {payload['squared']} ≈ {payload['squared_decimal']}"
-    elif args.op == "approx":
-        # the target first: its range check names why a large n fails
-        lo, hi = exp_interval(Fraction(args.n), scale + 10)
-        value = e_power_approx(args.n, args.k, scale)
-        payload = {
-            "op": "approx", "n": args.n, "k": args.k,
+        text = f"{s}; squared = {cells['squared']} ≈ {cells['squared_decimal']}"
+    elif args.op in ("approx", "ratio"):
+        if args.op == "approx":
+            # the target first: its range check names why a large n fails
+            lo, hi = exp_interval(Fraction(args.n), scale + 10)
+            value = e_power_approx(args.n, args.k, scale)
+            name = f"e^{args.n}"
+        else:
+            value = e_from_ratio(args.n, args.k, scale)
+            lo, hi = e_interval(scale + 10)
+            name = "e"
+        cells = {
+            "op": args.op, "n": str(args.n), "k": str(args.k),
             "value": value.to_decimal_string(),
             "target": BigFixed.from_fraction((lo + hi) / 2, scale).to_decimal_string(),
-            "rel_error": _rel_error(value, lo, hi).to_decimal_string(),
+            "rel_error": _rel_error(value, lo, hi),
         }
-        text = f"e^{args.n} ≈ {payload['value']}  (true {payload['target']}, " \
-               f"rel error {payload['rel_error']})"
-    elif args.op == "ratio":
-        value = e_from_ratio(args.n, args.k, scale)
-        lo, hi = e_interval(scale + 10)
-        payload = {
-            "op": "ratio", "n": args.n, "k": args.k,
-            "value": value.to_decimal_string(),
-            "target": BigFixed.from_fraction((lo + hi) / 2, scale).to_decimal_string(),
-            "rel_error": _rel_error(value, lo, hi).to_decimal_string(),
-        }
-        text = f"e ≈ {payload['value']}  (true {payload['target']}, " \
-               f"rel error {payload['rel_error']})"
+        text = f"{name} ≈ {cells['value']}  (true {cells['target']}, " \
+               f"rel error {cells['rel_error']})"
     else:  # e8
         d = stirling_e8_decomposition(scale)
-        payload = {
+        cells = {
             "op": "e8",
             "e8": d.e8.to_decimal_string(),
             "value_96pi3": d.value_96pi3.to_decimal_string(),
@@ -319,19 +325,13 @@ def cmd_stirling(args) -> int:
             "ratio": d.ratio.to_decimal_string(),
         }
         text = "\n".join([
-            f"e^8        = {payload['e8']}",
-            f"96 pi^3    = {payload['value_96pi3']}",
-            f"64 pi^3    = {payload['base_64pi3']}",
-            f"correction = {payload['correction']} "
-            f"(gap to 3/2: {payload['gap_from_3_2']})",
-            f"ratio      = {payload['ratio']}",
+            f"e^8        = {cells['e8']}",
+            f"96 pi^3    = {cells['value_96pi3']}",
+            f"64 pi^3    = {cells['base_64pi3']}",
+            f"correction = {cells['correction']} (gap to 3/2: {cells['gap_from_3_2']})",
+            f"ratio      = {cells['ratio']}",
         ])
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        _emit_csv(list(payload), [[str(v) for v in payload.values()]])
-    else:
-        print(text)
+    _emit(args, list(cells), [list(cells.values())], {"n", "k"}, payload=cells, text=text)
     return 0
 
 
@@ -341,39 +341,28 @@ def cmd_stirling(args) -> int:
 
 def cmd_scan(args) -> int:
     from .derive import _scan_units
-    two_den, rows = _scan_units(args.max, args.digits, Fraction(args.threshold))
-    columns = ["n", "m", "value", "nearest", "residual", "mod7", "predicted", "flagged"]
+    try:
+        threshold = Fraction(args.threshold)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad --threshold {args.threshold!r}") from None
+    two_den, units = _scan_units(args.max, args.digits, threshold)
     # value and residual are num / two_den; each cell renders at six places
-    # as BigFixed does, with no record built per cell
-    if args.format == "json":
-        _emit_json([
-            dict(zip(columns, (n, m, _fixed_to_string(_div_nearest(total * 10**6, two_den), 6),
-                               nearest,
-                               _fixed_to_string(_div_nearest(residual * 10**6, two_den), 6),
-                               mod7, predicted, flagged)))
-            for n, m, total, nearest, residual, mod7, predicted, flagged in rows
-        ])
-        return 0
-    shown = rows if (args.all_rows or args.format == "csv") else [r for r in rows if r[7]]
-    # a generator, so csv streams the cells and holds no second table;
-    # booleans and the missing prediction are spelled as json spells them
-    rendered = (
+    # as BigFixed does, with no record built per cell.  A generator, so
+    # csv streams the cells and holds no second table
+    rows = (
         [str(n), str(m), _fixed_to_string(_div_nearest(total * 10**6, two_den), 6), str(nearest),
-         _fixed_to_string(_div_nearest(residual * 10**6, two_den), 6),
-         "true" if mod7 else "false",
-         "" if predicted is None else str(predicted),
-         "true" if flagged else "false"]
-        for n, m, total, nearest, residual, mod7, predicted, flagged in shown
+         _fixed_to_string(_div_nearest(residual * 10**6, two_den), 6), _BOOL[mod7],
+         "" if predicted is None else str(predicted), _BOOL[flagged]]
+        for n, m, total, nearest, residual, mod7, predicted, flagged in units
     )
-    if args.format == "csv":
-        _emit_csv(columns, rendered)
-    else:
-        if not args.quiet:
-            flagged = sum(1 for r in rows if r[7])
-            print(f"combinations n*pi + m*e with |n|, |m| <= {args.max}; "
-                  f"{flagged} of {len(rows)} rows within {args.threshold} of an integer"
-                  + ("" if args.all_rows else " (shown; --all-rows for the rest)"))
-        _emit_text_table(columns, list(rendered))
+    flagged = sum(1 for u in units if u[7])
+    title = (f"combinations n*pi + m*e with |n|, |m| <= {args.max}; "
+             f"{flagged} of {len(units)} rows within {args.threshold} of an integer"
+             + ("" if args.all_rows else " (shown; --all-rows for the rest)"))
+    _emit(args, ["n", "m", "value", "nearest", "residual", "mod7", "predicted", "flagged"], rows,
+          {"n", "m", "nearest", "mod7", "predicted", "flagged"},
+          text=None if args.quiet else title,
+          table=rows if args.all_rows else (r for r in rows if r[7] == _BOOL[True]))
     return 0
 
 
@@ -383,22 +372,15 @@ def cmd_scan(args) -> int:
 
 def cmd_compare(args) -> int:
     from .accel import compare_expansions
-    rows = compare_expansions(args.rows, scale=args.scale)
-    rendered = [
+    rows = [
         [str(r.k), _rational_to_digits(r.e_term), _rational_to_digits(r.two_pi_term),
          r.running.to_decimal_string(), r.distance_to_9.to_decimal_string()]
-        for r in rows
+        for r in compare_expansions(args.rows, scale=args.scale)
     ]
-    columns = ["k", "e_term", "two_pi_term", "running_sum", "distance_to_9"]
-    if args.format == "json":
-        _emit_json([dict(zip(columns, row)) for row in rendered])
-    elif args.format == "csv":
-        _emit_csv(columns, rendered)
-    else:
-        if not args.quiet:
-            print("e expansion (3 - 1/3 + 1/24 + ...) against 2*pi "
-                  "(6 + 1/3 - 3/70 - ...); running sum tracks e + 2*pi")
-        _emit_text_table(columns, rendered)
+    _emit(args, ["k", "e_term", "two_pi_term", "running_sum", "distance_to_9"], rows,
+          text=None if args.quiet else "e expansion (3 - 1/3 + 1/24 + ...) against 2*pi "
+                                       "(6 + 1/3 - 3/70 - ...); running sum tracks e + 2*pi",
+          table=rows)
     return 0
 
 
@@ -478,6 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # verify checks its own, higher floor
+        if args.command != "verify" and getattr(args, "digits", 1) < 1:
+            raise ValueError("digits must be >= 1")
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -487,16 +472,14 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout was closed before the output ended", file=sys.stderr)
         return 1
-    except (InfeasibleRequest, PrecisionCapError, EvalDomainError, ExpRangeError) as exc:
+    except NoCertifiedResult as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError) as exc:
+        # str() of a KeyError quotes its message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) and exc.args else exc}",
+              file=sys.stderr)
         return 2
-    except KeyError as exc:
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
-        return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -36,6 +36,7 @@ from .bignum import BigFixed, ceil_grid, floor_grid, ilog10_floor, iroot, root_i
 from .oracle import (
     EXP_ARG_LIMIT,
     ExpRangeError,
+    NoCertifiedResult,
     e_interval,
     exp_interval,
     pi_interval,
@@ -75,11 +76,11 @@ class ParseError(ValueError):
     """Malformed expression text."""
 
 
-class EvalDomainError(ValueError):
+class EvalDomainError(ValueError, NoCertifiedResult):
     """The expression is undefined (division by zero, root of a negative)."""
 
 
-class PrecisionCapError(ArithmeticError):
+class PrecisionCapError(ArithmeticError, NoCertifiedResult):
     """Raising precision up to the cap did not settle the result."""
 
 

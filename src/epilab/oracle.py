@@ -60,7 +60,14 @@ CONSTANTS = ("e", "pi", "two_pi", "pi6", "pi8")
 EXP_ARG_LIMIT = 100
 
 
-class ExpRangeError(ValueError):
+class NoCertifiedResult(Exception):
+    """Base of the errors a well-formed request ends in when it has no
+    certified result: ExpRangeError here, EvalDomainError and
+    PrecisionCapError in expr, InfeasibleRequest in series.  The CLI
+    exits 1 on any of them."""
+
+
+class ExpRangeError(ValueError, NoCertifiedResult):
     """exp() argument outside the supported range |x| <= 100."""
 
 

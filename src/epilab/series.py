@@ -32,7 +32,7 @@ from itertools import cycle, islice
 
 from ._record import record
 from .bignum import BigFixed, floor_neg_log10
-from .oracle import CONSTANTS, OracleValue
+from .oracle import CONSTANTS, NoCertifiedResult, OracleValue
 
 __all__ = [
     "SeriesSpec",
@@ -62,7 +62,7 @@ FIXED_ACC_SCALE = 40
 _LEAF_TERMS = 16
 
 
-class InfeasibleRequest(ValueError):
+class InfeasibleRequest(ValueError, NoCertifiedResult):
     """The requested precision needs more terms than the allowed cap."""
 
     def __init__(self, name: str, digits: int, cap: int):

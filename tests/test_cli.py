@@ -459,13 +459,74 @@ def test_closed_stdout_ends_quietly():
     ["scan", "--max", "2", "--digits", "-3"],
     ["scan", "--max", "2", "--digits", "0"],
     ["stirling", "--op", "approx", "--n", "3", "--scale", "-20"],
+    # --digits is checked before the command runs, whatever its method
+    ["compute", "pi", "--method", "zeta8", "--digits", "0"],
+    ["compute", "pi", "--method", "lambda6", "--digits", "-3"],
+    ["compute", "pi", "--method", "gregory-leibniz", "--digits", "-1"],
+    ["cfrac", "pi", "--digits", "0"],
+    ["verify", "R02", "--digits", "0"],  # verify keeps its own, higher floor
+    ["compute", "pi", "--method", "zeta8", "--max-terms", "0"],
+    ["compute", "pi", "--max-terms", "-5"],
 ], ids=" ".join)
 def test_non_positive_precision_exits_two(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert out == ""
-    cause = {"scan": "digits must be >= 1", "stirling": "scale must be >= 0"}[argv[0]]
+    cause = {"--digits": "digits must be >= 1", "--scale": "scale must be >= 0",
+             "--max-terms": "--max-terms must be >= 1"}[argv[-2]]
+    if argv[0] == "verify":
+        cause = "digits must be >= 6"
     assert err == f"error: {cause}\n"
+
+
+@pytest.mark.parametrize("threshold", ["1/0", "abc"])
+def test_bad_threshold_names_the_option(capsys, threshold):
+    assert run(capsys, "scan", "--max", "2", "--threshold", threshold) == (
+        2, "", f"error: bad --threshold {threshold!r}\n")
+
+
+def test_no_certified_result_errors_share_one_base():
+    # main maps the base to exit 1; each class keeps its own bases
+    from epilab.expr import EvalDomainError, PrecisionCapError
+    from epilab.oracle import ExpRangeError, NoCertifiedResult
+    from epilab.series import InfeasibleRequest
+
+    for cls, base in ((ExpRangeError, ValueError), (EvalDomainError, ValueError),
+                      (PrecisionCapError, ArithmeticError), (InfeasibleRequest, ValueError)):
+        assert issubclass(cls, NoCertifiedResult) and issubclass(cls, base)
+
+
+def test_unexpected_zero_division_is_a_fault_not_a_usage_error(monkeypatch, capsys):
+    import epilab.derive
+
+    def broken(*args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(epilab.derive, "_scan_units", broken)
+    with pytest.raises(ZeroDivisionError):
+        main(["scan", "--max", "2"])
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_verify_all_shows_a_failed_relation_in_every_format(monkeypatch, capsys, fmt):
+    import epilab.registry
+    from epilab.expr import parse
+    from epilab.registry import NEAR_EQUAL, REGISTRY, Relation
+
+    broken = Relation(id="X01", lhs=parse("1/(1 - 1)"), rhs=parse("1"), kind=NEAR_EQUAL,
+                      paper_eq="none", paper_quote="")
+    monkeypatch.setattr(epilab.registry, "REGISTRY", (REGISTRY[0], broken))
+    rc, out, err = run(capsys, "verify", "--all", "--digits", "12", "--format", fmt)
+    assert (rc, err) == (1, "")
+    last = out.splitlines()[-1]
+    if fmt == "json":
+        assert json.loads(out)[1] == {"id": "X01", "paper_eq": "none",
+                                      "error": "division by zero"}
+        assert json.loads(out)[0]["certified"] is True
+    elif fmt == "csv":
+        assert last == "X01,none,,,,,,,false"
+    else:
+        assert last == "X01  FAILED: division by zero"
 
 
 @pytest.mark.parametrize("op", ["approx", "ratio", "e-half", "e8"])
@@ -498,3 +559,45 @@ def test_table_reference_follows_smallest_bound(capsys):
     last = rows[1]
     assert Fraction(last["bound"]) >= Fraction(last["abs_error"])
     assert int(last["digits_correct"]) > 5000
+
+
+def _literal_cell(value) -> str:
+    # how a command spells a typed value as a literal cell
+    if isinstance(value, list):
+        return [_literal_cell(v) for v in value]
+    return "" if value is None else ("true" if value else "false") if isinstance(value, bool) \
+        else str(value)
+
+
+@st.composite
+def _json_records(draw):
+    """(typed records, literal keys): records of strings under some keys and
+    json literals (ints of either sign, booleans, null, lists of ints) under
+    the others, each record with its own keys in its own order."""
+    keys = draw(st.lists(st.text(max_size=4), min_size=1, max_size=5, unique=True))
+    literal = set(draw(st.lists(st.sampled_from(keys), unique=True)))
+    strings = st.text(st.characters(codec="utf-8"), max_size=8)  # controls, quotes, non-ASCII
+    literals = st.one_of(st.integers(-10**30, 10**30), st.booleans(), st.none(),
+                         st.lists(st.integers(-10**6, 10**6), max_size=3))
+    records = []
+    for _ in range(draw(st.integers(0, 4))):
+        chosen = draw(st.lists(st.sampled_from(keys), unique=True))
+        records.append({k: draw(literals if k in literal else strings) for k in chosen})
+    return records, literal
+
+
+@given(_json_records())
+@example(([{"s": "", "q": '"\\é\n\x00', "i": -7, "t": True, "f": False, "z": None}],
+          {"i", "t", "f", "z"})).via("every kind of cell")
+@example(([{"expr": "pi", "quotients": [3, 7]}, {"quotients": []}, {}], {"quotients"}))
+@example(([], set())).via("an empty list")
+def test_json_writer_matches_json_dumps(case):
+    from epilab.cli import _json
+
+    records, literal = case
+    cells = [{k: v if k not in literal else _literal_cell(v) for k, v in r.items()}
+             for r in records]
+    assert _json(cells, literal) == json.dumps(records, indent=2)
+    assert _json([list(r.items()) for r in cells], literal) == json.dumps(records, indent=2)
+    for record, typed in zip(cells, records):
+        assert _json(record, literal) == json.dumps(typed, indent=2)

@@ -88,10 +88,12 @@ def test_star_import_binds_every_package_name():
 
 def test_cli_imports_only_what_the_command_runs():
     # -S: no site hooks; -E: no PYTHONPATH, so this checkout's sources are
-    # the ones imported; compute needs no registry, derive, stirling or accel
+    # the ones imported; compute needs no expr, registry, derive, stirling
+    # or accel, and text output needs no json
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); import epilab.cli\n"
-        "unused = {'epilab.registry', 'epilab.derive', 'epilab.stirling', 'epilab.accel'}\n"
+        "unused = {'epilab.expr', 'epilab.registry', 'epilab.derive', 'epilab.stirling',\n"
+        "          'epilab.accel', 'json'}\n"
         "print(sorted(unused & set(sys.modules)))\n"
         "epilab.cli.main(['compute', 'pi', '--digits', '5'])\n"
         "print(sorted(unused & set(sys.modules)))\n"

@@ -2,8 +2,10 @@
 
 Two value types carry every number in this package:
 
-* :class:`fractions.Fraction` carries all internal mathematics as exact
-  rationals; nothing is ever evaluated in binary floating point.
+* :class:`fractions.Fraction` carries exact rationals; an enclosure is
+  carried as integer bounds on a decimal grid, and only its public
+  endpoints become Fractions.  Nothing is ever evaluated in binary
+  floating point.
 * :class:`BigFixed` is an immutable base-10 fixed-point number,
   ``mantissa * 10**-scale``.  It exists purely at the edge: rendering
   results with an explicit, certified number of decimal places.
@@ -11,8 +13,11 @@ Two value types carry every number in this package:
 Rounding onto the decimal grid 10**-scale happens in two ways only.
 :meth:`BigFixed.from_fraction` rounds to nearest (error at most half an
 ulp, ties away from zero, symmetrically for negative values);
-:func:`floor_grid` and :func:`ceil_grid` round down and up, and are the
-one directed rounding every enclosure in the package is built with.
+:func:`floor_div` and :func:`ceil_div` round an integer quotient down and
+up, and are the one directed rounding every enclosure in the package is
+built with: :func:`floor_grid` and :func:`ceil_grid` put a rational onto
+the grid through them, and the expression evaluator rounds its integer
+units with them.
 
 :class:`Surd` represents quadratic irrationals ``a + b*sqrt(r)`` exactly,
 with the square part of ``r`` factored into ``b`` so the radicand is
@@ -29,10 +34,13 @@ from ._record import record
 __all__ = [
     "BigFixed",
     "Surd",
+    "floor_div",
+    "ceil_div",
     "floor_grid",
     "ceil_grid",
     "surd_eval",
     "iroot",
+    "root_units",
     "root_interval",
     "sqrt_interval",
     "floor_neg_log10",
@@ -136,14 +144,24 @@ class BigFixed:
         return hash(self.as_fraction())
 
 
+def floor_div(n: int, d: int) -> int:
+    """floor(n / d) for integers, d != 0: the one rounding down."""
+    return n // d
+
+
+def ceil_div(n: int, d: int) -> int:
+    """ceil(n / d) for integers, d != 0: the one rounding up."""
+    return -(-n // d)
+
+
 def floor_grid(x: Fraction, scale: int) -> int:
     """floor(x * 10**scale): x rounded down onto the 10**-scale grid, in units."""
-    return x.numerator * 10**scale // x.denominator
+    return floor_div(x.numerator * 10**scale, x.denominator)
 
 
 def ceil_grid(x: Fraction, scale: int) -> int:
     """ceil(x * 10**scale): x rounded up onto the 10**-scale grid, in units."""
-    return -(-x.numerator * 10**scale // x.denominator)
+    return ceil_div(x.numerator * 10**scale, x.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +205,17 @@ def root_interval(lo: Fraction, hi: Fraction, k: int, scale: int) -> tuple[Fract
         raise ValueError("root of negative value")
     if hi < lo:
         raise ValueError("empty interval")
-    r_lo = Fraction(iroot(floor_grid(lo, k * scale), k), 10**scale)
-    r_hi = Fraction(iroot(ceil_grid(hi, k * scale), k) + 1, 10**scale)
-    return r_lo, r_hi
+    r_lo, r_hi = root_units(lo.numerator * hi.denominator, hi.numerator * lo.denominator,
+                            lo.denominator * hi.denominator, k, scale)
+    return Fraction(r_lo, 10**scale), Fraction(r_hi, 10**scale)
+
+
+def root_units(lo: int, hi: int, den: int, k: int, scale: int) -> tuple[int, int]:
+    """Bounds (r_lo, r_hi), in units of 10**-scale, on the k-th roots of
+    lo/den and hi/den: r_lo <= (lo/den)**(1/k) and (hi/den)**(1/k) <=
+    r_hi.  Requires 0 <= lo and den > 0."""
+    p = 10 ** (k * scale)
+    return iroot(floor_div(lo * p, den), k), iroot(ceil_div(hi * p, den), k) + 1
 
 
 def sqrt_interval(lo: Fraction, hi: Fraction, scale: int) -> tuple[Fraction, Fraction]:

@@ -13,14 +13,17 @@ command's own layout or the rows as a table.  A command names its
 literal columns, whose cells are json literals (integers, true, false;
 the empty cell is null); every other cell is a json string.
 
-Exit codes, decided in main alone: 0 success; 1 when a well-formed input
+Exit codes: 0 success; 1 when a well-formed input
 has no certified result (an error derived from oracle.NoCertifiedResult:
 the value is undefined, such as a root of a negative number or a
 division by zero, an exp argument lies outside |x| <= 100, the precision
 cap is reached, or a series cannot reach the precision within its term
 cap), or when stdout closes before the output ends; 2 for usage errors
 (ValueError or KeyError): bad flags or option values, unparsable
-expressions.  Anything else is a fault and ends in a traceback.
+expressions.  Anything else is a fault and ends in a traceback.  main
+maps each error to its code; verify alone also returns 1, after its
+output, when a relation failed or is not certified.  Every non-zero exit
+writes one error: line to stderr.
 """
 
 from __future__ import annotations
@@ -141,7 +144,10 @@ def cmd_compute(args) -> int:
         if args.terms == "auto":
             last = terms_needed(spec, digits + 1, cap=args.max_terms)
         else:
-            last = spec.start_index + int(args.terms) - 1
+            try:
+                last = spec.start_index + int(args.terms) - 1
+            except ValueError:
+                raise ValueError(f"bad --terms {args.terms!r}; expected a count or 'auto'") from None
             if last < spec.start_index:
                 raise ValueError("--terms must be >= 1")
         result = partial_sum(spec, last)
@@ -178,15 +184,15 @@ def cmd_table(args) -> int:
         raise ValueError(f"bad --checkpoints {args.checkpoints!r}; expected e.g. 10,100,1000")
     if not checkpoints:
         raise ValueError("--checkpoints must name at least one index")
+    if min(checkpoints) < spec.start_index:
+        raise ValueError(f"--checkpoints must be >= {spec.start_index}")
     if max(checkpoints) > EXACT_TERM_LIMIT:
         raise ValueError(f"checkpoints above {EXACT_TERM_LIMIT} are not supported")
     # the reference must be finer than every error in the table; the
     # builtin errors sit within a small factor of their bounds, so ten
     # digits past the smallest bound suffice (and 60 digits cover every
     # table whose bounds stay above 10^-50)
-    smallest = min((spec.tail_bound(p) for p in checkpoints if p >= spec.start_index),
-                   default=None)
-    digits = 60 if smallest is None else max(60, floor_neg_log10(smallest) + 10)
+    digits = max(60, floor_neg_log10(min(spec.tail_bound(p) for p in checkpoints)) + 10)
     reference = constant_reference(spec.constant, digits)
     rows = [
         [str(r.n), r.value.to_decimal_string(),
@@ -248,7 +254,10 @@ def cmd_verify(args) -> int:
                           f"certified = {'yes' if r.certified else 'NO'}"])
     _emit(args, columns, rows, {"digits_of_agreement", "precision_used", "certified"},
           payload=payload, text=text)
-    return 0 if all(not isinstance(r, VerificationFailure) and r.certified for r in reports) else 1
+    bad = [r.relation_id for r in reports if isinstance(r, VerificationFailure) or not r.certified]
+    if bad:
+        print(f"error: not certified: {', '.join(bad)}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +267,8 @@ def cmd_verify(args) -> int:
 def cmd_cfrac(args) -> int:
     from .derive import cfrac
     from .expr import parse, to_text
+    if args.terms < 1:
+        raise ValueError("--terms must be >= 1")
     expr = parse(args.expr)
     # a quotient can pass the 4,300 digits str() converts, so each is
     # rendered in pieces
@@ -345,6 +356,8 @@ def cmd_scan(args) -> int:
         threshold = Fraction(args.threshold)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad --threshold {args.threshold!r}") from None
+    if args.max < 1:
+        raise ValueError("--max must be >= 1")
     two_den, units = _scan_units(args.max, args.digits, threshold)
     # value and residual are num / two_den; each cell renders at six places
     # as BigFixed does, with no record built per cell.  A generator, so

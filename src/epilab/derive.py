@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from ._record import record
 from .bignum import Surd
-from .expr import Expr, PrecisionCapError, eval_interval
 from .oracle import e_interval, pi_interval
 
 __all__ = [
@@ -180,8 +179,9 @@ def _floor_cf(lo: Fraction, hi: Fraction, n_terms: int) -> list[int] | None:
     return out
 
 
-def cfrac(expr: Expr, n_terms: int, digits: int = 30) -> list[int]:
-    """Certified continued fraction [a0; a1, ...] of an expression.
+def cfrac(expr, n_terms: int, digits: int = 30) -> list[int]:
+    """Certified continued fraction [a0; a1, ...] of an expression tree
+    (an epilab.expr.Expr).
 
     Quotients are emitted only while both endpoints of the certified
     interval produce the same partial quotient; precision doubles on
@@ -194,6 +194,8 @@ def cfrac(expr: Expr, n_terms: int, digits: int = 30) -> list[int]:
         raise ValueError("n_terms must be >= 1")
     if digits < 1:
         raise ValueError("digits must be >= 1")
+    # here, not at the top: the scan needs no expression evaluator
+    from .expr import PrecisionCapError, eval_interval
     d = digits
     while True:
         lo, hi = eval_interval(expr, d)

@@ -14,10 +14,12 @@ powers, k-th roots, and exp.  ``parse`` accepts the matching text form:
 '-' and '/' associate left.  Exponents may be negative ('^-2').  Tree
 depth is capped at MAX_DEPTH both when parsing and when evaluating.
 
-Evaluation is exact rational interval arithmetic: constants enter as
-certified oracle enclosures, every operation is computed on interval
-endpoints, and endpoints are rounded outward onto a decimal grid after
-each node so denominators stay bounded.  If the interval comes out too
+Evaluation is interval arithmetic on integers.  An exact subtree stays a
+Fraction.  Every other node carries integer bounds lo <= hi on its value
+times a power of ten: pi and e enter as the oracle kernels' units, each
+operation is computed exactly on the bounds and rounded outward onto the
+decimal grid 10**-w, by integer floor and ceiling division, so no node
+pays for a gcd and the numbers stay bounded.  If the interval comes out too
 wide, the whole tree is re-evaluated with the guard digits raised by as
 many as the width missed by, and at least doubled; if a comparison like
 "is the divisor nonzero" cannot be decided, with doubled guard digits.
@@ -32,14 +34,15 @@ from collections import namedtuple
 from fractions import Fraction
 
 from ._record import record
-from .bignum import BigFixed, ceil_grid, floor_grid, ilog10_floor, iroot, root_interval
+from .bignum import BigFixed, _div_nearest, ceil_div, floor_div, ilog10_floor, iroot, root_units
 from .oracle import (
     EXP_ARG_LIMIT,
     ExpRangeError,
     NoCertifiedResult,
-    e_interval,
+    _cached,
+    _e_unit,
+    _pi_unit,
     exp_interval,
-    pi_interval,
 )
 
 __all__ = [
@@ -360,108 +363,100 @@ def parse(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 # interval evaluation
 
-_IV = tuple[Fraction, Fraction]
+#: bounds (lo, hi, den) on an inexact value times den > 0; an exact value is a Fraction
+_IV = tuple[int, int, int]
 
 
-def _out(lo: Fraction, hi: Fraction, w: int) -> _IV:
+def _split(a: Fraction | _IV) -> _IV:
+    return (a.numerator, a.numerator, a.denominator) if type(a) is Fraction else a
+
+
+def _out(lo: int, hi: int, den: int, w: int) -> Fraction | _IV:
+    """[lo/den, hi/den] rounded outward onto the 10**-w grid; exact when lo ==
+    hi, which exact operands, an exact zero factor or exp(0) give."""
     if lo == hi:
-        # exact subtree (rational literals and arithmetic on them); keep
-        # it exact so downstream consumers can detect true rationals
-        return lo, hi
-    p = 10**w
-    return Fraction(floor_grid(lo, w), p), Fraction(ceil_grid(hi, w), p)
+        return Fraction(lo, den)
+    unit = 10**w
+    if den == unit:
+        return lo, hi, unit
+    return floor_div(lo * unit, den), ceil_div(hi * unit, den), unit
 
 
-def _iv_mul(a: _IV, b: _IV) -> _IV:
-    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(products), max(products)
-
-
-def _iv_recip(a: _IV) -> _IV:
-    lo, hi = a
+def _recip(lo: int, hi: int, den: int) -> _IV:
+    # [den/hi, den/lo] over the positive denominator lo*hi
     if lo <= 0 <= hi:
-        if lo == hi == 0:
+        if lo == hi:
             raise EvalDomainError("division by zero")
         raise _Undecided
-    return 1 / hi, 1 / lo
+    return den * lo, den * hi, lo * hi
 
 
-def _iv_pow(a: _IV, k: int) -> _IV:
-    if k == 0:
-        return Fraction(1), Fraction(1)
-    if k < 0:
-        return _iv_pow(_iv_recip(a), -k)
-    lo, hi = a
-    if lo >= 0:
-        return lo**k, hi**k
-    if hi <= 0:
-        return (lo**k, hi**k) if k % 2 else (hi**k, lo**k)
-    # straddles zero
-    if k % 2:
-        return lo**k, hi**k
-    return Fraction(0), max(lo**k, hi**k)
-
-
-def _eval(expr: Expr, w: int) -> _IV:
-    if isinstance(expr, ConstPi):
-        return _out(*pi_interval(w), w)
-    if isinstance(expr, ConstE):
-        return _out(*e_interval(w), w)
-    if isinstance(expr, IntLit):
-        v = Fraction(expr.value)
-        return v, v
-    if isinstance(expr, RatLit):
-        v = Fraction(expr.value)
-        return v, v
-    if isinstance(expr, Add):
-        a, b = _eval(expr.left, w), _eval(expr.right, w)
-        return _out(a[0] + b[0], a[1] + b[1], w)
-    if isinstance(expr, Sub):
-        a, b = _eval(expr.left, w), _eval(expr.right, w)
-        return _out(a[0] - b[1], a[1] - b[0], w)
-    if isinstance(expr, Mul):
-        a, b = _eval(expr.left, w), _eval(expr.right, w)
-        return _out(*_iv_mul(a, b), w)
-    if isinstance(expr, Div):
-        a, b = _eval(expr.left, w), _eval(expr.right, w)
-        return _out(*_iv_mul(a, _iv_recip(b)), w)
+def _eval(expr: Expr, w: int) -> Fraction | _IV:
+    """The exact value, or bounds rounded outward onto 10**-w (exp's: 10**-(w + 4))."""
+    if isinstance(expr, (ConstPi, ConstE)):
+        work, lo, hi = _cached(_pi_unit if isinstance(expr, ConstPi) else _e_unit, w)
+        return _out(lo, hi, 10**work, w)
+    if isinstance(expr, (IntLit, RatLit)):
+        return Fraction(expr.value)
+    if isinstance(expr, (Add, Sub, Mul, Div)):
+        alo, ahi, ad = _split(_eval(expr.left, w))
+        blo, bhi, bd = _split(_eval(expr.right, w))
+        if isinstance(expr, Div):
+            blo, bhi, bd = _recip(blo, bhi, bd)
+        elif isinstance(expr, Sub):
+            blo, bhi = -bhi, -blo
+        if isinstance(expr, (Mul, Div)):
+            products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+            return _out(min(products), max(products), ad * bd, w)
+        if ad == bd:
+            return _out(alo + blo, ahi + bhi, ad, w)
+        return _out(alo * bd + blo * ad, ahi * bd + bhi * ad, ad * bd, w)
     if isinstance(expr, PowInt):
-        a = _eval(expr.base, w)
-        return _out(*_iv_pow(a, expr.exponent), w)
+        lo, hi, den = _split(_eval(expr.base, w))
+        k = expr.exponent
+        if k == 0:
+            return Fraction(1)
+        if k < 0:
+            (lo, hi, den), k = _recip(lo, hi, den), -k
+        lo_k, hi_k = lo**k, hi**k
+        if k % 2 == 0 and lo < 0:  # the least even power is at the end nearer 0, or is 0
+            lo_k, hi_k = hi_k if hi <= 0 else 0, max(lo_k, hi_k)
+        return _out(lo_k, hi_k, den**k, w)
     if isinstance(expr, Root):
-        lo, hi = _eval(expr.arg, w)
+        lo, hi, den = _split(_eval(expr.arg, w))
         k = expr.k
         if k % 2 == 0:
             if hi < 0:
-                raise EvalDomainError(f"root of a negative value (<= {float(hi):g})")
+                raise EvalDomainError(f"root of a negative value (<= {hi / den:g})")
             if lo < 0:
                 # might be a genuinely negative value seen too coarsely, or a
                 # tiny true value straddled by the interval; retry either way
                 raise _Undecided
         if lo == hi:
             # exact argument: keep a perfect k-th power exact
-            p = iroot(abs(lo.numerator), k)
-            q = iroot(lo.denominator, k)
-            if p**k == abs(lo.numerator) and q**k == lo.denominator:
-                r = Fraction(p if lo >= 0 else -p, q)
-                return r, r
+            p, q = iroot(abs(lo), k), iroot(den, k)
+            if p**k == abs(lo) and q**k == den:
+                return Fraction(p if lo >= 0 else -p, q)
         if lo >= 0:
-            return root_interval(lo, hi, k, w)
+            return (*root_units(lo, hi, den, k, w), 10**w)
         # odd k: the root is an odd function, so take it on the mirror image
         if hi <= 0:
-            r_lo, r_hi = root_interval(-hi, -lo, k, w)
-            return -r_hi, -r_lo
-        zero = Fraction(0)
-        return -root_interval(zero, -lo, k, w)[1], root_interval(zero, hi, k, w)[1]
+            r_lo, r_hi = root_units(-hi, -lo, den, k, w)
+            return -r_hi, -r_lo, 10**w
+        return -root_units(0, -lo, den, k, w)[1], root_units(0, hi, den, k, w)[1], 10**w
     if isinstance(expr, Exp):
-        lo, hi = _eval(expr.arg, w)
-        if lo > EXP_ARG_LIMIT or hi < -EXP_ARG_LIMIT:
+        lo, hi, den = _split(_eval(expr.arg, w))
+        limit = EXP_ARG_LIMIT * den
+        if lo > limit or hi < -limit:
             raise ExpRangeError(f"exp argument outside |x| <= {EXP_ARG_LIMIT}")
-        if hi > EXP_ARG_LIMIT or lo < -EXP_ARG_LIMIT:
+        if hi > limit or lo < -limit:
             raise _Undecided
-        if lo == hi:
-            return exp_interval(lo, w)
-        return exp_interval(lo, w)[0], exp_interval(hi, w)[1]
+        e_lo, e_hi = exp_interval(Fraction(lo, den), w)
+        if lo != hi:
+            e_hi = exp_interval(Fraction(hi, den), w)[1]
+        # the kernel's endpoints, as they are on its finer 10**-(w + 4) grid
+        return _out(e_lo.numerator * e_hi.denominator, e_hi.numerator * e_lo.denominator,
+                    e_lo.denominator * e_hi.denominator, w + 4)
     raise TypeError(f"not an Expr: {expr!r}")
 
 
@@ -469,7 +464,31 @@ def _eval(expr: Expr, w: int) -> _IV:
 EvalResult = namedtuple("EvalResult", ["value", "error_bound"])
 
 
-def eval_interval(expr: Expr, digits: int) -> _IV:
+def _enclose(expr: Expr, digits: int) -> _IV:
+    """eval_interval's enclosure as bounds (lo, hi, den) on the value times den."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    if depth(expr) > MAX_DEPTH:
+        raise ValueError(f"expression deeper than {MAX_DEPTH}")
+    target = 10**digits
+    guard = 10
+    for _ in range(_MAX_ATTEMPTS):
+        try:
+            lo, hi, den = _split(_eval(expr, digits + guard))
+        except _Undecided:
+            guard *= 2
+            continue
+        if (hi - lo) * target <= den:
+            return lo, hi, den
+        # Add the digits the width missed by, and one more for the rounding
+        # the estimate leaves out; but at least double, since the width of
+        # an odd root near zero shrinks slower than 10**-guard
+        guard += max(guard, ilog10_floor(Fraction((hi - lo) * target, den)) + 2)
+    raise PrecisionCapError(f"interval did not narrow to 10^-{digits} "
+                            f"within {_MAX_ATTEMPTS} attempts")
+
+
+def eval_interval(expr: Expr, digits: int) -> tuple[Fraction, Fraction]:
     """Certified enclosure of the expression, width <= 10**-digits.
 
     The true value always lies in [lo, hi].  An attempt that comes back
@@ -480,33 +499,17 @@ def eval_interval(expr: Expr, digits: int) -> _IV:
     out (for example when a subexpression is exactly zero where a
     nonzero value is needed).
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    if depth(expr) > MAX_DEPTH:
-        raise ValueError(f"expression deeper than {MAX_DEPTH}")
-    target = Fraction(1, 10**digits)
-    guard = 10
-    for _ in range(_MAX_ATTEMPTS):
-        try:
-            lo, hi = _eval(expr, digits + guard)
-        except _Undecided:
-            guard *= 2
-            continue
-        if hi - lo <= target:
-            return lo, hi
-        # Add the digits the width missed by, and one more for the rounding
-        # the estimate leaves out; but at least double, since the width of
-        # an odd root near zero shrinks slower than 10**-guard
-        guard += max(guard, ilog10_floor((hi - lo) / target) + 2)
-    raise PrecisionCapError(
-        f"interval did not narrow to 10^-{digits} within {_MAX_ATTEMPTS} attempts"
-    )
+    lo, hi, den = _enclose(expr, digits)
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 def eval_expr(expr: Expr, digits: int) -> EvalResult:
     """Evaluate with a certified error bound: |value - exact| <= error_bound
-    <= 10**-digits."""
-    lo, hi = eval_interval(expr, digits + 1)
-    value = BigFixed.from_fraction((lo + hi) / 2, digits + 2)
-    err = (hi - lo) / 2 + abs(value.as_fraction() - (lo + hi) / 2)
-    return EvalResult(value, BigFixed(ceil_grid(err, digits + 6), digits + 6))
+    <= 10**-digits.  The value is the enclosure's midpoint at scale digits
+    + 2; the bound, at scale digits + 6, is its half-width plus that rounding."""
+    lo, hi, den = _enclose(expr, digits + 1)
+    scale = digits + 2
+    mid = (lo + hi) * 10**scale  # the midpoint times 2 * den * 10**scale
+    value = _div_nearest(mid, 2 * den)
+    err = (hi - lo) * 10**scale + abs(2 * den * value - mid)  # over the same
+    return EvalResult(BigFixed(value, scale), BigFixed(ceil_div(err * 10**4, 2 * den), digits + 6))

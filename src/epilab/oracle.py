@@ -25,15 +25,16 @@ sections 4.4 and 4.9).
   retried.  exp(-x) is the reciprocal, rounded outward.
 
 The ``*_interval`` functions return exact rational enclosures [lo, hi],
-whose denominators divide a power of ten, and are what the expression
-evaluator consumes; :func:`constant_reference` renders the midpoint of
-one into an :class:`OracleValue`.
+whose denominators divide a power of ten; :func:`constant_reference`
+renders the midpoint of one into an :class:`OracleValue`.  The
+expression evaluator reads pi and e as the kernels' integer units,
+through ``_cached``, and exp through :func:`exp_interval`.
 
-All functions are pure.  The module-level cache keeps the last pi and
-the last e enclosure, keyed by the kernel's exact work precision, and
-hands back only that enclosure: a warm call returns what a cold call
-would, so no printed digit depends on the calls before it.  exp is not
-cached: its cost grows only with the digits of its result.
+All functions are pure.  The module-level cache keeps the units of the
+last pi and the last e enclosure, keyed by the kernel's exact work
+precision, and hands back only that enclosure: a warm call returns what
+a cold call would, so no printed digit depends on the calls before it.
+exp is not cached: its cost grows only with the digits of its result.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import math
 from fractions import Fraction
 
 from ._record import record
-from .bignum import BigFixed
+from .bignum import BigFixed, ceil_div, floor_div
 
 __all__ = [
     "OracleValue",
@@ -197,12 +198,12 @@ def _e_unit(work: int) -> tuple[int, int]:
     return total, total + n + 1
 
 
-#: kernel -> (work, lo, hi), the enclosure it gave last
+#: kernel -> (work, lo, hi), the units it gave last
 _cache: dict = {}
 
 
-def _cached(kernel, eps_digits: int) -> tuple[Fraction, Fraction]:
-    """The kernel's enclosure at eps_digits, on the 10**-work grid with
+def _cached(kernel, eps_digits: int) -> tuple[int, int, int]:
+    """(work, lo, hi): the kernel's bounds in units of 10**-work, with
     work = eps_digits + guard.  An entry is returned only at its own
     work, so a warm call returns exactly what a cold one does.  A result
     depends on work alone, so with no lock a race only computes it twice;
@@ -211,23 +212,21 @@ def _cached(kernel, eps_digits: int) -> tuple[Fraction, Fraction]:
         raise ValueError("digits must be >= 1")
     work = eps_digits + _guard(eps_digits)
     hit = _cache.get(kernel)
-    if hit is not None and hit[0] == work:
-        return hit[1], hit[2]
-    unit = 10**work
-    lo, hi = kernel(work)
-    lo, hi = Fraction(lo, unit), Fraction(hi, unit)
-    _cache[kernel] = (work, lo, hi)
-    return lo, hi
+    if hit is None or hit[0] != work:
+        hit = _cache[kernel] = (work, *kernel(work))
+    return hit
 
 
 def pi_interval(eps_digits: int) -> tuple[Fraction, Fraction]:
     """Exact rational enclosure of pi with width < 2 * 10**-eps_digits."""
-    return _cached(_pi_unit, eps_digits)
+    work, lo, hi = _cached(_pi_unit, eps_digits)
+    return Fraction(lo, 10**work), Fraction(hi, 10**work)
 
 
 def e_interval(eps_digits: int) -> tuple[Fraction, Fraction]:
     """Exact rational enclosure of e with width < 2 * 10**-eps_digits."""
-    return _cached(_e_unit, eps_digits)
+    work, lo, hi = _cached(_e_unit, eps_digits)
+    return Fraction(lo, 10**work), Fraction(hi, 10**work)
 
 
 def exp_interval(x: Fraction, eps_digits: int) -> tuple[Fraction, Fraction]:
@@ -254,7 +253,7 @@ def exp_interval(x: Fraction, eps_digits: int) -> tuple[Fraction, Fraction]:
         lo, hi = 100**work // hi, -(-100**work // lo)
     out = 10 ** (eps_digits + 4)
     unit = 10**work
-    return Fraction(lo * out // unit, out), Fraction(-(-hi * out // unit), out)
+    return Fraction(floor_div(lo * out, unit), out), Fraction(ceil_div(hi * out, unit), out)
 
 
 def constant_reference(constant: str, digits: int) -> OracleValue:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import record
-from .bignum import BigFixed, floor_neg_log10
+from .bignum import BigFixed, _div_nearest, floor_neg_log10
 from .expr import EvalDomainError, Expr, PrecisionCapError, eval_expr, parse
 from .oracle import ExpRangeError
 
@@ -150,15 +150,14 @@ def digits_of_agreement(a: BigFixed, b: BigFixed, *, cap: int | None = None) -> 
     is unbounded; the declared cap (typically the working precision) is
     returned, so a cap must be supplied in that case.
     """
-    bf = b.as_fraction()
-    if bf == 0:
+    am, bm = a.mantissa * 10**b.scale, b.mantissa * 10**a.scale  # over 10**(a.scale + b.scale)
+    if bm == 0:
         raise ValueError("b must be nonzero")
-    rel = abs(a.as_fraction() - bf) / abs(bf)
-    if rel == 0:
+    if am == bm:
         if cap is None:
             raise ValueError("identical values: supply cap= to bound the result")
         return cap
-    d = floor_neg_log10(rel)
+    d = floor_neg_log10(Fraction(abs(am - bm), abs(bm)))
     if cap is not None:
         d = min(d, cap)
     return max(0, d)
@@ -178,25 +177,24 @@ def verify(relation: Relation, digits: int) -> VerificationReport:
     d = max(digits, relation.min_digits)
     lhs_value, lhs_err = eval_expr(relation.lhs, d)
     rhs_value, rhs_err = eval_expr(relation.rhs, d)
-    lhs_f = lhs_value.as_fraction()
-    rhs_f = rhs_value.as_fraction()
-    if rhs_f == 0:
+    # eval_expr's values are mantissas at scale d + 2, its bounds at d + 6
+    lhs, rhs = lhs_value.mantissa, rhs_value.mantissa
+    if rhs == 0:
         raise ValueError(f"{relation.id}: rhs evaluates to zero")
-    if relation.kind == NEAR_INTEGER and rhs_f.denominator != 1:
+    if relation.kind == NEAR_INTEGER and rhs % 10 ** (d + 2):
         raise ValueError(f"{relation.id}: near_integer rhs is not an integer")
-    residual = lhs_f - rhs_f
-    err = lhs_err.as_fraction() + rhs_err.as_fraction()
+    residual = lhs - rhs
     return VerificationReport(
         relation_id=relation.id,
         paper_eq=relation.paper_eq,
         kind=relation.kind,
         lhs_value=lhs_value.rescale(d),
         rhs_value=rhs_value.rescale(d),
-        abs_residual=BigFixed.from_fraction(residual, d + 10),
-        rel_residual=BigFixed.from_fraction(abs(residual) / abs(rhs_f), d + 10),
+        abs_residual=BigFixed(residual * 10**8, d + 10),
+        rel_residual=BigFixed(_div_nearest(abs(residual) * 10 ** (d + 10), abs(rhs)), d + 10),
         digits_of_agreement=digits_of_agreement(lhs_value, rhs_value, cap=d),
         precision_used=d,
-        certified=10 * err < abs(residual),
+        certified=10 * (lhs_err.mantissa + rhs_err.mantissa) < abs(residual) * 10**4,
     )
 
 

@@ -485,6 +485,18 @@ def test_bad_threshold_names_the_option(capsys, threshold):
         2, "", f"error: bad --threshold {threshold!r}\n")
 
 
+@pytest.mark.parametrize("argv, cause", [
+    ("scan --max 0", "--max must be >= 1"),
+    ("cfrac pi --terms 0", "--terms must be >= 1"),
+    ("compute pi --method zeta8 --terms x", "bad --terms 'x'; expected a count or 'auto'"),
+    ("table zeta8 --checkpoints 0", "--checkpoints must be >= 1"),
+    ("table zeta8 --checkpoints 10,0", "--checkpoints must be >= 1"),
+])
+def test_option_errors_name_the_option(capsys, argv, cause):
+    # the message names the option as the user typed it, not a library parameter
+    assert run(capsys, *argv.split()) == (2, "", f"error: {cause}\n")
+
+
 def test_no_certified_result_errors_share_one_base():
     # main maps the base to exit 1; each class keeps its own bases
     from epilab.expr import EvalDomainError, PrecisionCapError
@@ -515,18 +527,28 @@ def test_verify_all_shows_a_failed_relation_in_every_format(monkeypatch, capsys,
 
     broken = Relation(id="X01", lhs=parse("1/(1 - 1)"), rhs=parse("1"), kind=NEAR_EQUAL,
                       paper_eq="none", paper_quote="")
-    monkeypatch.setattr(epilab.registry, "REGISTRY", (REGISTRY[0], broken))
+    # a residual of zero is never certified
+    uncertified = Relation(id="X02", lhs=parse("pi"), rhs=parse("pi"), kind=NEAR_EQUAL,
+                           paper_eq="none", paper_quote="")
+    monkeypatch.setattr(epilab.registry, "REGISTRY", (REGISTRY[0], broken, uncertified))
     rc, out, err = run(capsys, "verify", "--all", "--digits", "12", "--format", fmt)
-    assert (rc, err) == (1, "")
-    last = out.splitlines()[-1]
+    # stdout carries the report; stderr one line naming what is not certified
+    assert (rc, err) == (1, "error: not certified: X01, X02\n")
+    failed, last = out.splitlines()[-2:]
     if fmt == "json":
         assert json.loads(out)[1] == {"id": "X01", "paper_eq": "none",
                                       "error": "division by zero"}
         assert json.loads(out)[0]["certified"] is True
+        assert json.loads(out)[2]["certified"] is False
     elif fmt == "csv":
-        assert last == "X01,none,,,,,,,false"
+        assert failed == "X01,none,,,,,,,false"
+        assert last.startswith("X02,none,") and last.endswith(",false")
     else:
-        assert last == "X01  FAILED: division by zero"
+        assert failed == "X01  FAILED: division by zero"
+        assert last.startswith("X02  UNCERTIFIED")
+    # the certified catalog itself writes nothing to stderr
+    monkeypatch.setattr(epilab.registry, "REGISTRY", REGISTRY[:1])
+    assert run(capsys, "verify", "--all", "--digits", "12", "--format", fmt)[::2] == (0, "")
 
 
 @pytest.mark.parametrize("op", ["approx", "ratio", "e-half", "e8"])

@@ -89,17 +89,21 @@ def test_star_import_binds_every_package_name():
 def test_cli_imports_only_what_the_command_runs():
     # -S: no site hooks; -E: no PYTHONPATH, so this checkout's sources are
     # the ones imported; compute needs no expr, registry, derive, stirling
-    # or accel, and text output needs no json
+    # or accel, text output needs no json, and the scan needs derive alone
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); import epilab.cli\n"
         "unused = {'epilab.expr', 'epilab.registry', 'epilab.derive', 'epilab.stirling',\n"
         "          'epilab.accel', 'json'}\n"
-        "print(sorted(unused & set(sys.modules)))\n"
+        "print('loaded', sorted(unused & set(sys.modules)))\n"
         "epilab.cli.main(['compute', 'pi', '--digits', '5'])\n"
-        "print(sorted(unused & set(sys.modules)))\n"
+        "print('loaded', sorted(unused & set(sys.modules)))\n"
+        "epilab.cli.main(['scan', '--max', '2', '--quiet'])\n"
+        "print('loaded', sorted(unused & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-S", "-E", "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert (lines[0], lines[1], lines[-1]) == ("[]", "pi = 3.14159", "[]")
+    assert lines[1] == "pi = 3.14159"
+    assert [line for line in lines if line.startswith("loaded")] == [
+        "loaded []", "loaded []", "loaded ['epilab.derive']"]

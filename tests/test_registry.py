@@ -238,3 +238,27 @@ def test_registry_is_immutable_tuple():
     assert len(REGISTRY) == 20
     with pytest.raises(AttributeError):
         REGISTRY[0].id = "zzz"  # type: ignore[misc]
+
+
+@pytest.mark.parametrize("digits", [6, 30])
+def test_verify_matches_a_fraction_reference(digits):
+    # verify works on eval_expr's mantissas; the same report from exact
+    # Fractions, for the catalog and for residuals of 10^-j, j around the
+    # precision, whose certificates flip from yes to no
+    from epilab.expr import eval_expr
+
+    near = [Relation(f"X{j}", parse(f"pi + 1/10^{j}"), parse("pi"), NEAR_EQUAL, "none", "")
+            for j in range(digits - 3, digits + 3)]
+    flags = set()
+    for relation in (*REGISTRY, *near):
+        report = verify(relation, digits)
+        d = report.precision_used
+        (lhs, lhs_err), (rhs, rhs_err) = (eval_expr(side, d) for side in (relation.lhs, relation.rhs))
+        residual = lhs.as_fraction() - rhs.as_fraction()
+        expected = (BigFixed.from_fraction(residual, d + 10),
+                    BigFixed.from_fraction(abs(residual) / abs(rhs.as_fraction()), d + 10),
+                    10 * (lhs_err.as_fraction() + rhs_err.as_fraction()) < abs(residual))
+        got = (report.abs_residual, report.rel_residual, report.certified)
+        assert [str(x) for x in got] == [str(x) for x in expected], relation.id
+        flags.add((relation.id[0], report.certified))
+    assert flags == {("R", True), ("X", True), ("X", False)}

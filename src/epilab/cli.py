@@ -13,17 +13,17 @@ command's own layout or the rows as a table.  A command names its
 literal columns, whose cells are json literals (integers, true, false;
 the empty cell is null); every other cell is a json string.
 
-Exit codes: 0 success; 1 when a well-formed input
-has no certified result (an error derived from oracle.NoCertifiedResult:
-the value is undefined, such as a root of a negative number or a
-division by zero, an exp argument lies outside |x| <= 100, the precision
-cap is reached, or a series cannot reach the precision within its term
-cap), or when stdout closes before the output ends; 2 for usage errors
-(ValueError or KeyError): bad flags or option values, unparsable
-expressions.  Anything else is a fault and ends in a traceback.  main
-maps each error to its code; verify alone also returns 1, after its
-output, when a relation failed or is not certified.  Every non-zero exit
-writes one error: line to stderr.
+Exit codes: 0 success; 1 when a well-formed input has no certified
+result (an error derived from oracle.NoCertifiedResult: the value is
+undefined, such as a root of a negative number or a division by zero,
+an exp argument lies outside |x| <= 100, the precision cap is reached,
+or a series cannot reach the precision within its term cap), or when
+stdout closes before the output ends; 2 for usage errors (ValueError or
+KeyError): bad flags or option values, unparsable expressions.  Anything
+else is a fault and ends in a traceback.  main maps each error to its
+code; verify alone also returns 1, after its output, when a relation
+failed or is not certified.  Every non-zero exit writes one error: line
+to stderr.
 """
 
 from __future__ import annotations
@@ -254,10 +254,11 @@ def cmd_verify(args) -> int:
                           f"certified = {'yes' if r.certified else 'NO'}"])
     _emit(args, columns, rows, {"digits_of_agreement", "precision_used", "certified"},
           payload=payload, text=text)
-    bad = [r.relation_id for r in reports if isinstance(r, VerificationFailure) or not r.certified]
-    if bad:
-        print(f"error: not certified: {', '.join(bad)}", file=sys.stderr)
-    return 1 if bad else 0
+    uncertified = [r.relation_id for r in reports
+                   if isinstance(r, VerificationFailure) or not r.certified]
+    if uncertified:
+        print(f"error: not certified: {', '.join(uncertified)}", file=sys.stderr)
+    return 1 if uncertified else 0
 
 
 # ---------------------------------------------------------------------------

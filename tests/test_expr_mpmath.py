@@ -112,8 +112,7 @@ def _ref(node):
             b = _recip(b)
         if isinstance(node, (Mul, Div)) and any(_is_zero(x) for x in (a, b)):
             return Fraction(0)
-        both = isinstance(a, Fraction) and isinstance(b, Fraction)
-        if not both:
+        if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
             a, b = _iv(a), _iv(b)
         if isinstance(node, Add):
             return a + b

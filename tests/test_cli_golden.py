@@ -3,7 +3,8 @@
 The set is every command of the benchmark's exact-sweeps and catalog
 workloads and the fixed commands of its deep-digits workload, the scan
 in all three formats (also with every row, with wide low-digit
-enclosures, at the threshold's 1/2 limit and with --quiet), three
+enclosures below six digits, at the threshold's 1/2 limit, with --quiet
+and with a threshold out of range, which prints nothing), three
 convergence tables (one with checkpoints on both sides of the exact
 sum's 16-term leaf), every builtin series summed past the exact-sum
 limit (its fixed-point path, also on an all-negative and an alternating
@@ -54,6 +55,11 @@ COMMANDS = [
     ["scan", "--max", "20", "--digits", "8", "--threshold", "0.5", "--format", "json"],
     ["scan", "--max", "30", "--threshold", "0.01", "--quiet"],
     ["scan", "--max", "5", "--digits", "3", "--format", "csv"],
+    ["scan", "--max", "50", "--all-rows"],
+    ["scan", "--max", "50", "--format", "json"],
+    ["scan", "--max", "4", "--digits", "1", "--format", "csv"],
+    # a bad option value exits 2 before the csv header is written
+    ["scan", "--max", "50", "--threshold", "0.7", "--format", "csv"],
     # tables
     ["table", "lambda6"],
     ["table", "nilakantha-paired"],

@@ -360,23 +360,23 @@ def cmd_scan(args) -> int:
     if args.max < 1:
         raise ValueError("--max must be >= 1")
     two_den, units = _scan_units(args.max, args.digits, threshold)
+    if args.format == "text":
+        # text holds the rows it prints, to size its columns; csv holds none
+        units = [u for u in units if args.all_rows or u[7]]
     # value and residual are num / two_den; each cell renders at six places
-    # as BigFixed does, with no record built per cell.  A generator, so
-    # csv streams the cells and holds no second table
+    # as BigFixed does, with no record built per cell
     rows = (
         [str(n), str(m), _fixed_to_string(_div_nearest(total * 10**6, two_den), 6), str(nearest),
          _fixed_to_string(_div_nearest(residual * 10**6, two_den), 6), _BOOL[mod7],
          "" if predicted is None else str(predicted), _BOOL[flagged]]
         for n, m, total, nearest, residual, mod7, predicted, flagged in units
     )
-    flagged = sum(1 for u in units if u[7])
-    title = (f"combinations n*pi + m*e with |n|, |m| <= {args.max}; "
-             f"{flagged} of {len(units)} rows within {args.threshold} of an integer"
-             + ("" if args.all_rows else " (shown; --all-rows for the rest)"))
+    title = None if args.quiet or args.format != "text" else (
+        f"combinations n*pi + m*e with |n|, |m| <= {args.max}; {sum(u[7] for u in units)} of "
+        f"{(2 * args.max + 1) ** 2 - 1} rows within {args.threshold} of an integer"
+        + ("" if args.all_rows else " (shown; --all-rows for the rest)"))
     _emit(args, ["n", "m", "value", "nearest", "residual", "mod7", "predicted", "flagged"], rows,
-          {"n", "m", "nearest", "mod7", "predicted", "flagged"},
-          text=None if args.quiet else title,
-          table=rows if args.all_rows else (r for r in rows if r[7] == _BOOL[True]))
+          {"n", "m", "nearest", "mod7", "predicted", "flagged"}, text=title, table=rows)
     return 0
 
 

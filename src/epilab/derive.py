@@ -6,6 +6,7 @@ integer scan over n*pi + m*e, and certified continued fractions.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 
 from ._record import record
@@ -98,14 +99,15 @@ class ScanRow:
     flagged: bool
 
 
-def _scan_units(max_coeff: int, digits: int, threshold: Fraction) -> tuple[int, list[tuple]]:
+def _scan_units(max_coeff: int, digits: int, threshold: Fraction) -> tuple[int, Iterator[tuple]]:
     """linear_combo_scan's rows as tuples (n, m, total, nearest, residual,
     mod7, predicted, flagged), with total and residual the numerators of
     the value and the residual over the returned two_den.  The value is
     the midpoint of the enclosure of n*pi + m*e, (n*(plo + phi) +
     m*(elo + ehi))/2 whatever the signs of n and m; with the endpoints
     over one common denominator each field is an integer sum or floor
-    division.
+    division.  The rows are made as they are read, after the checks and
+    the enclosures, so a bad argument raises before any output.
     """
     if max_coeff < 1:
         raise ValueError("max_coeff must be >= 1")
@@ -115,34 +117,28 @@ def _scan_units(max_coeff: int, digits: int, threshold: Fraction) -> tuple[int, 
     plo, phi = pi_interval(digits)
     elo, ehi = e_interval(digits)
     den = math.lcm(plo.denominator, phi.denominator, elo.denominator, ehi.denominator)
-    pi_sum = (plo.numerator * (den // plo.denominator)
-              + phi.numerator * (den // phi.denominator))
-    e_sum = (elo.numerator * (den // elo.denominator)
-             + ehi.numerator * (den // ehi.denominator))
+    pi_sum, e_sum = (int((lo + hi) * den) for lo, hi in ((plo, phi), (elo, ehi)))
     two_den = 2 * den
     # |residual| < threshold, with the residual's numerator over 2*den
     limit = threshold.numerator * two_den
-    rows = []
-    for n in range(-max_coeff, max_coeff + 1):
-        for m in range(-max_coeff, max_coeff + 1):
-            if n == 0 and m == 0:
-                continue
-            total = n * pi_sum + m * e_sum
-            nearest = (total + den) // two_den
-            residual = total - nearest * two_den
-            mod7 = (n - 2 * m) % 7 == 0
-            # 22n + 19m = 21n + 21m + (n - 2m), so 7 divides it too
-            predicted = (22 * n + 19 * m) // 7 if mod7 else None
-            rows.append((n, m, total, nearest, residual, mod7, predicted,
-                         abs(residual) * threshold.denominator < limit))
-    return two_den, rows
+    def rows():
+        for n in range(-max_coeff, max_coeff + 1):
+            for m in range(-max_coeff, max_coeff + 1):
+                if n == 0 and m == 0:
+                    continue
+                total = n * pi_sum + m * e_sum
+                nearest = (total + den) // two_den
+                residual = total - nearest * two_den
+                mod7 = (n - 2 * m) % 7 == 0
+                # 22n + 19m = 21n + 21m + (n - 2m), so 7 divides it too
+                predicted = (22 * n + 19 * m) // 7 if mod7 else None
+                yield (n, m, total, nearest, residual, mod7, predicted,
+                       abs(residual) * threshold.denominator < limit)
+    return two_den, rows()
 
 
-def linear_combo_scan(
-    max_coeff: int,
-    digits: int = 30,
-    threshold: Fraction = Fraction(6, 100),
-) -> list[ScanRow]:
+def linear_combo_scan(max_coeff: int, digits: int = 30,
+                      threshold: Fraction = Fraction(6, 100)) -> list[ScanRow]:
     """Scan n*pi + m*e for all |n|, |m| <= max_coeff, (n, m) != (0, 0).
 
     Each row records the midpoint value, the nearest integer, the signed

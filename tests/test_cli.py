@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -263,6 +266,35 @@ def test_scan_csv_always_full(capsys):
     lines = out.splitlines()
     assert lines[0] == "n,m,value,nearest,residual,mod7,predicted,flagged"
     assert len(lines) == 49
+
+
+class _LineCounter(io.TextIOBase):
+    """A stdout that keeps nothing it is given but its count of lines."""
+
+    lines = 0
+
+    def write(self, s):
+        self.lines += s.count("\n")
+        return len(s)
+
+
+def test_scan_csv_memory_does_not_grow_with_max():
+    # 301^2 - 1 = 90,600 rows; a scan that held every row before writing
+    # the first would peak near 22 MB here
+    import csv  # noqa: F401  imported before tracing, as the scan imports it
+    import epilab.derive  # noqa: F401
+
+    sink = _LineCounter()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            rc = main(["scan", "--max", "150", "--format", "csv"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert sink.lines == 90_601
+    assert peak < 2 * 2**20
 
 
 def _reference_scan(fmt, max_coeff, digits, threshold):

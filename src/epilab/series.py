@@ -302,16 +302,19 @@ def _exact_sum(pairs: Iterator[tuple[int, int]], count: int) -> tuple[int, int]:
     """Exact sum of the next `count` terms of `pairs` as integers (P, Q),
     Q > 0, not in lowest terms; (0, 1) when count is 0.
 
-    Terms and partial sums are joined over the lcm of their denominators,
-    so the gcd that puts a sum in lowest terms is paid once, by the
-    caller's Fraction.  The run is halved recursively so that each join
-    meets sums of similar size; depth-first, so terms are drawn in order.
+    A leaf of up to _LEAF_TERMS terms joins over the product of their
+    denominators with one gcd at its end, or with none while each divides
+    the next (e's n!).  Longer runs are halved recursively, so each join
+    meets sums of similar size, and joined over the lcm; depth-first, so
+    terms are drawn in order.
     """
     if count <= _LEAF_TERMS:
-        total = 0, 1
+        p1, q1, g = 0, 1, 1
         for p, q in islice(pairs, count):
-            total = _join(*total, p, q)
-        return total
+            k, r = divmod(q, q1)
+            p1, q1, g = (p1 * k + p, q, g) if r == 0 else (p1 * q + p * q1, q1 * q, 0)
+        g = g or math.gcd(p1, q1)
+        return p1 // g, q1 // g
     half = (count + 1) // 2
     return _join(*_exact_sum(pairs, half), *_exact_sum(pairs, count - half))
 

@@ -129,7 +129,8 @@ def _pi_unit(work: int) -> tuple[int, int]:
     """
     n = work // 14 + 2
     # closed-form term count, checked once without a big power
-    assert 47 * n >= (333 * work + 99) // 100 + (2 * (_A + _B * n)).bit_length()
+    if 47 * n < (333 * work + 99) // 100 + (2 * (_A + _B * n)).bit_length():
+        raise RuntimeError(f"{n} Chudnovsky terms do not reach 10**-{work}")
     _, q, t = _chudnovsky(0, n)
     y = 426880 * math.isqrt(10005 * 100**work) * q // t
     return y - 1, y + 2

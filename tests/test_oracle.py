@@ -145,6 +145,20 @@ def test_exp_negative_is_reciprocal():
     assert lo_n * lo_p <= 1 <= hi_n * hi_p
 
 
+def test_pi_term_count_reaches_every_work(monkeypatch):
+    # _pi_unit's closed-form count work // 14 + 2 meets its docstring's
+    # inequality for every work up to 10**5 digits; the check that guards
+    # it raises, and stays under python -O
+    from epilab import oracle
+
+    for work in range(10**5 + 1):
+        n = work // 14 + 2
+        assert 47 * n >= (333 * work + 99) // 100 + (2 * (oracle._A + oracle._B * n)).bit_length()
+    monkeypatch.setattr(oracle, "_B", 2**100)
+    with pytest.raises(RuntimeError, match="Chudnovsky terms"):
+        oracle._pi_unit(0)
+
+
 def test_exp_range_limit():
     assert EXP_ARG_LIMIT == 100
     exp_interval(Fraction(EXP_ARG_LIMIT), 5)

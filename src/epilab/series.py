@@ -10,8 +10,8 @@ A spec states its terms once, as runs of integer pairs ``pairs(a, b)``,
 so a run builds no Fraction per term and can carry state from one term
 to the next (the factorial of the e series is multiplied up, not
 rebuilt).  The sums read only these runs: an exact sum joins them over
-the lcm of their denominators into one Fraction per sum, a fixed-point
-sum rounds each pair inline.  ``term(n)`` is the run of one index.
+a common denominator into one Fraction per sum, a fixed-point sum
+rounds each pair inline.  ``term(n)`` is the run of one index.
 
 Builtins (index ranges are inclusive of start_index):
 
@@ -115,9 +115,9 @@ class SumResult:
 
     value: the partial sum including the offset.  When at most
     EXACT_TERM_LIMIT terms were requested it is the exact rational sum
-    of the terms (joined as integer pairs over their lcm, one Fraction
-    per sum); otherwise the exact value of the fixed-point accumulation
-    (each term rounded inline), with the rounding added to `bound`.
+    of the terms (joined as integer pairs, one Fraction per sum);
+    otherwise the exact value of the fixed-point accumulation (each
+    term rounded inline), with the rounding added to `bound`.
     terms_used: index of the last term included.
     bound: certified bound on |true limit - value|.
     """

@@ -42,7 +42,6 @@ __all__ = [
     "iroot",
     "root_units",
     "root_interval",
-    "sqrt_interval",
     "floor_neg_log10",
     "ilog10_floor",
 ]
@@ -218,10 +217,6 @@ def root_units(lo: int, hi: int, den: int, k: int, scale: int) -> tuple[int, int
     return iroot(floor_div(lo * p, den), k), iroot(ceil_div(hi * p, den), k) + 1
 
 
-def sqrt_interval(lo: Fraction, hi: Fraction, scale: int) -> tuple[Fraction, Fraction]:
-    return root_interval(lo, hi, 2, scale)
-
-
 # ---------------------------------------------------------------------------
 # exact decimal logarithms
 
@@ -327,7 +322,7 @@ class Surd:
         """Rational enclosure of the value on the 10**-scale grid."""
         if self.b == 0:
             return self.a, self.a
-        s_lo, s_hi = sqrt_interval(Fraction(self.r), Fraction(self.r), scale)
+        s_lo, s_hi = (Fraction(u, 10**scale) for u in root_units(self.r, self.r, 1, 2, scale))
         if self.b > 0:
             return self.a + self.b * s_lo, self.a + self.b * s_hi
         return self.a + self.b * s_hi, self.a + self.b * s_lo

@@ -5,13 +5,12 @@ integer scan over n*pi + m*e, and certified continued fractions.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from fractions import Fraction
 
 from ._record import record
 from .bignum import Surd
-from .oracle import e_interval, pi_interval
+from .oracle import _cached, _e_unit, _pi_unit
 
 __all__ = [
     "solve_pi_quadratic",
@@ -104,20 +103,20 @@ def _scan_units(max_coeff: int, digits: int, threshold: Fraction) -> tuple[int, 
     mod7, predicted, flagged), with total and residual the numerators of
     the value and the residual over the returned two_den.  The value is
     the midpoint of the enclosure of n*pi + m*e, (n*(plo + phi) +
-    m*(elo + ehi))/2 whatever the signs of n and m; with the endpoints
-    over one common denominator each field is an integer sum or floor
-    division.  The rows are made as they are read, after the checks and
-    the enclosures, so a bad argument raises before any output.
+    m*(elo + ehi))/2 whatever the signs of n and m; the oracle's units of
+    pi and e share the denominator 10**work, so each field is an integer
+    sum or floor division.  The rows are made as they are read, after the
+    checks and the enclosures, so a bad argument raises before any output.
     """
     if max_coeff < 1:
         raise ValueError("max_coeff must be >= 1")
     threshold = Fraction(threshold)
     if threshold <= 0 or threshold > Fraction(1, 2):
         raise ValueError("threshold must be in (0, 1/2]")
-    plo, phi = pi_interval(digits)
-    elo, ehi = e_interval(digits)
-    den = math.lcm(plo.denominator, phi.denominator, elo.denominator, ehi.denominator)
-    pi_sum, e_sum = (int((lo + hi) * den) for lo, hi in ((plo, phi), (elo, ehi)))
+    work, plo, phi = _cached(_pi_unit, digits)
+    _, elo, ehi = _cached(_e_unit, digits)
+    pi_sum, e_sum = plo + phi, elo + ehi
+    den = 10**work
     two_den = 2 * den
     # |residual| < threshold, with the residual's numerator over 2*den
     limit = threshold.numerator * two_den
@@ -151,12 +150,11 @@ def linear_combo_scan(max_coeff: int, digits: int = 30,
             for n, m, total, nearest, residual, *rest in rows]
 
 
-def _floor_cf(lo: Fraction, hi: Fraction, n_terms: int) -> list[int] | None:
-    # floor-algorithm continued fraction on an interval, as integer
-    # Euclid on the endpoints a/b <= c/d; every emitted quotient is
-    # certain because both endpoints agree on it.  None means the
-    # interval is too wide to decide the next quotient.
-    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+def _floor_cf(a: int, b: int, c: int, d: int, n_terms: int) -> list[int] | None:
+    # floor-algorithm continued fraction on the interval a/b <= c/d (b, d >
+    # 0, in lowest terms or not), as integer Euclid on the endpoints; every
+    # emitted quotient is certain because both endpoints agree on it.  None
+    # means the interval is too wide to decide the next quotient.
     out: list[int] = []
     while len(out) < n_terms:
         q, a = divmod(a, b)
@@ -191,11 +189,11 @@ def cfrac(expr, n_terms: int, digits: int = 30) -> list[int]:
     if digits < 1:
         raise ValueError("digits must be >= 1")
     # here, not at the top: the scan needs no expression evaluator
-    from .expr import PrecisionCapError, eval_interval
+    from .expr import PrecisionCapError, _enclose
     d = digits
     while True:
-        lo, hi = eval_interval(expr, d)
-        terms = _floor_cf(lo, hi, n_terms)
+        lo, hi, den = _enclose(expr, d)
+        terms = _floor_cf(lo, den, hi, den, n_terms)
         if terms is not None:
             return terms
         if d >= CFRAC_MAX_DIGITS:

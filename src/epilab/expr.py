@@ -35,15 +35,7 @@ from fractions import Fraction
 
 from ._record import record
 from .bignum import BigFixed, _div_nearest, ceil_div, floor_div, ilog10_floor, iroot, root_units
-from .oracle import (
-    EXP_ARG_LIMIT,
-    ExpRangeError,
-    NoCertifiedResult,
-    _cached,
-    _e_unit,
-    _pi_unit,
-    exp_interval,
-)
+from .oracle import EXP_ARG_LIMIT, NoCertifiedResult, _cached, _e_unit, _exp_units, _pi_unit
 
 __all__ = [
     "Expr",
@@ -447,16 +439,13 @@ def _eval(expr: Expr, w: int) -> Fraction | _IV:
     if isinstance(expr, Exp):
         lo, hi, den = _split(_eval(expr.arg, w))
         limit = EXP_ARG_LIMIT * den
-        if lo > limit or hi < -limit:
-            raise ExpRangeError(f"exp argument outside |x| <= {EXP_ARG_LIMIT}")
-        if hi > limit or lo < -limit:
+        # an interval wholly past the limit fails in _exp_units; one across it is undecided
+        if lo <= limit < hi or lo < -limit <= hi:
             raise _Undecided
-        e_lo, e_hi = exp_interval(Fraction(lo, den), w)
+        e_lo, e_hi = _exp_units(lo, den, w)
         if lo != hi:
-            e_hi = exp_interval(Fraction(hi, den), w)[1]
-        # the kernel's endpoints, as they are on its finer 10**-(w + 4) grid
-        return _out(e_lo.numerator * e_hi.denominator, e_hi.numerator * e_lo.denominator,
-                    e_lo.denominator * e_hi.denominator, w + 4)
+            e_hi = _exp_units(hi, den, w)[1]
+        return _out(e_lo, e_hi, 10 ** (w + 4), w + 4)
     raise TypeError(f"not an Expr: {expr!r}")
 
 

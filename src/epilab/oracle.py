@@ -24,11 +24,11 @@ sections 4.4 and 4.9).
   most one unit of relative width and the kernel's width is proved, not
   retried.  exp(-x) is the reciprocal, rounded outward.
 
-The ``*_interval`` functions return exact rational enclosures [lo, hi],
-whose denominators divide a power of ten; :func:`constant_reference`
-renders the midpoint of one into an :class:`OracleValue`.  The
-expression evaluator reads pi and e as the kernels' integer units,
-through ``_cached``, and exp through :func:`exp_interval`.
+The package's own code reads these integer units: pi and e through
+``_cached``, exp through ``_exp_units``, and :func:`constant_reference`
+renders its midpoints from them.  The ``*_interval`` functions are
+views of the same units as exact rational enclosures [lo, hi], for
+callers outside the package.
 
 All functions are pure.  The module-level cache keeps the units of the
 last pi and the last e enclosure, keyed by the kernel's exact work
@@ -43,7 +43,7 @@ import math
 from fractions import Fraction
 
 from ._record import record
-from .bignum import BigFixed, ceil_div, floor_div
+from .bignum import BigFixed, _div_nearest, ceil_div, floor_div
 
 __all__ = [
     "OracleValue",
@@ -230,31 +230,38 @@ def e_interval(eps_digits: int) -> tuple[Fraction, Fraction]:
     return Fraction(lo, 10**work), Fraction(hi, 10**work)
 
 
-def exp_interval(x: Fraction, eps_digits: int) -> tuple[Fraction, Fraction]:
-    """Exact rational enclosure of exp(x), width <= 10**-eps_digits.
+def _exp_units(num: int, den: int, eps_digits: int) -> tuple[int, int]:
+    """Bounds (lo, hi) on exp(num/den) in units of 10**-(eps_digits + 4),
+    hi - lo <= 10**4, for den > 0.
 
-    Requires |x| <= EXP_ARG_LIMIT.  With mag = floor(0.4343 |x|) + 1,
+    Requires |num/den| <= EXP_ARG_LIMIT.  With mag = floor(0.4343 |x|) + 1,
     exp(|x|) < 10**mag, so at work = eps_digits + mag the kernel's width
     exp(|x|)/2 + 2 units of 10**-work is under 10**-eps_digits/2 +
     2 * 10**-(eps_digits + 1).  Its reciprocal, for x < 0, is no wider
     than 1/2 + 2/exp(|x|) + 2 units: the bounds' product is at least
     exp(|x|) 10**(2 work).  Rounding outward onto the 10**-(eps_digits + 4)
-    grid adds two units of that grid, so the width contract holds with no
-    retry.
+    grid, 10**mag units of 10**-work each, adds two units of that grid, so
+    the width contract holds with no retry.
     """
     if eps_digits < 1:
         raise ValueError("digits must be >= 1")
-    x = Fraction(x)
-    if abs(x) > EXP_ARG_LIMIT:
-        raise ExpRangeError(f"exp argument {float(x):g} outside |x| <= {EXP_ARG_LIMIT}")
-    mag = abs(x) * 4343 // 10000 + 1
+    if abs(num) > EXP_ARG_LIMIT * den:
+        raise ExpRangeError(f"exp argument outside |x| <= {EXP_ARG_LIMIT}")
+    mag = abs(num) * 4343 // (10000 * den) + 1
     work = eps_digits + mag
-    lo, hi = _exp_unit(abs(x), work)
-    if x < 0:
+    lo, hi = _exp_unit(Fraction(abs(num), den), work)
+    if num < 0:
         lo, hi = 100**work // hi, -(-100**work // lo)
-    out = 10 ** (eps_digits + 4)
-    unit = 10**work
-    return Fraction(floor_div(lo * out, unit), out), Fraction(ceil_div(hi * out, unit), out)
+    unit = 10**mag
+    return floor_div(lo * 10**4, unit), ceil_div(hi * 10**4, unit)
+
+
+def exp_interval(x: Fraction, eps_digits: int) -> tuple[Fraction, Fraction]:
+    """Exact rational enclosure of exp(x), width <= 10**-eps_digits, for
+    |x| <= EXP_ARG_LIMIT: a view of ``_exp_units``."""
+    x = Fraction(x)
+    lo, hi = _exp_units(x.numerator, x.denominator, eps_digits)
+    return Fraction(lo, 10 ** (eps_digits + 4)), Fraction(hi, 10 ** (eps_digits + 4))
 
 
 def constant_reference(constant: str, digits: int) -> OracleValue:
@@ -266,15 +273,13 @@ def constant_reference(constant: str, digits: int) -> OracleValue:
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    if constant in ("pi", "e"):
-        lo, hi = (pi_interval if constant == "pi" else e_interval)(digits + 5)
-        return OracleValue(BigFixed.from_fraction((lo + hi) / 2, digits + 3), digits + 2)
-    if constant == "two_pi":
-        lo, hi = pi_interval(digits + 6)
-        return OracleValue(BigFixed.from_fraction(lo + hi, digits + 3), digits + 2)
-    if constant in ("pi6", "pi8"):
-        # pi > 0, so the power of each endpoint bounds the power of pi
-        k = 6 if constant == "pi6" else 8
-        lo, hi = pi_interval(digits + 10)
-        return OracleValue(BigFixed.from_fraction((lo**k + hi**k) / 2, digits + 3), digits + 2)
-    raise ValueError(f"unknown constant {constant!r}; expected one of {CONSTANTS}")
+    if constant not in CONSTANTS:
+        raise ValueError(f"unknown constant {constant!r}; expected one of {CONSTANTS}")
+    # pi > 0, so the k-th power of each endpoint bounds pi**k; the value is
+    # the midpoint (lo**k + hi**k)/2 of the units, doubled for two_pi
+    k = int(constant[2:]) if constant in ("pi6", "pi8") else 1
+    extra = 10 if k > 1 else 6 if constant == "two_pi" else 5
+    work, lo, hi = _cached(_e_unit if constant == "e" else _pi_unit, digits + extra)
+    num = (lo**k + hi**k) * (2 if constant == "two_pi" else 1)
+    value = _div_nearest(num * 10 ** (digits + 3), 2 * 10 ** (work * k))
+    return OracleValue(BigFixed(value, digits + 3), digits + 2)

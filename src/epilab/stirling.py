@@ -21,9 +21,9 @@ exact correction 17850625/11943936 = 1.4945... sits close to 3/2.
 Each rendered value is built as an :mod:`epilab.expr` tree, the exact
 rational parts as literals, and rendered from its certified enclosure
 two digits finer than asked for.  So the guard digits that pi, e and
-the square roots need are chosen by ``eval_interval``, the same way as
-for every other expression, also when the value has many digits before
-the point.
+the square roots need are chosen by the evaluator's ``_enclose``, the
+same way as for every other expression, also when the value has many
+digits before the point.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import math
 from fractions import Fraction
 
 from ._record import record
-from .bignum import BigFixed, Surd
-from .expr import ConstE, ConstPi, Div, Expr, IntLit, Mul, PowInt, RatLit, Sqrt, eval_interval
+from .bignum import BigFixed, Surd, _div_nearest
+from .expr import ConstE, ConstPi, Div, Expr, IntLit, Mul, PowInt, RatLit, Sqrt, _enclose
 
 __all__ = [
     "STIRLING_COEFFS",
@@ -76,8 +76,8 @@ def stirling_factor(n: Fraction, k: int) -> Fraction:
 
 def _render(tree: Expr, scale: int) -> BigFixed:
     """The tree's value rounded to `scale` places, from its enclosure."""
-    lo, hi = eval_interval(tree, scale + 2)
-    return BigFixed.from_fraction((lo + hi) / 2, scale)
+    lo, hi, den = _enclose(tree, scale + 2)
+    return BigFixed(_div_nearest((lo + hi) * 10**scale, 2 * den), scale)
 
 
 def e_power_approx(n: int, k: int, scale: int = 10) -> BigFixed:

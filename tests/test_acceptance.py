@@ -187,17 +187,23 @@ def _rational_intervals(draw) -> tuple[Fraction, Fraction]:
 
 
 @settings(max_examples=300, deadline=None)
-@given(_rational_intervals(), st.integers(1, 40))
-@example((Fraction(3), Fraction(3)), 5)
-@example((Fraction(-22, 7), Fraction(-22, 7)), 5)
-@example((Fraction(2), Fraction(5, 2)), 5)  # only the lower end is an integer
-@example((Fraction(5, 2), Fraction(3)), 5)  # only the upper end is
-@example((Fraction(-31, 10), Fraction(-29, 10)), 5)  # straddles -3
-@example((Fraction(355, 113), Fraction(355, 113) + Fraction(1, 10**40)), 40)
-@example((Fraction(22, 7) - Fraction(1, 10**40), Fraction(22, 7)), 5)
-def test_integer_floor_cf_matches_fraction_walk(interval, n_terms):
+@given(_rational_intervals(), st.integers(1, 40), st.integers(1, 10**40), st.integers(1, 10**40))
+@example((Fraction(3), Fraction(3)), 5, 1, 1)
+@example((Fraction(-22, 7), Fraction(-22, 7)), 5, 1, 1)
+@example((Fraction(2), Fraction(5, 2)), 5, 1, 1)  # only the lower end is an integer
+@example((Fraction(5, 2), Fraction(3)), 5, 1, 1)  # only the upper end is
+@example((Fraction(-31, 10), Fraction(-29, 10)), 5, 1, 1)  # straddles -3
+@example((Fraction(355, 113), Fraction(355, 113) + Fraction(1, 10**40)), 40, 1, 1)
+@example((Fraction(22, 7) - Fraction(1, 10**40), Fraction(22, 7)), 5, 1, 1)
+# one power of ten under both ends, as cfrac passes the evaluator's units
+@example((Fraction(314159, 100000), Fraction(314161, 100000)), 5, 7 * 10**4, 10**3)
+@example((Fraction(5, 2), Fraction(5, 2)), 5, 2, 10**9)
+def test_integer_floor_cf_matches_fraction_walk(interval, n_terms, g_lo, g_hi):
+    # the endpoints go in unreduced, each scaled by its own multiplier
     lo, hi = interval
-    assert _floor_cf(lo, hi, n_terms) == _cfrac_by_floor_walk(lo, hi, n_terms)
+    got = _floor_cf(lo.numerator * g_lo, lo.denominator * g_lo,
+                    hi.numerator * g_hi, hi.denominator * g_hi, n_terms)
+    assert got == _cfrac_by_floor_walk(lo, hi, n_terms)
 
 
 @pytest.mark.parametrize("name", ["pi", "e"])

@@ -18,7 +18,6 @@ from epilab.bignum import (
     ilog10_floor,
     iroot,
     root_interval,
-    sqrt_interval,
     surd_eval,
 )
 
@@ -147,7 +146,6 @@ def test_root_interval_encloses(lo, width, k, scale):
 def test_root_interval_tight_on_point():
     rlo, rhi = root_interval(Fraction(2), Fraction(2), 2, 30)
     assert rhi - rlo <= Fraction(2, 10**30)
-    assert sqrt_interval(Fraction(2), Fraction(2), 30) == (rlo, rhi)
 
 
 def test_log10_helpers():

@@ -196,6 +196,13 @@ def test_cfrac_exp_out_of_range_exits_one(capsys):
     assert (rc, out, err) == (1, "", "error: exp argument outside |x| <= 100\n")
 
 
+def test_stirling_approx_far_past_the_exp_limit_exits_one(capsys):
+    # n has 401 digits, more than a float holds: the range check must not
+    # convert it to print it
+    rc, out, err = run(capsys, "stirling", "--op", "approx", "--n", "1" + "0" * 400)
+    assert (rc, out, err) == (1, "", "error: exp argument outside |x| <= 100\n")
+
+
 def test_cfrac_root_of_negative_exits_one(capsys):
     rc, out, err = run(capsys, "cfrac", "root(2, 0-pi)")
     assert (rc, out) == (1, "")
@@ -344,17 +351,15 @@ def test_scan_cells_equal_fraction_rendering(capsys, fmt, threshold, digits):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_scan_cells_round_ties_away_and_drop_the_sign_of_zero(monkeypatch, capsys, fmt):
-    # made-up enclosures with midpoints 3 + 5e-7 and 3 + 8e-7 and endpoint
-    # denominators 6 and 7: pi's row is a tie at the sixth place, and
-    # pi - e = -3e-7 is a small negative value that rounds to zero
+    # made-up units on the 10**-7 grid, with midpoints 3 + 5e-7 and
+    # 3 + 8e-7: pi's row is a tie at the sixth place, and pi - e = -3e-7
+    # is a small negative value that rounds to zero
     import epilab.derive
+    from epilab import oracle
 
-    pi_mid = 3 + Fraction(5, 10**7)
-    e_mid = 3 + Fraction(8, 10**7)
-    fake_pi = (pi_mid - Fraction(1, 3), pi_mid + Fraction(1, 3))
-    fake_e = (e_mid - Fraction(1, 7), e_mid + Fraction(1, 7))
-    monkeypatch.setattr(epilab.derive, "pi_interval", lambda digits: fake_pi)
-    monkeypatch.setattr(epilab.derive, "e_interval", lambda digits: fake_e)
+    units = {oracle._pi_unit: (7, 30000005 - 3333333, 30000005 + 3333333),
+             oracle._e_unit: (7, 30000008 - 1428571, 30000008 + 1428571)}
+    monkeypatch.setattr(epilab.derive, "_cached", lambda kernel, digits: units[kernel])
     rc, out, _ = run(capsys, "scan", "--max", "2", "--format", fmt)
     assert rc == 0
     assert out.splitlines() == _reference_scan(fmt, 2, 30, "0.06").splitlines()

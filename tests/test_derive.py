@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epilab.derive
+from epilab import oracle
 from epilab.bignum import Surd, surd_eval
 from epilab.derive import (
     ScanRow,
@@ -206,13 +207,12 @@ def test_scan_rows_equal_direct_fraction_evaluation(digits, threshold):
 
 
 def test_scan_ties_follow_fraction_semantics(monkeypatch):
-    # made-up enclosures with midpoints 7/2 and 147/50 = 2.94, and endpoint
-    # denominators 6 and 350: pi's row lands exactly on a half-integer
-    # (nearest rounds up) and e's residual is exactly -0.06 (not flagged)
-    fake_pi = (Fraction(7, 2) - Fraction(1, 3), Fraction(7, 2) + Fraction(1, 3))
-    fake_e = (Fraction(147, 50) - Fraction(1, 7), Fraction(147, 50) + Fraction(1, 7))
-    monkeypatch.setattr(epilab.derive, "pi_interval", lambda digits: fake_pi)
-    monkeypatch.setattr(epilab.derive, "e_interval", lambda digits: fake_e)
+    # made-up units on the 10**-2 grid, with midpoints 7/2 and 147/50 =
+    # 2.94: pi's row lands exactly on a half-integer (nearest rounds up)
+    # and e's residual is exactly -0.06 (not flagged)
+    units = {oracle._pi_unit: (2, 350 - 33, 350 + 33), oracle._e_unit: (2, 294 - 14, 294 + 14)}
+    monkeypatch.setattr(epilab.derive, "_cached", lambda kernel, digits: units[kernel])
+    fake_pi, fake_e = ((Fraction(lo, 100), Fraction(hi, 100)) for _, lo, hi in units.values())
     threshold = Fraction(6, 100)
     rows = linear_combo_scan(4, 30, threshold)
     _assert_rows_equal(rows, _direct_scan(4, fake_pi, fake_e, threshold))

@@ -247,15 +247,15 @@ def test_exp_of_a_point_calls_the_kernel_once_per_attempt(monkeypatch, text, per
     # precision are the calls of one attempt: one for an exact argument,
     # one per endpoint otherwise
     import epilab.expr
-    from epilab.oracle import exp_interval
+    from epilab.oracle import _exp_units
 
     calls = []
 
-    def counting(x, eps_digits):
+    def counting(num, den, eps_digits):
         calls.append(eps_digits)
-        return exp_interval(x, eps_digits)
+        return _exp_units(num, den, eps_digits)
 
-    monkeypatch.setattr(epilab.expr, "exp_interval", counting)
+    monkeypatch.setattr(epilab.expr, "_exp_units", counting)
     lo, hi = eval_interval(parse(text), 30)
     assert hi - lo <= Fraction(1, 10**30)
     assert calls and all(calls.count(w) == per_attempt for w in calls)

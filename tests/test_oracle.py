@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from epilab.bignum import BigFixed
 from epilab.oracle import (
     CONSTANTS,
     EXP_ARG_LIMIT,
@@ -75,6 +76,30 @@ def test_e_agrees_with_inline_factorial_sum():
         fact *= n
     v = constant_reference("e", 35)
     assert abs(v.value.as_fraction() - total) <= 2 * Fraction(1, 10**35)
+
+
+def _fraction_midpoint_reference(constant: str, digits: int) -> BigFixed:
+    """constant_reference's value built on Fractions: the midpoint of the
+    public pi or e enclosure, of pi's endpoints doubled, or of their k-th
+    powers, rounded to nearest at digits + 3 places."""
+    if constant in ("pi", "e"):
+        lo, hi = (pi_interval if constant == "pi" else e_interval)(digits + 5)
+        return BigFixed.from_fraction((lo + hi) / 2, digits + 3)
+    if constant == "two_pi":
+        lo, hi = pi_interval(digits + 6)
+        return BigFixed.from_fraction(lo + hi, digits + 3)
+    k = 6 if constant == "pi6" else 8
+    lo, hi = pi_interval(digits + 10)
+    return BigFixed.from_fraction((lo**k + hi**k) / 2, digits + 3)
+
+
+@pytest.mark.parametrize("digits", [1, 2, 7, 30, 61, 1000])
+@pytest.mark.parametrize("constant", CONSTANTS)
+def test_constant_reference_equals_fraction_midpoint(constant, digits):
+    ref = constant_reference(constant, digits)
+    want = _fraction_midpoint_reference(constant, digits)
+    assert (ref.value.mantissa, ref.value.scale) == (want.mantissa, want.scale)
+    assert ref.certified_digits == digits + 2
 
 
 def test_interval_width_and_containment():
@@ -166,6 +191,11 @@ def test_exp_range_limit():
         exp_interval(Fraction(EXP_ARG_LIMIT + 1), 5)
     with pytest.raises(ExpRangeError):
         exp_interval(Fraction(-EXP_ARG_LIMIT - 1), 5)
+
+
+def test_exp_range_check_takes_an_argument_too_large_for_a_float():
+    with pytest.raises(ExpRangeError):
+        exp_interval(Fraction(10**400), 5)
 
 
 @pytest.mark.parametrize("digits", [0, -10])

@@ -235,6 +235,14 @@ def test_exp_range():
         eval_interval(parse("exp(0 - 101)"), 5)
 
 
+@pytest.mark.parametrize("text", ["exp(100 + (pi - pi))", "exp(pi - pi - 100)"])
+def test_exp_argument_across_the_limit_is_undecided_not_out_of_range(text):
+    # the argument's enclosure straddles +-100 at every precision, so no
+    # attempt can tell whether it is in range
+    with pytest.raises(PrecisionCapError):
+        eval_interval(parse(text), 5)
+
+
 def test_interval_width_honors_request():
     for digits in (6, 18, 34):
         lo, hi = eval_interval(parse("pi^9/e^8"), digits)

@@ -15,9 +15,8 @@ Rounding onto the decimal grid 10**-scale happens in two ways only.
 ulp, ties away from zero, symmetrically for negative values);
 :func:`floor_div` and :func:`ceil_div` round an integer quotient down and
 up, and are the one directed rounding every enclosure in the package is
-built with: :func:`floor_grid` and :func:`ceil_grid` put a rational onto
-the grid through them, and the expression evaluator rounds its integer
-units with them.
+built with: the expression evaluator, the root kernels and the CLI's
+printed bounds round their integer units with them.
 
 :class:`Surd` represents quadratic irrationals ``a + b*sqrt(r)`` exactly,
 with the square part of ``r`` factored into ``b`` so the radicand is
@@ -36,8 +35,6 @@ __all__ = [
     "Surd",
     "floor_div",
     "ceil_div",
-    "floor_grid",
-    "ceil_grid",
     "surd_eval",
     "iroot",
     "root_units",
@@ -151,16 +148,6 @@ def floor_div(n: int, d: int) -> int:
 def ceil_div(n: int, d: int) -> int:
     """ceil(n / d) for integers, d != 0: the one rounding up."""
     return -(-n // d)
-
-
-def floor_grid(x: Fraction, scale: int) -> int:
-    """floor(x * 10**scale): x rounded down onto the 10**-scale grid, in units."""
-    return floor_div(x.numerator * 10**scale, x.denominator)
-
-
-def ceil_grid(x: Fraction, scale: int) -> int:
-    """ceil(x * 10**scale): x rounded up onto the 10**-scale grid, in units."""
-    return ceil_div(x.numerator * 10**scale, x.denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ import sys
 from fractions import Fraction
 
 from .bignum import (BigFixed, _div_nearest, _fixed_to_string, _int_to_digits, _rational_to_digits,
-                     ceil_grid, floor_grid, floor_neg_log10, root_interval)
-from .oracle import NoCertifiedResult, constant_reference, e_interval, exp_interval
+                     ceil_div, floor_div, floor_neg_log10, root_units)
+from .oracle import NoCertifiedResult, _cached, _e_unit, _exp_units, constant_reference
 from .series import (
     DEFAULT_MAX_TERMS,
     EXACT_TERM_LIMIT,
@@ -134,37 +134,42 @@ def cmd_compute(args) -> int:
         )
     if args.max_terms < 1:
         raise ValueError("--max-terms must be >= 1")
+    if args.terms != "auto":
+        try:
+            count = int(args.terms)
+        except ValueError:
+            raise ValueError(f"bad --terms {args.terms!r}; expected a count or 'auto'") from None
+        if count < 1:
+            raise ValueError("--terms must be >= 1")
     terms = ""
+    # both methods give bounds lo <= constant * den <= hi
     if args.method == "oracle":
-        ov = constant_reference(args.constant, digits)
-        mid = ov.value.as_fraction()
-        halfwidth = Fraction(1, 10**ov.certified_digits)
+        # the reference is certified to 10 units of its last place
+        m = constant_reference(args.constant, digits).value.mantissa
+        lo, hi, den = m - 10, m + 10, 10 ** (digits + 3)
     else:
         spec = builtin(args.method)
-        if args.terms == "auto":
-            last = terms_needed(spec, digits + 1, cap=args.max_terms)
-        else:
-            try:
-                last = spec.start_index + int(args.terms) - 1
-            except ValueError:
-                raise ValueError(f"bad --terms {args.terms!r}; expected a count or 'auto'") from None
-            if last < spec.start_index:
-                raise ValueError("--terms must be >= 1")
+        last = (terms_needed(spec, digits + 1, cap=args.max_terms) if args.terms == "auto"
+                else spec.start_index + count - 1)
         result = partial_sum(spec, last)
         terms = str(result.terms_used - spec.start_index + 1)
-        lo, hi = result.value - result.bound, result.value + result.bound
+        v, r = result.value, result.bound
+        num, rad = v.numerator * r.denominator, r.numerator * v.denominator
+        lo, hi, den = num - rad, num + rad, v.denominator * r.denominator
         if spec.constant == "two_pi":
-            lo, hi = lo / 2, hi / 2
+            den *= 2
         elif spec.constant in ("pi6", "pi8"):  # pi^k: take the k-th root
-            lo, hi = root_interval(max(lo, Fraction(0)), hi, int(spec.constant[2]), digits + 6)
-        mid, halfwidth = (lo + hi) / 2, (hi - lo) / 2
-    # mid > 0, so rounding down makes the rendered digits a prefix of its
-    # decimal expansion, which is what "value to N digits" means here
-    value = BigFixed(floor_grid(mid, digits), digits)
-    err = halfwidth + abs(mid - value.as_fraction())
+            lo, hi = root_units(max(lo, 0), hi, den, int(spec.constant[2]), digits + 6)
+            den = 10 ** (digits + 6)
+    # the midpoint is positive, so rounding it down makes the rendered
+    # digits a prefix of its decimal expansion, which is what "value to N
+    # digits" means here; the value is at most the midpoint, so the error
+    # is at most hi/den - value
+    value = floor_div((lo + hi) * 10**digits, 2 * den)
+    error_bound = ceil_div((hi * 10**digits - value * den) * 10**4, den)
     cells = {"constant": args.constant, "method": args.method, "digits": str(digits),
-             "terms": terms, "value": value.to_decimal_string(),
-             "error_bound": BigFixed(ceil_grid(err, digits + 4), digits + 4).to_decimal_string()}
+             "terms": terms, "value": BigFixed(value, digits).to_decimal_string(),
+             "error_bound": BigFixed(error_bound, digits + 4).to_decimal_string()}
     text = cells["value"] if args.quiet else "\n".join([
         f"{args.constant} = {cells['value']}", f"method = {args.method}",
         *([f"terms = {terms}"] if terms else []), f"error <= {cells['error_bound']}"])
@@ -197,7 +202,8 @@ def cmd_table(args) -> int:
     rows = [
         [str(r.n), r.value.to_decimal_string(),
          BigFixed.from_fraction(r.abs_error, 25).to_decimal_string(),
-         BigFixed(ceil_grid(r.bound, 25), 25).to_decimal_string(),
+         BigFixed(ceil_div(r.bound.numerator * 10**25, r.bound.denominator),
+                  25).to_decimal_string(),
          str(r.digits_correct)]
         for r in convergence_table(spec, checkpoints, reference, scale=args.scale)
     ]
@@ -286,10 +292,12 @@ def cmd_cfrac(args) -> int:
 # stirling
 
 
-def _rel_error(approx: BigFixed, lo: Fraction, hi: Fraction) -> str:
-    a = approx.as_fraction()
-    worst = max(abs(a - lo), abs(a - hi))
-    return BigFixed(ceil_grid(worst / min(abs(lo), abs(hi)), 10), 10).to_decimal_string()
+def _rel_error(approx: BigFixed, lo: int, hi: int, den: int) -> str:
+    """ceil(max |approx - x| / min x, over x in [lo/den, hi/den]) at ten
+    places, for lo > 0."""
+    a, u = approx.mantissa * den, 10**approx.scale
+    worst = max(abs(a - lo * u), abs(a - hi * u))
+    return BigFixed(ceil_div(worst * 10**10, lo * u), 10).to_decimal_string()
 
 
 def cmd_stirling(args) -> int:
@@ -308,20 +316,24 @@ def cmd_stirling(args) -> int:
         }
         text = f"{s}; squared = {cells['squared']} ≈ {cells['squared_decimal']}"
     elif args.op in ("approx", "ratio"):
+        # the target's bounds lo <= target * den <= hi
         if args.op == "approx":
             # the target first: its range check names why a large n fails
-            lo, hi = exp_interval(Fraction(args.n), scale + 10)
+            lo, hi = _exp_units(args.n, 1, scale + 10)
+            den = 10 ** (scale + 14)
             value = e_power_approx(args.n, args.k, scale)
             name = f"e^{args.n}"
         else:
             value = e_from_ratio(args.n, args.k, scale)
-            lo, hi = e_interval(scale + 10)
+            work, lo, hi = _cached(_e_unit, scale + 10)
+            den = 10**work
             name = "e"
         cells = {
             "op": args.op, "n": str(args.n), "k": str(args.k),
             "value": value.to_decimal_string(),
-            "target": BigFixed.from_fraction((lo + hi) / 2, scale).to_decimal_string(),
-            "rel_error": _rel_error(value, lo, hi),
+            "target": BigFixed(_div_nearest((lo + hi) * 10**scale, 2 * den), scale)
+                      .to_decimal_string(),
+            "rel_error": _rel_error(value, lo, hi, den),
         }
         text = f"{name} ≈ {cells['value']}  (true {cells['target']}, " \
                f"rel error {cells['rel_error']})"

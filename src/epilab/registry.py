@@ -76,19 +76,6 @@ class VerificationReport:
     precision_used: int
     certified: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.relation_id,
-            "paper_eq": self.paper_eq,
-            "lhs": self.lhs_value.to_decimal_string(),
-            "rhs": self.rhs_value.to_decimal_string(),
-            "abs_residual": self.abs_residual.to_decimal_string(),
-            "rel_residual": self.rel_residual.to_decimal_string(),
-            "digits_of_agreement": self.digits_of_agreement,
-            "precision_used": self.precision_used,
-            "certified": self.certified,
-        }
-
 
 @record
 class VerificationFailure:

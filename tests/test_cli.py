@@ -153,6 +153,11 @@ def test_verify_all_json(capsys):
             "certified",
         ]
         assert doc["certified"] is True
+        assert isinstance(doc["digits_of_agreement"], int)
+        assert isinstance(doc["precision_used"], int)
+        for key in ("lhs", "rhs", "abs_residual", "rel_residual"):
+            # every numeric cell is plain decimal text
+            assert re.fullmatch(r"-?\d+(\.\d+)?", doc[key]), doc[key]
 
 
 def test_verify_all_csv(capsys):
@@ -526,6 +531,10 @@ def test_bad_threshold_names_the_option(capsys, threshold):
     ("scan --max 0", "--max must be >= 1"),
     ("cfrac pi --terms 0", "--terms must be >= 1"),
     ("compute pi --method zeta8 --terms x", "bad --terms 'x'; expected a count or 'auto'"),
+    # the oracle sums no series, but checks --terms as the series do
+    ("compute pi --terms abc", "bad --terms 'abc'; expected a count or 'auto'"),
+    ("compute pi --terms 0", "--terms must be >= 1"),
+    ("compute e --terms -2", "--terms must be >= 1"),
     ("table zeta8 --checkpoints 0", "--checkpoints must be >= 1"),
     ("table zeta8 --checkpoints 10,0", "--checkpoints must be >= 1"),
 ])

@@ -5,6 +5,7 @@ the modules its command runs."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 import subprocess
@@ -107,3 +108,29 @@ def test_cli_imports_only_what_the_command_runs():
     assert lines[1] == "pi = 3.14159"
     assert [line for line in lines if line.startswith("loaded")] == [
         "loaded []", "loaded []", "loaded ['epilab.derive']"]
+
+
+#: the Fraction views of the integer enclosures, and the module of each
+VIEWS = {"pi_interval": "oracle", "e_interval": "oracle", "exp_interval": "oracle",
+         "eval_interval": "expr", "root_interval": "bignum"}
+
+
+def _names(node) -> list[str]:
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [alias.name.rpartition(".")[2] for alias in node.names]
+    return []
+
+
+def test_package_code_reads_units_not_views():
+    # the views stay public for users, tests and the benchmark's tracer;
+    # inside the package, code reads the integer units under them
+    uses = sorted((path.name, name)
+                  for path in (SRC / "epilab").glob("*.py")
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  for name in _names(node)
+                  if VIEWS.get(name, path.stem) != path.stem)
+    assert uses == []

@@ -316,7 +316,7 @@ def cmd_stirling(args) -> int:
         }
         text = f"{s}; squared = {cells['squared']} ≈ {cells['squared_decimal']}"
     elif args.op in ("approx", "ratio"):
-        # the target's bounds lo <= target * den <= hi
+        # bounds lo <= x * den <= hi on the true value x
         if args.op == "approx":
             # the target first: its range check names why a large n fails
             lo, hi = _exp_units(args.n, 1, scale + 10)

@@ -14,8 +14,7 @@ from importlib import import_module as _import_module
 #: every public name, by the module that defines it
 _EXPORTS = {
     "bignum": "BigFixed Surd floor_neg_log10 ilog10_floor iroot root_interval surd_eval",
-    "oracle": "CONSTANTS ExpRangeError OracleValue constant_reference e_interval exp_interval "
-              "pi_interval",
+    "oracle": "CONSTANTS ExpRangeError constant_reference e_interval exp_interval pi_interval",
     "series": "DEFAULT_MAX_TERMS E_FACTORIAL GREGORY_LEIBNIZ LAMBDA6 NILAKANTHA "
               "NILAKANTHA_PAIRED ZETA8 BoundViolation ConvergenceRow InfeasibleRequest "
               "SeriesSpec SumResult builtin builtin_names convergence_table partial_sum "

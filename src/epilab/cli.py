@@ -34,8 +34,8 @@ import sys
 from fractions import Fraction
 
 from .bignum import (BigFixed, _div_nearest, _fixed_to_string, _int_to_digits, _rational_to_digits,
-                     ceil_div, floor_div, floor_neg_log10, root_units)
-from .oracle import NoCertifiedResult, _cached, _e_unit, _exp_units, constant_reference
+                     ceil_div, floor_div, root_units)
+from .oracle import _FORMS, NoCertifiedResult, _cached, _e_unit, _exp_units, constant_reference
 from .series import (
     DEFAULT_MAX_TERMS,
     EXACT_TERM_LIMIT,
@@ -51,10 +51,6 @@ from .series import (
 # its imports
 
 __all__ = ["main"]
-
-_PI_METHODS = ("oracle", "gregory-leibniz", "nilakantha", "nilakantha-paired",
-               "lambda6", "zeta8")
-_E_METHODS = ("oracle", "e-factorial")
 
 #: how a literal cell spells False and True; an empty literal cell is null
 _BOOL = ("false", "true")
@@ -126,15 +122,17 @@ def _emit(args, columns, rows, literal=(), *, payload=None, text=None, table=Non
 
 def cmd_compute(args) -> int:
     digits = args.digits
-    allowed = _E_METHODS if args.constant == "e" else _PI_METHODS
+    # the series of e for e, those of pi and its forms for pi
+    allowed = ("oracle", *[n for n in builtin_names()
+                           if (builtin(n).constant == "e") == (args.constant == "e")])
     if args.method not in allowed:
         raise ValueError(
             f"method {args.method!r} not valid for {args.constant}; "
             f"choose from {', '.join(allowed)}"
         )
-    if args.max_terms < 1:
+    if args.max_terms is not None and args.max_terms < 1:
         raise ValueError("--max-terms must be >= 1")
-    if args.terms != "auto":
+    if args.terms not in (None, "auto"):
         try:
             count = int(args.terms)
         except ValueError:
@@ -144,22 +142,24 @@ def cmd_compute(args) -> int:
     terms = ""
     # both methods give bounds lo <= constant * den <= hi
     if args.method == "oracle":
-        # the reference is certified to 10 units of its last place
-        m = constant_reference(args.constant, digits).value.mantissa
-        lo, hi, den = m - 10, m + 10, 10 ** (digits + 3)
+        if (args.terms, args.max_terms) != (None, None):
+            raise ValueError("--terms and --max-terms apply only to a series --method")
+        lo, hi, den = constant_reference(args.constant, digits)
     else:
         spec = builtin(args.method)
-        last = (terms_needed(spec, digits + 1, cap=args.max_terms) if args.terms == "auto"
+        cap = DEFAULT_MAX_TERMS if args.max_terms is None else args.max_terms
+        last = (terms_needed(spec, digits + 1, cap=cap) if args.terms in (None, "auto")
                 else spec.start_index + count - 1)
         result = partial_sum(spec, last)
         terms = str(result.terms_used - spec.start_index + 1)
         v, r = result.value, result.bound
         num, rad = v.numerator * r.denominator, r.numerator * v.denominator
         lo, hi, den = num - rad, num + rad, v.denominator * r.denominator
-        if spec.constant == "two_pi":
-            den *= 2
-        elif spec.constant in ("pi6", "pi8"):  # pi^k: take the k-th root
-            lo, hi = root_units(max(lo, 0), hi, den, int(spec.constant[2]), digits + 6)
+        # the series sums f * c**k, c being pi or e: divide by f, take the k-th root
+        k, f = _FORMS[spec.constant]
+        den *= f
+        if k > 1:
+            lo, hi = root_units(max(lo, 0), hi, den, k, digits + 6)
             den = 10 ** (digits + 6)
     # the midpoint is positive, so rounding it down makes the rendered
     # digits a prefix of its decimal expansion, which is what "value to N
@@ -192,20 +192,14 @@ def cmd_table(args) -> int:
     if min(checkpoints) < spec.start_index:
         raise ValueError(f"--checkpoints must be >= {spec.start_index}")
     if max(checkpoints) > EXACT_TERM_LIMIT:
-        raise ValueError(f"checkpoints above {EXACT_TERM_LIMIT} are not supported")
-    # the reference must be finer than every error in the table; the
-    # builtin errors sit within a small factor of their bounds, so ten
-    # digits past the smallest bound suffice (and 60 digits cover every
-    # table whose bounds stay above 10^-50)
-    digits = max(60, floor_neg_log10(min(spec.tail_bound(p) for p in checkpoints)) + 10)
-    reference = constant_reference(spec.constant, digits)
+        raise ValueError(f"--checkpoints must be <= {EXACT_TERM_LIMIT}")
     rows = [
         [str(r.n), r.value.to_decimal_string(),
          BigFixed.from_fraction(r.abs_error, 25).to_decimal_string(),
          BigFixed(ceil_div(r.bound.numerator * 10**25, r.bound.denominator),
                   25).to_decimal_string(),
          str(r.digits_correct)]
-        for r in convergence_table(spec, checkpoints, reference, scale=args.scale)
+        for r in convergence_table(spec, checkpoints, scale=args.scale)
     ]
     _emit(args, ["n", "value", "abs_error", "bound", "digits_correct"], rows,
           text=None if args.quiet else f"series = {spec.name} (limit: {spec.constant})",
@@ -432,9 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("constant", choices=("pi", "e"))
     p.add_argument("--method", default="oracle",
                    help=f"oracle (default) or a series: {', '.join(builtin_names())}")
-    p.add_argument("--terms", default="auto",
+    p.add_argument("--terms",
                    help="term count, or 'auto' to invert the tail bound (default)")
-    p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
+    p.add_argument("--max-terms", type=int)
     common(p)
     p.set_defaults(func=cmd_compute)
 

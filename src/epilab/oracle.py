@@ -25,10 +25,11 @@ sections 4.4 and 4.9).
   retried.  exp(-x) is the reciprocal, rounded outward.
 
 The package's own code reads these integer units: pi and e through
-``_cached``, exp through ``_exp_units``, and :func:`constant_reference`
-renders its midpoints from them.  The ``*_interval`` functions are
-views of the same units as exact rational enclosures [lo, hi], for
-callers outside the package.
+``_cached``, exp through ``_exp_units``.  :func:`constant_reference`
+gives the same shape, bounds (lo, hi, den) on a decimal grid, for every
+constant a series describes.  The ``*_interval`` functions are views of
+the units as exact rational enclosures [lo, hi], for callers outside
+the package.
 
 All functions are pure.  The module-level cache keeps the units of the
 last pi and the last e enclosure, keyed by the kernel's exact work
@@ -42,11 +43,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._record import record
-from .bignum import BigFixed, _div_nearest, ceil_div, floor_div
+from .bignum import _div_nearest, ceil_div, floor_div
 
 __all__ = [
-    "OracleValue",
     "ExpRangeError",
     "pi_interval",
     "e_interval",
@@ -55,8 +54,11 @@ __all__ = [
     "CONSTANTS",
 ]
 
+#: each constant as f * c**k, by (k, f): c is e for "e" and pi for the rest
+_FORMS = {"e": (1, 1), "pi": (1, 1), "two_pi": (1, 2), "pi6": (6, 1), "pi8": (8, 1)}
+
 #: constants a series in this package may describe
-CONSTANTS = ("e", "pi", "two_pi", "pi6", "pi8")
+CONSTANTS = tuple(_FORMS)
 
 EXP_ARG_LIMIT = 100
 
@@ -70,14 +72,6 @@ class NoCertifiedResult(Exception):
 
 class ExpRangeError(ValueError, NoCertifiedResult):
     """exp() argument outside the supported range |x| <= 100."""
-
-
-@record
-class OracleValue:
-    """A rendered reference value with |value - true| < 10**-certified_digits."""
-
-    value: BigFixed
-    certified_digits: int
 
 
 def _guard(eps_digits: int) -> int:
@@ -264,8 +258,10 @@ def exp_interval(x: Fraction, eps_digits: int) -> tuple[Fraction, Fraction]:
     return Fraction(lo, 10 ** (eps_digits + 4)), Fraction(hi, 10 ** (eps_digits + 4))
 
 
-def constant_reference(constant: str, digits: int) -> OracleValue:
-    """Certified reference for any constant a builtin series describes.
+def constant_reference(constant: str, digits: int) -> tuple[int, int, int]:
+    """Certified bounds (lo, hi, den) with lo <= c * den <= hi for any
+    constant c a builtin series describes: den = 10**(digits + 3) and
+    hi - lo = 20, so the midpoint is within 10**-(digits + 2) of c.
 
     Derived constants (two_pi, pi6, pi8) are produced from the pi
     enclosure by exact interval arithmetic, so their certificates remain
@@ -273,13 +269,14 @@ def constant_reference(constant: str, digits: int) -> OracleValue:
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    if constant not in CONSTANTS:
+    if constant not in _FORMS:
         raise ValueError(f"unknown constant {constant!r}; expected one of {CONSTANTS}")
-    # pi > 0, so the k-th power of each endpoint bounds pi**k; the value is
-    # the midpoint (lo**k + hi**k)/2 of the units, doubled for two_pi
-    k = int(constant[2:]) if constant in ("pi6", "pi8") else 1
-    extra = 10 if k > 1 else 6 if constant == "two_pi" else 5
+    # pi > 0, so the k-th power of each endpoint bounds pi**k; the
+    # midpoint m is (lo**k + hi**k)/2 of the units, times f, rounded to
+    # nearest, and lies within 10 units of the constant
+    k, f = _FORMS[constant]
+    extra = 10 if k > 1 else 4 + f  # doubling pi costs one digit
     work, lo, hi = _cached(_e_unit if constant == "e" else _pi_unit, digits + extra)
-    num = (lo**k + hi**k) * (2 if constant == "two_pi" else 1)
-    value = _div_nearest(num * 10 ** (digits + 3), 2 * 10 ** (work * k))
-    return OracleValue(BigFixed(value, digits + 3), digits + 2)
+    den = 10 ** (digits + 3)
+    m = _div_nearest((lo**k + hi**k) * f * den, 2 * 10 ** (work * k))
+    return m - 10, m + 10, den

@@ -32,7 +32,7 @@ from itertools import cycle, islice
 
 from ._record import record
 from .bignum import BigFixed, floor_neg_log10
-from .oracle import CONSTANTS, NoCertifiedResult, OracleValue
+from .oracle import CONSTANTS, NoCertifiedResult, constant_reference
 
 __all__ = [
     "SeriesSpec",
@@ -374,14 +374,15 @@ def terms_needed(spec: SeriesSpec, digits: int, *, cap: int = DEFAULT_MAX_TERMS)
     return hi
 
 
-def convergence_table(spec: SeriesSpec, checkpoints: Sequence[int],
-                      reference: OracleValue, *, scale: int = 15) -> list[ConvergenceRow]:
+def convergence_table(spec: SeriesSpec, checkpoints: Sequence[int], *,
+                      scale: int = 15) -> list[ConvergenceRow]:
     """Error table at the given checkpoints, hard-checked for soundness.
 
     Every row asserts measured_error <= certified bound; a violation
-    raises BoundViolation.  The reference must be certified well beyond
-    the smallest displayed error, otherwise ValueError is raised, since
-    a fuzzy reference could mask a bound violation.
+    raises BoundViolation.  The reference is the oracle's, certified ten
+    digits past the smallest tail bound; if an error still lies within
+    ten times its certificate, ValueError is raised, since a fuzzy
+    reference could mask a bound violation.
 
     digits_correct is the relative agreement with the reference:
     floor(-log10(|error| / |reference|)), clamped at zero.
@@ -391,17 +392,22 @@ def convergence_table(spec: SeriesSpec, checkpoints: Sequence[int],
         return []
     if points[0] < spec.start_index:
         raise ValueError(f"checkpoints must be >= start_index ({spec.start_index})")
-    ref = reference.value.as_fraction()
-    eps = Fraction(1, 10**reference.certified_digits)
+    bounds = [spec.tail_bound(point) for point in points]
+    # the reference must be finer than every error in the table; the
+    # builtin errors sit within a small factor of their bounds, so ten
+    # digits past the smallest bound suffice (and 60 digits cover every
+    # table whose bounds stay above 10^-50)
+    lo, hi, den = constant_reference(spec.constant, max(60, floor_neg_log10(min(bounds)) + 10))
+    ref = Fraction(lo + hi, 2 * den)
+    eps = Fraction(hi - lo, 2 * den)
     rows = []
     pq = 0, 1  # the terms so far, carried as a pair between checkpoints
     pairs = iter(spec.pairs(spec.start_index, points[-1]))
     i = spec.start_index
-    for point in points:
+    for point, bound in zip(points, bounds):
         pq = _join(*pq, *_exact_sum(pairs, point - i + 1))
         total = spec.offset + Fraction(*pq)
         i = point + 1
-        bound = spec.tail_bound(point)
         err = abs(total - ref)
         if 10 * eps > err:
             raise ValueError("reference oracle not precise enough for this table")

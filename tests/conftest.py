@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -33,3 +34,10 @@ def cold_oracle_caches():
     starts, so that no test's result or cost depends on the tests run
     before it."""
     oracle._cache.clear()
+
+
+def reference(constant: str, digits: int) -> Fraction:
+    """The midpoint of the oracle's enclosure of a constant, within
+    10**-(digits + 2) of it."""
+    lo, hi, den = oracle.constant_reference(constant, digits)
+    return Fraction(lo + hi, 2 * den)

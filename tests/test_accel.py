@@ -16,8 +16,9 @@ from epilab.accel import (
     pair_transform,
     paired_term_identity,
 )
-from epilab.oracle import constant_reference
 from epilab.series import NILAKANTHA_PAIRED, builtin, partial_sum
+
+from conftest import reference
 
 
 @given(st.integers(min_value=1, max_value=10**6))
@@ -87,7 +88,7 @@ def test_pair_transform_without_fold():
 
 
 def test_pair_transform_bounds_are_sound():
-    two_pi = constant_reference("two_pi", 40).value.as_fraction()
+    two_pi = reference("two_pi", 40)
     p = pair_transform(nilakantha_doubled())
     for K in (1, 5, 25, 100):
         got = p.offset + sum(p.term(k) for k in range(p.start_index, K + 1))
@@ -114,7 +115,7 @@ def test_e_regrouped_terms_and_sum():
 
 def test_e_regrouped_converges_to_e_within_bounds():
     er = e_regrouped()
-    e_ref = constant_reference("e", 40).value.as_fraction()
+    e_ref = reference("e", 40)
     for n in (er.start_index, er.start_index + 3, er.start_index + 12):
         r = partial_sum(er, n)
         assert abs(r.value - e_ref) <= r.bound + Fraction(1, 10**35)
@@ -134,8 +135,8 @@ def test_compare_rows_start_at_exactly_nine():
 
 def test_compare_distance_settles_near_true_gap():
     # e + 2*pi - 9 = 1.46713e-3...; the running distance closes in on it
-    e_ref = constant_reference("e", 30).value.as_fraction()
-    two_pi = constant_reference("two_pi", 30).value.as_fraction()
+    e_ref = reference("e", 30)
+    two_pi = reference("two_pi", 30)
     gap = e_ref + two_pi - 9
     last = compare_expansions(80, scale=12)[-1]
     assert abs(last.distance_to_9.as_fraction() - gap) < Fraction(1, 10**6)

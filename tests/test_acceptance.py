@@ -17,10 +17,12 @@ from epilab.accel import compare_expansions, gl_regroup_term, paired_term_identi
 from epilab.bignum import BigFixed, root_interval, surd_eval
 from epilab.derive import _floor_cf, binomial_linearize, cfrac, linear_combo_scan, solve_linear_2x2, solve_pi_quadratic
 from epilab.expr import eval_expr, eval_interval, parse
-from epilab.oracle import constant_reference, exp_interval, pi_interval
+from epilab.oracle import exp_interval, pi_interval
 from epilab.registry import get_relation, relation_ids, verify, verify_all
 from epilab.series import builtin, convergence_table, partial_sum, terms_needed
 from epilab.stirling import e_half_integer, e_power_approx, stirling_e8_decomposition
+
+from conftest import reference
 
 
 def test_criterion_01_registry_golden_digits():
@@ -80,8 +82,8 @@ def test_criterion_04_convergence_digits():
     }
     for name, (constant, wanted, exact) in expectations.items():
         spec = builtin(name)
-        ref = constant_reference(constant, 60)
-        rows = convergence_table(spec, checkpoints, ref)
+        assert spec.constant == constant
+        rows = convergence_table(spec, checkpoints)
         got = [r.digits_correct for r in rows]
         if exact:
             assert got == wanted, name
@@ -98,11 +100,11 @@ def test_criterion_05_zeta_series():
     s = partial_sum(lam, last)
     value = s.value if isinstance(s.value, Fraction) else s.value.as_fraction()
     lo, hi = root_interval(value - s.bound, value + s.bound, 6, 40)
-    pi_ref = constant_reference("pi", 45).value.as_fraction()
+    pi_ref = reference("pi", 45)
     assert abs((lo + hi) / 2 - pi_ref) < Fraction(1, 10**12)
     zeta = builtin("zeta8")
     r = partial_sum(zeta, zeta.start_index + 49)
-    pi8_ref = constant_reference("pi8", 45).value.as_fraction()
+    pi8_ref = reference("pi8", 45)
     assert abs(r.value - pi8_ref) <= r.bound + Fraction(1, 10**40)
     print("criterion 05 PASS: sixth root of 400-term sum within 1e-12 of pi; pi^8 sum within bound")
 
@@ -111,7 +113,7 @@ def test_criterion_06_stirling():
     sq = e_half_integer(0, 2).squared()
     assert sq.is_rational()
     assert sq.as_fraction() == Fraction(49, 18)
-    e_ref = constant_reference("e", 25).value.as_fraction()
+    e_ref = reference("e", 25)
     rel = abs(e_power_approx(1, 3, scale=20).as_fraction() - e_ref) / e_ref
     assert rel < Fraction(3, 1000)
     d = stirling_e8_decomposition()
@@ -249,7 +251,7 @@ def test_criterion_10_soundness_sweep():
     # series: certified tail bounds vs oracle at assorted cut points
     for name in ("e-factorial", "gregory-leibniz", "nilakantha", "nilakantha-paired", "lambda6", "zeta8"):
         spec = builtin(name)
-        ref = constant_reference(spec.constant, 50).value.as_fraction()
+        ref = reference(spec.constant, 50)
         for n in (spec.start_index + 3, spec.start_index + 250):
             r = partial_sum(spec, n)
             value = r.value if isinstance(r.value, Fraction) else r.value.as_fraction()

@@ -535,8 +535,14 @@ def test_bad_threshold_names_the_option(capsys, threshold):
     ("compute pi --terms abc", "bad --terms 'abc'; expected a count or 'auto'"),
     ("compute pi --terms 0", "--terms must be >= 1"),
     ("compute e --terms -2", "--terms must be >= 1"),
+    # and rejects a valid one, which it would ignore
+    ("compute pi --terms 5", "--terms and --max-terms apply only to a series --method"),
+    ("compute pi --max-terms 3", "--terms and --max-terms apply only to a series --method"),
     ("table zeta8 --checkpoints 0", "--checkpoints must be >= 1"),
     ("table zeta8 --checkpoints 10,0", "--checkpoints must be >= 1"),
+    ("table zeta8 --checkpoints abc", "bad --checkpoints 'abc'; expected e.g. 10,100,1000"),
+    ("table zeta8 --checkpoints ,", "--checkpoints must name at least one index"),
+    ("table zeta8 --checkpoints 20000", "--checkpoints must be <= 10000"),
 ])
 def test_option_errors_name_the_option(capsys, argv, cause):
     # the message names the option as the user typed it, not a library parameter

@@ -17,6 +17,11 @@ int->str cap).  cli_golden.json holds the sha256 of each command's stdout
 and its exit code, each taken with cold oracle caches as in a fresh
 process; a refactor that changes one printed byte fails here.
 
+List the commands whose exit code or digest differs from the file, and
+exit 1 if any does, writing nothing:
+
+    PYTHONPATH=src python tests/test_cli_golden.py --check
+
 Regenerate the digests (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_cli_golden.py --write
@@ -156,7 +161,14 @@ def test_cli_output_matches_golden(argv):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_cli_golden.py --write")
+    if sys.argv[1:] not in (["--check"], ["--write"]):
+        sys.exit("usage: test_cli_golden.py --check | --write")
     digests = {_key(argv): capture(argv) for argv in COMMANDS}
-    GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")
+    if sys.argv[1] == "--write":
+        GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")
+    else:
+        golden = json.loads(GOLDEN.read_text())
+        changed = [key for key, digest in digests.items() if golden.get(key) != digest]
+        for key in changed:
+            print(key)
+        sys.exit(1 if changed else 0)

@@ -22,7 +22,9 @@ from epilab.derive import (
     solve_pi_quadratic,
 )
 from epilab.expr import PrecisionCapError, parse
-from epilab.oracle import constant_reference, e_interval, pi_interval
+from epilab.oracle import e_interval, pi_interval
+
+from conftest import reference
 
 
 def test_solve_pi_quadratic_examples():
@@ -164,8 +166,8 @@ def test_scan_threshold_validation():
 
 
 def test_scan_values_track_oracle():
-    pi_ref = constant_reference("pi", 35).value.as_fraction()
-    e_ref = constant_reference("e", 35).value.as_fraction()
+    pi_ref = reference("pi", 35)
+    e_ref = reference("e", 35)
     for r in linear_combo_scan(3, digits=30):
         assert abs(r.value - (r.n * pi_ref + r.m * e_ref)) < Fraction(1, 10**25)
         assert r.nearest == round(r.n * float(pi_ref) + r.m * float(e_ref))

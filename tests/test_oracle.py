@@ -22,6 +22,8 @@ from epilab.oracle import (
     pi_interval,
 )
 
+from conftest import reference
+
 PI_50 = "3.14159265358979323846264338327950288419716939937510"
 E_50 = "2.71828182845904523536028747135266249775724709369995"
 
@@ -46,23 +48,29 @@ def independent_pi(eps_digits: int) -> Fraction:
     return 4 * (arctan_unit_fraction(2, eps) + arctan_unit_fraction(3, eps))
 
 
+def _rendered(constant: str, digits: int) -> str:
+    """The midpoint of the reference's enclosure, at its digits + 3 places."""
+    lo, hi, den = constant_reference(constant, digits)
+    return BigFixed((lo + hi) // 2, digits + 3).to_decimal_string()
+
+
 def test_pi_frozen_prefix():
-    assert constant_reference("pi", 50).value.to_decimal_string().startswith(PI_50)
-    assert constant_reference("pi", 10).value.to_decimal_string().startswith("3.1415926535")
+    assert _rendered("pi", 50).startswith(PI_50)
+    assert _rendered("pi", 10).startswith("3.1415926535")
 
 
 def test_e_frozen_prefix():
-    assert constant_reference("e", 50).value.to_decimal_string().startswith(E_50)
-    assert constant_reference("e", 10).value.to_decimal_string().startswith("2.7182818284")
+    assert _rendered("e", 50).startswith(E_50)
+    assert _rendered("e", 10).startswith("2.7182818284")
 
 
 def test_pi_agrees_with_independent_identity():
     # reference computed from a different arctan decomposition
     ref = independent_pi(40)
     for digits in (10, 25, 35):
-        v = constant_reference("pi", digits)
-        assert v.certified_digits >= digits
-        assert abs(v.value.as_fraction() - ref) <= 2 * Fraction(1, 10**digits)
+        lo, hi, den = constant_reference("pi", digits)
+        assert (hi - lo, den) == (20, 10 ** (digits + 3))
+        assert abs(Fraction(lo + hi, 2 * den) - ref) <= 2 * Fraction(1, 10**digits)
 
 
 def test_e_agrees_with_inline_factorial_sum():
@@ -74,12 +82,11 @@ def test_e_agrees_with_inline_factorial_sum():
         total += Fraction(1, fact)
         n += 1
         fact *= n
-    v = constant_reference("e", 35)
-    assert abs(v.value.as_fraction() - total) <= 2 * Fraction(1, 10**35)
+    assert abs(reference("e", 35) - total) <= 2 * Fraction(1, 10**35)
 
 
 def _fraction_midpoint_reference(constant: str, digits: int) -> BigFixed:
-    """constant_reference's value built on Fractions: the midpoint of the
+    """constant_reference's midpoint built on Fractions: the midpoint of the
     public pi or e enclosure, of pi's endpoints doubled, or of their k-th
     powers, rounded to nearest at digits + 3 places."""
     if constant in ("pi", "e"):
@@ -96,10 +103,10 @@ def _fraction_midpoint_reference(constant: str, digits: int) -> BigFixed:
 @pytest.mark.parametrize("digits", [1, 2, 7, 30, 61, 1000])
 @pytest.mark.parametrize("constant", CONSTANTS)
 def test_constant_reference_equals_fraction_midpoint(constant, digits):
-    ref = constant_reference(constant, digits)
+    lo, hi, den = constant_reference(constant, digits)
     want = _fraction_midpoint_reference(constant, digits)
-    assert (ref.value.mantissa, ref.value.scale) == (want.mantissa, want.scale)
-    assert ref.certified_digits == digits + 2
+    assert (lo + hi) // 2 == want.mantissa
+    assert (hi - lo, den) == (20, 10**want.scale)
 
 
 def test_interval_width_and_containment():
@@ -124,8 +131,8 @@ def test_oracle_results_are_cached_consistently():
     b = constant_reference("pi", 20)
     assert a == b
     # the 60-digit value refines, never contradicts, the 20-digit one
-    wide = constant_reference("pi", 60).value.as_fraction()
-    assert abs(a.value.as_fraction() - wide) <= Fraction(1, 10**19)
+    wide = reference("pi", 60)
+    assert abs(reference("pi", 20) - wide) <= Fraction(1, 10**19)
     # and a warm 20-digit call is the cold one, whatever came between
     assert constant_reference("pi", 20) == a
 
@@ -212,9 +219,9 @@ def test_non_positive_precision_is_rejected(warm, digits):
 
 def test_constant_reference_all_names():
     assert set(CONSTANTS) == {"e", "pi", "two_pi", "pi6", "pi8"}
-    pi_f = constant_reference("pi", 40).value.as_fraction()
+    pi_f = reference("pi", 40)
     expected = {
-        "e": constant_reference("e", 30).value.as_fraction(),
+        "e": reference("e", 30),
         "pi": pi_f,
         "two_pi": 2 * pi_f,
         "pi6": pi_f**6,
@@ -222,8 +229,8 @@ def test_constant_reference_all_names():
     }
     # pi8 ~ 9488.5, so a 30-digit pi leaves ~25 digits after powering
     for name in CONSTANTS:
-        v = constant_reference(name, 25)
-        assert v.certified_digits >= 25
-        assert abs(v.value.as_fraction() - expected[name]) <= Fraction(1, 10**22)
+        lo, hi, den = constant_reference(name, 25)
+        assert (hi - lo, den) == (20, 10**28)
+        assert abs(Fraction(lo + hi, 2 * den) - expected[name]) <= Fraction(1, 10**22)
     with pytest.raises(ValueError):
         constant_reference("tau", 10)

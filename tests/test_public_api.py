@@ -35,8 +35,8 @@ def test_every_export_resolves(name):
 PACKAGE_EXPORTS = {
     "bignum": ["BigFixed", "Surd", "floor_neg_log10", "ilog10_floor", "iroot", "root_interval",
                "surd_eval"],
-    "oracle": ["CONSTANTS", "ExpRangeError", "OracleValue", "constant_reference", "e_interval",
-               "exp_interval", "pi_interval"],
+    "oracle": ["CONSTANTS", "ExpRangeError", "constant_reference", "e_interval", "exp_interval",
+               "pi_interval"],
     "series": ["DEFAULT_MAX_TERMS", "E_FACTORIAL", "GREGORY_LEIBNIZ", "LAMBDA6", "NILAKANTHA",
                "NILAKANTHA_PAIRED", "ZETA8", "BoundViolation", "ConvergenceRow",
                "InfeasibleRequest", "SeriesSpec", "SumResult", "builtin", "builtin_names",

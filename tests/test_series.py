@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from epilab import series
 from epilab.accel import e_regrouped, nilakantha_doubled, pair_transform
 from epilab.bignum import BigFixed, _div_nearest
-from epilab.oracle import OracleValue, constant_reference
 from epilab.series import (
     BoundViolation,
     EXACT_TERM_LIMIT,
@@ -27,6 +26,8 @@ from epilab.series import (
     scale_series,
     terms_needed,
 )
+
+from conftest import reference
 
 ALL_NAMES = (
     "e-factorial",
@@ -70,7 +71,7 @@ def test_every_builtin_bound_dominates_true_error():
     # soundness spot-check at several cut points against the oracle
     for name in ALL_NAMES:
         spec = builtin(name)
-        ref = constant_reference(spec.constant, 45).value.as_fraction()
+        ref = reference(spec.constant, 45)
         for n in (spec.start_index + 2, spec.start_index + 17, spec.start_index + 60):
             r = partial_sum(spec, n)
             err = abs(spec.offset + _exact_sum(spec, n) - ref)
@@ -124,8 +125,7 @@ def test_terms_needed_infeasible_without_enough_budget():
 
 def test_convergence_table_shape_and_monotonicity():
     spec = builtin("nilakantha")
-    ref = constant_reference("pi", 60)
-    rows = convergence_table(spec, (10, 100, 1000), ref)
+    rows = convergence_table(spec, (10, 100, 1000))
     assert [r.n for r in rows] == [10, 100, 1000]
     for row in rows:
         assert row.abs_error <= row.bound
@@ -138,16 +138,28 @@ def test_convergence_table_shape_and_monotonicity():
 
 def test_convergence_table_frozen_gl_digits():
     gl = builtin("gregory-leibniz")
-    ref = constant_reference("pi", 60)
-    rows = convergence_table(gl, (10, 100, 1000), ref)
+    rows = convergence_table(gl, (10, 100, 1000))
     assert [r.digits_correct for r in rows] == [1, 2, 3]
 
 
+PI_100 = ("3.1415926535897932384626433832795028841971693993751058209749445923078164"
+          "062862089986280348253421170679")
+
+
 def test_convergence_table_rejects_coarse_reference():
-    spec = builtin("nilakantha")
-    coarse = OracleValue(constant_reference("pi", 40).value, 4)
+    # the offset is pi to 100 places and the loose bound asks for a
+    # 60-digit reference, whose certificate the true error lies below
+    pi_100 = Fraction(PI_100.replace(".", "")) / 10**100
+    spec = SeriesSpec(
+        name="pi-100",
+        constant="pi",
+        offset=pi_100,
+        start_index=1,
+        pairs=lambda a, b: ((0, 1) for _ in range(a, b + 1)),
+        tail_bound=lambda n: Fraction(1, 1000),
+    )
     with pytest.raises(ValueError, match="not precise enough"):
-        convergence_table(spec, (10, 100, 10000), coarse)
+        convergence_table(spec, (10,))
 
 
 def test_convergence_table_catches_lying_bound():
@@ -161,9 +173,8 @@ def test_convergence_table_catches_lying_bound():
         tail_bound=lambda n: Fraction(1, 10**30),
         alternating=honest.alternating,
     )
-    ref = constant_reference("pi", 60)
     with pytest.raises(BoundViolation):
-        convergence_table(liar, (10,), ref)
+        convergence_table(liar, (10,))
 
 
 def test_scale_series_halves_sums_and_bounds():
@@ -214,11 +225,11 @@ def test_pairwise_sum_equals_sequential_sum(name, extra, factor):
 def test_convergence_table_rows_match_partial_sums():
     for name in ("e-factorial", "nilakantha", "zeta8"):
         spec = builtin(name)
-        ref = constant_reference(spec.constant, 60)
         points = (spec.start_index, spec.start_index + 1, 17, 18, 40, 41)
-        rows = convergence_table(spec, points, ref)
+        rows = convergence_table(spec, points)
         assert [r.n for r in rows] == sorted(set(points))
-        exact = ref.value.as_fraction()
+        # every bound here is above 10^-50: the table takes a 60-digit reference
+        exact = reference(spec.constant, 60)
         for row in rows:
             value = partial_sum(spec, row.n).value
             assert row.abs_error == abs(value - exact), (name, row.n)

@@ -8,7 +8,7 @@ from math import factorial
 import pytest
 
 from epilab import expr
-from epilab.oracle import constant_reference, exp_interval
+from epilab.oracle import exp_interval
 from epilab.stirling import (
     STIRLING_COEFFS,
     double_factorial,
@@ -18,6 +18,8 @@ from epilab.stirling import (
     stirling_e8_decomposition,
     stirling_factor,
 )
+
+from conftest import reference
 
 
 def test_coefficients_frozen():
@@ -53,7 +55,7 @@ def test_stirling_factor_is_coefficient_prefix():
 
 def test_e_power_approx_accuracy():
     assert e_power_approx(1, 3).to_decimal_string() == "2.7242175346"
-    e_ref = constant_reference("e", 20).value.as_fraction()
+    e_ref = reference("e", 20)
     err = abs(e_power_approx(1, 3, scale=15).as_fraction() - e_ref) / e_ref
     assert err < Fraction(3, 1000)
     # the asymptotic corrections are not monotone term by term at n=1,
@@ -69,7 +71,7 @@ def test_e_power_approx_accuracy():
 
 def test_e_from_ratio_value():
     assert e_from_ratio(1, 3).to_decimal_string() == "2.7132116428"
-    e_ref = constant_reference("e", 20).value.as_fraction()
+    e_ref = reference("e", 20)
     # larger n sharpens the ratio estimate
     close = abs(e_from_ratio(6, 3, scale=15).as_fraction() - e_ref)
     far = abs(e_from_ratio(1, 3, scale=15).as_fraction() - e_ref)
@@ -121,7 +123,7 @@ def test_e8_decomposition_certified_values():
     assert d.e8.to_decimal_string() == "2980.9579870417"
     assert d.ratio.to_decimal_string() == "1.0014632204"
     # base * 3/2 = 96 pi^3 by construction
-    pi_ref = constant_reference("pi", 30).value.as_fraction()
+    pi_ref = reference("pi", 30)
     assert abs(d.base_64pi3.as_fraction() - 64 * pi_ref**3) < Fraction(1, 10**8)
     assert abs(d.value_96pi3.as_fraction() - 96 * pi_ref**3) < Fraction(1, 10**8)
     # and the ratio column really is e^8 over 96 pi^3

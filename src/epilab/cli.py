@@ -13,13 +13,18 @@ command's own layout or the rows as a table.  A command names its
 literal columns, whose cells are json literals (integers, true, false;
 the empty cell is null); every other cell is a json string.
 
-Exit codes: 0 success; 1 when a well-formed input has no certified
-result (an error derived from oracle.NoCertifiedResult: the value is
-undefined, such as a root of a negative number or a division by zero,
-an exp argument lies outside |x| <= 100, the precision cap is reached,
-or a series cannot reach the precision within its term cap), or when
-stdout closes before the output ends; 2 for usage errors (ValueError or
-KeyError): bad flags or option values, unparsable expressions.  Anything
+parse_args reads argv as argparse did, against one option table
+(build_parser): each argument's kind, default, floor and help.  It
+raises a ValueError for each usage error, and loads no argparse.
+
+Exit codes: 0 success, and --help; 1 when a well-formed input has no
+certified result (an error derived from oracle.NoCertifiedResult: the
+value is undefined, such as a root of a negative number or a division by
+zero, an exp argument lies outside |x| <= 100, the precision cap is
+reached, or a series cannot reach the precision within its term cap), or
+when stdout closes before the output ends; 2 for usage errors
+(ValueError or KeyError): an unknown command or option, a missing or bad
+value, one below its option's floor, an unparsable expression.  Anything
 else is a fault and ends in a traceback.  main maps each error to its
 code; verify alone also returns 1, after its output, when a relation
 failed or is not certified.  Every non-zero exit writes one error: line
@@ -28,10 +33,11 @@ to stderr.
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .bignum import (BigFixed, _div_nearest, _fixed_to_string, _int_to_digits, _rational_to_digits,
                      ceil_div, floor_div, root_units)
@@ -130,8 +136,7 @@ def cmd_compute(args) -> int:
             f"method {args.method!r} not valid for {args.constant}; "
             f"choose from {', '.join(allowed)}"
         )
-    if args.max_terms is not None and args.max_terms < 1:
-        raise ValueError("--max-terms must be >= 1")
+    cap = DEFAULT_MAX_TERMS if args.max_terms is None else args.max_terms
     if args.terms not in (None, "auto"):
         try:
             count = int(args.terms)
@@ -139,6 +144,8 @@ def cmd_compute(args) -> int:
             raise ValueError(f"bad --terms {args.terms!r}; expected a count or 'auto'") from None
         if count < 1:
             raise ValueError("--terms must be >= 1")
+        if count > cap:
+            raise ValueError(f"--terms must be <= {cap}")
     terms = ""
     # both methods give bounds lo <= constant * den <= hi
     if args.method == "oracle":
@@ -147,7 +154,6 @@ def cmd_compute(args) -> int:
         lo, hi, den = constant_reference(args.constant, digits)
     else:
         spec = builtin(args.method)
-        cap = DEFAULT_MAX_TERMS if args.max_terms is None else args.max_terms
         last = (terms_needed(spec, digits + 1, cap=cap) if args.terms in (None, "auto")
                 else spec.start_index + count - 1)
         result = partial_sum(spec, last)
@@ -268,8 +274,6 @@ def cmd_verify(args) -> int:
 def cmd_cfrac(args) -> int:
     from .derive import cfrac
     from .expr import parse, to_text
-    if args.terms < 1:
-        raise ValueError("--terms must be >= 1")
     expr = parse(args.expr)
     # a quotient can pass the 4,300 digits str() converts, so each is
     # rendered in pieces
@@ -297,8 +301,6 @@ def _rel_error(approx: BigFixed, lo: int, hi: int, den: int) -> str:
 def cmd_stirling(args) -> int:
     from .stirling import e_from_ratio, e_half_integer, e_power_approx, stirling_e8_decomposition
     scale = (4 if args.op == "e-half" else 10) if args.scale is None else args.scale
-    if scale < 0:
-        raise ValueError("scale must be >= 0")
     if args.op == "e-half":
         s = e_half_integer(args.n, args.k)
         sq = s.squared().as_fraction()
@@ -363,8 +365,6 @@ def cmd_scan(args) -> int:
         threshold = Fraction(args.threshold)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad --threshold {args.threshold!r}") from None
-    if args.max < 1:
-        raise ValueError("--max must be >= 1")
     two_den, units = _scan_units(args.max, args.digits, threshold)
     if args.format == "text":
         # text holds the rows it prints, to size its columns; csv holds none
@@ -405,84 +405,147 @@ def cmd_compare(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# options
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="epilab",
-        description="Certified arithmetic playground for coincidences of e and pi.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def build_parser() -> dict:
+    """The option table: each command's function, help line and arguments
+    (named for the argparse parser it replaced, as bench/run.py calls it).
 
-    def common(p, digits=True):
-        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress headers and metadata in text output")
-        if digits:
-            p.add_argument("--digits", type=int, default=30)
+    An argument maps its name, which has no dashes for a positional, to
+    (kind, default, floor, help).  kind is int, str, bool (a flag) or a
+    tuple of choices; a default of ... makes the argument required, and
+    floor is the least value it takes.
+    """
+    def common(digits=1):
+        return {"--format": (("text", "csv", "json"), "text", None, ""),
+                "--quiet": (bool, False, None, "suppress headers and metadata in text output"),
+                **({"--digits": (int, 30, digits, "")} if digits else {})}
 
-    p = sub.add_parser("compute", help="evaluate a constant by series or oracle")
-    p.add_argument("constant", choices=("pi", "e"))
-    p.add_argument("--method", default="oracle",
-                   help=f"oracle (default) or a series: {', '.join(builtin_names())}")
-    p.add_argument("--terms",
-                   help="term count, or 'auto' to invert the tail bound (default)")
-    p.add_argument("--max-terms", type=int)
-    common(p)
-    p.set_defaults(func=cmd_compute)
+    series = ", ".join(builtin_names())
+    return {
+        "compute": (cmd_compute, "evaluate a constant by series or oracle", {
+            "constant": (("pi", "e"), ..., None, ""),
+            "--method": (str, "oracle", None, f"oracle (default) or a series: {series}"),
+            "--terms": (str, None, None,
+                        "term count, or 'auto' to invert the tail bound (default)"),
+            "--max-terms": (int, None, 1, ""), **common()}),
+        "table": (cmd_table, "convergence table for a builtin series", {
+            "series": (str, ..., None, f"one of: {series}"),
+            "--checkpoints": (str, "10,100,1000", None, ""),
+            "--scale": (int, 15, 0, "decimals in the value column"), **common(digits=0)}),
+        "verify": (cmd_verify, "check registered coincidences", {
+            "id": (str, None, None, "relation id, e.g. R03"),
+            "--all": (bool, False, None, "verify the whole registry"), **common(digits=6)}),
+        "cfrac": (cmd_cfrac, "certified continued fraction of an expression", {
+            "expr": (str, ..., None, "expression text, e.g. 'exp(pi)'"),
+            "--terms": (int, 7, 1, ""), **common()}),
+        "stirling": (cmd_stirling, "Stirling-series approximants of e", {
+            "--op": (("approx", "ratio", "e-half", "e8"), ..., None, ""),
+            "--n": (int, 1, None, ""), "--k": (int, 2, None, ""),
+            "--scale": (int, None, 0, "decimal places (default 10; e-half's square: 4)"),
+            **common(digits=0)}),
+        "scan": (cmd_scan, "integer scan of n*pi + m*e", {
+            "--max": (int, 10, 1, ""), "--threshold": (str, "0.06", None, ""),
+            "--all-rows": (bool, False, None, "text output: include rows that are not flagged"),
+            **common()}),
+        "compare": (cmd_compare, "e and 2*pi expansions side by side", {
+            "--rows": (int, 8, 1, ""), "--scale": (int, 10, 0, ""), **common(digits=0)}),
+    }
 
-    p = sub.add_parser("table", help="convergence table for a builtin series")
-    p.add_argument("series", help=f"one of: {', '.join(builtin_names())}")
-    p.add_argument("--checkpoints", default="10,100,1000")
-    p.add_argument("--scale", type=int, default=15, help="decimals in the value column")
-    common(p, digits=False)
-    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("verify", help="check registered coincidences")
-    p.add_argument("id", nargs="?", help="relation id, e.g. R03")
-    p.add_argument("--all", action="store_true", help="verify the whole registry")
-    common(p)
-    p.set_defaults(func=cmd_verify)
+def _help(args) -> int:
+    """Print --help: every command, or every argument of args.command."""
+    table = build_parser()
+    if args.command is None:
+        print("usage: epilab COMMAND [options]  (epilab COMMAND --help lists them)\n\n"
+              "Certified arithmetic playground for coincidences of e and pi.\n")
+        for name, (_, about, _) in table.items():
+            print(f"  {name:9s} {about}")
+        return 0
+    _, about, arguments = table[args.command]
+    print(f"usage: epilab {args.command} [options]\n\n{about}\n")
+    for name, (kind, default, floor, text) in arguments.items():
+        meta = ("{%s}" % ",".join(kind) if isinstance(kind, tuple)
+                else {int: "N", str: "TEXT", bool: ""}[kind])
+        shown = kind is not bool and default is not None and "default" not in text
+        notes = [text, "required" if default is ... else f"default {default}" if shown else "",
+                 "" if floor is None else f">= {floor}"]
+        print(f"  {name + ' ' + meta:30s} {'; '.join(filter(None, notes))}".rstrip())
+    print("  -h, --help")
+    return 0
 
-    p = sub.add_parser("cfrac", help="certified continued fraction of an expression")
-    p.add_argument("expr", help="expression text, e.g. 'exp(pi)'")
-    p.add_argument("--terms", type=int, default=7)
-    common(p)
-    p.set_defaults(func=cmd_cfrac)
 
-    p = sub.add_parser("stirling", help="Stirling-series approximants of e")
-    p.add_argument("--op", choices=("approx", "ratio", "e-half", "e8"), required=True)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--scale", type=int, default=None,
-                   help="decimal places (default 10; e-half's square: 4)")
-    common(p, digits=False)
-    p.set_defaults(func=cmd_stirling)
+def _option(arg: str, names) -> str:
+    """The name in names that argv word arg gives, whole or as a unique
+    prefix, before any =value; -- gives itself, and a value gives "": as
+    argparse read one, a word not led by -, - itself, a negative number or
+    a word with a space."""
+    if arg[:1] != "-" or arg == "-" or re.fullmatch(r"-\d+|-\d*\.\d+", arg):
+        return ""
+    key = arg.partition("=")[0]
+    hits = [arg] if arg == "--" else [key] if key in names else [
+        n for n in names if key[:2] == "--" and n.startswith(key)]
+    if len(hits) > 1 or not hits and " " not in arg:
+        raise ValueError(f"ambiguous option {key}: {', '.join(hits)}" if hits
+                         else f"unknown option {key}")
+    return hits[0] if hits else ""
 
-    p = sub.add_parser("scan", help="integer scan of n*pi + m*e")
-    p.add_argument("--max", type=int, default=10)
-    p.add_argument("--threshold", default="0.06")
-    p.add_argument("--all-rows", action="store_true",
-                   help="text output: include rows that are not flagged")
-    common(p)
-    p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("compare", help="e and 2*pi expansions side by side")
-    p.add_argument("--rows", type=int, default=8)
-    p.add_argument("--scale", type=int, default=10)
-    common(p, digits=False)
-    p.set_defaults(func=cmd_compare)
-
-    return parser
+def parse_args(argv) -> SimpleNamespace:
+    """argv read against the option table: each argument under its name
+    without dashes (--max-terms is max_terms), the command, and func, which
+    runs it.  A usage error is a ValueError; -h or --help (or a prefix)
+    before any -- runs _help in place of the command, whatever else argv
+    holds, as argparse did."""
+    table = build_parser()
+    command = argv[0] if argv and argv[0] in table else None
+    rest, words = argv[1:] if command else argv, []
+    if any(a == "-h" or len(a) > 2 and "--help".startswith(a)
+           for a in (rest[:rest.index("--")] if "--" in rest else rest)):
+        return SimpleNamespace(command=command, func=_help)
+    if command is None:
+        raise ValueError(f"{f'unknown command {argv[0]!r}' if argv else 'no command'}; "
+                         f"choose from {', '.join(table)}")
+    func, _, arguments = table[command]
+    values = {name: default for name, (_, default, *_) in arguments.items()}
+    rest = iter(rest)
+    for arg in rest:
+        name = _option(arg, arguments)  # a positional's name never matches
+        if name in ("", "--"):  # a positional, or -- before the rest of them
+            words += rest if name else [arg]
+        elif arguments[name][0] is bool:
+            if "=" in arg:
+                raise ValueError(f"{name} takes no value")
+            values[name] = True
+        else:
+            values[name] = arg.partition("=")[2] if "=" in arg else next(rest, None)
+            if values[name] is None or "=" not in arg and _option(values[name], arguments):
+                raise ValueError(f"{name} needs a value")
+    free = [n for n in arguments if n[0] != "-"]
+    if len(words) > len(free):
+        raise ValueError(f"unexpected argument {words[len(free)]!r}")
+    values.update(zip(free, words))
+    # the last of a repeated option wins, so values are checked at the end
+    for name, (kind, _, floor, _) in arguments.items():
+        value = values[name]
+        if value is ... or isinstance(kind, tuple) and value not in kind:
+            raise ValueError(f"missing {name}" if value is ... else
+                             f"bad {name} {value!r}; choose from {', '.join(kind)}")
+        if kind is int and isinstance(value, str):
+            try:
+                value = values[name] = int(value)
+            except ValueError:
+                raise ValueError(f"bad {name} {value!r}; expected an integer") from None
+        if floor is not None and value is not None and value < floor:
+            raise ValueError(f"{name} must be >= {floor}")
+    return SimpleNamespace(command=command, func=func,
+                           **{n.lstrip("-").replace("-", "_"): v for n, v in values.items()})
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        # verify checks its own, higher floor
-        if args.command != "verify" and getattr(args, "digits", 1) < 1:
-            raise ValueError("digits must be >= 1")
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import re
@@ -13,11 +14,12 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epilab.bignum import BigFixed, _div_nearest, _fixed_to_string
-from epilab.cli import main
+from epilab.cli import build_parser, main, parse_args
+from epilab.series import DEFAULT_MAX_TERMS, builtin_names
 
 
 def run(capsys, *args):
@@ -514,10 +516,10 @@ def test_non_positive_precision_exits_two(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert out == ""
-    cause = {"--digits": "digits must be >= 1", "--scale": "scale must be >= 0",
+    cause = {"--digits": "--digits must be >= 1", "--scale": "--scale must be >= 0",
              "--max-terms": "--max-terms must be >= 1"}[argv[-2]]
     if argv[0] == "verify":
-        cause = "digits must be >= 6"
+        cause = "--digits must be >= 6"
     assert err == f"error: {cause}\n"
 
 
@@ -543,6 +545,13 @@ def test_bad_threshold_names_the_option(capsys, threshold):
     ("table zeta8 --checkpoints abc", "bad --checkpoints 'abc'; expected e.g. 10,100,1000"),
     ("table zeta8 --checkpoints ,", "--checkpoints must name at least one index"),
     ("table zeta8 --checkpoints 20000", "--checkpoints must be <= 10000"),
+    # the floors of the option table name the option, not the library parameter
+    ("compare --rows 0", "--rows must be >= 1"),
+    ("table zeta8 --scale -1", "--scale must be >= 0"),
+    # the term cap bounds an explicit count too
+    ("compute pi --method zeta8 --terms 5 --max-terms 3", "--terms must be <= 3"),
+    (f"compute pi --method zeta8 --terms {DEFAULT_MAX_TERMS + 1}",
+     f"--terms must be <= {DEFAULT_MAX_TERMS}"),
 ])
 def test_option_errors_name_the_option(capsys, argv, cause):
     # the message names the option as the user typed it, not a library parameter
@@ -608,7 +617,7 @@ def test_negative_scale_exits_two_for_every_op(capsys, op):
     # --scale is checked once, before the op runs, and named as given
     for scale in ("-1", "-5"):
         assert run(capsys, "stirling", "--op", op, "--n", "3", "--scale", scale) == (
-            2, "", "error: scale must be >= 0\n")
+            2, "", "error: --scale must be >= 0\n")
     rc, out, err = run(capsys, "stirling", "--op", op, "--n", "3", "--scale", "0")
     assert (rc, err) == (0, "") and out
 
@@ -675,3 +684,148 @@ def test_json_writer_matches_json_dumps(case):
     assert _json([list(r.items()) for r in cells], literal) == json.dumps(records, indent=2)
     for record, typed in zip(cells, records):
         assert _json(record, literal) == json.dumps(typed, indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    "",  # no command
+    "bogus",  # an unknown command
+    "compute pi --bogus",  # an unknown option
+    "compute pi --m oracle",  # an ambiguous prefix: --method or --max-terms
+    "compute pi --digits",  # a missing value
+    "compute pi --method --digits 5",  # an option where the value belongs
+    "compute pi --digits x",  # a bad int
+    "compute pi --format xml",  # a bad choice
+    "compute tau",  # a bad choice of positional
+    "cfrac --terms 3",  # a missing positional
+    "compute pi e",  # an extra positional
+    "stirling --n 2",  # stirling without --op
+    "compute pi --quiet=yes",  # a value given to a flag
+], ids=repr)
+def test_usage_errors_exit_two_with_one_error_line(capsys, argv):
+    rc, out, err = run(capsys, *argv.split())
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.endswith("\n")
+
+
+@pytest.mark.parametrize("command", [None, *build_parser()])
+@pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+def test_help_names_every_argument(capsys, command, flag):
+    table = build_parser()
+    # help wins wherever it stands among the command's arguments
+    argv = [flag] if command is None else [command, "--format", "json", flag]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    named = table if command is None else table[command][2]
+    assert [n for n in named if not re.search(rf"^  {re.escape(n)}\b", out, re.M)] == []
+
+
+#: what argparse read from `compute pi --digits 5`
+_COMPUTE_PI_5 = {"command": "compute", "constant": "pi", "method": "oracle", "terms": None,
+                 "max_terms": None, "format": "text", "quiet": False, "digits": 5}
+
+
+@pytest.mark.parametrize("argv, changed", [
+    ("compute pi --digits 5", {}),
+    ("compute pi --digits=5", {}),
+    ("compute pi --dig 5", {}),  # a unique prefix
+    ("compute pi --di=5", {}),
+    ("compute --digits 5 pi", {}),  # an option before the positional
+    ("compute pi --digits 9 --digits 5", {}),  # the last of a repeated option wins
+    ("compute --digits 5 -- pi", {}),  # -- before positionals
+    ("compute pi --digits +5", {}),  # what int() takes
+    ("compute pi --digits 5 --qu --quiet", {"quiet": True}),
+    ("compute e --method=e-factorial --terms -3 --digits 5",
+     {"constant": "e", "method": "e-factorial", "terms": "-3"}),  # a negative value
+    ("compute pi --max-terms 4 --digits 5 --max-t 3", {"max_terms": 3}),
+], ids=repr)
+def test_accepted_forms_parse_as_argparse_read_them(argv, changed):
+    args = vars(parse_args(argv.split()))
+    assert args.pop("func").__name__ == "cmd_compute"
+    assert args == {**_COMPUTE_PI_5, **changed}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("stirling --op approx --n -20 --k -1", {"op": "approx", "n": -20, "k": -1, "scale": None}),
+    ("scan --threshold -0.5 --al", {"threshold": "-0.5", "all_rows": True, "max": 10}),
+    ("verify --digits 8 R03 --al", {"id": "R03", "all": True, "digits": 8}),
+    ("verify", {"id": None, "all": False, "digits": 30}),  # the id is optional
+    ("cfrac -- -pi", {"expr": "-pi", "terms": 7}),
+    ("table zeta8 --checkpoints=10,100", {"series": "zeta8", "checkpoints": "10,100"}),
+])
+def test_values_of_each_kind(argv, expected):
+    args = vars(parse_args(argv.split()))
+    assert {k: args[k] for k in expected} == expected
+
+
+#: values for the arguments the table types as str: valid, edge and bad
+_STR_VALUES = {
+    "--method": ["oracle", *builtin_names(), "basel"],
+    "--terms": ["auto", "1", "7", "0", "-2", "x"],
+    "series": [*builtin_names(), "basel"],
+    "--checkpoints": ["10", "1,5,20", "20,3", "0", ",", "abc", "20000"],
+    "id": ["R01", "R05", "R20", "R99"],
+    "expr": ["pi", "exp(pi) - pi", "root(3, 0-8)", "root(2, 0-pi)", "1/(1 - 1)", "exp(101)",
+             "1 +", "-pi"],
+    "--threshold": ["0.06", "1/2", "-1", "0", "1/0", "abc"],
+}
+
+
+@st.composite
+def _argv(draw):
+    """A command, some of its arguments in any order, and their values drawn
+    from the option table: ints from one below the floor (or 0) to three
+    above it, each choice and one more, flags, and now and then a value of
+    the wrong kind.  The ranges keep every example well under a second:
+    gregory-leibniz sums about 10**d terms for d digits."""
+    table = build_parser()
+    command = draw(st.sampled_from(sorted(table)))
+    words = []
+    for name, (kind, default, floor, _) in table[command][2].items():
+        # a required argument is left out now and then, any other half the time
+        if draw(st.integers(0, 9)) >= (9 if default is ... else 5):
+            continue
+        if kind is bool:
+            words.append([name])
+            continue
+        low = 0 if floor is None else floor
+        value = draw(st.sampled_from(["x", "", "1.5"]) if draw(st.integers(0, 9)) == 0 else
+                     st.integers(low - 1, low + 3).map(str) if kind is int else
+                     st.sampled_from([*kind, "nope"]) if isinstance(kind, tuple) else
+                     st.sampled_from(_STR_VALUES[name]))
+        if name[0] != "-":
+            words.append([value])
+        else:
+            words.append([f"{name}={value}"] if draw(st.booleans()) else [name, value])
+    words = draw(st.permutations(words))
+    return [command, *(w for word in words for w in word)]
+
+
+def _output_parses(fmt, out):
+    if fmt == "json":
+        json.loads(out)
+    elif fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows and all(len(row) == len(rows[0]) for row in rows)
+    else:  # text: lines, with no trailing spaces
+        assert out.endswith("\n") and all(line == line.rstrip() for line in out.splitlines())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+@example(["verify", "--digits", "5"]).via("below verify's floor")
+@example(["compare", "--rows=0"]).via("a floor the library also checks")
+@example(["cfrac", "-pi"]).via("a word argparse read as an unknown option")
+def test_cli_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)  # any exception escaping main fails the test
+    out, err = out.getvalue(), err.getvalue()
+    assert rc in (0, 1, 2)
+    if rc:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        # verify alone prints its report before the line that names the
+        # relations it could not certify
+        assert out == "" or argv[0] == "verify" and err.startswith("error: not certified:")
+    else:
+        assert err == ""
+        _output_parses(parse_args(argv).format, out)

@@ -90,11 +90,12 @@ def test_star_import_binds_every_package_name():
 def test_cli_imports_only_what_the_command_runs():
     # -S: no site hooks; -E: no PYTHONPATH, so this checkout's sources are
     # the ones imported; compute needs no expr, registry, derive, stirling
-    # or accel, text output needs no json, and the scan needs derive alone
+    # or accel, text output needs no json, the scan needs derive alone, and
+    # the option table needs no argparse, nor the gettext and locale it loads
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); import epilab.cli\n"
         "unused = {'epilab.expr', 'epilab.registry', 'epilab.derive', 'epilab.stirling',\n"
-        "          'epilab.accel', 'json'}\n"
+        "          'epilab.accel', 'json', 'argparse', 'gettext', 'locale'}\n"
         "print('loaded', sorted(unused & set(sys.modules)))\n"
         "epilab.cli.main(['compute', 'pi', '--digits', '5'])\n"
         "print('loaded', sorted(unused & set(sys.modules)))\n"

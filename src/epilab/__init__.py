@@ -23,8 +23,8 @@ _EXPORTS = {
              "pair_transform paired_term_identity",
     "stirling": "STIRLING_COEFFS E8Decomposition double_factorial e_from_ratio e_half_integer "
                 "e_power_approx stirling_e8_decomposition stirling_factor",
-    "expr": "Add ConstE ConstPi Div EvalDomainError EvalResult Exp Expr IntLit Mul ParseError "
-            "PowInt PrecisionCapError RatLit Root Sqrt Sub eval_expr eval_interval parse to_text",
+    "expr": "Add ConstE ConstPi Div EvalDomainError Exp Expr IntLit Mul ParseError PowInt "
+            "PrecisionCapError RatLit Root Sqrt Sub eval_expr eval_interval parse to_text",
     "registry": "REGISTRY Relation VerificationFailure VerificationReport digits_of_agreement "
                 "get_relation relation_ids verify verify_all",
     "derive": "ScanRow binomial_linearize cfrac linear_combo_scan linearize_error_bound "

@@ -34,7 +34,6 @@ from fractions import Fraction
 from itertools import chain
 
 from ._record import record
-from .bignum import BigFixed, _div_nearest
 from .series import NILAKANTHA, NILAKANTHA_PAIRED, SeriesSpec, _pairs_e, scale_series
 
 __all__ = [
@@ -174,11 +173,11 @@ class CompareRow:
     k: int
     e_term: Fraction
     two_pi_term: Fraction
-    running: BigFixed
-    distance_to_9: BigFixed
+    running: tuple[int, int]  # exact, num/den with den > 0, not in lowest terms
+    distance_to_9: tuple[int, int]  # the same
 
 
-def compare_expansions(rows: int, scale: int = 10) -> list[CompareRow]:
+def compare_expansions(rows: int) -> list[CompareRow]:
     """Term-by-term table of the e and 2*pi expansions and their sum.
 
     Row 1 holds the integer heads (3 and 6, summing to 9 exactly); row 2
@@ -206,8 +205,8 @@ def compare_expansions(rows: int, scale: int = 10) -> list[CompareRow]:
                 k=k,
                 e_term=Fraction(ep, q_e),
                 two_pi_term=Fraction(pp, q_p),
-                running=BigFixed(_div_nearest(num * 10**scale, den), scale),
-                distance_to_9=BigFixed(_div_nearest(abs(num - 9 * den) * 10**scale, den), scale),
+                running=(num, den),
+                distance_to_9=(abs(num - 9 * den), den),
             )
         )
     return out

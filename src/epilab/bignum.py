@@ -1,22 +1,21 @@
 """Exact rational and decimal fixed-point arithmetic.
 
-Two value types carry every number in this package:
-
-* :class:`fractions.Fraction` carries exact rationals; an enclosure is
-  carried as integer bounds on a decimal grid, and only its public
-  endpoints become Fractions.  Nothing is ever evaluated in binary
-  floating point.
-* :class:`BigFixed` is an immutable base-10 fixed-point number,
-  ``mantissa * 10**-scale``.  It exists purely at the edge: rendering
-  results with an explicit, certified number of decimal places.
+The package's results are exact: :class:`fractions.Fraction` or integer
+pairs carry exact rationals, and an enclosure is carried as integer
+bounds (lo, hi, den) on a decimal grid; only its public endpoints become
+Fractions.  Nothing is ever evaluated in binary floating point.
+:class:`BigFixed`, the decimal fixed point ``mantissa * 10**-scale``,
+renders a result for print.  Only the CLI names it or its body,
+:func:`_fixed_to_string`: the CLI alone decides each printed rounding.
 
 Rounding onto the decimal grid 10**-scale happens in two ways only.
-:meth:`BigFixed.from_fraction` rounds to nearest (error at most half an
-ulp, ties away from zero, symmetrically for negative values);
-:func:`floor_div` and :func:`ceil_div` round an integer quotient down and
-up, and are the one directed rounding every enclosure in the package is
-built with: the expression evaluator, the root kernels and the CLI's
-printed bounds round their integer units with them.
+:func:`_div_nearest`, and :meth:`BigFixed.from_fraction` through it,
+rounds to nearest (error at most half an ulp, ties away from zero,
+symmetrically for negative values); :func:`floor_div` and
+:func:`ceil_div` round an integer quotient down and up, and are the one
+directed rounding every enclosure in the package is built with: the
+expression evaluator, the root kernels and the CLI's printed bounds
+round their integer units with them.
 
 :class:`Surd` represents quadratic irrationals ``a + b*sqrt(r)`` exactly,
 with the square part of ``r`` factored into ``b`` so the radicand is
@@ -114,14 +113,6 @@ class BigFixed:
 
     def to_decimal_string(self) -> str:
         return _fixed_to_string(self.mantissa, self.scale)
-
-    def rescale(self, scale: int) -> "BigFixed":
-        """Re-render at a new scale; exact when widening, nearest when narrowing."""
-        if scale < 0:
-            raise ValueError("scale must be >= 0")
-        if scale >= self.scale:
-            return BigFixed(self.mantissa * 10 ** (scale - self.scale), scale)
-        return BigFixed(_div_nearest(self.mantissa, 10 ** (self.scale - scale)), scale)
 
     def __str__(self) -> str:
         return self.to_decimal_string()

@@ -72,8 +72,24 @@ def _json(payload, literal=()) -> str:
     own encoder.  No literal goes through int -> str, so integers past
     its 4,300-digit cap are written too.
     """
+    if isinstance(payload, list):
+        return "".join(_json_list(payload, literal))
     from json.encoder import encode_basestring_ascii as quote
+    return _json_record(payload, literal, "", quote)
 
+
+def _json_list(records, literal=()):
+    """_json of a list of records, one record a piece: a long list is never held whole."""
+    from json.encoder import encode_basestring_ascii as quote  # once, not once per record
+    head = "["
+    for record in records:
+        yield f"{head}\n  {_json_record(record, literal, '  ', quote)}"
+        head = ","
+    yield "[]" if head == "[" else "\n]"
+
+
+def _json_record(pairs, literal, pad: str, quote) -> str:
+    """_json of one record, each line after the first indented by pad."""
     def value(key, cell, pad):
         if isinstance(cell, list):
             inner = pad + "  "
@@ -81,32 +97,30 @@ def _json(payload, literal=()) -> str:
             return f"[\n{inner}{items}\n{pad}]" if cell else "[]"
         return (cell or "null") if key in literal else quote(cell)
 
-    def record(pairs, pad):
-        inner = pad + "  "
-        body = f",\n{inner}".join(
-            f"{quote(k)}: {value(k, c, inner)}"
-            for k, c in (pairs.items() if isinstance(pairs, dict) else pairs))
-        return f"{{\n{inner}{body}\n{pad}}}" if body else "{}"
-
-    if not isinstance(payload, list):
-        return record(payload, "")
-    body = ",\n  ".join(record(r, "  ") for r in payload)
-    return f"[\n  {body}\n]" if payload else "[]"
+    inner = pad + "  "
+    body = f",\n{inner}".join(
+        f"{quote(k)}: {value(k, c, inner)}"
+        for k, c in (pairs.items() if isinstance(pairs, dict) else pairs))
+    return f"{{\n{inner}{body}\n{pad}}}" if body else "{}"
 
 
 def _emit(args, columns, rows, literal=(), *, payload=None, text=None, table=None) -> None:
     """Write a command's output in the format asked for.
 
-    rows are lists of string cells under columns (any iterable: csv
-    streams them).  csv writes them under a header row; json writes them
-    as a list of records, or writes payload in their place when the
-    command's json has another shape (see _json).  text prints text, the
-    command's own layout, when given, and then table, rows for a text
-    table, when given: each column as wide as its widest cell, header
-    included, two spaces apart.
+    rows are lists of string cells under columns (any iterable: csv and
+    json stream them).  csv writes them under a header row; json writes
+    them as a list of records, or writes payload in their place when the
+    command's json has another shape, a dict or a list of records (see
+    _json).  text prints text, the command's own layout, when given, and
+    then table, rows for a text table, when given: each column as wide as
+    its widest cell, header included, two spaces apart.
     """
-    if args.format == "json":
-        print(_json([zip(columns, row) for row in rows] if payload is None else payload, literal))
+    if args.format == "json" and isinstance(payload, dict):
+        print(_json(payload, literal))
+    elif args.format == "json":
+        sys.stdout.writelines(_json_list(
+            (zip(columns, row) for row in rows) if payload is None else payload, literal))
+        print()
     elif args.format == "csv":
         import csv  # here, not at the top: text output never needs it
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -200,12 +214,12 @@ def cmd_table(args) -> int:
     if max(checkpoints) > EXACT_TERM_LIMIT:
         raise ValueError(f"--checkpoints must be <= {EXACT_TERM_LIMIT}")
     rows = [
-        [str(r.n), r.value.to_decimal_string(),
+        [str(r.n), BigFixed.from_fraction(r.value, args.scale).to_decimal_string(),
          BigFixed.from_fraction(r.abs_error, 25).to_decimal_string(),
          BigFixed(ceil_div(r.bound.numerator * 10**25, r.bound.denominator),
                   25).to_decimal_string(),
          str(r.digits_correct)]
-        for r in convergence_table(spec, checkpoints, scale=args.scale)
+        for r in convergence_table(spec, checkpoints)
     ]
     _emit(args, ["n", "value", "abs_error", "bound", "digits_correct"], rows,
           text=None if args.quiet else f"series = {spec.name} (limit: {spec.constant})",
@@ -232,10 +246,11 @@ def cmd_verify(args) -> int:
     rows = [
         [r.relation_id, r.paper_eq, "", "", "", "", "", "", _BOOL[False]]
         if isinstance(r, VerificationFailure) else
-        [r.relation_id, r.paper_eq, r.lhs_value.to_decimal_string(),
-         r.rhs_value.to_decimal_string(), r.abs_residual.to_decimal_string(),
-         r.rel_residual.to_decimal_string(), str(r.digits_of_agreement),
-         str(r.precision_used), _BOOL[r.certified]]
+        [r.relation_id, r.paper_eq,
+         *(BigFixed(v, r.precision_used).to_decimal_string() for v in (r.lhs_value, r.rhs_value)),
+         *(BigFixed(v, r.precision_used + 10).to_decimal_string()
+           for v in (r.abs_residual, r.rel_residual)),
+         str(r.digits_of_agreement), str(r.precision_used), _BOOL[r.certified]]
         for r in reports
     ]
     if args.all:
@@ -290,6 +305,12 @@ def cmd_cfrac(args) -> int:
 # stirling
 
 
+def _midpoint(bounds: tuple[int, int, int], scale: int) -> BigFixed:
+    """The midpoint of bounds (lo, hi, den) rounded to nearest at `scale` places."""
+    lo, hi, den = bounds
+    return BigFixed(_div_nearest((lo + hi) * 10**scale, 2 * den), scale)
+
+
 def _rel_error(approx: BigFixed, lo: int, hi: int, den: int) -> str:
     """ceil(max |approx - x| / min x, over x in [lo/den, hi/den]) at ten
     places, for lo > 0."""
@@ -301,11 +322,14 @@ def _rel_error(approx: BigFixed, lo: int, hi: int, den: int) -> str:
 def cmd_stirling(args) -> int:
     from .stirling import e_from_ratio, e_half_integer, e_power_approx, stirling_e8_decomposition
     scale = (4 if args.op == "e-half" else 10) if args.scale is None else args.scale
+    if args.op == "e8" and (args.n, args.k) != (None, None):
+        raise ValueError("--n and --k apply only to --op approx, ratio and e-half")
+    n, k = 1 if args.n is None else args.n, 2 if args.k is None else args.k
     if args.op == "e-half":
-        s = e_half_integer(args.n, args.k)
+        s = e_half_integer(n, k)
         sq = s.squared().as_fraction()
         cells = {
-            "op": "e-half", "n": str(args.n), "k": str(args.k),
+            "op": "e-half", "n": str(n), "k": str(k),
             "surd": str(s),
             "squared": f"{_int_to_digits(sq.numerator)}/{_int_to_digits(sq.denominator)}",
             "squared_decimal": BigFixed.from_fraction(sq, scale).to_decimal_string(),
@@ -315,35 +339,29 @@ def cmd_stirling(args) -> int:
         # bounds lo <= x * den <= hi on the true value x
         if args.op == "approx":
             # the target first: its range check names why a large n fails
-            lo, hi = _exp_units(args.n, 1, scale + 10)
+            lo, hi = _exp_units(n, 1, scale + 10)
             den = 10 ** (scale + 14)
-            value = e_power_approx(args.n, args.k, scale)
-            name = f"e^{args.n}"
+            value = _midpoint(e_power_approx(n, k, scale + 2), scale)
+            name = f"e^{n}"
         else:
-            value = e_from_ratio(args.n, args.k, scale)
+            value = _midpoint(e_from_ratio(n, k, scale + 2), scale)
             work, lo, hi = _cached(_e_unit, scale + 10)
             den = 10**work
             name = "e"
         cells = {
-            "op": args.op, "n": str(args.n), "k": str(args.k),
+            "op": args.op, "n": str(n), "k": str(k),
             "value": value.to_decimal_string(),
-            "target": BigFixed(_div_nearest((lo + hi) * 10**scale, 2 * den), scale)
-                      .to_decimal_string(),
+            "target": _midpoint((lo, hi, den), scale).to_decimal_string(),
             "rel_error": _rel_error(value, lo, hi, den),
         }
         text = f"{name} ≈ {cells['value']}  (true {cells['target']}, " \
                f"rel error {cells['rel_error']})"
-    else:  # e8
-        d = stirling_e8_decomposition(scale)
-        cells = {
-            "op": "e8",
-            "e8": d.e8.to_decimal_string(),
-            "value_96pi3": d.value_96pi3.to_decimal_string(),
-            "base_64pi3": d.base_64pi3.to_decimal_string(),
-            "correction": str(d.correction),
-            "gap_from_3_2": str(d.gap_from_3_2),
-            "ratio": d.ratio.to_decimal_string(),
-        }
+    else:  # e8: each field of the decomposition is a cell under its own name
+        d = stirling_e8_decomposition(scale + 2)
+        cells = {"op": "e8"}
+        for name in ("e8", "value_96pi3", "base_64pi3", "correction", "gap_from_3_2", "ratio"):
+            v = getattr(d, name)  # an exact Fraction, or an enclosure
+            cells[name] = str(v) if type(v) is Fraction else _midpoint(v, scale).to_decimal_string()
         text = "\n".join([
             f"e^8        = {cells['e8']}",
             f"96 pi^3    = {cells['value_96pi3']}",
@@ -394,8 +412,9 @@ def cmd_compare(args) -> int:
     from .accel import compare_expansions
     rows = [
         [str(r.k), _rational_to_digits(r.e_term), _rational_to_digits(r.two_pi_term),
-         r.running.to_decimal_string(), r.distance_to_9.to_decimal_string()]
-        for r in compare_expansions(args.rows, scale=args.scale)
+         *(BigFixed(_div_nearest(num * 10**args.scale, den), args.scale).to_decimal_string()
+           for num, den in (r.running, r.distance_to_9))]
+        for r in compare_expansions(args.rows)
     ]
     _emit(args, ["k", "e_term", "two_pi_term", "running_sum", "distance_to_9"], rows,
           text=None if args.quiet else "e expansion (3 - 1/3 + 1/24 + ...) against 2*pi "
@@ -442,7 +461,7 @@ def build_parser() -> dict:
             "--terms": (int, 7, 1, ""), **common()}),
         "stirling": (cmd_stirling, "Stirling-series approximants of e", {
             "--op": (("approx", "ratio", "e-half", "e8"), ..., None, ""),
-            "--n": (int, 1, None, ""), "--k": (int, 2, None, ""),
+            "--n": (int, None, None, "default 1"), "--k": (int, None, None, "default 2"),
             "--scale": (int, None, 0, "decimal places (default 10; e-half's square: 4)"),
             **common(digits=0)}),
         "scan": (cmd_scan, "integer scan of n*pi + m*e", {
@@ -481,7 +500,7 @@ def _option(arg: str, names) -> str:
     prefix, before any =value; -- gives itself, and a value gives "": as
     argparse read one, a word not led by -, - itself, a negative number or
     a word with a space."""
-    if arg[:1] != "-" or arg == "-" or re.fullmatch(r"-\d+|-\d*\.\d+", arg):
+    if arg[:1] != "-" or arg == "-" or arg[1] != "-" and re.fullmatch(r"-\d+|-\d*\.\d+", arg):
         return ""
     key = arg.partition("=")[0]
     hits = [arg] if arg == "--" else [key] if key in names else [

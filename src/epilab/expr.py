@@ -25,16 +25,18 @@ many as the width missed by, and at least doubled; if a comparison like
 "is the divisor nonzero" cannot be decided, with doubled guard digits.
 The result interval always contains the true value; that containment
 is the correctness claim everything downstream leans on.
+
+``eval_expr`` returns integers too, a value and a bound in units of a
+power of ten; rounding them for print is the CLI's business.
 """
 
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from fractions import Fraction
 
 from ._record import record
-from .bignum import BigFixed, _div_nearest, ceil_div, floor_div, ilog10_floor, iroot, root_units
+from .bignum import _div_nearest, ceil_div, floor_div, ilog10_floor, iroot, root_units
 from .oracle import EXP_ARG_LIMIT, NoCertifiedResult, _cached, _e_unit, _exp_units, _pi_unit
 
 __all__ = [
@@ -56,7 +58,6 @@ __all__ = [
     "depth",
     "eval_expr",
     "eval_interval",
-    "EvalResult",
     "ParseError",
     "EvalDomainError",
     "PrecisionCapError",
@@ -216,7 +217,7 @@ def depth(expr: Expr) -> int:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[a-z]+|[()+\-*/^,])")
+_TOKEN = r"\s*(\d+|[a-z]+|[()+\-*/^,])"
 _WORDS = {"pi", "e", "sqrt", "root", "exp"}
 
 
@@ -224,7 +225,7 @@ def _tokenize(text: str) -> list[str]:
     tokens = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = re.compile(_TOKEN).match(text, pos)  # compiled on the first parse, then from re's cache
         if not m:
             if text[pos:].strip():
                 raise ParseError(f"bad character at position {pos}: {text[pos:pos+10]!r}")
@@ -449,10 +450,6 @@ def _eval(expr: Expr, w: int) -> Fraction | _IV:
     raise TypeError(f"not an Expr: {expr!r}")
 
 
-#: value: BigFixed, error_bound: BigFixed
-EvalResult = namedtuple("EvalResult", ["value", "error_bound"])
-
-
 def _enclose(expr: Expr, digits: int) -> _IV:
     """eval_interval's enclosure as bounds (lo, hi, den) on the value times den."""
     if digits < 1:
@@ -492,13 +489,14 @@ def eval_interval(expr: Expr, digits: int) -> tuple[Fraction, Fraction]:
     return Fraction(lo, den), Fraction(hi, den)
 
 
-def eval_expr(expr: Expr, digits: int) -> EvalResult:
-    """Evaluate with a certified error bound: |value - exact| <= error_bound
-    <= 10**-digits.  The value is the enclosure's midpoint at scale digits
-    + 2; the bound, at scale digits + 6, is its half-width plus that rounding."""
+def eval_expr(expr: Expr, digits: int) -> tuple[int, int]:
+    """Evaluate with a certified error bound: integers (value, error_bound) in
+    units of 10**-(digits + 2) and 10**-(digits + 6), the exact value within
+    error_bound of value, and error_bound <= 10**-digits.  The value is the
+    enclosure's midpoint, the bound its half-width plus that rounding."""
     lo, hi, den = _enclose(expr, digits + 1)
     scale = digits + 2
     mid = (lo + hi) * 10**scale  # the midpoint times 2 * den * 10**scale
     value = _div_nearest(mid, 2 * den)
     err = (hi - lo) * 10**scale + abs(2 * den * value - mid)  # over the same
-    return EvalResult(BigFixed(value, scale), BigFixed(ceil_div(err * 10**4, 2 * den), digits + 6))
+    return value, ceil_div(err * 10**4, 2 * den)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import record
-from .bignum import BigFixed, _div_nearest, floor_neg_log10
+from .bignum import _div_nearest, floor_neg_log10
 from .expr import EvalDomainError, Expr, PrecisionCapError, eval_expr, parse
 from .oracle import ExpRangeError
 
@@ -68,10 +68,10 @@ class VerificationReport:
     relation_id: str
     paper_eq: str
     kind: str
-    lhs_value: BigFixed
-    rhs_value: BigFixed
-    abs_residual: BigFixed
-    rel_residual: BigFixed
+    lhs_value: int  # in units of 10**-precision_used, as is rhs_value
+    rhs_value: int
+    abs_residual: int  # in units of 10**-(precision_used + 10), as is rel_residual
+    rel_residual: int
     digits_of_agreement: int
     precision_used: int
     certified: bool
@@ -130,21 +130,20 @@ def get_relation(rid: str) -> Relation:
         raise KeyError(f"unknown relation {rid!r}; known: {', '.join(_BY_ID)}") from None
 
 
-def digits_of_agreement(a: BigFixed, b: BigFixed, *, cap: int | None = None) -> int:
-    """floor(-log10(|a-b| / |b|)), clamped to >= 0.
+def digits_of_agreement(a: int, b: int, *, cap: int | None = None) -> int:
+    """floor(-log10(|a-b| / |b|)), clamped to >= 0, for integers a, b on one grid.
 
     When a == b exactly the relative error is 0 and the true agreement
     is unbounded; the declared cap (typically the working precision) is
     returned, so a cap must be supplied in that case.
     """
-    am, bm = a.mantissa * 10**b.scale, b.mantissa * 10**a.scale  # over 10**(a.scale + b.scale)
-    if bm == 0:
+    if b == 0:
         raise ValueError("b must be nonzero")
-    if am == bm:
+    if a == b:
         if cap is None:
             raise ValueError("identical values: supply cap= to bound the result")
         return cap
-    d = floor_neg_log10(Fraction(abs(am - bm), abs(bm)))
+    d = floor_neg_log10(Fraction(abs(a - b), abs(b)))
     if cap is not None:
         d = min(d, cap)
     return max(0, d)
@@ -162,10 +161,9 @@ def verify(relation: Relation, digits: int) -> VerificationReport:
     if digits < 6:
         raise ValueError("digits must be >= 6")
     d = max(digits, relation.min_digits)
-    lhs_value, lhs_err = eval_expr(relation.lhs, d)
-    rhs_value, rhs_err = eval_expr(relation.rhs, d)
-    # eval_expr's values are mantissas at scale d + 2, its bounds at d + 6
-    lhs, rhs = lhs_value.mantissa, rhs_value.mantissa
+    # values in units of 10**-(d + 2), bounds in units of 10**-(d + 6)
+    lhs, lhs_err = eval_expr(relation.lhs, d)
+    rhs, rhs_err = eval_expr(relation.rhs, d)
     if rhs == 0:
         raise ValueError(f"{relation.id}: rhs evaluates to zero")
     if relation.kind == NEAR_INTEGER and rhs % 10 ** (d + 2):
@@ -175,13 +173,13 @@ def verify(relation: Relation, digits: int) -> VerificationReport:
         relation_id=relation.id,
         paper_eq=relation.paper_eq,
         kind=relation.kind,
-        lhs_value=lhs_value.rescale(d),
-        rhs_value=rhs_value.rescale(d),
-        abs_residual=BigFixed(residual * 10**8, d + 10),
-        rel_residual=BigFixed(_div_nearest(abs(residual) * 10 ** (d + 10), abs(rhs)), d + 10),
-        digits_of_agreement=digits_of_agreement(lhs_value, rhs_value, cap=d),
+        lhs_value=_div_nearest(lhs, 100),
+        rhs_value=_div_nearest(rhs, 100),
+        abs_residual=residual * 10**8,
+        rel_residual=_div_nearest(abs(residual) * 10 ** (d + 10), abs(rhs)),
+        digits_of_agreement=digits_of_agreement(lhs, rhs, cap=d),
         precision_used=d,
-        certified=10 * (lhs_err.mantissa + rhs_err.mantissa) < abs(residual) * 10**4,
+        certified=10 * (lhs_err + rhs_err) < abs(residual) * 10**4,
     )
 
 

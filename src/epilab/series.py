@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import cycle, islice
 
 from ._record import record
-from .bignum import BigFixed, floor_neg_log10
+from .bignum import floor_neg_log10
 from .oracle import CONSTANTS, NoCertifiedResult, constant_reference
 
 __all__ = [
@@ -130,7 +130,7 @@ class SumResult:
 @record
 class ConvergenceRow:
     n: int
-    value: BigFixed
+    value: Fraction  # the exact partial sum
     abs_error: Fraction
     bound: Fraction
     digits_correct: int
@@ -374,8 +374,7 @@ def terms_needed(spec: SeriesSpec, digits: int, *, cap: int = DEFAULT_MAX_TERMS)
     return hi
 
 
-def convergence_table(spec: SeriesSpec, checkpoints: Sequence[int], *,
-                      scale: int = 15) -> list[ConvergenceRow]:
+def convergence_table(spec: SeriesSpec, checkpoints: Sequence[int]) -> list[ConvergenceRow]:
     """Error table at the given checkpoints, hard-checked for soundness.
 
     Every row asserts measured_error <= certified bound; a violation
@@ -419,7 +418,7 @@ def convergence_table(spec: SeriesSpec, checkpoints: Sequence[int], *,
         rows.append(
             ConvergenceRow(
                 n=point,
-                value=BigFixed.from_fraction(total, scale),
+                value=total,
                 abs_error=err,
                 bound=bound,
                 digits_correct=max(0, floor_neg_log10((err + eps) / abs(ref))),

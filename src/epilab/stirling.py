@@ -18,12 +18,12 @@ Three rearrangements of Stirling's formula are implemented:
 e^8 = (e^1)^4 * (e^2)^2 ~ 64 pi^3 * (13/12)^4 * (25/24)^2, where the
 exact correction 17850625/11943936 = 1.4945... sits close to 3/2.
 
-Each rendered value is built as an :mod:`epilab.expr` tree, the exact
-rational parts as literals, and rendered from its certified enclosure
-two digits finer than asked for.  So the guard digits that pi, e and
-the square roots need are chosen by the evaluator's ``_enclose``, the
-same way as for every other expression, also when the value has many
-digits before the point.
+Each inexact value is built as an :mod:`epilab.expr` tree, the exact
+rational parts as literals, and returned as its certified enclosure
+(lo, hi, den) at the digits the caller names; the CLI rounds it for
+print.  So the guard digits that pi, e and the square roots need are
+chosen by the evaluator's ``_enclose``, the same way as for every other
+expression, also when the value has many digits before the point.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import math
 from fractions import Fraction
 
 from ._record import record
-from .bignum import BigFixed, Surd, _div_nearest
-from .expr import ConstE, ConstPi, Div, Expr, IntLit, Mul, PowInt, RatLit, Sqrt, _enclose
+from .bignum import Surd
+from .expr import ConstE, ConstPi, Div, IntLit, Mul, PowInt, RatLit, Sqrt, _enclose
 
 __all__ = [
     "STIRLING_COEFFS",
@@ -74,25 +74,19 @@ def stirling_factor(n: Fraction, k: int) -> Fraction:
     return sum((c / n**j for j, c in enumerate(STIRLING_COEFFS[:k])), Fraction(0))
 
 
-def _render(tree: Expr, scale: int) -> BigFixed:
-    """The tree's value rounded to `scale` places, from its enclosure."""
-    lo, hi, den = _enclose(tree, scale + 2)
-    return BigFixed(_div_nearest((lo + hi) * 10**scale, 2 * den), scale)
-
-
-def e_power_approx(n: int, k: int, scale: int = 10) -> BigFixed:
-    """sqrt(2 pi n) * n^n / n! * S(n, k), rendered at `scale`.
+def e_power_approx(n: int, k: int, digits: int) -> tuple[int, int, int]:
+    """sqrt(2 pi n) * n^n / n! * S(n, k), enclosed as (lo, hi, den) to 10**-digits.
 
     Approximates e^n; the relative error decreases as n grows.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     exact = Fraction(n**n, math.factorial(n)) * stirling_factor(Fraction(n), k)
-    return _render(Mul(RatLit(exact), Sqrt(Mul(IntLit(2 * n), ConstPi()))), scale)
+    return _enclose(Mul(RatLit(exact), Sqrt(Mul(IntLit(2 * n), ConstPi()))), digits)
 
 
-def e_from_ratio(n: int, k: int, scale: int = 10) -> BigFixed:
-    """(1 + 1/n)^(n + 1/2) * S(n+1, k) / S(n, k), rendered at `scale`.
+def e_from_ratio(n: int, k: int, digits: int) -> tuple[int, int, int]:
+    """(1 + 1/n)^(n + 1/2) * S(n+1, k) / S(n, k), enclosed as (lo, hi, den).
 
     Approximates e itself, with pi absent: it cancels in the ratio of
     consecutive Stirling approximations.
@@ -101,7 +95,7 @@ def e_from_ratio(n: int, k: int, scale: int = 10) -> BigFixed:
         raise ValueError("n must be >= 1")
     base = Fraction(n + 1, n)
     exact = base**n * stirling_factor(Fraction(n + 1), k) / stirling_factor(Fraction(n), k)
-    return _render(Mul(RatLit(exact), Sqrt(RatLit(base))), scale)
+    return _enclose(Mul(RatLit(exact), Sqrt(RatLit(base))), digits)
 
 
 def e_half_integer(n: int, k: int) -> Surd:
@@ -126,28 +120,29 @@ def e_half_integer(n: int, k: int) -> Surd:
 class E8Decomposition:
     """The pieces of e^8 ~ 96 pi^3, all independently certified."""
 
-    base_64pi3: BigFixed
+    base_64pi3: tuple[int, int, int]  # an enclosure (lo, hi, den), as are the other tuples
     correction: Fraction  # (13/12)^4 * (25/24)^2, exact
     gap_from_3_2: Fraction  # correction - 3/2, exact
-    value_96pi3: BigFixed
-    e8: BigFixed
-    ratio: BigFixed  # e^8 / (96 pi^3)
+    value_96pi3: tuple[int, int, int]
+    e8: tuple[int, int, int]
+    ratio: tuple[int, int, int]  # e^8 / (96 pi^3)
 
 
-def stirling_e8_decomposition(scale: int = 10) -> E8Decomposition:
+def stirling_e8_decomposition(digits: int) -> E8Decomposition:
     """Assemble e^8 = 64 pi^3 * correction ~ 96 pi^3 and compare to e^8.
 
     The correction is the exact rational (13/12)^4 * (25/24)^2 =
     17850625/11943936, which misses 3/2 by about -0.0055; replacing it
-    with 3/2 gives the round form 96 pi^3.
+    with 3/2 gives the round form 96 pi^3.  Each enclosure is at most
+    10**-digits wide.
     """
     pi3, e8 = PowInt(ConstPi(), 3), PowInt(ConstE(), 8)
     correction = Fraction(13, 12) ** 4 * Fraction(25, 24) ** 2
     return E8Decomposition(
-        base_64pi3=_render(Mul(IntLit(64), pi3), scale),
+        base_64pi3=_enclose(Mul(IntLit(64), pi3), digits),
         correction=correction,
         gap_from_3_2=correction - Fraction(3, 2),
-        value_96pi3=_render(Mul(IntLit(96), pi3), scale),
-        e8=_render(e8, scale),
-        ratio=_render(Div(e8, Mul(IntLit(96), pi3)), scale),
+        value_96pi3=_enclose(Mul(IntLit(96), pi3), digits),
+        e8=_enclose(e8, digits),
+        ratio=_enclose(Div(e8, Mul(IntLit(96), pi3)), digits),
     )

@@ -126,11 +126,13 @@ def test_compare_rows_start_at_exactly_nine():
     assert [r.k for r in rows] == [1, 2, 3, 4]
     assert rows[0].e_term == 3
     assert rows[0].two_pi_term == 6
-    assert rows[0].running.as_fraction() == 9
-    assert rows[0].distance_to_9.mantissa == 0
-    assert rows[1].running.as_fraction() == 9
-    assert rows[2].running.to_decimal_string() == "8.9988095238"
-    assert rows[2].distance_to_9.to_decimal_string() == "0.0011904762"
+    # running and distance_to_9 are exact pairs (num, den)
+    assert Fraction(*rows[0].running) == 9
+    assert rows[0].distance_to_9[0] == 0
+    assert Fraction(*rows[1].running) == 9
+    # 9 + 1/24 - 3/70 = 8.99880952...
+    assert Fraction(*rows[2].running) == 9 - Fraction(1, 840)
+    assert Fraction(*rows[2].distance_to_9) == Fraction(1, 840)
 
 
 def test_compare_distance_settles_near_true_gap():
@@ -138,13 +140,16 @@ def test_compare_distance_settles_near_true_gap():
     e_ref = reference("e", 30)
     two_pi = reference("two_pi", 30)
     gap = e_ref + two_pi - 9
-    last = compare_expansions(80, scale=12)[-1]
-    assert abs(last.distance_to_9.as_fraction() - gap) < Fraction(1, 10**6)
-    assert last.distance_to_9.to_decimal_string().startswith("0.00146")
+    last = Fraction(*compare_expansions(80)[-1].distance_to_9)
+    assert abs(last - gap) < Fraction(1, 10**6)
+    assert Fraction(146, 10**5) <= last < Fraction(147, 10**5)
 
 
-def test_compare_respects_scale():
-    rows = compare_expansions(3, scale=6)
-    assert rows[-1].running.scale == 6
+def test_compare_respects_scale(capsys):
+    # the rows are exact; the CLI rounds them at --scale
+    from epilab.cli import main
+
+    assert main(["compare", "--rows", "3", "--scale", "6", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "3,1/24,-3/70,8.998810,0.001190"
     with pytest.raises(ValueError):
         compare_expansions(0)

@@ -108,13 +108,6 @@ def test_equality_is_numeric_across_scales():
     assert a.scale != b.scale
 
 
-def test_rescale_rounds_to_nearest():
-    x = BigFixed(271828, 5)
-    assert x.rescale(2).to_decimal_string() == "2.72"
-    assert x.rescale(8).to_decimal_string() == "2.71828000"
-    assert x.rescale(8) == x
-
-
 @given(st.integers(min_value=0, max_value=10**30), st.integers(min_value=1, max_value=9))
 def test_iroot_is_floor_root(n, k):
     r = iroot(n, k)

@@ -311,6 +311,26 @@ def test_scan_csv_memory_does_not_grow_with_max():
     assert peak < 2 * 2**20
 
 
+def test_scan_json_memory_does_not_grow_with_max():
+    # 101^2 - 1 = 10,200 records of ten lines each, between [ and ]; a
+    # writer that built the whole document before printing it peaked near
+    # 10.5 MiB here
+    import json.encoder  # noqa: F401  imported before tracing, as _json imports it
+    import epilab.derive  # noqa: F401
+
+    sink = _LineCounter()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            rc = main(["scan", "--max", "50", "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert sink.lines == 10_200 * 10 + 2
+    assert peak < 2 * 2**20
+
+
 def _reference_scan(fmt, max_coeff, digits, threshold):
     """`scan --format csv|json` output built the slow way, as a check on the
     CLI's integer rendering: linear_combo_scan's Fraction rows, each value
@@ -550,6 +570,8 @@ def test_bad_threshold_names_the_option(capsys, threshold):
     ("table zeta8 --scale -1", "--scale must be >= 0"),
     # the term cap bounds an explicit count too
     ("compute pi --method zeta8 --terms 5 --max-terms 3", "--terms must be <= 3"),
+    # e8 reads neither --n nor --k, and says so
+    ("stirling --op e8 --n 7 --k 9", "--n and --k apply only to --op approx, ratio and e-half"),
     (f"compute pi --method zeta8 --terms {DEFAULT_MAX_TERMS + 1}",
      f"--terms must be <= {DEFAULT_MAX_TERMS}"),
 ])
@@ -614,11 +636,13 @@ def test_verify_all_shows_a_failed_relation_in_every_format(monkeypatch, capsys,
 
 @pytest.mark.parametrize("op", ["approx", "ratio", "e-half", "e8"])
 def test_negative_scale_exits_two_for_every_op(capsys, op):
-    # --scale is checked once, before the op runs, and named as given
+    # --scale is checked once, before the op runs, and named as given; e8
+    # reads no --n
+    n = [] if op == "e8" else ["--n", "3"]
     for scale in ("-1", "-5"):
-        assert run(capsys, "stirling", "--op", op, "--n", "3", "--scale", scale) == (
+        assert run(capsys, "stirling", "--op", op, *n, "--scale", scale) == (
             2, "", "error: --scale must be >= 0\n")
-    rc, out, err = run(capsys, "stirling", "--op", op, "--n", "3", "--scale", "0")
+    rc, out, err = run(capsys, "stirling", "--op", op, *n, "--scale", "0")
     assert (rc, err) == (0, "") and out
 
 

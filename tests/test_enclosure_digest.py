@@ -98,7 +98,7 @@ def _results(node, digits: int) -> list[str]:
     except NoCertifiedResult as exc:
         return [f"{type(exc).__name__}: {exc}"]
     return [f"{lo.numerator}/{lo.denominator} {hi.numerator}/{hi.denominator}",
-            f"{value.mantissa} {value.scale} {err.mantissa} {err.scale}"]
+            f"{value} {digits + 2} {err} {digits + 6}"]
 
 
 def _digest(lines: list[str]) -> str:

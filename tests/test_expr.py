@@ -164,9 +164,9 @@ def test_to_text_parse_round_trip(tree):
 
 def test_eval_matches_oracle():
     pi_ref = reference("pi", 40)
-    r = eval_expr(parse("pi"), 30)
-    assert abs(r.value.as_fraction() - pi_ref) <= Fraction(1, 10**30)
-    assert r.error_bound.as_fraction() <= Fraction(1, 10**29)
+    value, error_bound = eval_expr(parse("pi"), 30)  # in units of 10**-32 and 10**-36
+    assert abs(Fraction(value, 10**32) - pi_ref) <= Fraction(1, 10**30)
+    assert Fraction(error_bound, 10**36) <= Fraction(1, 10**29)
 
 
 def test_eval_error_bound_is_sound():
@@ -179,9 +179,9 @@ def test_eval_error_bound_is_sound():
     ):
         node = parse(text)
         truth_lo, truth_hi = eval_interval(node, 60)
-        r = eval_expr(node, 12)
+        value, error_bound = eval_expr(node, 12)  # in units of 10**-14 and 10**-18
         truth_mid = (truth_lo + truth_hi) / 2
-        assert abs(r.value.as_fraction() - truth_mid) <= r.error_bound.as_fraction(), text
+        assert abs(Fraction(value, 10**14) - truth_mid) <= Fraction(error_bound, 10**18), text
 
 
 def test_eval_intervals_overlap_across_precision():

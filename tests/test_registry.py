@@ -65,16 +65,16 @@ def test_catalog_notes():
 
 
 def test_digits_of_agreement_examples():
-    one, three, nine = BigFixed(1, 0), BigFixed(3, 0), BigFixed(9, 0)
-    assert digits_of_agreement(BigFixed(9001, 3), nine) == 3
-    assert digits_of_agreement(BigFixed(999999956, 9), one) == 7
-    assert digits_of_agreement(BigFixed(15, 1), one) == 0
+    # two integers on one grid: 9.001 against 9 is 9001 against 9000
+    assert digits_of_agreement(9001, 9000) == 3
+    assert digits_of_agreement(999999956, 10**9) == 7
+    assert digits_of_agreement(15, 10) == 0
     with pytest.raises(ValueError):
-        digits_of_agreement(three, BigFixed(0, 0))
+        digits_of_agreement(3, 0)
     with pytest.raises(ValueError):
-        digits_of_agreement(three, three)
-    assert digits_of_agreement(three, three, cap=30) == 30
-    assert digits_of_agreement(BigFixed(9001, 3), nine, cap=2) == 2
+        digits_of_agreement(3, 3)
+    assert digits_of_agreement(3, 3, cap=30) == 30
+    assert digits_of_agreement(9001, 9000, cap=2) == 2
 
 
 @given(
@@ -88,11 +88,10 @@ def test_digits_of_agreement_scale_invariant(m1, m2, k):
     b = Fraction(m2, 10**4)
     if a == b:
         return
-    base = digits_of_agreement(BigFixed.from_fraction(a, 12), BigFixed.from_fraction(b, 12))
+    # each value is exact on its grid: a and b have four places, and k >= -3
+    base = digits_of_agreement(int(a * 10**12), int(b * 10**12))
     shift = Fraction(10) ** k
-    shifted = digits_of_agreement(
-        BigFixed.from_fraction(a * shift, 15), BigFixed.from_fraction(b * shift, 15)
-    )
+    shifted = digits_of_agreement(int(a * shift * 10**15), int(b * shift * 10**15))
     assert base == shifted
 
 
@@ -105,11 +104,12 @@ def test_verify_r02_report_fields():
     r = verify(get_relation("R02"), 12)
     assert r.relation_id == "R02"
     assert r.precision_used == 12
-    assert r.lhs_value.to_decimal_string().startswith("68.99966")
-    assert r.rhs_value.as_fraction() == 69
+    # lhs and rhs in units of 10**-12, the residuals in units of 10**-22
+    assert BigFixed(r.lhs_value, 12).to_decimal_string().startswith("68.99966")
+    assert r.rhs_value == 69 * 10**12
     # the signed residual keeps the direction of the miss
-    assert r.abs_residual.as_fraction() < 0
-    assert r.rel_residual.as_fraction() > 0
+    assert r.abs_residual < 0
+    assert r.rel_residual > 0
     assert r.digits_of_agreement == 5
     assert r.certified
 
@@ -231,11 +231,14 @@ def test_verify_matches_a_fraction_reference(digits):
         report = verify(relation, digits)
         d = report.precision_used
         (lhs, lhs_err), (rhs, rhs_err) = (eval_expr(side, d) for side in (relation.lhs, relation.rhs))
-        residual = lhs.as_fraction() - rhs.as_fraction()
+        # values in units of 10**-(d + 2), bounds in units of 10**-(d + 6)
+        lhs, rhs = Fraction(lhs, 10 ** (d + 2)), Fraction(rhs, 10 ** (d + 2))
+        residual = lhs - rhs
         expected = (BigFixed.from_fraction(residual, d + 10),
-                    BigFixed.from_fraction(abs(residual) / abs(rhs.as_fraction()), d + 10),
-                    10 * (lhs_err.as_fraction() + rhs_err.as_fraction()) < abs(residual))
-        got = (report.abs_residual, report.rel_residual, report.certified)
+                    BigFixed.from_fraction(abs(residual) / abs(rhs), d + 10),
+                    10 * Fraction(lhs_err + rhs_err, 10 ** (d + 6)) < abs(residual))
+        got = (BigFixed(report.abs_residual, d + 10), BigFixed(report.rel_residual, d + 10),
+               report.certified)
         assert [str(x) for x in got] == [str(x) for x in expected], relation.id
         flags.add((relation.id[0], report.certified))
     assert flags == {("R", True), ("X", True), ("X", False)}

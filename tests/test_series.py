@@ -233,7 +233,7 @@ def test_convergence_table_rows_match_partial_sums():
         for row in rows:
             value = partial_sum(spec, row.n).value
             assert row.abs_error == abs(value - exact), (name, row.n)
-            assert row.value == BigFixed.from_fraction(value, 15), (name, row.n)
+            assert row.value == value, (name, row.n)
 
 
 # the terms written out one by one, as a reference for the runs: the

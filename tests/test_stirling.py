@@ -8,6 +8,7 @@ from math import factorial
 import pytest
 
 from epilab import expr
+from epilab.cli import _midpoint
 from epilab.oracle import exp_interval
 from epilab.stirling import (
     STIRLING_COEFFS,
@@ -20,6 +21,12 @@ from epilab.stirling import (
 )
 
 from conftest import reference
+
+
+def _printed(bounds, scale: int) -> Fraction:
+    """An enclosure (lo, hi, den) as the CLI prints it at `scale` places,
+    from bounds two digits finer: the midpoint rounded to nearest."""
+    return _midpoint(bounds, scale).as_fraction()
 
 
 def test_coefficients_frozen():
@@ -54,14 +61,14 @@ def test_stirling_factor_is_coefficient_prefix():
 
 
 def test_e_power_approx_accuracy():
-    assert e_power_approx(1, 3).to_decimal_string() == "2.7242175346"
+    assert _printed(e_power_approx(1, 3, 12), 10) == Fraction("2.7242175346")
     e_ref = reference("e", 20)
-    err = abs(e_power_approx(1, 3, scale=15).as_fraction() - e_ref) / e_ref
+    err = abs(_printed(e_power_approx(1, 3, 17), 15) - e_ref) / e_ref
     assert err < Fraction(3, 1000)
     # the asymptotic corrections are not monotone term by term at n=1,
     # but every corrected estimate beats the bare k=1 one
     errs = {
-        k: abs(e_power_approx(1, k, scale=15).as_fraction() - e_ref) / e_ref
+        k: abs(_printed(e_power_approx(1, k, 17), 15) - e_ref) / e_ref
         for k in (1, 2, 3, 4)
     }
     assert errs[2] < errs[1]
@@ -70,11 +77,11 @@ def test_e_power_approx_accuracy():
 
 
 def test_e_from_ratio_value():
-    assert e_from_ratio(1, 3).to_decimal_string() == "2.7132116428"
+    assert _printed(e_from_ratio(1, 3, 12), 10) == Fraction("2.7132116428")
     e_ref = reference("e", 20)
     # larger n sharpens the ratio estimate
-    close = abs(e_from_ratio(6, 3, scale=15).as_fraction() - e_ref)
-    far = abs(e_from_ratio(1, 3, scale=15).as_fraction() - e_ref)
+    close = abs(_printed(e_from_ratio(6, 3, 17), 15) - e_ref)
+    far = abs(_printed(e_from_ratio(1, 3, 17), 15) - e_ref)
     assert close < far
 
 
@@ -109,7 +116,7 @@ def test_e_half_integer_tracks_exp():
 
 
 def test_e8_decomposition_exact_parts():
-    d = stirling_e8_decomposition()
+    d = stirling_e8_decomposition(12)
     assert d.correction == Fraction(17850625, 11943936)
     assert d.correction == Fraction(13, 12) ** 4 * Fraction(25, 24) ** 2
     assert d.gap_from_3_2 == d.correction - Fraction(3, 2)
@@ -118,24 +125,26 @@ def test_e8_decomposition_exact_parts():
 
 
 def test_e8_decomposition_certified_values():
-    d = stirling_e8_decomposition()
-    assert d.value_96pi3.to_decimal_string() == "2976.6025613088"
-    assert d.e8.to_decimal_string() == "2980.9579870417"
-    assert d.ratio.to_decimal_string() == "1.0014632204"
+    d = stirling_e8_decomposition(12)
+    base, value = _printed(d.base_64pi3, 10), _printed(d.value_96pi3, 10)
+    e8, ratio = _printed(d.e8, 10), _printed(d.ratio, 10)
+    assert value == Fraction("2976.6025613088")
+    assert e8 == Fraction("2980.9579870417")
+    assert ratio == Fraction("1.0014632204")
     # base * 3/2 = 96 pi^3 by construction
     pi_ref = reference("pi", 30)
-    assert abs(d.base_64pi3.as_fraction() - 64 * pi_ref**3) < Fraction(1, 10**8)
-    assert abs(d.value_96pi3.as_fraction() - 96 * pi_ref**3) < Fraction(1, 10**8)
+    assert abs(base - 64 * pi_ref**3) < Fraction(1, 10**8)
+    assert abs(value - 96 * pi_ref**3) < Fraction(1, 10**8)
     # and the ratio column really is e^8 over 96 pi^3
-    assert abs(
-        d.ratio.as_fraction() - d.e8.as_fraction() / d.value_96pi3.as_fraction()
-    ) < Fraction(1, 10**8)
+    assert abs(ratio - e8 / value) < Fraction(1, 10**8)
 
 
 def test_e8_decomposition_scale_parameter():
-    d = stirling_e8_decomposition(scale=16)
-    assert d.e8.scale == 16
-    assert d.e8.to_decimal_string() == "2980.9579870417282747"
+    # the enclosures meet the digits asked for
+    d = stirling_e8_decomposition(18)
+    for lo, hi, den in (d.base_64pi3, d.value_96pi3, d.e8, d.ratio):
+        assert 0 <= (hi - lo) * 10**18 <= den
+    assert _printed(d.e8, 16) == Fraction("2980.9579870417282747")
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -151,7 +160,7 @@ def test_e_power_approx_within_one_ulp_of_mpmath(k):
             root = mpmath.sqrt(2 * mpmath.pi * n)
             man, exp = root.man_exp
             ref = Fraction(man) * Fraction(2) ** exp * exact
-        got = e_power_approx(n, k, scale).as_fraction()
+        got = _printed(e_power_approx(n, k, scale + 2), scale)
         assert abs(got - ref) <= ulp, (n, k)
 
 
@@ -164,7 +173,7 @@ def test_e_power_approx_beyond_2944_within_one_ulp_of_mpmath():
     with mpmath.workdps(scale + 1400):
         man, exp = mpmath.sqrt(2 * mpmath.pi * n).man_exp
     ref = Fraction(man) * Fraction(2) ** exp * exact
-    got = e_power_approx(n, k, scale).as_fraction()
+    got = _printed(e_power_approx(n, k, scale + 2), scale)
     assert abs(got - ref) <= Fraction(1, 10**scale)
 
 
@@ -178,5 +187,5 @@ def test_e_power_approx_evaluates_its_tree_at_most_twice(monkeypatch):
         return real(node, w)
 
     monkeypatch.setattr(expr, "_eval", counting)
-    e_power_approx(100, 4, 50)
+    e_power_approx(100, 4, 52)
     assert len(precisions) <= 2

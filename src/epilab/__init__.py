@@ -13,7 +13,7 @@ from importlib import import_module as _import_module
 
 #: every public name, by the module that defines it
 _EXPORTS = {
-    "bignum": "BigFixed Surd floor_neg_log10 ilog10_floor iroot root_interval surd_eval",
+    "bignum": "BigFixed Surd floor_neg_log10 ilog10_floor iroot root_interval",
     "oracle": "CONSTANTS ExpRangeError constant_reference e_interval exp_interval pi_interval",
     "series": "DEFAULT_MAX_TERMS E_FACTORIAL GREGORY_LEIBNIZ LAMBDA6 NILAKANTHA "
               "NILAKANTHA_PAIRED ZETA8 BoundViolation ConvergenceRow InfeasibleRequest "
@@ -24,10 +24,10 @@ _EXPORTS = {
     "stirling": "STIRLING_COEFFS E8Decomposition double_factorial e_from_ratio e_half_integer "
                 "e_power_approx stirling_e8_decomposition stirling_factor",
     "expr": "Add ConstE ConstPi Div EvalDomainError Exp Expr IntLit Mul ParseError PowInt "
-            "PrecisionCapError RatLit Root Sqrt Sub eval_expr eval_interval parse to_text",
+            "PrecisionCapError RatLit Root Sqrt Sub cfrac eval_expr eval_interval parse to_text",
     "registry": "REGISTRY Relation VerificationFailure VerificationReport digits_of_agreement "
                 "get_relation relation_ids verify verify_all",
-    "derive": "ScanRow binomial_linearize cfrac linear_combo_scan linearize_error_bound "
+    "derive": "ScanRow binomial_linearize linear_combo_scan linearize_error_bound "
               "solve_linear_2x2 solve_pi_quadratic",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

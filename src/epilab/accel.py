@@ -185,6 +185,12 @@ def compare_expansions(rows: int) -> list[CompareRow]:
     toward their limits and the running sum drifts from 9 toward
     e + 2*pi = 9.0014...
     """
+    return list(_compare_rows(rows))
+
+
+def _compare_rows(rows: int) -> Iterator[CompareRow]:
+    """compare_expansions' rows, each made as it is read: a reader that
+    renders each row in turn holds one row's exact sums at a time."""
     if rows < 1:
         raise ValueError("rows must be >= 1")
     # the 2*pi view splits the offset into display rows: 6, then +1/3
@@ -194,19 +200,15 @@ def compare_expansions(rows: int) -> list[CompareRow]:
     # 5!, ...), and pq the product of the 2*pi denominators so far.  So
     # every row multiplies by small ints only, and pays no gcd.
     num, den, eq, pq = 0, 1, 1, 1
-    out = []
     for k, ((ep, q_e), (pp, q_p)) in enumerate(zip(e_regrouped().pairs(1, rows), two_pi_run), 1):
         m = q_e // eq
         num = (num * m + ep * pq) * q_p + pp * den * m
         den *= m * q_p
         eq, pq = q_e, pq * q_p
-        out.append(
-            CompareRow(
-                k=k,
-                e_term=Fraction(ep, q_e),
-                two_pi_term=Fraction(pp, q_p),
-                running=(num, den),
-                distance_to_9=(abs(num - 9 * den), den),
-            )
+        yield CompareRow(
+            k=k,
+            e_term=Fraction(ep, q_e),
+            two_pi_term=Fraction(pp, q_p),
+            running=(num, den),
+            distance_to_9=(abs(num - 9 * den), den),
         )
-    return out

@@ -3,7 +3,10 @@
 The package's results are exact: :class:`fractions.Fraction` or integer
 pairs carry exact rationals, and an enclosure is carried as integer
 bounds (lo, hi, den) on a decimal grid; only its public endpoints become
-Fractions.  Nothing is ever evaluated in binary floating point.
+Fractions, and only the functions that build a Fraction import
+:mod:`fractions` (and the :mod:`decimal` it loads), so code that works
+on integers pays for neither.  Nothing is ever evaluated in binary
+floating point.
 :class:`BigFixed`, the decimal fixed point ``mantissa * 10**-scale``,
 renders a result for print.  Only the CLI names it or its body,
 :func:`_fixed_to_string`: the CLI alone decides each printed rounding.
@@ -25,7 +28,6 @@ canonical.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from ._record import record
 
@@ -34,7 +36,6 @@ __all__ = [
     "Surd",
     "floor_div",
     "ceil_div",
-    "surd_eval",
     "iroot",
     "root_units",
     "root_interval",
@@ -104,11 +105,13 @@ class BigFixed:
         """Round an exact rational to the given scale (nearest, <= 1/2 ulp)."""
         if scale < 0:
             raise ValueError("scale must be >= 0")
-        if not isinstance(value, (Fraction, int)):
+        if not hasattr(value, "denominator"):  # not an int or a Fraction: made one first
+            from fractions import Fraction
             value = Fraction(value)
         return cls(_div_nearest(value.numerator * 10**scale, value.denominator), scale)
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.mantissa, 10**self.scale)
 
     def to_decimal_string(self) -> str:
@@ -123,6 +126,7 @@ class BigFixed:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BigFixed):
             return self.as_fraction() == other.as_fraction()
+        from fractions import Fraction
         if isinstance(other, (int, Fraction)):
             return self.as_fraction() == other
         return NotImplemented
@@ -178,6 +182,7 @@ def root_interval(lo: Fraction, hi: Fraction, k: int, scale: int) -> tuple[Fract
     Requires 0 <= lo <= hi.  The returned endpoints satisfy
     out_lo <= lo**(1/k) and hi**(1/k) <= out_hi.
     """
+    from fractions import Fraction
     if lo < 0:
         raise ValueError("root of negative value")
     if hi < lo:
@@ -206,15 +211,17 @@ def _pow10_at_most(e: int, num: int, den: int) -> bool:
     return den <= num * 10**-e
 
 
-def ilog10_floor(x: Fraction) -> int:
-    """Largest e with 10**e <= x, for x > 0.  Exact.
+def _ilog10_floor(num: int, den: int) -> int:
+    """Largest e with 10**e <= num/den, for num/den > 0 in any sign or
+    reduction.  Exact.
 
-    The bit lengths of numerator and denominator put log10(x) within
-    one of an estimate, which exact comparisons then correct.
+    The bit lengths of numerator and denominator put log10 within one of
+    an estimate, which exact comparisons then correct, so the result
+    depends on the ratio alone.
     """
-    if x <= 0:
+    if num * den <= 0:
         raise ValueError("ilog10_floor needs a positive value")
-    num, den = x.numerator, x.denominator
+    num, den = abs(num), abs(den)
     e = (num.bit_length() - den.bit_length()) * 30103 // 100000
     while not _pow10_at_most(e, num, den):
         e -= 1
@@ -223,16 +230,18 @@ def ilog10_floor(x: Fraction) -> int:
     return e
 
 
+def ilog10_floor(x: Fraction) -> int:
+    """Largest e with 10**e <= x, for x > 0 (an int or a Fraction).  Exact."""
+    return _ilog10_floor(x.numerator, x.denominator)
+
+
 def floor_neg_log10(x: Fraction) -> int:
-    """floor(-log10(x)) for x > 0, computed exactly.
+    """floor(-log10(x)) for x > 0 (an int or a Fraction), computed exactly.
 
     floor_neg_log10(Fraction(1, 1000)) == 3; values just above a power
-    of ten land one lower, e.g. 0.002 -> 2.
+    of ten land one lower, e.g. 0.002 -> 2.  It is ilog10_floor(1/x).
     """
-    e = ilog10_floor(x)
-    if x == Fraction(10) ** e:
-        return -e
-    return -e - 1
+    return _ilog10_floor(x.denominator, x.numerator)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +283,7 @@ class Surd:
 
     @classmethod
     def make(cls, a: Fraction, b: Fraction, r: int) -> "Surd":
+        from fractions import Fraction
         if r <= 0:
             raise ValueError("radicand must be positive")
         a, b = Fraction(a), Fraction(b)
@@ -300,6 +310,7 @@ class Surd:
         """Rational enclosure of the value on the 10**-scale grid."""
         if self.b == 0:
             return self.a, self.a
+        from fractions import Fraction
         s_lo, s_hi = (Fraction(u, 10**scale) for u in root_units(self.r, self.r, 1, 2, scale))
         if self.b > 0:
             return self.a + self.b * s_lo, self.a + self.b * s_hi
@@ -316,11 +327,3 @@ class Surd:
         if self.a < 0:
             return f"{root} - {_rational_to_digits(-self.a)}"
         return f"{_rational_to_digits(self.a)} + {root}"
-
-
-def surd_eval(s: Surd, scale: int) -> BigFixed:
-    """Render a surd at the given scale: |result - exact| <= 10**-scale."""
-    # b's numerator has at most guard - scale - 8 digits, from its bit length
-    guard = scale + 9 + s.b.numerator.bit_length() * 30103 // 100000
-    lo, hi = s.interval(guard)
-    return BigFixed.from_fraction((lo + hi) / 2, scale)

@@ -34,27 +34,17 @@ to stderr.
 from __future__ import annotations
 
 import os
-import re
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from .bignum import (BigFixed, _div_nearest, _fixed_to_string, _int_to_digits, _rational_to_digits,
                      ceil_div, floor_div, root_units)
 from .oracle import _FORMS, NoCertifiedResult, _cached, _e_unit, _exp_units, constant_reference
-from .series import (
-    DEFAULT_MAX_TERMS,
-    EXACT_TERM_LIMIT,
-    builtin,
-    builtin_names,
-    convergence_table,
-    partial_sum,
-    terms_needed,
-)
 
-# expr, registry, derive, stirling and accel are imported inside the
-# commands that run them: every command is a fresh process, and pays for
-# its imports
+# series, expr, registry, derive, stirling and accel are imported inside
+# the commands that run them, and fractions, csv and json inside the code
+# that needs them: every command is a fresh process, and pays for its
+# imports
 
 __all__ = ["main"]
 
@@ -74,13 +64,21 @@ def _json(payload, literal=()) -> str:
     """
     if isinstance(payload, list):
         return "".join(_json_list(payload, literal))
-    from json.encoder import encode_basestring_ascii as quote
-    return _json_record(payload, literal, "", quote)
+    return _json_record(payload, literal, "", _quote())
+
+
+def _quote():
+    """json's own string encoder, without the json package and the re it loads."""
+    try:
+        from _json import encode_basestring_ascii
+    except ImportError:  # an interpreter without json's C accelerator
+        from json.encoder import encode_basestring_ascii
+    return encode_basestring_ascii
 
 
 def _json_list(records, literal=()):
     """_json of a list of records, one record a piece: a long list is never held whole."""
-    from json.encoder import encode_basestring_ascii as quote  # once, not once per record
+    quote = _quote()  # once, not once per record
     head = "["
     for record in records:
         yield f"{head}\n  {_json_record(record, literal, '  ', quote)}"
@@ -122,8 +120,10 @@ def _emit(args, columns, rows, literal=(), *, payload=None, text=None, table=Non
             (zip(columns, row) for row in rows) if payload is None else payload, literal))
         print()
     elif args.format == "csv":
-        import csv  # here, not at the top: text output never needs it
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        # here, not at the top: text output never needs it; csv.writer is
+        # _csv's, and the csv module around it loads re
+        import _csv
+        writer = _csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(rows)
     else:
@@ -142,31 +142,34 @@ def _emit(args, columns, rows, literal=(), *, payload=None, text=None, table=Non
 
 def cmd_compute(args) -> int:
     digits = args.digits
-    # the series of e for e, those of pi and its forms for pi
-    allowed = ("oracle", *[n for n in builtin_names()
-                           if (builtin(n).constant == "e") == (args.constant == "e")])
-    if args.method not in allowed:
-        raise ValueError(
-            f"method {args.method!r} not valid for {args.constant}; "
-            f"choose from {', '.join(allowed)}"
-        )
-    cap = DEFAULT_MAX_TERMS if args.max_terms is None else args.max_terms
-    if args.terms not in (None, "auto"):
-        try:
-            count = int(args.terms)
-        except ValueError:
-            raise ValueError(f"bad --terms {args.terms!r}; expected a count or 'auto'") from None
-        if count < 1:
-            raise ValueError("--terms must be >= 1")
-        if count > cap:
-            raise ValueError(f"--terms must be <= {cap}")
     terms = ""
     # both methods give bounds lo <= constant * den <= hi
-    if args.method == "oracle":
-        if (args.terms, args.max_terms) != (None, None):
-            raise ValueError("--terms and --max-terms apply only to a series --method")
+    if args.method == "oracle" and (args.terms, args.max_terms) == (None, None):
         lo, hi, den = constant_reference(args.constant, digits)
     else:
+        # the series are loaded only where a series or its options are named
+        from .series import DEFAULT_MAX_TERMS, builtin, builtin_names, partial_sum, terms_needed
+        # the series of e for e, those of pi and its forms for pi
+        allowed = ("oracle", *[n for n in builtin_names()
+                               if (builtin(n).constant == "e") == (args.constant == "e")])
+        if args.method not in allowed:
+            raise ValueError(
+                f"method {args.method!r} not valid for {args.constant}; "
+                f"choose from {', '.join(allowed)}"
+            )
+        cap = DEFAULT_MAX_TERMS if args.max_terms is None else args.max_terms
+        if args.terms not in (None, "auto"):
+            try:
+                count = int(args.terms)
+            except ValueError:
+                raise ValueError(
+                    f"bad --terms {args.terms!r}; expected a count or 'auto'") from None
+            if count < 1:
+                raise ValueError("--terms must be >= 1")
+            if count > cap:
+                raise ValueError(f"--terms must be <= {cap}")
+        if args.method == "oracle":
+            raise ValueError("--terms and --max-terms apply only to a series --method")
         spec = builtin(args.method)
         last = (terms_needed(spec, digits + 1, cap=cap) if args.terms in (None, "auto")
                 else spec.start_index + count - 1)
@@ -202,6 +205,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .series import EXACT_TERM_LIMIT, builtin, convergence_table
     spec = builtin(args.series)
     try:
         checkpoints = [int(p) for p in args.checkpoints.split(",") if p.strip()]
@@ -287,8 +291,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cfrac(args) -> int:
-    from .derive import cfrac
-    from .expr import parse, to_text
+    from .expr import cfrac, parse, to_text
     expr = parse(args.expr)
     # a quotient can pass the 4,300 digits str() converts, so each is
     # rendered in pieces
@@ -360,8 +363,8 @@ def cmd_stirling(args) -> int:
         d = stirling_e8_decomposition(scale + 2)
         cells = {"op": "e8"}
         for name in ("e8", "value_96pi3", "base_64pi3", "correction", "gap_from_3_2", "ratio"):
-            v = getattr(d, name)  # an exact Fraction, or an enclosure
-            cells[name] = str(v) if type(v) is Fraction else _midpoint(v, scale).to_decimal_string()
+            v = getattr(d, name)  # an enclosure (lo, hi, den), or an exact Fraction
+            cells[name] = _midpoint(v, scale).to_decimal_string() if type(v) is tuple else str(v)
         text = "\n".join([
             f"e^8        = {cells['e8']}",
             f"96 pi^3    = {cells['value_96pi3']}",
@@ -378,6 +381,8 @@ def cmd_stirling(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from fractions import Fraction
+
     from .derive import _scan_units
     try:
         threshold = Fraction(args.threshold)
@@ -409,13 +414,15 @@ def cmd_scan(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .accel import compare_expansions
-    rows = [
+    from .accel import _compare_rows
+    # each row is rendered as it is made, so its exact sums, with
+    # thousands of digits at hundreds of rows, are freed once printed
+    rows = (
         [str(r.k), _rational_to_digits(r.e_term), _rational_to_digits(r.two_pi_term),
          *(BigFixed(_div_nearest(num * 10**args.scale, den), args.scale).to_decimal_string()
            for num, den in (r.running, r.distance_to_9))]
-        for r in compare_expansions(args.rows)
-    ]
+        for r in _compare_rows(args.rows)
+    )
     _emit(args, ["k", "e_term", "two_pi_term", "running_sum", "distance_to_9"], rows,
           text=None if args.quiet else "e expansion (3 - 1/3 + 1/24 + ...) against 2*pi "
                                        "(6 + 1/3 - 3/70 - ...); running sum tracks e + 2*pi",
@@ -434,23 +441,24 @@ def build_parser() -> dict:
     An argument maps its name, which has no dashes for a positional, to
     (kind, default, floor, help).  kind is int, str, bool (a flag) or a
     tuple of choices; a default of ... makes the argument required, and
-    floor is the least value it takes.
+    floor is the least value it takes.  A help text names the builtin
+    series as {series}, which _help fills in: building the table loads no
+    series, since every command builds it.
     """
     def common(digits=1):
         return {"--format": (("text", "csv", "json"), "text", None, ""),
                 "--quiet": (bool, False, None, "suppress headers and metadata in text output"),
                 **({"--digits": (int, 30, digits, "")} if digits else {})}
 
-    series = ", ".join(builtin_names())
     return {
         "compute": (cmd_compute, "evaluate a constant by series or oracle", {
             "constant": (("pi", "e"), ..., None, ""),
-            "--method": (str, "oracle", None, f"oracle (default) or a series: {series}"),
+            "--method": (str, "oracle", None, "oracle (default) or a series: {series}"),
             "--terms": (str, None, None,
                         "term count, or 'auto' to invert the tail bound (default)"),
             "--max-terms": (int, None, 1, ""), **common()}),
         "table": (cmd_table, "convergence table for a builtin series", {
-            "series": (str, ..., None, f"one of: {series}"),
+            "series": (str, ..., None, "one of: {series}"),
             "--checkpoints": (str, "10,100,1000", None, ""),
             "--scale": (int, 15, 0, "decimals in the value column"), **common(digits=0)}),
         "verify": (cmd_verify, "check registered coincidences", {
@@ -482,9 +490,12 @@ def _help(args) -> int:
         for name, (_, about, _) in table.items():
             print(f"  {name:9s} {about}")
         return 0
+    from .series import builtin_names
+    series = ", ".join(builtin_names())
     _, about, arguments = table[args.command]
     print(f"usage: epilab {args.command} [options]\n\n{about}\n")
     for name, (kind, default, floor, text) in arguments.items():
+        text = text.replace("{series}", series)
         meta = ("{%s}" % ",".join(kind) if isinstance(kind, tuple)
                 else {int: "N", str: "TEXT", bool: ""}[kind])
         shown = kind is not bool and default is not None and "default" not in text
@@ -500,7 +511,10 @@ def _option(arg: str, names) -> str:
     prefix, before any =value; -- gives itself, and a value gives "": as
     argparse read one, a word not led by -, - itself, a negative number or
     a word with a space."""
-    if arg[:1] != "-" or arg == "-" or arg[1] != "-" and re.fullmatch(r"-\d+|-\d*\.\d+", arg):
+    # a negative number is -\d+ or -\d*\.\d+, \d any Unicode decimal digit
+    head, dot, tail = arg[1:].partition(".")
+    if arg[:1] != "-" or arg == "-" or (head == "" or head.isdecimal()) and (
+            tail if dot else head).isdecimal():
         return ""
     key = arg.partition("=")[0]
     hits = [arg] if arg == "--" else [key] if key in names else [

@@ -1,6 +1,6 @@
-"""Derivations built on the certified evaluator: quadratic surd roots,
-first-order binomial linearization, exact 2x2 linear solving, the
-integer scan over n*pi + m*e, and certified continued fractions.
+"""Exact rational derivations and the integer scan: quadratic surd
+roots, first-order binomial linearization, exact 2x2 linear solving, and
+the scan over n*pi + m*e on the oracle's units of pi and e.
 """
 
 from __future__ import annotations
@@ -19,13 +19,9 @@ __all__ = [
     "solve_linear_2x2",
     "ScanRow",
     "linear_combo_scan",
-    "cfrac",
 ]
 
 RationalLike = int | Fraction
-
-#: cfrac doubles its precision up to this many digits before PrecisionCapError
-CFRAC_MAX_DIGITS = 4096
 
 
 def solve_pi_quadratic(b: RationalLike, c: RationalLike) -> Surd:
@@ -150,54 +146,10 @@ def linear_combo_scan(max_coeff: int, digits: int = 30,
             for n, m, total, nearest, residual, *rest in rows]
 
 
-def _floor_cf(a: int, b: int, c: int, d: int, n_terms: int) -> list[int] | None:
-    # floor-algorithm continued fraction on the interval a/b <= c/d (b, d >
-    # 0, in lowest terms or not), as integer Euclid on the endpoints; every
-    # emitted quotient is certain because both endpoints agree on it.  None
-    # means the interval is too wide to decide the next quotient.
-    out: list[int] = []
-    while len(out) < n_terms:
-        q, a = divmod(a, b)
-        if c // d != q:
-            return None
-        out.append(q)
-        c -= q * d
-        if c == 0:
-            break
-        if a == 0:
-            # an endpoint terminates but the interval does not; only
-            # more precision can tell a huge quotient from termination
-            return None
-        # the reciprocals of the remainders a/b <= c/d swap the ends
-        a, b, c, d = d, c, b, a
-    return out
-
-
-def cfrac(expr, n_terms: int, digits: int = 30) -> list[int]:
-    """Certified continued fraction [a0; a1, ...] of an expression tree
-    (an epilab.expr.Expr).
-
-    Quotients are emitted only while both endpoints of the certified
-    interval produce the same partial quotient; precision doubles on
-    demand up to CFRAC_MAX_DIGITS.  An exactly rational value terminates
-    early with its full (shorter) expansion.  Note an expression that is
-    rational but not syntactically so (e.g. pi - pi + 1) cannot certify
-    its termination and exhausts the cap instead.
-    """
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    # here, not at the top: the scan needs no expression evaluator
-    from .expr import PrecisionCapError, _enclose
-    d = digits
-    while True:
-        lo, hi, den = _enclose(expr, d)
-        terms = _floor_cf(lo, den, hi, den, n_terms)
-        if terms is not None:
-            return terms
-        if d >= CFRAC_MAX_DIGITS:
-            raise PrecisionCapError(
-                f"could not certify {n_terms} partial quotients at {CFRAC_MAX_DIGITS} digits"
-            )
-        d = min(2 * d, CFRAC_MAX_DIGITS)
+def __getattr__(name: str):
+    # cfrac moved to expr, the evaluator whose bounds it reads; the old name
+    # still resolves, for bench/trace_cli.py, without loading expr for the scan
+    if name == "cfrac":
+        from .expr import cfrac
+        return cfrac
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,29 +14,33 @@ powers, k-th roots, and exp.  ``parse`` accepts the matching text form:
 '-' and '/' associate left.  Exponents may be negative ('^-2').  Tree
 depth is capped at MAX_DEPTH both when parsing and when evaluating.
 
-Evaluation is interval arithmetic on integers.  An exact subtree stays a
-Fraction.  Every other node carries integer bounds lo <= hi on its value
-times a power of ten: pi and e enter as the oracle kernels' units, each
-operation is computed exactly on the bounds and rounded outward onto the
-decimal grid 10**-w, by integer floor and ceiling division, so no node
-pays for a gcd and the numbers stay bounded.  If the interval comes out too
-wide, the whole tree is re-evaluated with the guard digits raised by as
-many as the width missed by, and at least doubled; if a comparison like
-"is the divisor nonzero" cannot be decided, with doubled guard digits.
-The result interval always contains the true value; that containment
-is the correctness claim everything downstream leans on.
+Evaluation is interval arithmetic on integers: every node carries bounds
+(lo, hi, den), lo <= value * den <= hi with den > 0.  An exact subtree is
+a point enclosure (p, p, q) in lowest terms, reduced by one gcd per
+operation as a Fraction would be.  Every other node carries its bounds
+on the decimal grid 10**-w: pi and e enter as the oracle kernels' units,
+each operation is computed exactly on the bounds and rounded outward
+onto the grid by integer floor and ceiling division, so no inexact node
+pays for a gcd and the numbers stay bounded.  If the interval comes out
+too wide, the whole tree is re-evaluated with the guard digits raised by
+as many as the width missed by, and at least doubled; if a comparison
+like "is the divisor nonzero" cannot be decided, with doubled guard
+digits.  The result interval always contains the true value; that
+containment is the correctness claim everything downstream leans on.
 
 ``eval_expr`` returns integers too, a value and a bound in units of a
-power of ten; rounding them for print is the CLI's business.
+power of ten; rounding them for print is the CLI's business.  ``cfrac``
+reads the same bounds for certified continued fractions.  Only
+``eval_interval``, the Fraction view, imports :mod:`fractions`.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from fractions import Fraction
 
 from ._record import record
-from .bignum import _div_nearest, ceil_div, floor_div, ilog10_floor, iroot, root_units
+from .bignum import _div_nearest, _ilog10_floor, ceil_div, floor_div, iroot, root_units
 from .oracle import EXP_ARG_LIMIT, NoCertifiedResult, _cached, _e_unit, _exp_units, _pi_unit
 
 __all__ = [
@@ -58,6 +62,7 @@ __all__ = [
     "depth",
     "eval_expr",
     "eval_interval",
+    "cfrac",
     "ParseError",
     "EvalDomainError",
     "PrecisionCapError",
@@ -66,6 +71,9 @@ __all__ = [
 
 MAX_DEPTH = 64
 _MAX_ATTEMPTS = 8  # evaluations eval_interval tries before PrecisionCapError
+
+#: cfrac doubles its precision up to this many digits before PrecisionCapError
+CFRAC_MAX_DIGITS = 4096
 
 
 class ParseError(ValueError):
@@ -107,7 +115,7 @@ class IntLit(Expr):
 
 @record
 class RatLit(Expr):
-    value: Fraction
+    value: Fraction  # a fractions.Fraction, or any exact number with as_integer_ratio
 
 
 @record
@@ -356,19 +364,18 @@ def parse(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 # interval evaluation
 
-#: bounds (lo, hi, den) on an inexact value times den > 0; an exact value is a Fraction
+#: bounds (lo, hi, den) on a value times den > 0; an exact value is a point
+#: (p, p, q) in lowest terms
 _IV = tuple[int, int, int]
 
 
-def _split(a: Fraction | _IV) -> _IV:
-    return (a.numerator, a.numerator, a.denominator) if type(a) is Fraction else a
-
-
-def _out(lo: int, hi: int, den: int, w: int) -> Fraction | _IV:
-    """[lo/den, hi/den] rounded outward onto the 10**-w grid; exact when lo ==
-    hi, which exact operands, an exact zero factor or exp(0) give."""
+def _out(lo: int, hi: int, den: int, w: int) -> _IV:
+    """[lo/den, hi/den] rounded outward onto the 10**-w grid; when lo == hi,
+    which exact operands, an exact zero factor or exp(0) give, the exact
+    point reduced to lowest terms."""
     if lo == hi:
-        return Fraction(lo, den)
+        g = math.gcd(lo, den)
+        return lo // g, lo // g, den // g
     unit = 10**w
     if den == unit:
         return lo, hi, unit
@@ -384,16 +391,17 @@ def _recip(lo: int, hi: int, den: int) -> _IV:
     return den * lo, den * hi, lo * hi
 
 
-def _eval(expr: Expr, w: int) -> Fraction | _IV:
-    """The exact value, or bounds rounded outward onto 10**-w (exp's: 10**-(w + 4))."""
+def _eval(expr: Expr, w: int) -> _IV:
+    """The exact point, or bounds rounded outward onto 10**-w (exp's: 10**-(w + 4))."""
     if isinstance(expr, (ConstPi, ConstE)):
         work, lo, hi = _cached(_pi_unit if isinstance(expr, ConstPi) else _e_unit, w)
         return _out(lo, hi, 10**work, w)
     if isinstance(expr, (IntLit, RatLit)):
-        return Fraction(expr.value)
+        p, q = expr.value.as_integer_ratio()  # in lowest terms, q > 0
+        return p, p, q
     if isinstance(expr, (Add, Sub, Mul, Div)):
-        alo, ahi, ad = _split(_eval(expr.left, w))
-        blo, bhi, bd = _split(_eval(expr.right, w))
+        alo, ahi, ad = _eval(expr.left, w)
+        blo, bhi, bd = _eval(expr.right, w)
         if isinstance(expr, Div):
             blo, bhi, bd = _recip(blo, bhi, bd)
         elif isinstance(expr, Sub):
@@ -405,10 +413,10 @@ def _eval(expr: Expr, w: int) -> Fraction | _IV:
             return _out(alo + blo, ahi + bhi, ad, w)
         return _out(alo * bd + blo * ad, ahi * bd + bhi * ad, ad * bd, w)
     if isinstance(expr, PowInt):
-        lo, hi, den = _split(_eval(expr.base, w))
+        lo, hi, den = _eval(expr.base, w)
         k = expr.exponent
         if k == 0:
-            return Fraction(1)
+            return 1, 1, 1
         if k < 0:
             (lo, hi, den), k = _recip(lo, hi, den), -k
         lo_k, hi_k = lo**k, hi**k
@@ -416,7 +424,7 @@ def _eval(expr: Expr, w: int) -> Fraction | _IV:
             lo_k, hi_k = hi_k if hi <= 0 else 0, max(lo_k, hi_k)
         return _out(lo_k, hi_k, den**k, w)
     if isinstance(expr, Root):
-        lo, hi, den = _split(_eval(expr.arg, w))
+        lo, hi, den = _eval(expr.arg, w)
         k = expr.k
         if k % 2 == 0:
             if hi < 0:
@@ -426,10 +434,11 @@ def _eval(expr: Expr, w: int) -> Fraction | _IV:
                 # tiny true value straddled by the interval; retry either way
                 raise _Undecided
         if lo == hi:
-            # exact argument: keep a perfect k-th power exact
+            # exact argument, in lowest terms: keep a perfect k-th power exact
             p, q = iroot(abs(lo), k), iroot(den, k)
             if p**k == abs(lo) and q**k == den:
-                return Fraction(p if lo >= 0 else -p, q)
+                p = p if lo >= 0 else -p
+                return p, p, q
         if lo >= 0:
             return (*root_units(lo, hi, den, k, w), 10**w)
         # odd k: the root is an odd function, so take it on the mirror image
@@ -438,7 +447,7 @@ def _eval(expr: Expr, w: int) -> Fraction | _IV:
             return -r_hi, -r_lo, 10**w
         return -root_units(0, -lo, den, k, w)[1], root_units(0, hi, den, k, w)[1], 10**w
     if isinstance(expr, Exp):
-        lo, hi, den = _split(_eval(expr.arg, w))
+        lo, hi, den = _eval(expr.arg, w)
         limit = EXP_ARG_LIMIT * den
         # an interval wholly past the limit fails in _exp_units; one across it is undecided
         if lo <= limit < hi or lo < -limit <= hi:
@@ -460,7 +469,7 @@ def _enclose(expr: Expr, digits: int) -> _IV:
     guard = 10
     for _ in range(_MAX_ATTEMPTS):
         try:
-            lo, hi, den = _split(_eval(expr, digits + guard))
+            lo, hi, den = _eval(expr, digits + guard)
         except _Undecided:
             guard *= 2
             continue
@@ -469,7 +478,7 @@ def _enclose(expr: Expr, digits: int) -> _IV:
         # Add the digits the width missed by, and one more for the rounding
         # the estimate leaves out; but at least double, since the width of
         # an odd root near zero shrinks slower than 10**-guard
-        guard += max(guard, ilog10_floor(Fraction((hi - lo) * target, den)) + 2)
+        guard += max(guard, _ilog10_floor((hi - lo) * target, den) + 2)
     raise PrecisionCapError(f"interval did not narrow to 10^-{digits} "
                             f"within {_MAX_ATTEMPTS} attempts")
 
@@ -485,6 +494,7 @@ def eval_interval(expr: Expr, digits: int) -> tuple[Fraction, Fraction]:
     out (for example when a subexpression is exactly zero where a
     nonzero value is needed).
     """
+    from fractions import Fraction
     lo, hi, den = _enclose(expr, digits)
     return Fraction(lo, den), Fraction(hi, den)
 
@@ -500,3 +510,57 @@ def eval_expr(expr: Expr, digits: int) -> tuple[int, int]:
     value = _div_nearest(mid, 2 * den)
     err = (hi - lo) * 10**scale + abs(2 * den * value - mid)  # over the same
     return value, ceil_div(err * 10**4, 2 * den)
+
+
+# ---------------------------------------------------------------------------
+# continued fractions
+
+
+def _floor_cf(a: int, b: int, c: int, d: int, n_terms: int) -> list[int] | None:
+    # floor-algorithm continued fraction on the interval a/b <= c/d (b, d >
+    # 0, in lowest terms or not), as integer Euclid on the endpoints; every
+    # emitted quotient is certain because both endpoints agree on it.  None
+    # means the interval is too wide to decide the next quotient.
+    out: list[int] = []
+    while len(out) < n_terms:
+        q, a = divmod(a, b)
+        if c // d != q:
+            return None
+        out.append(q)
+        c -= q * d
+        if c == 0:
+            break
+        if a == 0:
+            # an endpoint terminates but the interval does not; only
+            # more precision can tell a huge quotient from termination
+            return None
+        # the reciprocals of the remainders a/b <= c/d swap the ends
+        a, b, c, d = d, c, b, a
+    return out
+
+
+def cfrac(expr: Expr, n_terms: int, digits: int = 30) -> list[int]:
+    """Certified continued fraction [a0; a1, ...] of an expression tree.
+
+    Quotients are emitted only while both endpoints of the certified
+    interval produce the same partial quotient; precision doubles on
+    demand up to CFRAC_MAX_DIGITS.  An exactly rational value terminates
+    early with its full (shorter) expansion.  Note an expression that is
+    rational but not syntactically so (e.g. pi - pi + 1) cannot certify
+    its termination and exhausts the cap instead.
+    """
+    if n_terms < 1:
+        raise ValueError("n_terms must be >= 1")
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    d = digits
+    while True:
+        lo, hi, den = _enclose(expr, d)
+        terms = _floor_cf(lo, den, hi, den, n_terms)
+        if terms is not None:
+            return terms
+        if d >= CFRAC_MAX_DIGITS:
+            raise PrecisionCapError(
+                f"could not certify {n_terms} partial quotients at {CFRAC_MAX_DIGITS} digits"
+            )
+        d = min(2 * d, CFRAC_MAX_DIGITS)

@@ -29,7 +29,8 @@ The package's own code reads these integer units: pi and e through
 gives the same shape, bounds (lo, hi, den) on a decimal grid, for every
 constant a series describes.  The ``*_interval`` functions are views of
 the units as exact rational enclosures [lo, hi], for callers outside
-the package.
+the package, and are the only functions here that import
+:mod:`fractions`.
 
 All functions are pure.  The module-level cache keeps the units of the
 last pi and the last e enclosure, keyed by the kernel's exact work
@@ -41,7 +42,6 @@ exp is not cached: its cost grows only with the digits of its result.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .bignum import _div_nearest, ceil_div, floor_div
 
@@ -130,9 +130,11 @@ def _pi_unit(work: int) -> tuple[int, int]:
     return y - 1, y + 2
 
 
-def _exp_unit(x: Fraction, work: int) -> tuple[int, int]:
+def _exp_unit(num: int, den: int, work: int) -> tuple[int, int]:
     """Integer bounds (lo, hi) with lo <= exp(x) * 10**work <= hi and
-    hi - lo <= exp(x)/2 + 2, for 0 <= x <= EXP_ARG_LIMIT.
+    hi - lo <= exp(x)/2 + 2, for x = num/den, den > 0 and 0 <= x <=
+    EXP_ARG_LIMIT.  x enters only through floors of num * 2**j / den, so
+    every representation of the same ratio gives the same bounds.
 
     Argument reduction on the binary grid of 2**-bits: exp(x) is
     exp(y)**(2**r) with y = x/2**r and r = isqrt(3 work) +
@@ -153,11 +155,11 @@ def _exp_unit(x: Fraction, work: int) -> tuple[int, int]:
     10**-work/2: W is under 60 at work = 0 and grows only as sqrt(work),
     with the number of terms.  The two roundings onto 10**-work add the 2.
     """
-    r = math.isqrt(3 * work) + (x.numerator // x.denominator).bit_length()
+    r = math.isqrt(3 * work) + (num // den).bit_length()
     bits = 10 * work // 3 + r + 2 * (work + 16).bit_length()
     unit = 1 << bits
-    num = x.numerator << (bits - r)
-    y_lo, y_hi = num // x.denominator, -(-num // x.denominator)
+    y = num << (bits - r)
+    y_lo, y_hi = y // den, -(-y // den)
     lo = hi = t_lo = t_hi = unit
     n = 0
     while True:
@@ -214,12 +216,14 @@ def _cached(kernel, eps_digits: int) -> tuple[int, int, int]:
 
 def pi_interval(eps_digits: int) -> tuple[Fraction, Fraction]:
     """Exact rational enclosure of pi with width < 2 * 10**-eps_digits."""
+    from fractions import Fraction
     work, lo, hi = _cached(_pi_unit, eps_digits)
     return Fraction(lo, 10**work), Fraction(hi, 10**work)
 
 
 def e_interval(eps_digits: int) -> tuple[Fraction, Fraction]:
     """Exact rational enclosure of e with width < 2 * 10**-eps_digits."""
+    from fractions import Fraction
     work, lo, hi = _cached(_e_unit, eps_digits)
     return Fraction(lo, 10**work), Fraction(hi, 10**work)
 
@@ -243,7 +247,7 @@ def _exp_units(num: int, den: int, eps_digits: int) -> tuple[int, int]:
         raise ExpRangeError(f"exp argument outside |x| <= {EXP_ARG_LIMIT}")
     mag = abs(num) * 4343 // (10000 * den) + 1
     work = eps_digits + mag
-    lo, hi = _exp_unit(Fraction(abs(num), den), work)
+    lo, hi = _exp_unit(abs(num), den, work)
     if num < 0:
         lo, hi = 100**work // hi, -(-100**work // lo)
     unit = 10**mag
@@ -253,6 +257,7 @@ def _exp_units(num: int, den: int, eps_digits: int) -> tuple[int, int]:
 def exp_interval(x: Fraction, eps_digits: int) -> tuple[Fraction, Fraction]:
     """Exact rational enclosure of exp(x), width <= 10**-eps_digits, for
     |x| <= EXP_ARG_LIMIT: a view of ``_exp_units``."""
+    from fractions import Fraction
     x = Fraction(x)
     lo, hi = _exp_units(x.numerator, x.denominator, eps_digits)
     return Fraction(lo, 10 ** (eps_digits + 4)), Fraction(hi, 10 ** (eps_digits + 4))

@@ -19,10 +19,8 @@ reports the distance to the claimed integer as registered.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._record import record
-from .bignum import _div_nearest, floor_neg_log10
+from .bignum import _div_nearest, _ilog10_floor
 from .expr import EvalDomainError, Expr, PrecisionCapError, eval_expr, parse
 from .oracle import ExpRangeError
 
@@ -143,7 +141,7 @@ def digits_of_agreement(a: int, b: int, *, cap: int | None = None) -> int:
         if cap is None:
             raise ValueError("identical values: supply cap= to bound the result")
         return cap
-    d = floor_neg_log10(Fraction(abs(a - b), abs(b)))
+    d = _ilog10_floor(abs(b), abs(a - b))  # floor(-log10(x)) is floor(log10(1/x))
     if cap is not None:
         d = min(d, cap)
     return max(0, d)

@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from epilab.bignum import (
     BigFixed,
     Surd,
+    _ilog10_floor,
     ceil_div,
     floor_div,
     floor_neg_log10,
     ilog10_floor,
     iroot,
     root_interval,
-    surd_eval,
 )
 
 mantissas = st.integers(min_value=-(10**40), max_value=10**40)
@@ -177,6 +177,29 @@ def test_floor_neg_log10_defining_property(x):
     assert Fraction(10) ** (-d - 1) < x <= Fraction(10) ** (-d)
 
 
+@pytest.mark.parametrize("k", [-400, -31, -1, 0, 1, 31, 400])
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_integer_log10_helper_matches_the_fraction_versions(k, delta):
+    # at 10**k and one unit of 10**(k - 40) either side, on the integer pair
+    # as it is, negated, and scaled by a common factor, reduced or not;
+    # floor(-log10(x)) is the integer helper on the pair turned over
+    num, den = (10**k * 10**40 + delta * 10**k, 10**40) if k >= 0 else \
+               (10**40 + delta, 10**40 * 10**-k)
+    x = Fraction(num, den)
+    want = ilog10_floor(x), floor_neg_log10(x)
+    assert want == (k - (delta < 0), -k - (delta > 0))
+    for p, q in [(num, den), (-num, -den), (7 * num, 7 * den), (x.numerator, x.denominator)]:
+        assert (_ilog10_floor(p, q), _ilog10_floor(q, p)) == want
+
+
+@pytest.mark.parametrize("num, den", [(0, 1), (0, -5), (-3, 7), (3, -7), (1, 0)])
+def test_integer_log10_helper_rejects_values_that_are_not_positive(num, den):
+    with pytest.raises(ValueError, match="positive"):
+        _ilog10_floor(num, den)
+    with pytest.raises(ValueError, match="positive"):
+        _ilog10_floor(den, num)
+
+
 def test_surd_canonical_forms():
     assert str(Surd.make(Fraction(0), Fraction(2), 8)) == "sqrt(2)*4"
     assert str(Surd.make(Fraction(1), Fraction(3), 1)) == "4"
@@ -208,25 +231,35 @@ def test_surd_interval_contains_value(a, b, r):
     lo, hi = s.interval(25)
     assert lo <= hi
     assert hi - lo <= (2 * abs(s.b) + 2) * Fraction(1, 10**25)
-    # a + b*sqrt(r) lies inside: check by squaring the residual sign
-    mid = surd_eval(s, 30).as_fraction()
-    assert lo - Fraction(1, 10**28) <= mid <= hi + Fraction(1, 10**28)
+    # a + b*sqrt(r) lies inside: sqrt(r) lies between (lo - a)/b and
+    # (hi - a)/b, which squaring checks exactly
+    if s.b == 0:
+        assert lo == hi == s.a
+        return
+    below, above = sorted(((lo - s.a) / s.b, (hi - s.a) / s.b))
+    assert below <= 0 or below * below <= s.r
+    assert above >= 0 and above * above >= s.r
 
 
-def test_surd_eval_known_value():
-    got = surd_eval(Surd.make(Fraction(-4), Fraction(1), 51), 10)
-    assert got.to_decimal_string() == "3.1414284285"
+def test_surd_interval_known_value():
+    # sqrt(51) - 4 = 3.14142842854285..., which rounds to 3.1414284285
+    lo, hi = Surd.make(Fraction(-4), Fraction(1), 51).interval(12)
+    assert Fraction(314142842854, 10**11) <= lo <= hi <= Fraction(314142842855, 10**11)
 
 
-def test_surd_eval_beyond_int_str_limit(default_int_str_limit):
+def test_surd_interval_beyond_int_str_limit(default_int_str_limit):
     # e^3000.5 ~ sqrt(2) * 6001^3001 / 6001!! with two Stirling terms: the
     # surd's coefficient has more than 4,300 digits, its value 1,304
     mpmath = pytest.importorskip("mpmath")
     from epilab.stirling import e_half_integer
 
     s = e_half_integer(3000, 2)
-    got = surd_eval(s, 10)
-    with mpmath.workdps(1400):
+    # the width is about b * 10**-scale, so the scale covers b's 1,304 digits
+    lo, hi = s.interval(ilog10_floor(abs(s.b)) + 12)
+    assert hi - lo <= Fraction(1, 10**10)
+    with mpmath.workdps(1400):  # mpmath's own rounding: under 10**-90 here
         exact = (mpmath.mpf(s.a.numerator) / s.a.denominator
                  + mpmath.mpf(s.b.numerator) / s.b.denominator * mpmath.sqrt(s.r))
-        assert abs(mpmath.mpf(got.mantissa) / 10**10 - exact) <= mpmath.mpf(10) ** -10
+        slack = mpmath.mpf(10) ** -50
+        assert mpmath.mpf(lo.numerator) / lo.denominator - slack <= exact
+        assert exact <= mpmath.mpf(hi.numerator) / hi.denominator + slack

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epilab.bignum import BigFixed, _div_nearest, _fixed_to_string
-from epilab.cli import build_parser, main, parse_args
+from epilab.cli import _option, build_parser, main, parse_args
 from epilab.series import DEFAULT_MAX_TERMS, builtin_names
 
 
@@ -329,6 +329,26 @@ def test_scan_json_memory_does_not_grow_with_max():
     assert rc == 0
     assert sink.lines == 10_200 * 10 + 2
     assert peak < 2 * 2**20
+
+
+def test_compare_memory_does_not_grow_with_rows():
+    # each row's exact sums have thousands of digits at hundreds of rows,
+    # and a row is freed once it is rendered: a compare that made every
+    # row before rendering the first peaked near 0.9 MiB here (now 0.2)
+    import epilab.accel  # noqa: F401
+
+    for fmt in ("csv", "text"):
+        sink = _LineCounter()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                rc = main(["compare", "--rows", "300", "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert sink.lines == (301 if fmt == "csv" else 302)
+        assert peak < 2**19, fmt
 
 
 def _reference_scan(fmt, max_coeff, digits, threshold):
@@ -760,6 +780,10 @@ _COMPUTE_PI_5 = {"command": "compute", "constant": "pi", "method": "oracle", "te
     ("compute pi --digits 5 --qu --quiet", {"quiet": True}),
     ("compute e --method=e-factorial --terms -3 --digits 5",
      {"constant": "e", "method": "e-factorial", "terms": "-3"}),  # a negative value
+    ("compute e --method=e-factorial --terms -٣ --digits 5",
+     {"constant": "e", "method": "e-factorial", "terms": "-٣"}),  # in Arabic-Indic digits
+    ("compute e --method=e-factorial --terms -.٣ --digits 5",
+     {"constant": "e", "method": "e-factorial", "terms": "-.٣"}),
     ("compute pi --max-terms 4 --digits 5 --max-t 3", {"max_terms": 3}),
 ], ids=repr)
 def test_accepted_forms_parse_as_argparse_read_them(argv, changed):
@@ -775,10 +799,29 @@ def test_accepted_forms_parse_as_argparse_read_them(argv, changed):
     ("verify", {"id": None, "all": False, "digits": 30}),  # the id is optional
     ("cfrac -- -pi", {"expr": "-pi", "terms": 7}),
     ("table zeta8 --checkpoints=10,100", {"series": "zeta8", "checkpoints": "10,100"}),
+    ("stirling --op approx --n -٢٠ --k -١", {"op": "approx", "n": -20, "k": -1}),
+    ("scan --threshold -.٥", {"threshold": "-.٥"}),
 ])
 def test_values_of_each_kind(argv, expected):
     args = vars(parse_args(argv.split()))
     assert {k: args[k] for k in expected} == expected
+
+
+@given(st.text(alphabet="-.09٣١x", max_size=6).map("-".__add__))
+@example("-٣")
+@example("-.٣")
+@example("-٣.")
+@example("-1.2.3")
+@example("-.")
+def test_a_negative_number_is_a_value_as_argparse_read_it(word):
+    # argparse told a value from an option with re: -\d+ or -\d*\.\d+, where
+    # \d is any Unicode decimal digit
+    names = {"--digits": None}
+    if re.fullmatch(r"-\d+|-\d*\.\d+", word):
+        assert _option(word, names) == ""
+    elif word != "-":
+        with contextlib.suppress(ValueError):  # an unknown or ambiguous option
+            assert _option(word, names) != ""
 
 
 #: values for the arguments the table types as str: valid, edge and bad

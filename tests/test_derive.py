@@ -10,18 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epilab.derive
+import epilab.expr
 from epilab import oracle
-from epilab.bignum import Surd, surd_eval
+from epilab.bignum import Surd
 from epilab.derive import (
     ScanRow,
     binomial_linearize,
-    cfrac,
     linear_combo_scan,
     linearize_error_bound,
     solve_linear_2x2,
     solve_pi_quadratic,
 )
-from epilab.expr import PrecisionCapError, parse
+from epilab.expr import PrecisionCapError, cfrac, parse
 from epilab.oracle import e_interval, pi_interval
 
 from conftest import reference
@@ -30,10 +30,12 @@ from conftest import reference
 def test_solve_pi_quadratic_examples():
     s = solve_pi_quadratic(8, 35)
     assert str(s) == "sqrt(51) - 4"
-    assert surd_eval(s, 10).to_decimal_string().startswith("3.1414")
+    lo, hi = s.interval(10)
+    assert Fraction(31414, 10**4) <= lo <= hi < Fraction(31415, 10**4)
     t = solve_pi_quadratic(1, 13)
     assert str(t) == "sqrt(53)*1/2 - 1/2"
-    assert surd_eval(t, 10).to_decimal_string().startswith("3.1400")
+    lo, hi = t.interval(10)
+    assert Fraction(31400, 10**4) <= lo <= hi < Fraction(31401, 10**4)
     assert str(solve_pi_quadratic(0, 10)) == "sqrt(10)"
     with pytest.raises(ValueError):
         solve_pi_quadratic(0, -1)
@@ -79,8 +81,9 @@ def test_linearize_error_bound_is_sound():
     s = solve_pi_quadratic(8, 35)
     assert linearize_error_bound(s, 7) == Fraction(1, 686)
     approx = binomial_linearize(s, 7)
-    true_val = surd_eval(s, 40).as_fraction()
-    assert abs(approx - true_val) <= linearize_error_bound(s, 7)
+    # the exact value lies in [lo, hi], so its error is at most the larger end's
+    lo, hi = s.interval(40)
+    assert max(abs(approx - lo), abs(approx - hi)) <= linearize_error_bound(s, 7)
     with pytest.raises(ValueError):
         linearize_error_bound(s, 8)  # base^2 exceeds the radicand
 
@@ -99,8 +102,8 @@ def test_linearize_bound_dominates_true_error(base, extra):
         return
     approx = binomial_linearize(s, base)
     bound = linearize_error_bound(s, base)
-    true_val = surd_eval(s, 45).as_fraction()
-    assert abs(approx - true_val) <= bound + Fraction(1, 10**40)
+    lo, hi = s.interval(45)
+    assert max(abs(approx - lo), abs(approx - hi)) <= bound + Fraction(1, 10**40)
 
 
 def test_solve_linear_2x2():
@@ -227,6 +230,9 @@ def test_cfrac_rational_terminates_exactly():
     assert cfrac(parse("22/7"), 10) == [3, 7]
     assert cfrac(parse("0 - 22/7"), 10) == [-4, 1, 6]
     assert cfrac(parse("7"), 10) == [7]
+    # an exact root and a negative power of exact points are points too
+    assert cfrac(parse("root(2, 8/2)"), 10) == [2]
+    assert cfrac(parse("(2/4)^-1"), 10) == [2]
 
 
 def test_cfrac_known_expansions():
@@ -258,8 +264,11 @@ def test_cfrac_convergents_bracket_value():
 def test_cfrac_argument_validation_and_cap(monkeypatch):
     with pytest.raises(ValueError):
         cfrac(parse("pi"), 0)
-    monkeypatch.setattr(epilab.derive, "CFRAC_MAX_DIGITS", 128)
+    monkeypatch.setattr(epilab.expr, "CFRAC_MAX_DIGITS", 128)
     # exactly 2 but never syntactically rational: no quotient after the
     # first can ever be certified, so the precision ladder must give up
     with pytest.raises(PrecisionCapError):
         cfrac(parse("sqrt(2)*sqrt(2)"), 2)
+    # pi - pi is no exact point, so pi - pi + 1 straddles 1 at every precision
+    with pytest.raises(PrecisionCapError, match="at 128 digits"):
+        cfrac(parse("pi - pi + 1"), 2)

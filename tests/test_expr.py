@@ -25,6 +25,7 @@ from epilab.expr import (
     Root,
     Sqrt,
     Sub,
+    _enclose,
     depth,
     eval_expr,
     eval_interval,
@@ -59,6 +60,29 @@ def test_rational_subtrees_stay_exact():
     assert exact("1/3 + 1/6") == Fraction(1, 2)
     assert exact("640320^3 + 744") == 640320**3 + 744
     assert exact("sqrt(49)") == 7
+
+
+@pytest.mark.parametrize("text, point", [
+    ("root(2, 8/2)", (2, 2, 1)),
+    ("(2/4)^-1", (2, 2, 1)),
+    ("22/7", (22, 22, 7)),
+    ("1/3 + 1/6", (1, 1, 2)),
+    ("0 - 6/4", (-3, -3, 2)),
+    ("root(3, 0 - 27/8)", (-3, -3, 2)),
+    ("(pi - pi)*0 + 3", (3, 3, 1)),  # an exact zero factor
+    ("exp(0)", (1, 1, 1)),
+])
+def test_an_exact_value_is_a_point_in_lowest_terms(text, point):
+    # the evaluator's enclosure of an exact value is the point (p, p, q),
+    # reduced as Fraction(p, q) would be, at every precision
+    assert _enclose(parse(text), 5) == _enclose(parse(text), 40) == point
+    lo, hi = eval_interval(parse(text), 5)
+    assert lo == hi == Fraction(point[0], point[2])
+
+
+def test_rational_literal_leaves_are_exact_points():
+    tree = Mul(RatLit(Fraction(6, 4)), Add(IntLit(1), RatLit(Fraction(-1, 3))))
+    assert _enclose(tree, 10) == (1, 1, 1)
 
 
 def test_sqrt_is_root_two():

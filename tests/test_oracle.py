@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from epilab import oracle
 from epilab.bignum import BigFixed
 from epilab.oracle import (
     CONSTANTS,
@@ -169,6 +170,15 @@ def test_exp_addition_identity():
     lo3, hi3 = exp_interval(Fraction(3), 30)
     assert lo1 * lo2 <= hi3
     assert lo3 <= hi1 * hi2
+
+
+@pytest.mark.parametrize("num, den", [(0, 1), (1, 7), (7, 3), (64, 1), (99, 7), (100, 1)])
+@pytest.mark.parametrize("work", [0, 5, 60])
+def test_exp_unit_depends_on_the_ratio_alone(num, den, work):
+    # the kernel reads num/den only through floors of num * 2**j / den
+    want = oracle._exp_unit(num, den, work)
+    for g in (3, 10**40, 2**61 - 1):
+        assert oracle._exp_unit(g * num, g * den, work) == want
 
 
 def test_exp_negative_is_reciprocal():

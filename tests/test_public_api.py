@@ -33,8 +33,7 @@ def test_every_export_resolves(name):
 
 # every name `import epilab` bound when the package imported all its modules
 PACKAGE_EXPORTS = {
-    "bignum": ["BigFixed", "Surd", "floor_neg_log10", "ilog10_floor", "iroot", "root_interval",
-               "surd_eval"],
+    "bignum": ["BigFixed", "Surd", "floor_neg_log10", "ilog10_floor", "iroot", "root_interval"],
     "oracle": ["CONSTANTS", "ExpRangeError", "constant_reference", "e_interval", "exp_interval",
                "pi_interval"],
     "series": ["DEFAULT_MAX_TERMS", "E_FACTORIAL", "GREGORY_LEIBNIZ", "LAMBDA6", "NILAKANTHA",
@@ -48,11 +47,11 @@ PACKAGE_EXPORTS = {
                  "stirling_factor"],
     "expr": ["Add", "ConstE", "ConstPi", "Div", "EvalDomainError", "Exp", "Expr",
              "IntLit", "Mul", "ParseError", "PowInt", "PrecisionCapError", "RatLit", "Root",
-             "Sqrt", "Sub", "eval_expr", "eval_interval", "parse", "to_text"],
+             "Sqrt", "Sub", "cfrac", "eval_expr", "eval_interval", "parse", "to_text"],
     "registry": ["REGISTRY", "Relation", "VerificationFailure", "VerificationReport",
                  "digits_of_agreement", "get_relation", "relation_ids", "verify", "verify_all"],
-    "derive": ["ScanRow", "binomial_linearize", "cfrac", "linear_combo_scan",
-               "linearize_error_bound", "solve_linear_2x2", "solve_pi_quadratic"],
+    "derive": ["ScanRow", "binomial_linearize", "linear_combo_scan", "linearize_error_bound",
+               "solve_linear_2x2", "solve_pi_quadratic"],
 }
 
 
@@ -87,28 +86,87 @@ def test_star_import_binds_every_package_name():
     assert set(epilab.__all__) == names
 
 
+#: every deep-digits form of a continued fraction: an integer combination,
+#: exp of a fraction of pi, a root of an affine pi, an exact rational
+_CFRACS = ["pi", "e", "exp(pi)", "exp(pi*sqrt(163))", "3*pi + 7*e", "exp(pi/5)",
+           "root(3, 2*pi + 5)", "22/7"]
+
+
 def test_cli_imports_only_what_the_command_runs():
-    # -S: no site hooks; -E: no PYTHONPATH, so this checkout's sources are
-    # the ones imported; compute needs no expr, registry, derive, stirling
-    # or accel, text output needs no json, the scan needs derive alone, and
-    # the option table needs no argparse, nor the gettext and locale it loads
+    # -S: no site hooks, which may load re; -E: no PYTHONPATH, so this
+    # checkout's sources are the ones imported.  compute needs no expr,
+    # registry, derive, stirling or accel, and no re; compute on the
+    # oracle, verify and cfrac work on integers, and load neither fractions
+    # nor the decimal it imports; csv and json output need neither module
+    # of that name; the scan needs derive alone; and the option table needs
+    # no argparse, nor the gettext and locale it loads
+    commands = [
+        *(["compute", c, "--digits", "60", "--format", f]
+          for c in ("pi", "e") for f in ("text", "csv", "json")),
+        *(["cfrac", x, "--terms", "12"] for x in _CFRACS),
+        ["verify", "--all", "--format", "json"],
+        ["scan", "--max", "2", "--quiet"],
+    ]
     code = (
-        f"import sys; sys.path.insert(0, {str(SRC)!r}); import epilab.cli\n"
-        "unused = {'epilab.expr', 'epilab.registry', 'epilab.derive', 'epilab.stirling',\n"
-        "          'epilab.accel', 'json', 'argparse', 'gettext', 'locale'}\n"
-        "print('loaded', sorted(unused & set(sys.modules)))\n"
-        "epilab.cli.main(['compute', 'pi', '--digits', '5'])\n"
-        "print('loaded', sorted(unused & set(sys.modules)))\n"
-        "epilab.cli.main(['scan', '--max', '2', '--quiet'])\n"
-        "print('loaded', sorted(unused & set(sys.modules)))\n"
+        f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+        "import contextlib, io, epilab.cli\n"
+        "watch = {'epilab.expr', 'epilab.registry', 'epilab.derive', 'epilab.stirling',\n"
+        "         'epilab.accel', 'epilab.series', 'fractions', 'decimal', 're', 'json', 'csv',\n"
+        "         'argparse', 'gettext', 'locale'}\n"
+        "print('import', sorted(watch & set(sys.modules)))\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        rc = epilab.cli.main(argv)\n"
+        "    print(argv[0], rc, out.getvalue().count('\\n') > 0, sorted(watch & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-S", "-E", "-c", code],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[1] == "pi = 3.14159"
-    assert [line for line in lines if line.startswith("loaded")] == [
-        "loaded []", "loaded []", "loaded ['epilab.derive']"]
+    assert proc.stdout.splitlines() == [
+        "import []",
+        *["compute 0 True []"] * 6,
+        *["cfrac 0 True ['epilab.expr', 're']"] * len(_CFRACS),
+        "verify 0 True ['epilab.expr', 'epilab.registry', 're']",
+        "scan 0 True ['decimal', 'epilab.derive', 'epilab.expr', 'epilab.registry', "
+        "'fractions', 're']",
+    ]
+
+
+def _top_level_imports(node):
+    """The import statements a module runs when it is imported: not those
+    inside a function body, which run when the function is called."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _top_level_imports(child)
+
+
+def _imported_modules(node) -> list[str]:
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""]
+    return [alias.name for alias in node.names]
+
+
+def test_only_the_rational_modules_import_fractions_when_imported():
+    # bignum, oracle, expr, registry and cli import fractions only inside
+    # the functions that hand back a Fraction, so the integer commands load
+    # neither it nor decimal; series, accel, stirling and derive work on
+    # exact rationals throughout
+    tops = sorted(path.stem for path in (SRC / "epilab").glob("*.py")
+                  for node in _top_level_imports(ast.parse(path.read_text()))
+                  if {"fractions", "decimal"} & set(_imported_modules(node)))
+    assert tops == ["accel", "derive", "series", "stirling"]
+
+
+def test_no_import_of_fractions_sits_in_a_loop():
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = sorted((path.name, inner.lineno)
+                   for path in (SRC / "epilab").glob("*.py")
+                   for loop in ast.walk(ast.parse(path.read_text())) if isinstance(loop, loops)
+                   for inner in ast.walk(loop) if isinstance(inner, (ast.Import, ast.ImportFrom))
+                   and "fractions" in _imported_modules(inner))
+    assert found == []
 
 
 #: the Fraction views of the integer enclosures, and the module of each

@@ -3,9 +3,9 @@
 The package's results are exact: :class:`fractions.Fraction` or integer
 pairs carry exact rationals, and an enclosure is carried as integer
 bounds (lo, hi, den) on a decimal grid; only its public endpoints become
-Fractions, and only the functions that build a Fraction import
-:mod:`fractions` (and the :mod:`decimal` it loads), so code that works
-on integers pays for neither.  Nothing is ever evaluated in binary
+Fractions, and only the functions that build or compare a Fraction
+import :mod:`fractions` (and the :mod:`decimal` it loads), so code that
+works on integers pays for neither.  Nothing is ever evaluated in binary
 floating point.
 :class:`BigFixed`, the decimal fixed point ``mantissa * 10**-scale``,
 renders a result for print.  Only the CLI names it or its body,

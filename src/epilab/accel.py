@@ -24,17 +24,20 @@ finite partial sum:
 paired 2*pi series term by term; their running sum starts at exactly 9
 and drifts to e + 2*pi = 9.0014..., which is the whole joke of the
 "e + 2*pi = 9" coincidence.
+
+As in :mod:`epilab.series`, exact rationals are integer pairs (p, q),
+q > 0; ``gl_regroup_term`` and ``paired_term_identity`` hand Fractions
+to their callers and alone import :mod:`fractions`.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import chain
 
 from ._record import record
-from .series import NILAKANTHA, NILAKANTHA_PAIRED, SeriesSpec, _pairs_e, scale_series
+from .series import NILAKANTHA, NILAKANTHA_PAIRED, SeriesSpec, _join, _pairs_e, scale_series
 
 __all__ = [
     "gl_regroup_term",
@@ -55,6 +58,7 @@ def gl_regroup_term(n: int) -> tuple[Fraction, Fraction, Fraction]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    from fractions import Fraction
     a = Fraction(1, n + 1) + Fraction(1, n) - Fraction(4, 2 * n + 1)
     b = Fraction(1, n * (2 * n + 1) * (n + 1))
     c = Fraction(4, (2 * n + 1) ** 3 - (2 * n + 1))
@@ -70,6 +74,7 @@ def paired_term_identity(n: int) -> tuple[Fraction, Fraction]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    from fractions import Fraction
     grouped = 2 * (NILAKANTHA.term(2 * n) + NILAKANTHA.term(2 * n + 1))
     closed = Fraction(-3, n * (n + 1) * (4 * n + 1) * (4 * n + 3))
     return grouped, closed
@@ -77,16 +82,17 @@ def paired_term_identity(n: int) -> tuple[Fraction, Fraction]:
 
 def _check_alternating_prefix(spec: SeriesSpec, count: int = 50) -> None:
     prev = None
-    for i in range(spec.start_index, spec.start_index + count):
-        t = spec.term(i)
-        if t == 0:
+    for i, (p, q) in enumerate(spec.pairs(spec.start_index, spec.start_index + count - 1),
+                               spec.start_index):
+        if p == 0:
             raise ValueError(f"{spec.name}: zero term at {i}, cannot pair")
         if prev is not None:
-            if (t > 0) == (prev > 0):
+            pp, pq = prev
+            if (p > 0) == (pp > 0):
                 raise ValueError(f"{spec.name}: terms {i-1},{i} do not alternate")
-            if abs(t) > abs(prev):
+            if abs(p) * pq > abs(pp) * q:
                 raise ValueError(f"{spec.name}: |term| increases at {i}")
-        prev = t
+        prev = p, q
 
 
 def pair_transform(spec: SeriesSpec, fold_into_offset: int = 1) -> SeriesSpec:
@@ -111,8 +117,8 @@ def pair_transform(spec: SeriesSpec, fold_into_offset: int = 1) -> SeriesSpec:
     _check_alternating_prefix(spec)
     s = spec.start_index + fold_into_offset
     offset = spec.offset
-    for i in range(spec.start_index, s):
-        offset += spec.term(i)
+    for p, q in spec.pairs(spec.start_index, s - 1):
+        offset = _join(*offset, p, q)
 
     def pairs(a: int, b: int, _p=spec.pairs, _s=s) -> Iterator[tuple[int, int]]:
         # new terms a..b are the original terms s + 2a - 2 .. s + 2b - 1,
@@ -120,8 +126,9 @@ def pair_transform(spec: SeriesSpec, fold_into_offset: int = 1) -> SeriesSpec:
         run = iter(_p(_s + 2 * a - 2, _s + 2 * b - 1))
         return ((p1 * q2 + p2 * q1, q1 * q2) for (p1, q1), (p2, q2) in zip(run, run))
 
-    def tail(k: int, _t=spec.term, _s=s) -> Fraction:
-        return abs(_t(_s + 2 * k))
+    def tail(k: int, _p=spec.pairs, _s=s) -> tuple[int, int]:
+        [(p, q)] = _p(_s + 2 * k, _s + 2 * k)
+        return abs(p), q
 
     return SeriesSpec(
         name=f"{spec.name}-paired",
@@ -136,7 +143,7 @@ def pair_transform(spec: SeriesSpec, fold_into_offset: int = 1) -> SeriesSpec:
 
 def nilakantha_doubled() -> SeriesSpec:
     """The Nilakantha series scaled by 2, describing 2*pi."""
-    return scale_series(NILAKANTHA, Fraction(2), name="nilakantha-doubled", constant="two_pi")
+    return scale_series(NILAKANTHA, 2, name="nilakantha-doubled", constant="two_pi")
 
 
 def _e_regrouped_pairs(a: int, b: int) -> Iterator[tuple[int, int]]:
@@ -145,10 +152,10 @@ def _e_regrouped_pairs(a: int, b: int) -> Iterator[tuple[int, int]]:
     return chain(((3, 1), (-1, 3))[a - 1:b], _pairs_e(max(a, 3) + 1, b + 1))
 
 
-def _e_regrouped_tail(k: int) -> Fraction:
+def _e_regrouped_tail(k: int) -> tuple[int, int]:
     if k == 1:
-        return Fraction(1, 3)  # |e - 3| < 1/3
-    return Fraction(2, math.factorial(k + 2))  # 2/(k+2)!
+        return 1, 3  # |e - 3| < 1/3
+    return 2, math.factorial(k + 2)  # 2/(k+2)!
 
 
 def e_regrouped() -> SeriesSpec:
@@ -161,7 +168,7 @@ def e_regrouped() -> SeriesSpec:
     return SeriesSpec(
         name="e-factorial-regrouped",
         constant="e",
-        offset=Fraction(0),
+        offset=(0, 1),
         start_index=1,
         pairs=_e_regrouped_pairs,
         tail_bound=_e_regrouped_tail,
@@ -171,8 +178,8 @@ def e_regrouped() -> SeriesSpec:
 @record
 class CompareRow:
     k: int
-    e_term: Fraction
-    two_pi_term: Fraction
+    e_term: tuple[int, int]  # exact, num/den with den > 0, in lowest terms
+    two_pi_term: tuple[int, int]  # the same
     running: tuple[int, int]  # exact, num/den with den > 0, not in lowest terms
     distance_to_9: tuple[int, int]  # the same
 
@@ -198,17 +205,20 @@ def _compare_rows(rows: int) -> Iterator[CompareRow]:
     # The running sum is num/den with den = eq * pq: eq the last e
     # denominator, which each next one is a multiple of (1, 3, then 4!,
     # 5!, ...), and pq the product of the 2*pi denominators so far.  So
-    # every row multiplies by small ints only, and pays no gcd.
+    # every row multiplies by small ints only, and pays no gcd but the one
+    # that puts the 2*pi term in lowest terms (the e terms, 3, -1/3 and
+    # 1/(k+1)!, are in lowest terms already).
     num, den, eq, pq = 0, 1, 1, 1
     for k, ((ep, q_e), (pp, q_p)) in enumerate(zip(e_regrouped().pairs(1, rows), two_pi_run), 1):
         m = q_e // eq
         num = (num * m + ep * pq) * q_p + pp * den * m
         den *= m * q_p
         eq, pq = q_e, pq * q_p
+        g = math.gcd(pp, q_p)
         yield CompareRow(
             k=k,
-            e_term=Fraction(ep, q_e),
-            two_pi_term=Fraction(pp, q_p),
+            e_term=(ep, q_e),
+            two_pi_term=(pp // g, q_p // g),
             running=(num, den),
             distance_to_9=(abs(num - 9 * den), den),
         )

@@ -1,11 +1,12 @@
 """Exact rational and decimal fixed-point arithmetic.
 
-The package's results are exact: :class:`fractions.Fraction` or integer
-pairs carry exact rationals, and an enclosure is carried as integer
-bounds (lo, hi, den) on a decimal grid; only its public endpoints become
-Fractions, and only the functions that build or compare a Fraction
-import :mod:`fractions` (and the :mod:`decimal` it loads), so code that
-works on integers pays for neither.  Nothing is ever evaluated in binary
+The package's results are exact: integer pairs (p, q), q > 0, carry
+exact rationals, and an enclosure is carried as integer bounds
+(lo, hi, den) on a decimal grid.  A :class:`fractions.Fraction` is built
+only where a public function hands one to its caller (a view, or a
+:class:`Surd`'s parts), and only the functions that build or compare a
+Fraction import :mod:`fractions` (and the :mod:`decimal` it loads), so
+code that works on integers pays for neither.  Nothing is ever evaluated in binary
 floating point.
 :class:`BigFixed`, the decimal fixed point ``mantissa * 10**-scale``,
 renders a result for print.  Only the CLI names it or its body,
@@ -59,11 +60,12 @@ def _int_to_digits(n: int) -> str:
     return _int_to_digits(high) + _int_to_digits(low).zfill(k)
 
 
-def _rational_to_digits(q: Fraction | int) -> str:
-    """str(q) for an int or a Fraction, "n" or "n/d", with no cap on the
-    digits (str() refuses ints past CPython's int->str limit)."""
-    text = ("-" if q < 0 else "") + _int_to_digits(abs(q.numerator))
-    return text if q.denominator == 1 else f"{text}/{_int_to_digits(q.denominator)}"
+def _rational_to_digits(num: int, den: int = 1) -> str:
+    """str(Fraction(num, den)) for a pair in lowest terms, den > 0: "n" or
+    "n/d", with no cap on the digits (str() refuses ints past CPython's
+    int->str limit)."""
+    text = ("-" if num < 0 else "") + _int_to_digits(abs(num))
+    return text if den == 1 else f"{text}/{_int_to_digits(den)}"
 
 
 def _div_nearest(n: int, d: int) -> int:
@@ -317,13 +319,16 @@ class Surd:
         return self.a + self.b * s_hi, self.a + self.b * s_lo
 
     def __str__(self) -> str:
+        def text(q: Fraction) -> str:
+            return _rational_to_digits(q.numerator, q.denominator)
+
         if self.b == 0:
-            return _rational_to_digits(self.a)
+            return text(self.a)
         root = f"sqrt({self.r})"
         if self.b != 1:
-            root = f"{root}*{_rational_to_digits(self.b)}"
+            root = f"{root}*{text(self.b)}"
         if self.a == 0:
             return root
         if self.a < 0:
-            return f"{root} - {_rational_to_digits(-self.a)}"
-        return f"{_rational_to_digits(self.a)} + {root}"
+            return f"{root} - {text(-self.a)}"
+        return f"{text(self.a)} + {root}"

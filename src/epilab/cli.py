@@ -42,9 +42,10 @@ from .bignum import (BigFixed, _div_nearest, _fixed_to_string, _int_to_digits, _
 from .oracle import _FORMS, NoCertifiedResult, _cached, _e_unit, _exp_units, constant_reference
 
 # series, expr, registry, derive, stirling and accel are imported inside
-# the commands that run them, and fractions, csv and json inside the code
-# that needs them: every command is a fresh process, and pays for its
-# imports
+# the commands that run them, and csv and json inside the code that needs
+# them: every command is a fresh process, and pays for its imports.  The
+# library hands the commands integers and pairs (p, q), so only stirling
+# --op e-half, whose surd is built on Fractions, loads fractions
 
 __all__ = ["main"]
 
@@ -175,9 +176,9 @@ def cmd_compute(args) -> int:
                 else spec.start_index + count - 1)
         result = partial_sum(spec, last)
         terms = str(result.terms_used - spec.start_index + 1)
-        v, r = result.value, result.bound
-        num, rad = v.numerator * r.denominator, r.numerator * v.denominator
-        lo, hi, den = num - rad, num + rad, v.denominator * r.denominator
+        (vp, vq), (rp, rq) = result.value, result.bound
+        num, rad = vp * rq, rp * vq
+        lo, hi, den = num - rad, num + rad, vq * rq
         # the series sums f * c**k, c being pi or e: divide by f, take the k-th root
         k, f = _FORMS[spec.constant]
         den *= f
@@ -217,14 +218,14 @@ def cmd_table(args) -> int:
         raise ValueError(f"--checkpoints must be >= {spec.start_index}")
     if max(checkpoints) > EXACT_TERM_LIMIT:
         raise ValueError(f"--checkpoints must be <= {EXACT_TERM_LIMIT}")
-    rows = [
-        [str(r.n), BigFixed.from_fraction(r.value, args.scale).to_decimal_string(),
-         BigFixed.from_fraction(r.abs_error, 25).to_decimal_string(),
-         BigFixed(ceil_div(r.bound.numerator * 10**25, r.bound.denominator),
-                  25).to_decimal_string(),
-         str(r.digits_correct)]
-        for r in convergence_table(spec, checkpoints)
-    ]
+
+    def cell(pair, scale, rounding=_div_nearest):  # a pair (p, q) at `scale` places
+        return BigFixed(rounding(pair[0] * 10**scale, pair[1]), scale).to_decimal_string()
+
+    # the value and error round to nearest, the bound up
+    rows = [[str(r.n), cell(r.value, args.scale), cell(r.abs_error, 25),
+             cell(r.bound, 25, ceil_div), str(r.digits_correct)]
+            for r in convergence_table(spec, checkpoints)]
     _emit(args, ["n", "value", "abs_error", "bound", "digits_correct"], rows,
           text=None if args.quiet else f"series = {spec.name} (limit: {spec.constant})",
           table=rows)
@@ -363,8 +364,9 @@ def cmd_stirling(args) -> int:
         d = stirling_e8_decomposition(scale + 2)
         cells = {"op": "e8"}
         for name in ("e8", "value_96pi3", "base_64pi3", "correction", "gap_from_3_2", "ratio"):
-            v = getattr(d, name)  # an enclosure (lo, hi, den), or an exact Fraction
-            cells[name] = _midpoint(v, scale).to_decimal_string() if type(v) is tuple else str(v)
+            v = getattr(d, name)  # an enclosure (lo, hi, den), or an exact pair (p, q)
+            cells[name] = (_midpoint(v, scale).to_decimal_string() if len(v) == 3
+                           else _rational_to_digits(*v))
         text = "\n".join([
             f"e^8        = {cells['e8']}",
             f"96 pi^3    = {cells['value_96pi3']}",
@@ -380,12 +382,43 @@ def cmd_stirling(args) -> int:
 # scan
 
 
-def cmd_scan(args) -> int:
-    from fractions import Fraction
+def _digit_groups(text: str) -> bool:
+    """text is one or more decimal digits, single underscores between them."""
+    return all(group.isdecimal() for group in text.split("_"))
 
+
+def _rational(text: str) -> tuple[int, int]:
+    """Fraction(text) as a pair (p, q), q > 0, read without fractions and the
+    re it loads, for the text Python 3.11's Fraction reads: within
+    whitespace, a sign, then n/d, or a decimal with a digit or a point
+    and a digit first and an optional exponent; digits are any decimal
+    digits, in groups joined by single underscores.  Other text raises
+    ValueError, and n/0 ZeroDivisionError, as Fraction does."""
+    body = text.strip()
+    sign = -1 if body[:1] == "-" else 1
+    body = body[1:] if body[:1] in ("-", "+") else body
+    num, slash, den = body.partition("/")
+    if slash:
+        if not (_digit_groups(num) and _digit_groups(den)):
+            raise ValueError(f"invalid literal {text!r}")
+        if int(den) == 0:
+            raise ZeroDivisionError(f"{text!r} divides by zero")
+        return sign * int(num), int(den)
+    mantissa, e, exp = body.replace("E", "e").partition("e")
+    whole, _, frac = mantissa.partition(".")
+    if not ((whole or frac) and all(_digit_groups(part) for part in (whole, frac) if part)
+            and (not e or _digit_groups(exp[1:] if exp[:1] in ("-", "+") else exp))):
+        raise ValueError(f"invalid literal {text!r}")
+    frac = frac.replace("_", "")
+    p, q = int(whole or "0") * 10 ** len(frac) + int(frac or "0"), 10 ** len(frac)
+    k = int(exp) if e else 0
+    return (sign * p * 10**k, q) if k >= 0 else (sign * p, q * 10**-k)
+
+
+def cmd_scan(args) -> int:
     from .derive import _scan_units
     try:
-        threshold = Fraction(args.threshold)
+        threshold = _rational(args.threshold)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad --threshold {args.threshold!r}") from None
     two_den, units = _scan_units(args.max, args.digits, threshold)
@@ -418,7 +451,7 @@ def cmd_compare(args) -> int:
     # each row is rendered as it is made, so its exact sums, with
     # thousands of digits at hundreds of rows, are freed once printed
     rows = (
-        [str(r.k), _rational_to_digits(r.e_term), _rational_to_digits(r.two_pi_term),
+        [str(r.k), _rational_to_digits(*r.e_term), _rational_to_digits(*r.two_pi_term),
          *(BigFixed(_div_nearest(num * 10**args.scale, den), args.scale).to_decimal_string()
            for num, den in (r.running, r.distance_to_9))]
         for r in _compare_rows(args.rows)

@@ -1,12 +1,15 @@
 """Exact rational derivations and the integer scan: quadratic surd
 roots, first-order binomial linearization, exact 2x2 linear solving, and
 the scan over n*pi + m*e on the oracle's units of pi and e.
+
+The derivations take and return Fractions and Surds, and each imports
+:mod:`fractions` itself; the scan works on integers, its threshold a
+pair (p, q), q > 0, so it loads neither fractions nor decimal.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
 
 from ._record import record
 from .bignum import Surd
@@ -21,16 +24,14 @@ __all__ = [
     "linear_combo_scan",
 ]
 
-RationalLike = int | Fraction
-
-
-def solve_pi_quadratic(b: RationalLike, c: RationalLike) -> Surd:
+def solve_pi_quadratic(b: int | Fraction, c: int | Fraction) -> Surd:
     """Larger root of x^2 + b*x = c as an exact Surd.
 
     The root is -b/2 + sqrt(c + b^2/4); the discriminant must be
     positive.  A rational discriminant p/q enters the surd as
     sqrt(p*q)/q, which Surd.make then canonicalizes.
     """
+    from fractions import Fraction
     b = Fraction(b)
     c = Fraction(c)
     disc = c + b * b / 4
@@ -40,19 +41,20 @@ def solve_pi_quadratic(b: RationalLike, c: RationalLike) -> Surd:
                      disc.numerator * disc.denominator)
 
 
-def binomial_linearize(s: Surd, base: RationalLike) -> Fraction:
+def binomial_linearize(s: Surd, base: int | Fraction) -> Fraction:
     """Replace sqrt(r) with base + (r - base^2)/(2*base) and evaluate.
 
     First-order binomial expansion of sqrt(base^2 + d) around the
     rational guess base > 0; exact rational arithmetic throughout.
     """
+    from fractions import Fraction
     base = Fraction(base)
     if base <= 0:
         raise ValueError("base must be positive")
     return s.a + s.b * (base + (s.r - base * base) / (2 * base))
 
 
-def linearize_error_bound(s: Surd, base: RationalLike) -> Fraction:
+def linearize_error_bound(s: Surd, base: int | Fraction) -> Fraction:
     """Bound on |binomial_linearize(s, base) - exact value of s|.
 
     With d = r - base^2 >= 0 the binomial remainder gives
@@ -60,6 +62,7 @@ def linearize_error_bound(s: Surd, base: RationalLike) -> Fraction:
     |b|.  Requires base <= sqrt(r); the bound does not hold as stated
     for overestimating bases.
     """
+    from fractions import Fraction
     base = Fraction(base)
     if base <= 0:
         raise ValueError("base must be positive")
@@ -70,10 +73,11 @@ def linearize_error_bound(s: Surd, base: RationalLike) -> Fraction:
 
 
 def solve_linear_2x2(
-    a11: RationalLike, a12: RationalLike, b1: RationalLike,
-    a21: RationalLike, a22: RationalLike, b2: RationalLike,
+    a11: int | Fraction, a12: int | Fraction, b1: int | Fraction,
+    a21: int | Fraction, a22: int | Fraction, b2: int | Fraction,
 ) -> tuple[Fraction, Fraction]:
     """Exact solution (x, y) of {a11 x + a12 y = b1, a21 x + a22 y = b2}."""
+    from fractions import Fraction
     a11, a12, b1 = Fraction(a11), Fraction(a12), Fraction(b1)
     a21, a22, b2 = Fraction(a21), Fraction(a22), Fraction(b2)
     det = a11 * a22 - a12 * a21
@@ -94,7 +98,8 @@ class ScanRow:
     flagged: bool
 
 
-def _scan_units(max_coeff: int, digits: int, threshold: Fraction) -> tuple[int, Iterator[tuple]]:
+def _scan_units(max_coeff: int, digits: int,
+                threshold: tuple[int, int]) -> tuple[int, Iterator[tuple]]:
     """linear_combo_scan's rows as tuples (n, m, total, nearest, residual,
     mod7, predicted, flagged), with total and residual the numerators of
     the value and the residual over the returned two_den.  The value is
@@ -106,8 +111,8 @@ def _scan_units(max_coeff: int, digits: int, threshold: Fraction) -> tuple[int, 
     """
     if max_coeff < 1:
         raise ValueError("max_coeff must be >= 1")
-    threshold = Fraction(threshold)
-    if threshold <= 0 or threshold > Fraction(1, 2):
+    tp, tq = threshold  # tq > 0
+    if tp <= 0 or 2 * tp > tq:
         raise ValueError("threshold must be in (0, 1/2]")
     work, plo, phi = _cached(_pi_unit, digits)
     _, elo, ehi = _cached(_e_unit, digits)
@@ -115,7 +120,7 @@ def _scan_units(max_coeff: int, digits: int, threshold: Fraction) -> tuple[int, 
     den = 10**work
     two_den = 2 * den
     # |residual| < threshold, with the residual's numerator over 2*den
-    limit = threshold.numerator * two_den
+    limit = tp * two_den
     def rows():
         for n in range(-max_coeff, max_coeff + 1):
             for m in range(-max_coeff, max_coeff + 1):
@@ -128,19 +133,22 @@ def _scan_units(max_coeff: int, digits: int, threshold: Fraction) -> tuple[int, 
                 # 22n + 19m = 21n + 21m + (n - 2m), so 7 divides it too
                 predicted = (22 * n + 19 * m) // 7 if mod7 else None
                 yield (n, m, total, nearest, residual, mod7, predicted,
-                       abs(residual) * threshold.denominator < limit)
+                       abs(residual) * tq < limit)
     return two_den, rows()
 
 
 def linear_combo_scan(max_coeff: int, digits: int = 30,
-                      threshold: Fraction = Fraction(6, 100)) -> list[ScanRow]:
+                      threshold: tuple[int, int] = (6, 100)) -> list[ScanRow]:
     """Scan n*pi + m*e for all |n|, |m| <= max_coeff, (n, m) != (0, 0).
 
     Each row records the midpoint value, the nearest integer, the signed
     residual, whether n - 2m is divisible by 7, and for such rows the
     predicted integer (22n + 19m)/7 (always exact when 7 | n - 2m).  A
-    row is flagged when |residual| < threshold, judged on the midpoint.
+    row is flagged when |residual| < threshold, judged on the midpoint;
+    the threshold is a pair (p, q), q > 0, the value p/q.  The value and
+    residual are Fractions.
     """
+    from fractions import Fraction
     two_den, rows = _scan_units(max_coeff, digits, threshold)
     return [ScanRow(n, m, Fraction(total, two_den), nearest, Fraction(residual, two_den), *rest)
             for n, m, total, nearest, residual, *rest in rows]

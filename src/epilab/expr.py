@@ -37,7 +37,6 @@ reads the same bounds for certified continued fractions.  Only
 from __future__ import annotations
 
 import math
-import re
 
 from ._record import record
 from .bignum import _div_nearest, _ilog10_floor, ceil_div, floor_div, iroot, root_units
@@ -225,24 +224,33 @@ def depth(expr: Expr) -> int:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN = r"\s*(\d+|[a-z]+|[()+\-*/^,])"
 _WORDS = {"pi", "e", "sqrt", "root", "exp"}
 
 
 def _tokenize(text: str) -> list[str]:
+    """The tokens of text: runs of decimal digits (any script's), runs of
+    a-z, and single characters of ()+-*/^, between any whitespace."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = re.compile(_TOKEN).match(text, pos)  # compiled on the first parse, then from re's cache
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"bad character at position {pos}: {text[pos:pos+10]!r}")
+    pos, end = 0, len(text)
+    while pos < end:
+        start = pos  # a bad character is reported at the whitespace before it
+        while pos < end and text[pos].isspace():
+            pos += 1
+        if pos == end:
             break
-        tok = m.group(1)
-        if tok.isalpha() and tok not in _WORDS:
-            raise ParseError(f"unknown name {tok!r}")
-        tokens.append(tok)
-        pos = m.end()
+        c, stop = text[pos], pos + 1
+        if c.isdecimal():
+            while stop < end and text[stop].isdecimal():
+                stop += 1
+        elif "a" <= c <= "z":
+            while stop < end and "a" <= text[stop] <= "z":
+                stop += 1
+            if text[pos:stop] not in _WORDS:
+                raise ParseError(f"unknown name {text[pos:stop]!r}")
+        elif c not in "()+-*/^,":
+            raise ParseError(f"bad character at position {start}: {text[start:start+10]!r}")
+        tokens.append(text[pos:stop])
+        pos = stop
     return tokens
 
 

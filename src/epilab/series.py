@@ -6,12 +6,15 @@ that dominates the true remainder after the term with index N.  Tail
 bounds are the load-bearing part; each builtin documents its derivation
 next to its definition.
 
-A spec states its terms once, as runs of integer pairs ``pairs(a, b)``,
-so a run builds no Fraction per term and can carry state from one term
-to the next (the factorial of the e series is multiplied up, not
-rebuilt).  The sums read only these runs: an exact sum joins them over
-a common denominator into one Fraction per sum, a fixed-point sum
-rounds each pair inline.  ``term(n)`` is the run of one index.
+Every exact rational here is an integer pair (p, q), q > 0, the value
+p/q, not necessarily in lowest terms: a spec's offset, its tail bounds,
+and the values, bounds and errors the sums and tables return.  A spec
+states its terms once, as runs of such pairs ``pairs(a, b)``, so a run
+can carry state from one term to the next (the factorial of the e series
+is multiplied up, not rebuilt).  The sums read only these runs: an exact
+sum joins them over a common denominator, a fixed-point sum rounds each
+pair inline.  ``term(n)`` is the run of one index as a Fraction, a view
+for callers; it alone imports :mod:`fractions`.
 
 Builtins (index ranges are inclusive of start_index):
 
@@ -27,11 +30,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from fractions import Fraction
 from itertools import cycle, islice
 
 from ._record import record
-from .bignum import floor_neg_log10
+from .bignum import _ilog10_floor
 from .oracle import CONSTANTS, NoCertifiedResult, constant_reference
 
 __all__ = [
@@ -85,18 +87,19 @@ class SeriesSpec:
     A spec is its pairs: pairs(a, b) yields the terms with indices a..b
     in order as integer pairs (p, q), q > 0, the term being p/q, not
     necessarily in lowest terms; nothing when a > b.  term(n) is derived
-    from them.  tail_bound(N) bounds the absolute value of the sum of
-    all terms with index > N.  alternating marks series whose terms
-    strictly alternate in sign with non-increasing magnitude (which is
-    what makes |term(N+1)| a valid tail bound).
+    from them.  offset is a pair of the same kind, and tail_bound(N) is
+    one that bounds the absolute value of the sum of all terms with
+    index > N.  alternating marks series whose terms strictly alternate
+    in sign with non-increasing magnitude (which is what makes
+    |term(N+1)| a valid tail bound).
     """
 
     name: str
     constant: str
-    offset: Fraction
+    offset: tuple[int, int]
     start_index: int
     pairs: Callable[[int, int], Iterable[tuple[int, int]]]
-    tail_bound: Callable[[int], Fraction]
+    tail_bound: Callable[[int], tuple[int, int]]
     alternating: bool = False
 
     def __post_init__(self) -> None:
@@ -104,7 +107,8 @@ class SeriesSpec:
             raise ValueError(f"unknown constant {self.constant!r}")
 
     def term(self, n: int) -> Fraction:
-        """The exact n-th term: the run of index n alone."""
+        """The exact n-th term as a Fraction: the run of index n alone."""
+        from fractions import Fraction
         [(p, q)] = self.pairs(n, n)
         return Fraction(p, q)
 
@@ -113,26 +117,26 @@ class SeriesSpec:
 class SumResult:
     """Partial sum with certificate.
 
-    value: the partial sum including the offset.  When at most
-    EXACT_TERM_LIMIT terms were requested it is the exact rational sum
-    of the terms (joined as integer pairs, one Fraction per sum);
-    otherwise the exact value of the fixed-point accumulation (each
-    term rounded inline), with the rounding added to `bound`.
+    value: the partial sum including the offset, a pair (p, q), q > 0.
+    When at most EXACT_TERM_LIMIT terms were requested it is the exact
+    rational sum of the terms; otherwise the exact value of the
+    fixed-point accumulation (each term rounded inline), with the
+    rounding added to `bound`.
     terms_used: index of the last term included.
-    bound: certified bound on |true limit - value|.
+    bound: certified bound on |true limit - value|, a pair as well.
     """
 
-    value: Fraction
+    value: tuple[int, int]
     terms_used: int
-    bound: Fraction
+    bound: tuple[int, int]
 
 
 @record
 class ConvergenceRow:
     n: int
-    value: Fraction  # the exact partial sum
-    abs_error: Fraction
-    bound: Fraction
+    value: tuple[int, int]  # the exact partial sum, a pair (p, q), q > 0
+    abs_error: tuple[int, int]  # |value - reference|, a pair as well
+    bound: tuple[int, int]
     digits_correct: int
 
 
@@ -144,9 +148,9 @@ def _pairs_e(a: int, b: int) -> Iterator[tuple[int, int]]:
         q *= n + 1
 
 
-def _tail_e(n: int) -> Fraction:
+def _tail_e(n: int) -> tuple[int, int]:
     # sum(1/m!, m > N) <= (1/(N+1)!) * sum (1/(N+2))^j <= 2/(N+1)!
-    return Fraction(2, math.factorial(n + 1))
+    return 2, math.factorial(n + 1)
 
 
 def _pairs_gl(a: int, b: int) -> Iterator[tuple[int, int]]:
@@ -162,36 +166,36 @@ def _pairs_paired(a: int, b: int) -> Iterator[tuple[int, int]]:
     return ((-3, n * (n + 1) * (4 * n + 1) * (4 * n + 3)) for n in range(a, b + 1))
 
 
-def _tail_paired(n: int) -> Fraction:
+def _tail_paired(n: int) -> tuple[int, int]:
     # n(n+1)(4n+1)(4n+3) >= 16 n^4, and sum(1/m^4, m > N) <= integral
     # from N of x^-4 dx = 1/(3N^3), so the tail is at most
     # 3/(16 * 3 N^3) = 1/(16 N^3).
-    return Fraction(1, 16 * n**3)
+    return 1, 16 * n**3
 
 
 def _pairs_lambda6(a: int, b: int) -> Iterator[tuple[int, int]]:
     return ((960, (2 * n + 1) ** 6) for n in range(a, b + 1))
 
 
-def _tail_lambda6(n: int) -> Fraction:
+def _tail_lambda6(n: int) -> tuple[int, int]:
     # sum(1/(2m+1)^6, m > N) <= integral from N of (2x+1)^-6 dx
     #                         = (2N+1)^-5 / 10
-    return Fraction(96, (2 * n + 1) ** 5)
+    return 96, (2 * n + 1) ** 5
 
 
 def _pairs_zeta8(a: int, b: int) -> Iterator[tuple[int, int]]:
     return ((9450, n**8) for n in range(a, b + 1))
 
 
-def _tail_zeta8(n: int) -> Fraction:
+def _tail_zeta8(n: int) -> tuple[int, int]:
     # sum(1/m^8, m > N) <= integral from N of x^-8 dx = 1/(7 N^7)
-    return Fraction(9450, 7 * n**7)
+    return 9450, 7 * n**7
 
 
 E_FACTORIAL = SeriesSpec(
     name="e-factorial",
     constant="e",
-    offset=Fraction(0),
+    offset=(0, 1),
     start_index=0,
     pairs=_pairs_e,
     tail_bound=_tail_e,
@@ -200,27 +204,27 @@ E_FACTORIAL = SeriesSpec(
 GREGORY_LEIBNIZ = SeriesSpec(
     name="gregory-leibniz",
     constant="pi",
-    offset=Fraction(0),
+    offset=(0, 1),
     start_index=0,
     pairs=_pairs_gl,
-    tail_bound=lambda n: Fraction(4, 2 * n + 3),
+    tail_bound=lambda n: (4, 2 * n + 3),
     alternating=True,
 )
 
 NILAKANTHA = SeriesSpec(
     name="nilakantha",
     constant="pi",
-    offset=Fraction(3),
+    offset=(3, 1),
     start_index=1,
     pairs=_pairs_nila,
-    tail_bound=lambda n: Fraction(1, (n + 1) * (2 * n + 3) * (n + 2)),
+    tail_bound=lambda n: (1, (n + 1) * (2 * n + 3) * (n + 2)),
     alternating=True,
 )
 
 NILAKANTHA_PAIRED = SeriesSpec(
     name="nilakantha-paired",
     constant="two_pi",
-    offset=Fraction(19, 3),
+    offset=(19, 3),
     start_index=1,
     pairs=_pairs_paired,
     tail_bound=_tail_paired,
@@ -229,7 +233,7 @@ NILAKANTHA_PAIRED = SeriesSpec(
 LAMBDA6 = SeriesSpec(
     name="lambda6",
     constant="pi6",
-    offset=Fraction(0),
+    offset=(0, 1),
     start_index=0,
     pairs=_pairs_lambda6,
     tail_bound=_tail_lambda6,
@@ -238,7 +242,7 @@ LAMBDA6 = SeriesSpec(
 ZETA8 = SeriesSpec(
     name="zeta8",
     constant="pi8",
-    offset=Fraction(0),
+    offset=(0, 1),
     start_index=1,
     pairs=_pairs_zeta8,
     tail_bound=_tail_zeta8,
@@ -262,29 +266,34 @@ def builtin_names() -> tuple[str, ...]:
     return tuple(_BUILTINS)
 
 
-def scale_series(spec: SeriesSpec, factor: Fraction, *, name: str | None = None,
+def scale_series(spec: SeriesSpec, factor: int | Fraction, *, name: str | None = None,
                  constant: str | None = None) -> SeriesSpec:
-    """Multiply a series by an exact constant factor.
+    """Multiply a series by an exact constant factor: an int, a Fraction,
+    or any exact number with as_integer_ratio.
 
     The caller must say what the scaled series describes (e.g. doubling
     a pi series gives a two_pi series); the label does not change by
     itself.
     """
-    factor = Fraction(factor)
-    if factor == 0:
+    fn, fd = factor.as_integer_ratio()  # fd > 0
+    if fn == 0:
         raise ValueError("factor must be nonzero")
 
-    def pairs(a: int, b: int, _p=spec.pairs, _n=factor.numerator,
-              _d=factor.denominator) -> Iterator[tuple[int, int]]:
-        return ((_n * p, _d * q) for p, q in _p(a, b))
+    def pairs(a: int, b: int, _p=spec.pairs) -> Iterator[tuple[int, int]]:
+        return ((fn * p, fd * q) for p, q in _p(a, b))
 
+    def tail(n: int, _b=spec.tail_bound) -> tuple[int, int]:
+        p, q = _b(n)
+        return abs(fn) * p, fd * q
+
+    op, oq = spec.offset
     return SeriesSpec(
         name=name or f"{spec.name}-scaled",
         constant=constant or spec.constant,
-        offset=spec.offset * factor,
+        offset=(fn * op, fd * oq),
         start_index=spec.start_index,
         pairs=pairs,
-        tail_bound=lambda n, _f=abs(factor), _b=spec.tail_bound: _f * _b(n),
+        tail_bound=tail,
         alternating=spec.alternating,
     )
 
@@ -322,18 +331,19 @@ def _exact_sum(pairs: Iterator[tuple[int, int]], count: int) -> tuple[int, int]:
 def partial_sum(spec: SeriesSpec, n: int) -> SumResult:
     """Offset plus terms start_index..n, with a certified bound.
 
-    Up to EXACT_TERM_LIMIT terms the sum is exact (see _exact_sum) and
-    the bound is exactly tail_bound(n).  Beyond that each term p/q is
-    rounded inline to the nearest multiple of 10**-FIXED_ACC_SCALE (ties
-    away from zero, as bignum._div_nearest), the integers are added, and
-    the per-term rounding (at most half an ulp each) is added to the bound.
+    Up to EXACT_TERM_LIMIT terms the sum is exact (see _exact_sum),
+    joined to the offset as a pair, and the bound is exactly
+    tail_bound(n).  Beyond that each term p/q is rounded inline to the
+    nearest multiple of 10**-FIXED_ACC_SCALE (ties away from zero, as
+    bignum._div_nearest), the integers are added, and the per-term
+    rounding (at most half an ulp each) is added to the bound.
     """
     if n < spec.start_index:
         raise ValueError(f"n must be >= start_index ({spec.start_index})")
     count = n - spec.start_index + 1
     pairs = iter(spec.pairs(spec.start_index, n))
     if count <= EXACT_TERM_LIMIT:
-        return SumResult(spec.offset + Fraction(*_exact_sum(pairs, count)), n, spec.tail_bound(n))
+        return SumResult(_join(*spec.offset, *_exact_sum(pairs, count)), n, spec.tail_bound(n))
     unit = 10**FIXED_ACC_SCALE
     two_unit = 2 * unit
     acc = 0
@@ -342,8 +352,7 @@ def partial_sum(spec: SeriesSpec, n: int) -> SumResult:
             acc += (p * two_unit + q) // (2 * q)
         else:
             acc -= (q - p * two_unit) // (2 * q)
-    value = spec.offset + Fraction(acc, unit)
-    return SumResult(value, n, spec.tail_bound(n) + Fraction(count, two_unit))
+    return SumResult(_join(*spec.offset, acc, unit), n, _join(*spec.tail_bound(n), count, two_unit))
 
 
 def terms_needed(spec: SeriesSpec, digits: int, *, cap: int = DEFAULT_MAX_TERMS) -> int:
@@ -353,21 +362,27 @@ def terms_needed(spec: SeriesSpec, digits: int, *, cap: int = DEFAULT_MAX_TERMS)
     (factorials) are only evaluated O(log N) times.  Raises
     InfeasibleRequest if the cap cannot reach the target.
     """
-    target = Fraction(1, 10**digits)
+    scale = 10**digits
+
+    def below(n: int) -> bool:
+        # tail_bound(n) = p/q < 10**-digits, cross-multiplied
+        p, q = spec.tail_bound(n)
+        return p * scale < q
+
     lo = spec.start_index
-    if spec.tail_bound(lo) < target:
+    if below(lo):
         return lo
     hi = max(lo * 2, lo + 1)
-    while hi < cap and spec.tail_bound(hi) >= target:
+    while hi < cap and not below(hi):
         lo, hi = hi, hi * 2
     if hi >= cap:
         hi = cap
-        if spec.tail_bound(hi) >= target:
+        if not below(hi):
             raise InfeasibleRequest(spec.name, digits, cap)
-    # invariant: tail(lo) >= target > tail(hi)
+    # invariant: not below(lo), and below(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if spec.tail_bound(mid) < target:
+        if below(mid):
             hi = mid
         else:
             lo = mid
@@ -384,7 +399,8 @@ def convergence_table(spec: SeriesSpec, checkpoints: Sequence[int]) -> list[Conv
     reference could mask a bound violation.
 
     digits_correct is the relative agreement with the reference:
-    floor(-log10(|error| / |reference|)), clamped at zero.
+    floor(-log10(|error| / |reference|)), clamped at zero.  Values,
+    errors and bounds are pairs (p, q), q > 0, as in SumResult.
     """
     points = sorted(set(checkpoints))
     if not points:
@@ -395,33 +411,37 @@ def convergence_table(spec: SeriesSpec, checkpoints: Sequence[int]) -> list[Conv
     # the reference must be finer than every error in the table; the
     # builtin errors sit within a small factor of their bounds, so ten
     # digits past the smallest bound suffice (and 60 digits cover every
-    # table whose bounds stay above 10^-50)
-    lo, hi, den = constant_reference(spec.constant, max(60, floor_neg_log10(min(bounds)) + 10))
-    ref = Fraction(lo + hi, 2 * den)
-    eps = Fraction(hi - lo, 2 * den)
+    # table whose bounds stay above 10^-50); floor(-log10(p/q)) is
+    # largest at the smallest bound
+    digits = max(_ilog10_floor(q, p) for p, q in bounds) + 10
+    lo, hi, den = constant_reference(spec.constant, max(60, digits))
+    # the reference is mid / two_den with certificate rad / two_den
+    mid, rad, two_den = lo + hi, hi - lo, 2 * den
     rows = []
     pq = 0, 1  # the terms so far, carried as a pair between checkpoints
     pairs = iter(spec.pairs(spec.start_index, points[-1]))
     i = spec.start_index
-    for point, bound in zip(points, bounds):
+    for point, (bp, bq) in zip(points, bounds):
         pq = _join(*pq, *_exact_sum(pairs, point - i + 1))
-        total = spec.offset + Fraction(*pq)
+        tp, tq = _join(*spec.offset, *pq)
         i = point + 1
-        err = abs(total - ref)
+        # the error is err / (tq * two_den), the certificate eps over the same
+        err, eps = abs(tp * two_den - mid * tq), rad * tq
         if 10 * eps > err:
             raise ValueError("reference oracle not precise enough for this table")
-        if err - eps > bound:
+        if (err - eps) * bq > bp * tq * two_den:
             raise BoundViolation(
-                f"{spec.name} at N={point}: measured error {float(err):g} "
-                f"exceeds certified bound {float(bound):g}"
+                f"{spec.name} at N={point}: measured error {err / (tq * two_den):g} "
+                f"exceeds certified bound {bp / bq:g}"
             )
         rows.append(
             ConvergenceRow(
                 n=point,
-                value=total,
-                abs_error=err,
-                bound=bound,
-                digits_correct=max(0, floor_neg_log10((err + eps) / abs(ref))),
+                value=(tp, tq),
+                abs_error=(err, tq * two_den),
+                bound=(bp, bq),
+                # (err + eps) / |reference| = (err + eps) / (tq * |mid|)
+                digits_correct=max(0, _ilog10_floor(tq * abs(mid), err + eps)),
             )
         )
     return rows

@@ -18,22 +18,25 @@ Three rearrangements of Stirling's formula are implemented:
 e^8 = (e^1)^4 * (e^2)^2 ~ 64 pi^3 * (13/12)^4 * (25/24)^2, where the
 exact correction 17850625/11943936 = 1.4945... sits close to 3/2.
 
-Each inexact value is built as an :mod:`epilab.expr` tree, the exact
-rational parts as literals, and returned as its certified enclosure
-(lo, hi, den) at the digits the caller names; the CLI rounds it for
-print.  So the guard digits that pi, e and the square roots need are
-chosen by the evaluator's ``_enclose``, the same way as for every other
-expression, also when the value has many digits before the point.
+Exact rationals are integer pairs (p, q), q > 0, as in
+:mod:`epilab.series`; only ``e_half_integer``'s surd is built on
+Fractions.  Each inexact value is built as an :mod:`epilab.expr` tree,
+an exact rational part p/q as the quotient of two integer literals (the
+evaluator reduces it to the exact point p/q in lowest terms), and
+returned as its certified enclosure (lo, hi, den) at the digits the
+caller names; the CLI rounds it for print.  So the guard digits that
+pi, e and the square roots need are chosen by the evaluator's
+``_enclose``, the same way as for every other expression, also when the
+value has many digits before the point.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from ._record import record
 from .bignum import Surd
-from .expr import ConstE, ConstPi, Div, IntLit, Mul, PowInt, RatLit, Sqrt, _enclose
+from .expr import ConstE, ConstPi, Div, IntLit, Mul, PowInt, Sqrt, _enclose
 
 __all__ = [
     "STIRLING_COEFFS",
@@ -46,8 +49,8 @@ __all__ = [
     "E8Decomposition",
 ]
 
-#: coefficients of the asymptotic expansion in 1/n
-STIRLING_COEFFS = (Fraction(1), Fraction(1, 12), Fraction(1, 288), Fraction(-139, 51840))
+#: coefficients of the asymptotic expansion in 1/n, as pairs (p, q)
+STIRLING_COEFFS = ((1, 1), (1, 12), (1, 288), (-139, 51840))
 
 
 def double_factorial(k: int) -> int:
@@ -61,17 +64,25 @@ def double_factorial(k: int) -> int:
     return out
 
 
-def stirling_factor(n: Fraction, k: int) -> Fraction:
-    """Partial sum of the Stirling factor: coefficients 0..k-1 at 1/n powers.
+def stirling_factor(n: int | Fraction, k: int) -> tuple[int, int]:
+    """Partial sum of the Stirling factor: coefficients 0..k-1 at 1/n powers,
+    as a pair (p, q) in lowest terms, q > 0.
 
-    1 <= k <= len(STIRLING_COEFFS); n > 0.
+    1 <= k <= len(STIRLING_COEFFS); n > 0, an int, a Fraction or any
+    exact number with as_integer_ratio.
     """
     if not 1 <= k <= len(STIRLING_COEFFS):
         raise ValueError(f"k must be in 1..{len(STIRLING_COEFFS)}")
-    n = Fraction(n)
-    if n <= 0:
+    a, b = n.as_integer_ratio()  # b > 0
+    if a <= 0:
         raise ValueError("n must be positive")
-    return sum((c / n**j for j, c in enumerate(STIRLING_COEFFS[:k])), Fraction(0))
+    # c_j / n**j = c_j b**j / a**j, summed over the common denominator
+    # a**(k-1) * 51840, which every coefficient's denominator divides
+    den = a ** (k - 1) * 51840
+    num = sum(cp * 51840 // cq * b**j * a ** (k - 1 - j)
+              for j, (cp, cq) in enumerate(STIRLING_COEFFS[:k]))
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def e_power_approx(n: int, k: int, digits: int) -> tuple[int, int, int]:
@@ -81,8 +92,9 @@ def e_power_approx(n: int, k: int, digits: int) -> tuple[int, int, int]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    exact = Fraction(n**n, math.factorial(n)) * stirling_factor(Fraction(n), k)
-    return _enclose(Mul(RatLit(exact), Sqrt(Mul(IntLit(2 * n), ConstPi()))), digits)
+    sp, sq = stirling_factor(n, k)
+    exact = Div(IntLit(n**n * sp), IntLit(math.factorial(n) * sq))
+    return _enclose(Mul(exact, Sqrt(Mul(IntLit(2 * n), ConstPi()))), digits)
 
 
 def e_from_ratio(n: int, k: int, digits: int) -> tuple[int, int, int]:
@@ -93,9 +105,10 @@ def e_from_ratio(n: int, k: int, digits: int) -> tuple[int, int, int]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    base = Fraction(n + 1, n)
-    exact = base**n * stirling_factor(Fraction(n + 1), k) / stirling_factor(Fraction(n), k)
-    return _enclose(Mul(RatLit(exact), Sqrt(RatLit(base))), digits)
+    (p1, q1), (p0, q0) = stirling_factor(n + 1, k), stirling_factor(n, k)
+    # ((n + 1)/n)**n * (p1/q1) / (p0/q0); p0 > 0, since S(n, k) > 0 for n >= 1
+    exact = Div(IntLit((n + 1) ** n * p1 * q0), IntLit(n**n * q1 * p0))
+    return _enclose(Mul(exact, Sqrt(Div(IntLit(n + 1), IntLit(n)))), digits)
 
 
 def e_half_integer(n: int, k: int) -> Surd:
@@ -109,6 +122,7 @@ def e_half_integer(n: int, k: int) -> Surd:
         raise ValueError("n must be >= 0")
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
+    from fractions import Fraction
     m = 2 * n + 1
     coef = Fraction(m ** (n + 1), double_factorial(m))
     if k == 2:
@@ -120,9 +134,9 @@ def e_half_integer(n: int, k: int) -> Surd:
 class E8Decomposition:
     """The pieces of e^8 ~ 96 pi^3, all independently certified."""
 
-    base_64pi3: tuple[int, int, int]  # an enclosure (lo, hi, den), as are the other tuples
-    correction: Fraction  # (13/12)^4 * (25/24)^2, exact
-    gap_from_3_2: Fraction  # correction - 3/2, exact
+    base_64pi3: tuple[int, int, int]  # an enclosure (lo, hi, den), as are the other triples
+    correction: tuple[int, int]  # (13/12)^4 * (25/24)^2, exact, a pair in lowest terms
+    gap_from_3_2: tuple[int, int]  # correction - 3/2, exact, the same
     value_96pi3: tuple[int, int, int]
     e8: tuple[int, int, int]
     ratio: tuple[int, int, int]  # e^8 / (96 pi^3)
@@ -137,11 +151,14 @@ def stirling_e8_decomposition(digits: int) -> E8Decomposition:
     10**-digits wide.
     """
     pi3, e8 = PowInt(ConstPi(), 3), PowInt(ConstE(), 8)
-    correction = Fraction(13, 12) ** 4 * Fraction(25, 24) ** 2
+    # 13 and 25 share no factor with 12 and 24: the pair is in lowest terms
+    cp, cq = 13**4 * 25**2, 12**4 * 24**2
+    gp, gq = 2 * cp - 3 * cq, 2 * cq
+    g = math.gcd(gp, gq)
     return E8Decomposition(
         base_64pi3=_enclose(Mul(IntLit(64), pi3), digits),
-        correction=correction,
-        gap_from_3_2=correction - Fraction(3, 2),
+        correction=(cp, cq),
+        gap_from_3_2=(gp // g, gq // g),
         value_96pi3=_enclose(Mul(IntLit(96), pi3), digits),
         e8=_enclose(e8, digits),
         ratio=_enclose(Div(e8, Mul(IntLit(96), pi3)), digits),

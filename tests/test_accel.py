@@ -21,6 +21,11 @@ from epilab.series import NILAKANTHA_PAIRED, builtin, partial_sum
 from conftest import reference
 
 
+def F(pair) -> Fraction:
+    """A pair (p, q), as the series and compare rows carry exact values."""
+    return Fraction(*pair)
+
+
 @given(st.integers(min_value=1, max_value=10**6))
 def test_gl_regroup_three_forms_agree(n):
     a, b, c = gl_regroup_term(n)
@@ -52,16 +57,16 @@ def test_nilakantha_doubled_doubles():
     nd = nilakantha_doubled()
     nil = builtin("nilakantha")
     assert nd.constant == "two_pi"
-    assert nd.offset == 2 * nil.offset
+    assert F(nd.offset) == 2 * F(nil.offset)
     for n in range(1, 30):
         assert nd.term(n) == 2 * nil.term(n)
-    assert partial_sum(nd, 20).value == 2 * partial_sum(nil, 20).value
+    assert F(partial_sum(nd, 20).value) == 2 * F(partial_sum(nil, 20).value)
 
 
 def test_pair_transform_reproduces_builtin_paired():
     p = pair_transform(nilakantha_doubled())
     assert p.constant == "two_pi"
-    assert p.offset == NILAKANTHA_PAIRED.offset == Fraction(19, 3)
+    assert F(p.offset) == F(NILAKANTHA_PAIRED.offset) == Fraction(19, 3)
     for k in range(1, 50):
         assert p.term(k) == NILAKANTHA_PAIRED.term(k)
 
@@ -71,18 +76,19 @@ def test_pair_transform_prefix_sums_match_original():
     p = pair_transform(nd)
     # folding one term and pairing K more consumes 2K + 1 original terms
     for K in range(1, 9):
-        lhs = p.offset + sum(p.term(k) for k in range(p.start_index, K + 1))
-        rhs = nd.offset + sum(nd.term(j) for j in range(nd.start_index, nd.start_index + 1 + 2 * K))
+        lhs = F(p.offset) + sum(p.term(k) for k in range(p.start_index, K + 1))
+        rhs = F(nd.offset) + sum(nd.term(j)
+                                 for j in range(nd.start_index, nd.start_index + 1 + 2 * K))
         assert lhs == rhs
 
 
 def test_pair_transform_without_fold():
     gl = builtin("gregory-leibniz")
     pg = pair_transform(gl, fold_into_offset=0)
-    assert pg.offset == 0
+    assert F(pg.offset) == 0
     assert pg.term(pg.start_index) == Fraction(8, 3)
     for K in range(1, 9):
-        lhs = pg.offset + sum(pg.term(k) for k in range(pg.start_index, pg.start_index + K))
+        lhs = F(pg.offset) + sum(pg.term(k) for k in range(pg.start_index, pg.start_index + K))
         rhs = sum(gl.term(j) for j in range(gl.start_index, gl.start_index + 2 * K))
         assert lhs == rhs
 
@@ -91,8 +97,8 @@ def test_pair_transform_bounds_are_sound():
     two_pi = reference("two_pi", 40)
     p = pair_transform(nilakantha_doubled())
     for K in (1, 5, 25, 100):
-        got = p.offset + sum(p.term(k) for k in range(p.start_index, K + 1))
-        assert abs(got - two_pi) <= p.tail_bound(K) + Fraction(1, 10**35)
+        got = F(p.offset) + sum(p.term(k) for k in range(p.start_index, K + 1))
+        assert abs(got - two_pi) <= F(p.tail_bound(K)) + Fraction(1, 10**35)
 
 
 def test_pair_transform_rejects_non_alternating():
@@ -110,7 +116,7 @@ def test_e_regrouped_terms_and_sum():
         Fraction(1, 24),
         Fraction(1, 120),
     ]
-    assert partial_sum(er, er.start_index + 4).value == Fraction(1957, 720)
+    assert F(partial_sum(er, er.start_index + 4).value) == Fraction(1957, 720)
 
 
 def test_e_regrouped_converges_to_e_within_bounds():
@@ -118,15 +124,19 @@ def test_e_regrouped_converges_to_e_within_bounds():
     e_ref = reference("e", 40)
     for n in (er.start_index, er.start_index + 3, er.start_index + 12):
         r = partial_sum(er, n)
-        assert abs(r.value - e_ref) <= r.bound + Fraction(1, 10**35)
+        assert abs(F(r.value) - e_ref) <= F(r.bound) + Fraction(1, 10**35)
 
 
 def test_compare_rows_start_at_exactly_nine():
     rows = compare_expansions(4)
     assert [r.k for r in rows] == [1, 2, 3, 4]
-    assert rows[0].e_term == 3
-    assert rows[0].two_pi_term == 6
-    # running and distance_to_9 are exact pairs (num, den)
+    # the terms are pairs (num, den) in lowest terms; running and
+    # distance_to_9 are exact pairs (num, den)
+    assert rows[0].e_term == (3, 1)
+    assert rows[0].two_pi_term == (6, 1)
+    assert [(r.e_term, r.two_pi_term) for r in rows[1:]] == [((-1, 3), (1, 3)),
+                                                              ((1, 24), (-3, 70)),
+                                                              ((1, 120), (-1, 198))]
     assert Fraction(*rows[0].running) == 9
     assert rows[0].distance_to_9[0] == 0
     assert Fraction(*rows[1].running) == 9

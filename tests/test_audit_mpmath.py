@@ -1,5 +1,6 @@
-"""The printed numbers of cfrac, compare and stirling --op e8 against
-mpmath, a reference that shares no code with epilab.
+"""The printed numbers of cfrac, compare, stirling --op e8 and the sign
+of verify's residual against mpmath, a reference that shares no code
+with epilab.
 
 Every golden cfrac, compare and e8 command runs as the CLI runs it, and
 its output is parsed in its own format.  No ulp of tolerance is allowed:
@@ -16,6 +17,9 @@ its output is parsed in its own format.  No ulp of tolerance is allowed:
 * e8: e^8, 96 pi^3, 64 pi^3 and their ratio are the true values rounded
   to nearest at --scale, decided on an ``mpmath.iv`` interval whose two
   ends round alike; the correction and its gap to 3/2 are exact.
+* verify: for every relation at 30 and 100 digits, a residual printed as
+  certified has the sign of lhs - rhs on an ``mpmath.iv`` interval that
+  excludes zero.
 
 mpmath is a test-only dependency; without it these tests are skipped.
 """
@@ -30,6 +34,8 @@ import math
 from fractions import Fraction
 
 import pytest
+
+from epilab.cli import main
 
 from test_cli_golden import COMMANDS as GOLDEN
 from test_cli_mpmath import _decimal, _exact, _run
@@ -231,3 +237,51 @@ def test_e8_values_are_true_values_rounded(argv):
             lo, hi = (_nearest(end, scale) for end in _ends(value()))
         assert lo == hi, name  # the interval decides the rounding
         assert _decimal(cells[name]) == (lo, scale), name
+
+
+# ---------------------------------------------------------------------------
+# verify
+
+#: lhs - rhs of each relation, written for mpmath.iv by hand
+RESIDUALS = {
+    "R01": lambda: iv.pi**2 / (4 * iv.e - 1) - 1,
+    "R02": lambda: 163 * (iv.pi - iv.e) - 69,
+    "R03": lambda: (iv.pi**4 + iv.pi**5) / iv.e**6 - 1,
+    "R04": lambda: iv.pi**9 / iv.e**8 - 10,
+    "R05": lambda: iv.exp(iv.pi) - iv.pi - 20,
+    "R06": lambda: iv.pi**2 * iv.sqrt((iv.pi - iv.e) ** 3) / iv.e - 1,
+    "R07": lambda: iv.exp(iv.pi * iv.sqrt(163)) - (640320**3 + 744),
+    "R08": lambda: iv.e + 2 * iv.pi - 9,
+    "R09": lambda: iv.pi**2 + 8 * iv.pi - 35,
+    "R10": lambda: iv.sqrt(51) - 4 - iv.pi,
+    "R11": lambda: iv.mpf(512) / 163 - iv.pi,
+    "R12": lambda: iv.pi**2 + iv.pi - 13,
+    "R13": lambda: 4 * iv.e + iv.pi - 14,
+    "R14": lambda: iv.e**3 - 20,
+    "R15": lambda: iv.pi**3 - 31,
+    "R16": lambda: iv.pi**6 - 960,
+    "R17": lambda: iv.e**8 - 96 * iv.pi**3,
+    "R18": lambda: iv.exp(iv.pi) - (20 + iv.pi),
+    "R19": lambda: 27 * iv.pi**8 * (iv.pi - 3) ** 3 / (iv.pi**2 * iv.e) ** 2 - 1,
+    "R20": lambda: iv.pi**2 * iv.e - 27,
+}
+
+
+def test_every_relation_has_a_residual_reference():
+    from epilab.registry import relation_ids
+
+    assert sorted(RESIDUALS) == relation_ids()
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+@pytest.mark.parametrize("rid", sorted(RESIDUALS))
+def test_a_certified_residual_has_the_true_sign(rid, digits):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["verify", rid, "--digits", str(digits), "--format", "json"])
+    cells = json.loads(out.getvalue())
+    with _iv_dps(digits + 30):
+        lo, hi = _ends(RESIDUALS[rid]())
+    assert lo > 0 or hi < 0, rid  # mpmath settles the sign
+    if cells["certified"]:
+        assert cells["abs_residual"].startswith("-") == (hi < 0), rid

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epilab.bignum import BigFixed, _div_nearest, _fixed_to_string
-from epilab.cli import _option, build_parser, main, parse_args
+from epilab.cli import _option, _rational, build_parser, main, parse_args
 from epilab.series import DEFAULT_MAX_TERMS, builtin_names
 
 
@@ -366,7 +366,7 @@ def _reference_scan(fmt, max_coeff, digits, threshold):
         [r.n, r.m, BigFixed.from_fraction(r.value, 6).to_decimal_string(), r.nearest,
          BigFixed.from_fraction(r.residual, 6).to_decimal_string(), r.mod7, r.predicted,
          r.flagged]
-        for r in linear_combo_scan(max_coeff, digits, Fraction(threshold))
+        for r in linear_combo_scan(max_coeff, digits, Fraction(threshold).as_integer_ratio())
     ]
     if fmt == "json":
         return json.dumps([dict(zip(columns, row)) for row in typed], indent=2) + "\n"
@@ -567,6 +567,47 @@ def test_non_positive_precision_exits_two(capsys, argv):
 def test_bad_threshold_names_the_option(capsys, threshold):
     assert run(capsys, "scan", "--max", "2", "--threshold", threshold) == (
         2, "", f"error: bad --threshold {threshold!r}\n")
+
+
+#: pieces of --threshold text: signs, spaces, underscores, points, exponents,
+#: slashes, zero, non-ASCII digits and spaces, and words Fraction refuses
+_THRESHOLD_PIECES = st.sampled_from(
+    ["0", "1", "5", "06", "12", "٣", "١٢", "_", ".", "e", "E", "-", "+", "/", " ", "\t", "\u00a0",
+     "\u2003", "d", "x", "nan", "inf", "1/0", "e-3", "E+2"])
+
+
+@given(st.one_of(
+    st.lists(_THRESHOLD_PIECES, max_size=7).map("".join),
+    st.from_regex(r"\s?[-+]?(\d(_?\d)?)?(\.(\d(_?\d)?)?)?([eE][-+]?\d)?\s?", fullmatch=True),
+    st.from_regex(r"\s?[-+]?\d(_?\d)?\s?/\s?\d(_?\d)?\s?", fullmatch=True),
+))
+@example(".5")
+@example("5.")
+@example("-0.06")
+@example("1_000/2_000")
+@example("1e-2")
+@example("1/0")
+@example("1 / 2")
+@example("nan")
+@example("inf")
+@example("٠.٥")
+@example(" 3/50\n")
+@settings(max_examples=500, deadline=None)
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the reader follows Python 3.11's Fraction(str) grammar")
+def test_threshold_reader_reads_what_fraction_reads(text):
+    # --threshold is read without fractions: the reader gives Fraction's
+    # value (as a pair, q > 0), or rejects what Fraction rejects
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        expected = None
+    try:
+        p, q = _rational(text)
+    except (ValueError, ZeroDivisionError):
+        assert expected is None, text
+    else:
+        assert q > 0 and Fraction(p, q) == expected, text
 
 
 @pytest.mark.parametrize("argv, cause", [

@@ -160,10 +160,14 @@ def test_scan_sevens_family():
 
 
 def test_scan_threshold_validation():
+    # the threshold is a pair (p, q), q > 0, in (0, 1/2]
     with pytest.raises(ValueError):
-        linear_combo_scan(10, threshold=Fraction(3, 5))
+        linear_combo_scan(10, threshold=(3, 5))
     with pytest.raises(ValueError):
-        linear_combo_scan(10, threshold=Fraction(0))
+        linear_combo_scan(10, threshold=(0, 1))
+    with pytest.raises(ValueError):
+        linear_combo_scan(10, threshold=(-1, 10))
+    assert sum(r.flagged for r in linear_combo_scan(2, threshold=(1, 2))) == 24
     with pytest.raises(ValueError):
         linear_combo_scan(0)
 
@@ -208,7 +212,7 @@ def _assert_rows_equal(rows, expected):
 @pytest.mark.parametrize("digits", [10, 30, 60])
 def test_scan_rows_equal_direct_fraction_evaluation(digits, threshold):
     expected = _direct_scan(10, pi_interval(digits), e_interval(digits), threshold)
-    _assert_rows_equal(linear_combo_scan(10, digits, threshold), expected)
+    _assert_rows_equal(linear_combo_scan(10, digits, threshold.as_integer_ratio()), expected)
 
 
 def test_scan_ties_follow_fraction_semantics(monkeypatch):
@@ -219,7 +223,7 @@ def test_scan_ties_follow_fraction_semantics(monkeypatch):
     monkeypatch.setattr(epilab.derive, "_cached", lambda kernel, digits: units[kernel])
     fake_pi, fake_e = ((Fraction(lo, 100), Fraction(hi, 100)) for _, lo, hi in units.values())
     threshold = Fraction(6, 100)
-    rows = linear_combo_scan(4, 30, threshold)
+    rows = linear_combo_scan(4, 30, threshold.as_integer_ratio())
     _assert_rows_equal(rows, _direct_scan(4, fake_pi, fake_e, threshold))
     by_nm = {(r.n, r.m): r for r in rows}
     assert by_nm[1, 0].nearest == 4 and by_nm[1, 0].residual == Fraction(-1, 2)

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epilab.expr import (
@@ -25,7 +26,9 @@ from epilab.expr import (
     Root,
     Sqrt,
     Sub,
+    _WORDS,
     _enclose,
+    _tokenize,
     depth,
     eval_expr,
     eval_interval,
@@ -109,6 +112,52 @@ def test_parse_errors():
     ):
         with pytest.raises(ParseError):
             parse(bad)
+
+
+def _tokenize_by_pattern(text: str) -> list[str]:
+    """The tokenizer as it was written on re: the reference for _tokenize."""
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = re.compile(r"\s*(\d+|[a-z]+|[()+\-*/^,])").match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise ParseError(f"bad character at position {pos}: {text[pos:pos+10]!r}")
+            break
+        tok = m.group(1)
+        if tok.isalpha() and tok not in _WORDS:
+            raise ParseError(f"unknown name {tok!r}")
+        tokens.append(tok)
+        pos = m.end()
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+@given(st.one_of(
+    st.text(max_size=20),
+    # the grammar's own characters, with digits and letters of other
+    # scripts, other whitespace, capitals and junk among them
+    st.text(alphabet="0123456789()+-*/^, \t\npiesqrtxoAZ_.٣١²éßİK\u00a0\u2003\u3000",
+            max_size=20),
+))
+@example("")
+@example("   ")
+@example("sqrt(2) + 3*pi")
+@example("pié")
+@example("piX")
+@example("٣٣ + 1")
+@example("2²")
+@example("1 $ 2")
+@example("  \u00a0#")
+@settings(max_examples=500, deadline=None)
+def test_tokenize_reads_what_the_pattern_read(text):
+    # the same tokens, or the same ParseError at the same position
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_tokenize_by_pattern, text)
 
 
 def test_depth_guard_follows_tree_depth():

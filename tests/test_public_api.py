@@ -92,27 +92,42 @@ _CFRACS = ["pi", "e", "exp(pi)", "exp(pi*sqrt(163))", "3*pi + 7*e", "exp(pi/5)",
            "root(3, 2*pi + 5)", "22/7"]
 
 
-def test_cli_imports_only_what_the_command_runs():
-    # -S: no site hooks, which may load re; -E: no PYTHONPATH, so this
-    # checkout's sources are the ones imported.  compute needs no expr,
-    # registry, derive, stirling or accel, and no re; compute on the
-    # oracle, verify and cfrac work on integers, and load neither fractions
-    # nor the decimal it imports; csv and json output need neither module
-    # of that name; the scan needs derive alone; and the option table needs
-    # no argparse, nor the gettext and locale it loads
-    commands = [
-        *(["compute", c, "--digits", "60", "--format", f]
-          for c in ("pi", "e") for f in ("text", "csv", "json")),
-        *(["cfrac", x, "--terms", "12"] for x in _CFRACS),
-        ["verify", "--all", "--format", "json"],
-        ["scan", "--max", "2", "--quiet"],
-    ]
+#: the modules whose loading the import test watches
+_WATCH = ["epilab.expr", "epilab.registry", "epilab.derive", "epilab.stirling", "epilab.accel",
+          "epilab.series", "fractions", "decimal", "re", "json", "csv", "argparse", "gettext",
+          "locale"]
+
+#: the exact-sweeps commands: the series, their tables, the scan, compare and stirling
+_SERIES = ["e-factorial", "gregory-leibniz", "nilakantha", "nilakantha-paired", "lambda6",
+           "zeta8"]
+_SWEEPS = [
+    ["compute", "e", "--method", "e-factorial", "--terms", "2000"],
+    ["compute", "pi", "--method", "gregory-leibniz", "--digits", "4", "--format", "json"],
+    ["table", "zeta8", "--checkpoints", "10,100,1000,3000"],
+    ["table", "gregory-leibniz", "--checkpoints", "10,100,1000,3000", "--format", "json"],
+    ["scan", "--max", "50", "--format", "csv"],
+    ["compare", "--rows", "200"],
+    ["stirling", "--op", "e8", "--format", "json"],
+    *(["compute", "e" if s == "e-factorial" else "pi", "--method", s,
+       "--digits", "3" if s == "gregory-leibniz" else "20"] for s in _SERIES),
+    *(["table", s, "--checkpoints", "10,50"] for s in _SERIES),
+    *(["compare", "--rows", "12", "--format", f] for f in ("text", "csv", "json")),
+    *(["stirling", "--op", op, "--format", f] for op in ("approx", "ratio", "e8")
+      for f in ("text", "csv")),
+]
+
+
+def _modules_after(commands) -> list[str]:
+    """Run each argv through epilab.cli.main in one fresh interpreter, under
+    -S (no site hooks, which may load re) and -E (no PYTHONPATH, so this
+    checkout's sources are the ones imported), and give a line per
+    command: its name, exit code, whether it wrote a line, and which
+    watched modules are loaded after it; the first line is after the
+    import alone."""
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
         "import contextlib, io, epilab.cli\n"
-        "watch = {'epilab.expr', 'epilab.registry', 'epilab.derive', 'epilab.stirling',\n"
-        "         'epilab.accel', 'epilab.series', 'fractions', 'decimal', 're', 'json', 'csv',\n"
-        "         'argparse', 'gettext', 'locale'}\n"
+        f"watch = set({_WATCH!r})\n"
         "print('import', sorted(watch & set(sys.modules)))\n"
         f"for argv in {commands!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
@@ -122,13 +137,45 @@ def test_cli_imports_only_what_the_command_runs():
     proc = subprocess.run([sys.executable, "-S", "-E", "-c", code],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
+    return proc.stdout.splitlines()
+
+
+def test_cli_imports_only_what_the_command_runs():
+    # compute needs no expr, registry, derive, stirling or accel; no
+    # command loads fractions or the decimal it imports, nor re; csv and
+    # json output need neither module of that name; cfrac needs expr,
+    # verify registry too, and the scan derive alone; and the option table
+    # needs no argparse, nor the gettext and locale it loads
+    commands = [
+        *(["compute", c, "--digits", "60", "--format", f]
+          for c in ("pi", "e") for f in ("text", "csv", "json")),
+        *(["cfrac", x, "--terms", "12"] for x in _CFRACS),
+        ["verify", "--all", "--format", "json"],
+        ["scan", "--max", "2", "--quiet"],
+    ]
+    assert _modules_after(commands) == [
         "import []",
         *["compute 0 True []"] * 6,
-        *["cfrac 0 True ['epilab.expr', 're']"] * len(_CFRACS),
-        "verify 0 True ['epilab.expr', 'epilab.registry', 're']",
-        "scan 0 True ['decimal', 'epilab.derive', 'epilab.expr', 'epilab.registry', "
-        "'fractions', 're']",
+        *["cfrac 0 True ['epilab.expr']"] * len(_CFRACS),
+        "verify 0 True ['epilab.expr', 'epilab.registry']",
+        "scan 0 True ['epilab.derive', 'epilab.expr', 'epilab.registry']",
+    ]
+    # in a fresh interpreter, the exact-sweeps commands: a series loads
+    # series alone, compare accel too, and stirling expr
+    scan = "'epilab.derive', 'epilab.series'"
+    compare = "'epilab.accel', 'epilab.derive', 'epilab.series'"
+    stirling = "'epilab.accel', 'epilab.derive', 'epilab.expr', 'epilab.series', 'epilab.stirling'"
+    assert _modules_after(_SWEEPS) == [
+        "import []",
+        *["compute 0 True ['epilab.series']"] * 2,
+        *["table 0 True ['epilab.series']"] * 2,
+        f"scan 0 True [{scan}]",
+        f"compare 0 True [{compare}]",
+        f"stirling 0 True [{stirling}]",
+        *[f"compute 0 True [{stirling}]"] * len(_SERIES),
+        *[f"table 0 True [{stirling}]"] * len(_SERIES),
+        *[f"compare 0 True [{stirling}]"] * 3,
+        *[f"stirling 0 True [{stirling}]"] * 6,
     ]
 
 
@@ -148,15 +195,14 @@ def _imported_modules(node) -> list[str]:
     return [alias.name for alias in node.names]
 
 
-def test_only_the_rational_modules_import_fractions_when_imported():
-    # bignum, oracle, expr, registry and cli import fractions only inside
-    # the functions that hand back a Fraction, so the integer commands load
-    # neither it nor decimal; series, accel, stirling and derive work on
-    # exact rationals throughout
+def test_no_module_imports_fractions_when_imported():
+    # every module imports fractions only inside the functions that hand
+    # back a Fraction, so the commands, which work on integer pairs and
+    # bounds, load neither it nor decimal
     tops = sorted(path.stem for path in (SRC / "epilab").glob("*.py")
                   for node in _top_level_imports(ast.parse(path.read_text()))
                   if {"fractions", "decimal"} & set(_imported_modules(node)))
-    assert tops == ["accel", "derive", "series", "stirling"]
+    assert tops == []
 
 
 def test_no_import_of_fractions_sits_in_a_loop():

@@ -29,6 +29,11 @@ from epilab.series import (
 
 from conftest import reference
 
+def F(pair) -> Fraction:
+    """A pair (p, q), as the series return values, bounds and offsets."""
+    return Fraction(*pair)
+
+
 ALL_NAMES = (
     "e-factorial",
     "gregory-leibniz",
@@ -52,19 +57,19 @@ def test_gregory_leibniz_exact_prefix_sums():
     gl = builtin("gregory-leibniz")
     assert gl.alternating
     # 4*(1 - 1/3 + 1/5 - 1/7), indices 0..3
-    assert partial_sum(gl, 3).value == Fraction(304, 105)
+    assert F(partial_sum(gl, 3).value) == Fraction(304, 105)
     r = partial_sum(gl, 4)
-    assert r.value == Fraction(1052, 315)
+    assert F(r.value) == Fraction(1052, 315)
     assert r.terms_used == 4
-    assert r.bound == Fraction(4, 11)
+    assert F(r.bound) == Fraction(4, 11)
 
 
 def test_e_factorial_exact_prefix_sums():
     ef = builtin("e-factorial")
     assert not ef.alternating
-    assert partial_sum(ef, 5).value == Fraction(163, 60)
+    assert F(partial_sum(ef, 5).value) == Fraction(163, 60)
     # tail after 1/5! is below 2/6!
-    assert partial_sum(ef, 5).bound <= Fraction(2, 720)
+    assert F(partial_sum(ef, 5).bound) <= Fraction(2, 720)
 
 
 def test_every_builtin_bound_dominates_true_error():
@@ -74,8 +79,8 @@ def test_every_builtin_bound_dominates_true_error():
         ref = reference(spec.constant, 45)
         for n in (spec.start_index + 2, spec.start_index + 17, spec.start_index + 60):
             r = partial_sum(spec, n)
-            err = abs(spec.offset + _exact_sum(spec, n) - ref)
-            assert err <= r.bound + Fraction(1, 10**40), (name, n)
+            err = abs(F(spec.offset) + _exact_sum(spec, n) - ref)
+            assert err <= F(r.bound) + Fraction(1, 10**40), (name, n)
 
 
 def _exact_sum(spec, n):
@@ -87,17 +92,17 @@ def test_partial_sum_matches_direct_summation():
     for name in ("nilakantha", "lambda6", "zeta8"):
         spec = builtin(name)
         n = spec.start_index + 37
-        assert partial_sum(spec, n).value == spec.offset + _exact_sum(spec, n)
+        assert F(partial_sum(spec, n).value) == F(spec.offset) + _exact_sum(spec, n)
 
 
 def test_fixed_point_path_agrees_with_exact(monkeypatch):
     spec = builtin("nilakantha")
-    exact = partial_sum(spec, 200).value
+    exact = F(partial_sum(spec, 200).value)
     monkeypatch.setattr(series, "EXACT_TERM_LIMIT", 10)
-    fixed = partial_sum(spec, 200)
+    fixed = F(partial_sum(spec, 200).value)
     # the fixed path accumulates on the 10**-40 grid
-    assert 10**40 % fixed.value.denominator == 0
-    assert abs(fixed.value - exact) <= Fraction(1, 10**35)
+    assert 10**40 % fixed.denominator == 0
+    assert abs(fixed - exact) <= Fraction(1, 10**35)
 
 
 def test_terms_needed_is_minimal():
@@ -105,8 +110,8 @@ def test_terms_needed_is_minimal():
         spec = builtin(name)
         n = terms_needed(spec, digits)
         eps = Fraction(1, 10**digits)
-        assert spec.tail_bound(n) < eps
-        assert spec.tail_bound(n - 1) >= eps
+        assert F(spec.tail_bound(n)) < eps
+        assert F(spec.tail_bound(n - 1)) >= eps
 
 
 def test_terms_needed_infeasible_without_enough_budget():
@@ -128,9 +133,9 @@ def test_convergence_table_shape_and_monotonicity():
     rows = convergence_table(spec, (10, 100, 1000))
     assert [r.n for r in rows] == [10, 100, 1000]
     for row in rows:
-        assert row.abs_error <= row.bound
+        assert F(row.abs_error) <= F(row.bound)
         assert row.digits_correct >= 0
-    assert rows[0].abs_error > rows[1].abs_error > rows[2].abs_error
+    assert F(rows[0].abs_error) > F(rows[1].abs_error) > F(rows[2].abs_error)
     assert rows[0].digits_correct <= rows[1].digits_correct <= rows[2].digits_correct
     assert rows[0].digits_correct >= 3
     assert rows[2].digits_correct >= 9
@@ -153,10 +158,10 @@ def test_convergence_table_rejects_coarse_reference():
     spec = SeriesSpec(
         name="pi-100",
         constant="pi",
-        offset=pi_100,
+        offset=pi_100.as_integer_ratio(),
         start_index=1,
         pairs=lambda a, b: ((0, 1) for _ in range(a, b + 1)),
-        tail_bound=lambda n: Fraction(1, 1000),
+        tail_bound=lambda n: (1, 1000),
     )
     with pytest.raises(ValueError, match="not precise enough"):
         convergence_table(spec, (10,))
@@ -170,7 +175,7 @@ def test_convergence_table_catches_lying_bound():
         offset=honest.offset,
         start_index=honest.start_index,
         pairs=honest.pairs,
-        tail_bound=lambda n: Fraction(1, 10**30),
+        tail_bound=lambda n: (1, 10**30),
         alternating=honest.alternating,
     )
     with pytest.raises(BoundViolation):
@@ -183,8 +188,8 @@ def test_scale_series_halves_sums_and_bounds():
     assert halved.name == "halved"
     assert halved.constant == "pi"
     n = paired.start_index + 9
-    assert partial_sum(halved, n).value * 2 == partial_sum(paired, n).value
-    assert halved.tail_bound(n) * 2 == paired.tail_bound(n)
+    assert F(partial_sum(halved, n).value) * 2 == F(partial_sum(paired, n).value)
+    assert F(halved.tail_bound(n)) * 2 == F(paired.tail_bound(n))
 
 
 @given(st.integers(min_value=1, max_value=400))
@@ -193,15 +198,17 @@ def test_tail_bounds_decrease(n):
     for name in ("nilakantha", "nilakantha-paired", "lambda6", "zeta8"):
         spec = builtin(name)
         k = spec.start_index + n
-        assert spec.tail_bound(k + 1) <= spec.tail_bound(k)
-        assert spec.tail_bound(k) > 0
+        assert F(spec.tail_bound(k + 1)) <= F(spec.tail_bound(k))
+        assert F(spec.tail_bound(k)) > 0
 
 
 def test_exact_term_limit_boundary():
-    # right at the limit the sum is still an exact rational
+    # right at the limit the sum is still the exact rational; one term
+    # later it is on the fixed-point grid
     spec = builtin("zeta8")
-    r = partial_sum(spec, EXACT_TERM_LIMIT + spec.start_index - 1)
-    assert isinstance(r.value, Fraction)
+    n = EXACT_TERM_LIMIT + spec.start_index - 1
+    assert F(partial_sum(spec, n).value) == F(spec.offset) + _exact_sum(spec, n)
+    assert 10**FIXED_ACC_SCALE % F(partial_sum(spec, n + 1).value).denominator == 0
 
 
 @given(
@@ -219,7 +226,7 @@ def test_pairwise_sum_equals_sequential_sum(name, extra, factor):
     if factor is not None:
         spec = scale_series(spec, factor)
     n = spec.start_index + extra
-    assert partial_sum(spec, n).value == spec.offset + _exact_sum(spec, n)
+    assert F(partial_sum(spec, n).value) == F(spec.offset) + _exact_sum(spec, n)
 
 
 def test_convergence_table_rows_match_partial_sums():
@@ -231,9 +238,9 @@ def test_convergence_table_rows_match_partial_sums():
         # every bound here is above 10^-50: the table takes a 60-digit reference
         exact = reference(spec.constant, 60)
         for row in rows:
-            value = partial_sum(spec, row.n).value
-            assert row.abs_error == abs(value - exact), (name, row.n)
-            assert row.value == value, (name, row.n)
+            value = F(partial_sum(spec, row.n).value)
+            assert F(row.abs_error) == abs(value - exact), (name, row.n)
+            assert F(row.value) == value, (name, row.n)
 
 
 # the terms written out one by one, as a reference for the runs: the
@@ -290,17 +297,17 @@ def test_fixed_point_path_rounds_each_term_to_nearest(monkeypatch):
     specs = [builtin(name) for name in ALL_NAMES]
     specs.append(scale_series(builtin("nilakantha"), Fraction(-7, 3)))
     # every term lies halfway between two grid points, of either sign
-    specs.append(SeriesSpec("ties", "pi", Fraction(3), 0,
+    specs.append(SeriesSpec("ties", "pi", (3, 1), 0,
                             lambda a, b: (((-1) ** n * (2 * n + 1), 2 * 10**FIXED_ACC_SCALE)
                                           for n in range(a, b + 1)),
-                            lambda n: Fraction(1)))
+                            lambda n: (1, 1)))
     unit = 10**FIXED_ACC_SCALE
     for spec in specs:
         n = spec.start_index + 150
         r = partial_sum(spec, n)
         units = sum(_rounded_at_fixed_scale(spec.term(i)) for i in range(spec.start_index, n + 1))
-        assert r.value == spec.offset + Fraction(units, unit), spec.name
-        assert r.bound == spec.tail_bound(n) + Fraction(151, 2 * unit), spec.name
+        assert F(r.value) == F(spec.offset) + Fraction(units, unit), spec.name
+        assert F(r.bound) == F(spec.tail_bound(n)) + Fraction(151, 2 * unit), spec.name
 
 
 # runs of integer pairs (p, q), q > 0, for the split sum: p of any sign
@@ -348,11 +355,12 @@ def test_split_sum_equals_fraction_sum_and_fixed_sum_rounds_each_term(run, offse
     assert next(rest) == (7, 11)
     if not run:
         return
-    spec = SeriesSpec("run", "pi", offset, 0, lambda a, b: run[a:b + 1], lambda n: Fraction(1))
+    spec = SeriesSpec("run", "pi", offset.as_integer_ratio(), 0, lambda a, b: run[a:b + 1],
+                      lambda n: (1, 1))
     n = len(run) - 1
-    assert partial_sum(spec, n).value == offset + Fraction(big_p, big_q)
+    assert F(partial_sum(spec, n).value) == offset + Fraction(big_p, big_q)
     with mock.patch.object(series, "EXACT_TERM_LIMIT", 0):
         fixed = partial_sum(spec, n)
     units = sum(_div_nearest(p * _UNIT, q) for p, q in run)
-    assert fixed.value == offset + Fraction(units, _UNIT)
-    assert fixed.bound == 1 + Fraction(len(run), 2 * _UNIT)
+    assert F(fixed.value) == offset + Fraction(units, _UNIT)
+    assert F(fixed.bound) == 1 + Fraction(len(run), 2 * _UNIT)

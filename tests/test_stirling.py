@@ -30,12 +30,8 @@ def _printed(bounds, scale: int) -> Fraction:
 
 
 def test_coefficients_frozen():
-    assert STIRLING_COEFFS == (
-        Fraction(1),
-        Fraction(1, 12),
-        Fraction(1, 288),
-        Fraction(-139, 51840),
-    )
+    # pairs (p, q), each in lowest terms
+    assert STIRLING_COEFFS == ((1, 1), (1, 12), (1, 288), (-139, 51840))
 
 
 def test_double_factorial_values_and_identities():
@@ -47,13 +43,20 @@ def test_double_factorial_values_and_identities():
         double_factorial(-2)
 
 
+def _coeff_sum(n: Fraction, k: int) -> Fraction:
+    return sum(Fraction(*STIRLING_COEFFS[i]) / n**i for i in range(k))
+
+
 def test_stirling_factor_is_coefficient_prefix():
+    # the sum as a pair in lowest terms, for an int or a Fraction n
     n = Fraction(2)
     for k in range(1, 5):
-        expected = sum(STIRLING_COEFFS[i] / n**i for i in range(k))
-        assert stirling_factor(n, k) == expected
-    assert stirling_factor(Fraction(2), 4) == Fraction(432221, 414720)
-    assert stirling_factor(Fraction(1), 1) == 1
+        expected = _coeff_sum(n, k).as_integer_ratio()
+        assert stirling_factor(n, k) == stirling_factor(2, k) == expected
+    assert stirling_factor(Fraction(2), 4) == (432221, 414720)
+    assert stirling_factor(Fraction(1), 1) == (1, 1)
+    for x in (Fraction(3, 7), Fraction(5, 2), 11):
+        assert stirling_factor(x, 4) == _coeff_sum(Fraction(x), 4).as_integer_ratio()
     with pytest.raises(ValueError):
         stirling_factor(n, 0)
     with pytest.raises(ValueError):
@@ -116,12 +119,13 @@ def test_e_half_integer_tracks_exp():
 
 
 def test_e8_decomposition_exact_parts():
+    # exact pairs in lowest terms
     d = stirling_e8_decomposition(12)
-    assert d.correction == Fraction(17850625, 11943936)
-    assert d.correction == Fraction(13, 12) ** 4 * Fraction(25, 24) ** 2
-    assert d.gap_from_3_2 == d.correction - Fraction(3, 2)
-    assert d.gap_from_3_2 == Fraction(-65279, 11943936)
-    assert abs(d.gap_from_3_2) < Fraction(6, 1000)
+    assert d.correction == (17850625, 11943936)
+    assert d.correction == (Fraction(13, 12) ** 4 * Fraction(25, 24) ** 2).as_integer_ratio()
+    assert Fraction(*d.gap_from_3_2) == Fraction(*d.correction) - Fraction(3, 2)
+    assert d.gap_from_3_2 == (-65279, 11943936)
+    assert abs(Fraction(*d.gap_from_3_2)) < Fraction(6, 1000)
 
 
 def test_e8_decomposition_certified_values():
@@ -155,7 +159,7 @@ def test_e_power_approx_within_one_ulp_of_mpmath(k):
     scale = 30
     ulp = Fraction(1, 10**scale)
     for n in range(1, 81):
-        exact = Fraction(n**n, factorial(n)) * stirling_factor(Fraction(n), k)
+        exact = Fraction(n**n, factorial(n)) * Fraction(*stirling_factor(n, k))
         with mpmath.workdps(scale + 80):
             root = mpmath.sqrt(2 * mpmath.pi * n)
             man, exp = root.man_exp
@@ -169,7 +173,7 @@ def test_e_power_approx_beyond_2944_within_one_ulp_of_mpmath():
     # of a 10-digit guard could cover
     mpmath = pytest.importorskip("mpmath")
     n, k, scale = 3000, 4, 10
-    exact = Fraction(n**n, factorial(n)) * stirling_factor(Fraction(n), k)
+    exact = Fraction(n**n, factorial(n)) * Fraction(*stirling_factor(n, k))
     with mpmath.workdps(scale + 1400):
         man, exp = mpmath.sqrt(2 * mpmath.pi * n).man_exp
     ref = Fraction(man) * Fraction(2) ** exp * exact

@@ -13,7 +13,7 @@ from importlib import import_module as _import_module
 
 #: every public name, by the module that defines it
 _EXPORTS = {
-    "bignum": "BigFixed Surd floor_neg_log10 ilog10_floor iroot root_interval",
+    "bignum": "BigFixed Surd ilog10_floor iroot root_interval",
     "oracle": "CONSTANTS ExpRangeError constant_reference e_interval exp_interval pi_interval",
     "series": "DEFAULT_MAX_TERMS E_FACTORIAL GREGORY_LEIBNIZ LAMBDA6 NILAKANTHA "
               "NILAKANTHA_PAIRED ZETA8 BoundViolation ConvergenceRow InfeasibleRequest "

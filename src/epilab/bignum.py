@@ -2,12 +2,12 @@
 
 The package's results are exact: integer pairs (p, q), q > 0, carry
 exact rationals, and an enclosure is carried as integer bounds
-(lo, hi, den) on a decimal grid.  A :class:`fractions.Fraction` is built
-only where a public function hands one to its caller (a view, or a
-:class:`Surd`'s parts), and only the functions that build or compare a
-Fraction import :mod:`fractions` (and the :mod:`decimal` it loads), so
-code that works on integers pays for neither.  Nothing is ever evaluated in binary
-floating point.
+(lo, hi, den) on a decimal grid, as :func:`root_interval` returns it.  A
+:class:`fractions.Fraction` is built only where a public function hands
+one to its caller (a :class:`Surd`'s parts), and only the functions that
+build or compare a Fraction import :mod:`fractions` (and the
+:mod:`decimal` it loads), so code that works on integers pays for
+neither.  Nothing is ever evaluated in binary floating point.
 :class:`BigFixed`, the decimal fixed point ``mantissa * 10**-scale``,
 renders a result for print.  Only the CLI names it or its body,
 :func:`_fixed_to_string`: the CLI alone decides each printed rounding.
@@ -38,9 +38,7 @@ __all__ = [
     "floor_div",
     "ceil_div",
     "iroot",
-    "root_units",
     "root_interval",
-    "floor_neg_log10",
     "ilog10_floor",
 ]
 
@@ -178,28 +176,16 @@ def iroot(n: int, k: int) -> int:
     return x
 
 
-def root_interval(lo: Fraction, hi: Fraction, k: int, scale: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of the k-th root of [lo, hi] on the 10**-scale grid.
-
-    Requires 0 <= lo <= hi.  The returned endpoints satisfy
-    out_lo <= lo**(1/k) and hi**(1/k) <= out_hi.
-    """
-    from fractions import Fraction
+def root_interval(lo: int, hi: int, den: int, k: int, scale: int) -> tuple[int, int, int]:
+    """Bounds (r_lo, r_hi, 10**scale) on the k-th roots of lo/den and
+    hi/den: r_lo <= (lo/den)**(1/k) * 10**scale and (hi/den)**(1/k) *
+    10**scale <= r_hi.  Requires 0 <= lo <= hi and den > 0."""
     if lo < 0:
         raise ValueError("root of negative value")
     if hi < lo:
         raise ValueError("empty interval")
-    r_lo, r_hi = root_units(lo.numerator * hi.denominator, hi.numerator * lo.denominator,
-                            lo.denominator * hi.denominator, k, scale)
-    return Fraction(r_lo, 10**scale), Fraction(r_hi, 10**scale)
-
-
-def root_units(lo: int, hi: int, den: int, k: int, scale: int) -> tuple[int, int]:
-    """Bounds (r_lo, r_hi), in units of 10**-scale, on the k-th roots of
-    lo/den and hi/den: r_lo <= (lo/den)**(1/k) and (hi/den)**(1/k) <=
-    r_hi.  Requires 0 <= lo and den > 0."""
     p = 10 ** (k * scale)
-    return iroot(floor_div(lo * p, den), k), iroot(ceil_div(hi * p, den), k) + 1
+    return iroot(floor_div(lo * p, den), k), iroot(ceil_div(hi * p, den), k) + 1, 10**scale
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +199,7 @@ def _pow10_at_most(e: int, num: int, den: int) -> bool:
     return den <= num * 10**-e
 
 
-def _ilog10_floor(num: int, den: int) -> int:
+def ilog10_floor(num: int, den: int = 1) -> int:
     """Largest e with 10**e <= num/den, for num/den > 0 in any sign or
     reduction.  Exact.
 
@@ -230,20 +216,6 @@ def _ilog10_floor(num: int, den: int) -> int:
     while _pow10_at_most(e + 1, num, den):
         e += 1
     return e
-
-
-def ilog10_floor(x: Fraction) -> int:
-    """Largest e with 10**e <= x, for x > 0 (an int or a Fraction).  Exact."""
-    return _ilog10_floor(x.numerator, x.denominator)
-
-
-def floor_neg_log10(x: Fraction) -> int:
-    """floor(-log10(x)) for x > 0 (an int or a Fraction), computed exactly.
-
-    floor_neg_log10(Fraction(1, 1000)) == 3; values just above a power
-    of ten land one lower, e.g. 0.002 -> 2.  It is ilog10_floor(1/x).
-    """
-    return _ilog10_floor(x.denominator, x.numerator)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +285,8 @@ class Surd:
         if self.b == 0:
             return self.a, self.a
         from fractions import Fraction
-        s_lo, s_hi = (Fraction(u, 10**scale) for u in root_units(self.r, self.r, 1, 2, scale))
+        r_lo, r_hi, unit = root_interval(self.r, self.r, 1, 2, scale)
+        s_lo, s_hi = Fraction(r_lo, unit), Fraction(r_hi, unit)
         if self.b > 0:
             return self.a + self.b * s_lo, self.a + self.b * s_hi
         return self.a + self.b * s_hi, self.a + self.b * s_lo

@@ -38,8 +38,8 @@ import sys
 from types import SimpleNamespace
 
 from .bignum import (BigFixed, _div_nearest, _fixed_to_string, _int_to_digits, _rational_to_digits,
-                     ceil_div, floor_div, root_units)
-from .oracle import _FORMS, NoCertifiedResult, _cached, _e_unit, _exp_units, constant_reference
+                     ceil_div, floor_div, root_interval)
+from .oracle import _FORMS, NoCertifiedResult, constant_reference, e_interval, exp_interval
 
 # series, expr, registry, derive, stirling and accel are imported inside
 # the commands that run them, and csv and json inside the code that needs
@@ -183,8 +183,7 @@ def cmd_compute(args) -> int:
         k, f = _FORMS[spec.constant]
         den *= f
         if k > 1:
-            lo, hi = root_units(max(lo, 0), hi, den, k, digits + 6)
-            den = 10 ** (digits + 6)
+            lo, hi, den = root_interval(max(lo, 0), hi, den, k, digits + 6)
     # the midpoint is positive, so rounding it down makes the rendered
     # digits a prefix of its decimal expansion, which is what "value to N
     # digits" means here; the value is at most the midpoint, so the error
@@ -343,14 +342,12 @@ def cmd_stirling(args) -> int:
         # bounds lo <= x * den <= hi on the true value x
         if args.op == "approx":
             # the target first: its range check names why a large n fails
-            lo, hi = _exp_units(n, 1, scale + 10)
-            den = 10 ** (scale + 14)
+            lo, hi, den = exp_interval(n, 1, scale + 10)
             value = _midpoint(e_power_approx(n, k, scale + 2), scale)
             name = f"e^{n}"
         else:
             value = _midpoint(e_from_ratio(n, k, scale + 2), scale)
-            work, lo, hi = _cached(_e_unit, scale + 10)
-            den = 10**work
+            lo, hi, den = e_interval(scale + 10)
             name = "e"
         cells = {
             "op": args.op, "n": str(n), "k": str(k),
@@ -387,13 +384,14 @@ def _digit_groups(text: str) -> bool:
     return all(group.isdecimal() for group in text.split("_"))
 
 
-def _rational(text: str) -> tuple[int, int]:
-    """Fraction(text) as a pair (p, q), q > 0, read without fractions and the
-    re it loads, for the text Python 3.11's Fraction reads: within
-    whitespace, a sign, then n/d, or a decimal with a digit or a point
-    and a digit first and an optional exponent; digits are any decimal
-    digits, in groups joined by single underscores.  Other text raises
-    ValueError, and n/0 ZeroDivisionError, as Fraction does."""
+def _rational(text: str) -> tuple[int, int, int]:
+    """Fraction(text) as (p, q, k), the value p/q * 10**k with q > 0 and
+    |p|, q < 10**len(text), read without fractions and the re it loads,
+    for the text Python 3.11's Fraction reads: within whitespace, a sign,
+    then n/d, or a decimal with a digit or a point and a digit first and
+    an optional exponent k; digits are any decimal digits, in groups
+    joined by single underscores.  Other text raises ValueError, and n/0
+    ZeroDivisionError, as Fraction does."""
     body = text.strip()
     sign = -1 if body[:1] == "-" else 1
     body = body[1:] if body[:1] in ("-", "+") else body
@@ -403,7 +401,7 @@ def _rational(text: str) -> tuple[int, int]:
             raise ValueError(f"invalid literal {text!r}")
         if int(den) == 0:
             raise ZeroDivisionError(f"{text!r} divides by zero")
-        return sign * int(num), int(den)
+        return sign * int(num), int(den), 0
     mantissa, e, exp = body.replace("E", "e").partition("e")
     whole, _, frac = mantissa.partition(".")
     if not ((whole or frac) and all(_digit_groups(part) for part in (whole, frac) if part)
@@ -411,17 +409,23 @@ def _rational(text: str) -> tuple[int, int]:
         raise ValueError(f"invalid literal {text!r}")
     frac = frac.replace("_", "")
     p, q = int(whole or "0") * 10 ** len(frac) + int(frac or "0"), 10 ** len(frac)
-    k = int(exp) if e else 0
-    return (sign * p * 10**k, q) if k >= 0 else (sign * p, q * 10**-k)
+    return sign * p, q, int(exp) if e else 0
 
 
 def cmd_scan(args) -> int:
     from .derive import _scan_units
     try:
-        threshold = _rational(args.threshold)
+        p, q, k = _rational(args.threshold)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad --threshold {args.threshold!r}") from None
-    two_den, units = _scan_units(args.max, args.digits, threshold)
+    # p/q is 0 or between 10**-size and 10**size, so the clamped k keeps a
+    # threshold above 1/2 above it, and one below 10**-(digits + 20) below
+    # that, where on the scan's grid of 10**-work, work < digits + 20, it
+    # flags only an exact integer: the rows stay those of the exact value
+    size = len(args.threshold)
+    k = min(max(k, -(args.digits + 20 + size)), size + 1)
+    two_den, units = _scan_units(args.max, args.digits,
+                                 (p * 10**k, q) if k >= 0 else (p, q * 10**-k))
     if args.format == "text":
         # text holds the rows it prints, to size its columns; csv holds none
         units = [u for u in units if args.all_rows or u[7]]

@@ -1,6 +1,6 @@
 """Exact rational derivations and the integer scan: quadratic surd
 roots, first-order binomial linearization, exact 2x2 linear solving, and
-the scan over n*pi + m*e on the oracle's units of pi and e.
+the scan over n*pi + m*e on the oracle's bounds on pi and e.
 
 The derivations take and return Fractions and Surds, and each imports
 :mod:`fractions` itself; the scan works on integers, its threshold a
@@ -13,7 +13,7 @@ from collections.abc import Iterator
 
 from ._record import record
 from .bignum import Surd
-from .oracle import _cached, _e_unit, _pi_unit
+from .oracle import e_interval, pi_interval
 
 __all__ = [
     "solve_pi_quadratic",
@@ -104,8 +104,8 @@ def _scan_units(max_coeff: int, digits: int,
     mod7, predicted, flagged), with total and residual the numerators of
     the value and the residual over the returned two_den.  The value is
     the midpoint of the enclosure of n*pi + m*e, (n*(plo + phi) +
-    m*(elo + ehi))/2 whatever the signs of n and m; the oracle's units of
-    pi and e share the denominator 10**work, so each field is an integer
+    m*(elo + ehi))/2 whatever the signs of n and m; the oracle's bounds on
+    pi and e share their denominator, so each field is an integer
     sum or floor division.  The rows are made as they are read, after the
     checks and the enclosures, so a bad argument raises before any output.
     """
@@ -114,10 +114,9 @@ def _scan_units(max_coeff: int, digits: int,
     tp, tq = threshold  # tq > 0
     if tp <= 0 or 2 * tp > tq:
         raise ValueError("threshold must be in (0, 1/2]")
-    work, plo, phi = _cached(_pi_unit, digits)
-    _, elo, ehi = _cached(_e_unit, digits)
+    plo, phi, den = pi_interval(digits)
+    elo, ehi, _ = e_interval(digits)
     pi_sum, e_sum = plo + phi, elo + ehi
-    den = 10**work
     two_den = 2 * den
     # |residual| < threshold, with the residual's numerator over 2*den
     limit = tp * two_den

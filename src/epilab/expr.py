@@ -18,7 +18,7 @@ Evaluation is interval arithmetic on integers: every node carries bounds
 (lo, hi, den), lo <= value * den <= hi with den > 0.  An exact subtree is
 a point enclosure (p, p, q) in lowest terms, reduced by one gcd per
 operation as a Fraction would be.  Every other node carries its bounds
-on the decimal grid 10**-w: pi and e enter as the oracle kernels' units,
+on the decimal grid 10**-w: pi and e enter as the oracle's bounds,
 each operation is computed exactly on the bounds and rounded outward
 onto the grid by integer floor and ceiling division, so no inexact node
 pays for a gcd and the numbers stay bounded.  If the interval comes out
@@ -28,10 +28,10 @@ like "is the divisor nonzero" cannot be decided, with doubled guard
 digits.  The result interval always contains the true value; that
 containment is the correctness claim everything downstream leans on.
 
-``eval_expr`` returns integers too, a value and a bound in units of a
-power of ten; rounding them for print is the CLI's business.  ``cfrac``
-reads the same bounds for certified continued fractions.  Only
-``eval_interval``, the Fraction view, imports :mod:`fractions`.
+``eval_interval`` returns the bounds (lo, hi, den) of the root, and
+``eval_expr`` integers too, a value and a bound in units of a power of
+ten; rounding them for print is the CLI's business.  ``cfrac`` reads the
+same bounds for certified continued fractions.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from __future__ import annotations
 import math
 
 from ._record import record
-from .bignum import _div_nearest, _ilog10_floor, ceil_div, floor_div, iroot, root_units
-from .oracle import EXP_ARG_LIMIT, NoCertifiedResult, _cached, _e_unit, _exp_units, _pi_unit
+from .bignum import _div_nearest, ceil_div, floor_div, ilog10_floor, iroot, root_interval
+from .oracle import EXP_ARG_LIMIT, NoCertifiedResult, e_interval, exp_interval, pi_interval
 
 __all__ = [
     "Expr",
@@ -402,8 +402,7 @@ def _recip(lo: int, hi: int, den: int) -> _IV:
 def _eval(expr: Expr, w: int) -> _IV:
     """The exact point, or bounds rounded outward onto 10**-w (exp's: 10**-(w + 4))."""
     if isinstance(expr, (ConstPi, ConstE)):
-        work, lo, hi = _cached(_pi_unit if isinstance(expr, ConstPi) else _e_unit, w)
-        return _out(lo, hi, 10**work, w)
+        return _out(*(pi_interval if isinstance(expr, ConstPi) else e_interval)(w), w)
     if isinstance(expr, (IntLit, RatLit)):
         p, q = expr.value.as_integer_ratio()  # in lowest terms, q > 0
         return p, p, q
@@ -448,27 +447,37 @@ def _eval(expr: Expr, w: int) -> _IV:
                 p = p if lo >= 0 else -p
                 return p, p, q
         if lo >= 0:
-            return (*root_units(lo, hi, den, k, w), 10**w)
+            return root_interval(lo, hi, den, k, w)
         # odd k: the root is an odd function, so take it on the mirror image
         if hi <= 0:
-            r_lo, r_hi = root_units(-hi, -lo, den, k, w)
-            return -r_hi, -r_lo, 10**w
-        return -root_units(0, -lo, den, k, w)[1], root_units(0, hi, den, k, w)[1], 10**w
+            r_lo, r_hi, unit = root_interval(-hi, -lo, den, k, w)
+            return -r_hi, -r_lo, unit
+        return -root_interval(0, -lo, den, k, w)[1], *root_interval(0, hi, den, k, w)[1:]
     if isinstance(expr, Exp):
         lo, hi, den = _eval(expr.arg, w)
         limit = EXP_ARG_LIMIT * den
-        # an interval wholly past the limit fails in _exp_units; one across it is undecided
+        # an interval wholly past the limit fails in exp_interval; one across it is undecided
         if lo <= limit < hi or lo < -limit <= hi:
             raise _Undecided
-        e_lo, e_hi = _exp_units(lo, den, w)
+        e_lo, e_hi, unit = exp_interval(lo, den, w)
         if lo != hi:
-            e_hi = _exp_units(hi, den, w)[1]
-        return _out(e_lo, e_hi, 10 ** (w + 4), w + 4)
+            e_hi = exp_interval(hi, den, w)[1]
+        return _out(e_lo, e_hi, unit, w + 4)
     raise TypeError(f"not an Expr: {expr!r}")
 
 
-def _enclose(expr: Expr, digits: int) -> _IV:
-    """eval_interval's enclosure as bounds (lo, hi, den) on the value times den."""
+def eval_interval(expr: Expr, digits: int) -> _IV:
+    """Certified enclosure of the expression: bounds (lo, hi, den) with
+    lo <= value * den <= hi and (hi - lo)/den <= 10**-digits.
+
+    An attempt that comes back too wide retries with the guard raised by
+    the digits the width missed by, plus a margin, or doubled if that is
+    more, so a value with many digits before the point costs two
+    attempts; an undecided comparison doubles the guard.
+    PrecisionCapError signals that the attempts ran out (for example
+    when a subexpression is exactly zero where a nonzero value is
+    needed).
+    """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     if depth(expr) > MAX_DEPTH:
@@ -486,25 +495,9 @@ def _enclose(expr: Expr, digits: int) -> _IV:
         # Add the digits the width missed by, and one more for the rounding
         # the estimate leaves out; but at least double, since the width of
         # an odd root near zero shrinks slower than 10**-guard
-        guard += max(guard, _ilog10_floor((hi - lo) * target, den) + 2)
+        guard += max(guard, ilog10_floor((hi - lo) * target, den) + 2)
     raise PrecisionCapError(f"interval did not narrow to 10^-{digits} "
                             f"within {_MAX_ATTEMPTS} attempts")
-
-
-def eval_interval(expr: Expr, digits: int) -> tuple[Fraction, Fraction]:
-    """Certified enclosure of the expression, width <= 10**-digits.
-
-    The true value always lies in [lo, hi].  An attempt that comes back
-    too wide retries with the guard raised by the digits the width missed
-    by, plus a margin, or doubled if that is more, so a value with many
-    digits before the point costs two attempts; an undecided comparison
-    doubles the guard.  PrecisionCapError signals that the attempts ran
-    out (for example when a subexpression is exactly zero where a
-    nonzero value is needed).
-    """
-    from fractions import Fraction
-    lo, hi, den = _enclose(expr, digits)
-    return Fraction(lo, den), Fraction(hi, den)
 
 
 def eval_expr(expr: Expr, digits: int) -> tuple[int, int]:
@@ -512,7 +505,7 @@ def eval_expr(expr: Expr, digits: int) -> tuple[int, int]:
     units of 10**-(digits + 2) and 10**-(digits + 6), the exact value within
     error_bound of value, and error_bound <= 10**-digits.  The value is the
     enclosure's midpoint, the bound its half-width plus that rounding."""
-    lo, hi, den = _enclose(expr, digits + 1)
+    lo, hi, den = eval_interval(expr, digits + 1)
     scale = digits + 2
     mid = (lo + hi) * 10**scale  # the midpoint times 2 * den * 10**scale
     value = _div_nearest(mid, 2 * den)
@@ -563,7 +556,7 @@ def cfrac(expr: Expr, n_terms: int, digits: int = 30) -> list[int]:
         raise ValueError("digits must be >= 1")
     d = digits
     while True:
-        lo, hi, den = _enclose(expr, d)
+        lo, hi, den = eval_interval(expr, d)
         terms = _floor_cf(lo, den, hi, den, n_terms)
         if terms is not None:
             return terms

@@ -24,15 +24,12 @@ sections 4.4 and 4.9).
   most one unit of relative width and the kernel's width is proved, not
   retried.  exp(-x) is the reciprocal, rounded outward.
 
-The package's own code reads these integer units: pi and e through
-``_cached``, exp through ``_exp_units``.  :func:`constant_reference`
-gives the same shape, bounds (lo, hi, den) on a decimal grid, for every
-constant a series describes.  The ``*_interval`` functions are views of
-the units as exact rational enclosures [lo, hi], for callers outside
-the package, and are the only functions here that import
-:mod:`fractions`.
+Each value is handed out as integer bounds (lo, hi, den), lo <= value *
+den <= hi with den a power of ten: pi and e by :func:`pi_interval` and
+:func:`e_interval`, exp by :func:`exp_interval`, and every constant a
+series describes by :func:`constant_reference`.
 
-All functions are pure.  The module-level cache keeps the units of the
+All functions are pure.  The module-level cache keeps the bounds of the
 last pi and the last e enclosure, keyed by the kernel's exact work
 precision, and hands back only that enclosure: a warm call returns what
 a cold call would, so no printed digit depends on the calls before it.
@@ -195,42 +192,40 @@ def _e_unit(work: int) -> tuple[int, int]:
     return total, total + n + 1
 
 
-#: kernel -> (work, lo, hi), the units it gave last
+#: kernel -> (work, (lo, hi, 10**work)), the bounds it gave last
 _cache: dict = {}
 
 
 def _cached(kernel, eps_digits: int) -> tuple[int, int, int]:
-    """(work, lo, hi): the kernel's bounds in units of 10**-work, with
-    work = eps_digits + guard.  An entry is returned only at its own
-    work, so a warm call returns exactly what a cold one does.  A result
-    depends on work alone, so with no lock a race only computes it twice;
-    the entry is read once, into a local."""
+    """The kernel's bounds (lo, hi, 10**work), with work = eps_digits +
+    guard.  An entry is returned only at its own work, so a warm call
+    returns exactly what a cold one does.  A result depends on work
+    alone, so with no lock a race only computes it twice; the entry is
+    read once, into a local."""
     if eps_digits < 1:
         raise ValueError("digits must be >= 1")
     work = eps_digits + _guard(eps_digits)
     hit = _cache.get(kernel)
     if hit is None or hit[0] != work:
-        hit = _cache[kernel] = (work, *kernel(work))
-    return hit
+        hit = _cache[kernel] = (work, (*kernel(work), 10**work))
+    return hit[1]
 
 
-def pi_interval(eps_digits: int) -> tuple[Fraction, Fraction]:
-    """Exact rational enclosure of pi with width < 2 * 10**-eps_digits."""
-    from fractions import Fraction
-    work, lo, hi = _cached(_pi_unit, eps_digits)
-    return Fraction(lo, 10**work), Fraction(hi, 10**work)
+def pi_interval(eps_digits: int) -> tuple[int, int, int]:
+    """Bounds (lo, hi, den) with lo <= pi * den <= hi, den a power of ten,
+    and (hi - lo)/den < 2 * 10**-eps_digits."""
+    return _cached(_pi_unit, eps_digits)
 
 
-def e_interval(eps_digits: int) -> tuple[Fraction, Fraction]:
-    """Exact rational enclosure of e with width < 2 * 10**-eps_digits."""
-    from fractions import Fraction
-    work, lo, hi = _cached(_e_unit, eps_digits)
-    return Fraction(lo, 10**work), Fraction(hi, 10**work)
+def e_interval(eps_digits: int) -> tuple[int, int, int]:
+    """Bounds (lo, hi, den) with lo <= e * den <= hi, den a power of ten,
+    and (hi - lo)/den < 2 * 10**-eps_digits."""
+    return _cached(_e_unit, eps_digits)
 
 
-def _exp_units(num: int, den: int, eps_digits: int) -> tuple[int, int]:
-    """Bounds (lo, hi) on exp(num/den) in units of 10**-(eps_digits + 4),
-    hi - lo <= 10**4, for den > 0.
+def exp_interval(num: int, den: int, eps_digits: int) -> tuple[int, int, int]:
+    """Bounds (lo, hi, unit) with lo <= exp(num/den) * unit <= hi, unit =
+    10**(eps_digits + 4) and hi - lo <= 10**4, for den > 0.
 
     Requires |num/den| <= EXP_ARG_LIMIT.  With mag = floor(0.4343 |x|) + 1,
     exp(|x|) < 10**mag, so at work = eps_digits + mag the kernel's width
@@ -251,16 +246,7 @@ def _exp_units(num: int, den: int, eps_digits: int) -> tuple[int, int]:
     if num < 0:
         lo, hi = 100**work // hi, -(-100**work // lo)
     unit = 10**mag
-    return floor_div(lo * 10**4, unit), ceil_div(hi * 10**4, unit)
-
-
-def exp_interval(x: Fraction, eps_digits: int) -> tuple[Fraction, Fraction]:
-    """Exact rational enclosure of exp(x), width <= 10**-eps_digits, for
-    |x| <= EXP_ARG_LIMIT: a view of ``_exp_units``."""
-    from fractions import Fraction
-    x = Fraction(x)
-    lo, hi = _exp_units(x.numerator, x.denominator, eps_digits)
-    return Fraction(lo, 10 ** (eps_digits + 4)), Fraction(hi, 10 ** (eps_digits + 4))
+    return floor_div(lo * 10**4, unit), ceil_div(hi * 10**4, unit), 10 ** (eps_digits + 4)
 
 
 def constant_reference(constant: str, digits: int) -> tuple[int, int, int]:
@@ -281,7 +267,7 @@ def constant_reference(constant: str, digits: int) -> tuple[int, int, int]:
     # nearest, and lies within 10 units of the constant
     k, f = _FORMS[constant]
     extra = 10 if k > 1 else 4 + f  # doubling pi costs one digit
-    work, lo, hi = _cached(_e_unit if constant == "e" else _pi_unit, digits + extra)
+    lo, hi, unit = (e_interval if constant == "e" else pi_interval)(digits + extra)
     den = 10 ** (digits + 3)
-    m = _div_nearest((lo**k + hi**k) * f * den, 2 * 10 ** (work * k))
+    m = _div_nearest((lo**k + hi**k) * f * den, 2 * unit**k)
     return m - 10, m + 10, den

@@ -33,7 +33,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import cycle, islice
 
 from ._record import record
-from .bignum import _ilog10_floor
+from .bignum import ilog10_floor
 from .oracle import CONSTANTS, NoCertifiedResult, constant_reference
 
 __all__ = [
@@ -413,7 +413,7 @@ def convergence_table(spec: SeriesSpec, checkpoints: Sequence[int]) -> list[Conv
     # digits past the smallest bound suffice (and 60 digits cover every
     # table whose bounds stay above 10^-50); floor(-log10(p/q)) is
     # largest at the smallest bound
-    digits = max(_ilog10_floor(q, p) for p, q in bounds) + 10
+    digits = max(ilog10_floor(q, p) for p, q in bounds) + 10
     lo, hi, den = constant_reference(spec.constant, max(60, digits))
     # the reference is mid / two_den with certificate rad / two_den
     mid, rad, two_den = lo + hi, hi - lo, 2 * den
@@ -441,7 +441,7 @@ def convergence_table(spec: SeriesSpec, checkpoints: Sequence[int]) -> list[Conv
                 abs_error=(err, tq * two_den),
                 bound=(bp, bq),
                 # (err + eps) / |reference| = (err + eps) / (tq * |mid|)
-                digits_correct=max(0, _ilog10_floor(tq * abs(mid), err + eps)),
+                digits_correct=max(0, ilog10_floor(tq * abs(mid), err + eps)),
             )
         )
     return rows

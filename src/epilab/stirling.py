@@ -26,8 +26,8 @@ evaluator reduces it to the exact point p/q in lowest terms), and
 returned as its certified enclosure (lo, hi, den) at the digits the
 caller names; the CLI rounds it for print.  So the guard digits that
 pi, e and the square roots need are chosen by the evaluator's
-``_enclose``, the same way as for every other expression, also when the
-value has many digits before the point.
+``eval_interval``, the same way as for every other expression, also when
+the value has many digits before the point.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import math
 
 from ._record import record
 from .bignum import Surd
-from .expr import ConstE, ConstPi, Div, IntLit, Mul, PowInt, Sqrt, _enclose
+from .expr import ConstE, ConstPi, Div, IntLit, Mul, PowInt, Sqrt, eval_interval
 
 __all__ = [
     "STIRLING_COEFFS",
@@ -94,7 +94,7 @@ def e_power_approx(n: int, k: int, digits: int) -> tuple[int, int, int]:
         raise ValueError("n must be >= 1")
     sp, sq = stirling_factor(n, k)
     exact = Div(IntLit(n**n * sp), IntLit(math.factorial(n) * sq))
-    return _enclose(Mul(exact, Sqrt(Mul(IntLit(2 * n), ConstPi()))), digits)
+    return eval_interval(Mul(exact, Sqrt(Mul(IntLit(2 * n), ConstPi()))), digits)
 
 
 def e_from_ratio(n: int, k: int, digits: int) -> tuple[int, int, int]:
@@ -108,7 +108,7 @@ def e_from_ratio(n: int, k: int, digits: int) -> tuple[int, int, int]:
     (p1, q1), (p0, q0) = stirling_factor(n + 1, k), stirling_factor(n, k)
     # ((n + 1)/n)**n * (p1/q1) / (p0/q0); p0 > 0, since S(n, k) > 0 for n >= 1
     exact = Div(IntLit((n + 1) ** n * p1 * q0), IntLit(n**n * q1 * p0))
-    return _enclose(Mul(exact, Sqrt(Div(IntLit(n + 1), IntLit(n)))), digits)
+    return eval_interval(Mul(exact, Sqrt(Div(IntLit(n + 1), IntLit(n)))), digits)
 
 
 def e_half_integer(n: int, k: int) -> Surd:
@@ -156,10 +156,10 @@ def stirling_e8_decomposition(digits: int) -> E8Decomposition:
     gp, gq = 2 * cp - 3 * cq, 2 * cq
     g = math.gcd(gp, gq)
     return E8Decomposition(
-        base_64pi3=_enclose(Mul(IntLit(64), pi3), digits),
+        base_64pi3=eval_interval(Mul(IntLit(64), pi3), digits),
         correction=(cp, cq),
         gap_from_3_2=(gp // g, gq // g),
-        value_96pi3=_enclose(Mul(IntLit(96), pi3), digits),
-        e8=_enclose(e8, digits),
-        ratio=_enclose(Div(e8, Mul(IntLit(96), pi3)), digits),
+        value_96pi3=eval_interval(Mul(IntLit(96), pi3), digits),
+        e8=eval_interval(e8, digits),
+        ratio=eval_interval(Div(e8, Mul(IntLit(96), pi3)), digits),
     )

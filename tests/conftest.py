@@ -41,3 +41,16 @@ def reference(constant: str, digits: int) -> Fraction:
     10**-(digits + 2) of it."""
     lo, hi, den = oracle.constant_reference(constant, digits)
     return Fraction(lo + hi, 2 * den)
+
+
+def as_fractions(bounds: tuple[int, int, int]) -> tuple[Fraction, Fraction]:
+    """Bounds (lo, hi, den) read back as the rational enclosure
+    [lo/den, hi/den]."""
+    lo, hi, den = bounds
+    return Fraction(lo, den), Fraction(hi, den)
+
+
+def as_bounds(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """The rational enclosure [lo, hi] as bounds (lo, hi, den) over one
+    denominator."""
+    return lo.numerator * hi.denominator, hi.numerator * lo.denominator, lo.denominator * hi.denominator

@@ -22,7 +22,7 @@ from epilab.registry import get_relation, relation_ids, verify, verify_all
 from epilab.series import builtin, convergence_table, partial_sum, terms_needed
 from epilab.stirling import e_half_integer, e_power_approx, stirling_e8_decomposition
 
-from conftest import reference
+from conftest import as_bounds, as_fractions, reference
 
 
 def _lhs_text(report) -> str:
@@ -105,7 +105,7 @@ def test_criterion_05_zeta_series():
     last = lam.start_index + 399  # exactly 400 terms
     s = partial_sum(lam, last)
     value, bound = Fraction(*s.value), Fraction(*s.bound)
-    lo, hi = root_interval(value - bound, value + bound, 6, 40)
+    lo, hi = as_fractions(root_interval(*as_bounds(value - bound, value + bound), 6, 40))
     pi_ref = reference("pi", 45)
     assert abs((lo + hi) / 2 - pi_ref) < Fraction(1, 10**12)
     zeta = builtin("zeta8")
@@ -166,10 +166,10 @@ def test_criterion_08_continued_fraction():
     assert cfrac(parse("exp(pi)"), 3) == [23, 7, 9]
     got = cfrac(parse("exp(pi)"), 7)
     # recompute from the exponential oracle alone
-    pi_lo, pi_hi = pi_interval(130)
-    e_lo = exp_interval(pi_lo, 120)[0]
-    e_hi = exp_interval(pi_hi, 120)[1]
-    independent = _cfrac_by_floor_walk(e_lo, e_hi, 7)
+    pi_lo, pi_hi, den = pi_interval(130)
+    e_lo, _, unit = exp_interval(pi_lo, den, 120)
+    e_hi = exp_interval(pi_hi, den, 120)[1]
+    independent = _cfrac_by_floor_walk(Fraction(e_lo, unit), Fraction(e_hi, unit), 7)
     assert got == independent
     assert got == [23, 7, 9, 3, 1, 1, 591]
     # widely circulated truncations omit the fourth quotient; the full
@@ -249,7 +249,7 @@ def test_criterion_10_soundness_sweep():
         rel = get_relation(rid)
         report = verify(rel, 30)
         for expr, reported in ((rel.lhs, report.lhs_value), (rel.rhs, report.rhs_value)):
-            lo, hi = eval_interval(expr, 60)
+            lo, hi = as_fractions(eval_interval(expr, 60))
             truth = (lo + hi) / 2
             value, error_bound = eval_expr(expr, 30)  # in units of 10**-32 and 10**-36
             if abs(Fraction(value, 10**32) - truth) > Fraction(error_bound, 10**36):

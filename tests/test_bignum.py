@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 from epilab.bignum import (
     BigFixed,
     Surd,
-    _ilog10_floor,
     ceil_div,
     floor_div,
-    floor_neg_log10,
     ilog10_floor,
     iroot,
     root_interval,
 )
+
+from conftest import as_bounds, as_fractions
 
 mantissas = st.integers(min_value=-(10**40), max_value=10**40)
 scales = st.integers(min_value=0, max_value=50)
@@ -131,28 +131,36 @@ def test_iroot_exact_powers():
 )
 def test_root_interval_encloses(lo, width, k, scale):
     hi = lo + width
-    rlo, rhi = root_interval(lo, hi, k, scale)
+    rlo, rhi = as_fractions(root_interval(*as_bounds(lo, hi), k, scale))
     assert 0 <= rlo <= rhi
     assert rlo**k <= lo
     assert hi <= rhi**k
 
 
 def test_root_interval_tight_on_point():
-    rlo, rhi = root_interval(Fraction(2), Fraction(2), 2, 30)
+    rlo, rhi = as_fractions(root_interval(2, 2, 1, 2, 30))
     assert rhi - rlo <= Fraction(2, 10**30)
 
 
+@pytest.mark.parametrize("lo, hi, cause", [(-1, 4, "root of negative value"),
+                                           (5, 4, "empty interval")])
+def test_root_interval_checks_its_input(lo, hi, cause):
+    with pytest.raises(ValueError, match=cause):
+        root_interval(lo, hi, 1, 2, 10)
+
+
 def test_log10_helpers():
-    assert ilog10_floor(Fraction(1)) == 0
-    assert ilog10_floor(Fraction(99, 10)) == 0
-    assert ilog10_floor(Fraction(10)) == 1
-    assert ilog10_floor(Fraction(1, 10)) == -1
-    assert floor_neg_log10(Fraction(1, 1000)) == 3
-    assert floor_neg_log10(Fraction(999, 1000)) == 0
-    assert floor_neg_log10(Fraction(15, 10000)) == 2
-    assert floor_neg_log10(Fraction(10)) == -1
+    # floor(-log10(p/q)) is ilog10_floor of the pair turned over, (q, p)
+    assert ilog10_floor(1) == 0
+    assert ilog10_floor(99, 10) == 0
+    assert ilog10_floor(10) == 1
+    assert ilog10_floor(1, 10) == -1
+    assert ilog10_floor(1000, 1) == 3
+    assert ilog10_floor(1000, 999) == 0
+    assert ilog10_floor(10000, 15) == 2
+    assert ilog10_floor(1, 10) == -1
     with pytest.raises(ValueError):
-        floor_neg_log10(Fraction(0))
+        ilog10_floor(1, 0)
 
 
 @given(st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(10**6),
@@ -160,20 +168,21 @@ def test_log10_helpers():
        st.integers(min_value=-6000, max_value=6000))
 def test_ilog10_floor_defining_property_far_from_one(x, k):
     x *= Fraction(10) ** k
-    e = ilog10_floor(x)
+    e = ilog10_floor(x.numerator, x.denominator)
     assert Fraction(10) ** e <= x < Fraction(10) ** (e + 1)
 
 
 @pytest.mark.parametrize("k", [-5000, -301, -1, 0, 1, 302, 5000])
 def test_ilog10_floor_at_powers_of_ten(k):
     p = Fraction(10) ** k
-    assert ilog10_floor(p) == k
-    assert ilog10_floor(p * Fraction(10**40 - 1, 10**40)) == k - 1
+    assert ilog10_floor(p.numerator, p.denominator) == k
+    p *= Fraction(10**40 - 1, 10**40)
+    assert ilog10_floor(p.numerator, p.denominator) == k - 1
 
 
 @given(st.fractions(min_value=Fraction(1, 10**12), max_value=Fraction(10**12), max_denominator=10**12))
 def test_floor_neg_log10_defining_property(x):
-    d = floor_neg_log10(x)
+    d = ilog10_floor(x.denominator, x.numerator)
     assert Fraction(10) ** (-d - 1) < x <= Fraction(10) ** (-d)
 
 
@@ -182,22 +191,21 @@ def test_floor_neg_log10_defining_property(x):
 def test_integer_log10_helper_matches_the_fraction_versions(k, delta):
     # at 10**k and one unit of 10**(k - 40) either side, on the integer pair
     # as it is, negated, and scaled by a common factor, reduced or not;
-    # floor(-log10(x)) is the integer helper on the pair turned over
+    # floor(-log10(x)) is the helper on the pair turned over
     num, den = (10**k * 10**40 + delta * 10**k, 10**40) if k >= 0 else \
                (10**40 + delta, 10**40 * 10**-k)
     x = Fraction(num, den)
-    want = ilog10_floor(x), floor_neg_log10(x)
-    assert want == (k - (delta < 0), -k - (delta > 0))
+    want = k - (delta < 0), -k - (delta > 0)
     for p, q in [(num, den), (-num, -den), (7 * num, 7 * den), (x.numerator, x.denominator)]:
-        assert (_ilog10_floor(p, q), _ilog10_floor(q, p)) == want
+        assert (ilog10_floor(p, q), ilog10_floor(q, p)) == want
 
 
 @pytest.mark.parametrize("num, den", [(0, 1), (0, -5), (-3, 7), (3, -7), (1, 0)])
 def test_integer_log10_helper_rejects_values_that_are_not_positive(num, den):
     with pytest.raises(ValueError, match="positive"):
-        _ilog10_floor(num, den)
+        ilog10_floor(num, den)
     with pytest.raises(ValueError, match="positive"):
-        _ilog10_floor(den, num)
+        ilog10_floor(den, num)
 
 
 def test_surd_canonical_forms():
@@ -255,7 +263,7 @@ def test_surd_interval_beyond_int_str_limit(default_int_str_limit):
 
     s = e_half_integer(3000, 2)
     # the width is about b * 10**-scale, so the scale covers b's 1,304 digits
-    lo, hi = s.interval(ilog10_floor(abs(s.b)) + 12)
+    lo, hi = s.interval(ilog10_floor(abs(s.b.numerator), s.b.denominator) + 12)
     assert hi - lo <= Fraction(1, 10**10)
     with mpmath.workdps(1400):  # mpmath's own rounding: under 10**-90 here
         exact = (mpmath.mpf(s.a.numerator) / s.a.denominator

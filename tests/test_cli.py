@@ -402,11 +402,11 @@ def test_scan_cells_round_ties_away_and_drop_the_sign_of_zero(monkeypatch, capsy
     # 3 + 8e-7: pi's row is a tie at the sixth place, and pi - e = -3e-7
     # is a small negative value that rounds to zero
     import epilab.derive
-    from epilab import oracle
 
-    units = {oracle._pi_unit: (7, 30000005 - 3333333, 30000005 + 3333333),
-             oracle._e_unit: (7, 30000008 - 1428571, 30000008 + 1428571)}
-    monkeypatch.setattr(epilab.derive, "_cached", lambda kernel, digits: units[kernel])
+    monkeypatch.setattr(epilab.derive, "pi_interval",
+                        lambda digits: (30000005 - 3333333, 30000005 + 3333333, 10**7))
+    monkeypatch.setattr(epilab.derive, "e_interval",
+                        lambda digits: (30000008 - 1428571, 30000008 + 1428571, 10**7))
     rc, out, _ = run(capsys, "scan", "--max", "2", "--format", fmt)
     assert rc == 0
     assert out.splitlines() == _reference_scan(fmt, 2, 30, "0.06").splitlines()
@@ -603,11 +603,32 @@ def test_threshold_reader_reads_what_fraction_reads(text):
     except (ValueError, ZeroDivisionError):
         expected = None
     try:
-        p, q = _rational(text)
+        p, q, k = _rational(text)
     except (ValueError, ZeroDivisionError):
         assert expected is None, text
     else:
-        assert q > 0 and Fraction(p, q) == expected, text
+        assert q > 0 and Fraction(p, q) * Fraction(10) ** k == expected, text
+
+
+@pytest.mark.parametrize("threshold, same_as", [
+    ("1e-999999999", "1e-50"), ("123_456.5e-999999999", "1e-50"),
+    ("1e999999999", None), ("0.0e999999999", None)])
+def test_a_threshold_far_past_the_scans_grid_ends_at_once(threshold, same_as):
+    # a billion-digit power of ten would take minutes: below the grid of
+    # 10**-work a threshold flags only exact integers, as 10**-(digits +
+    # 20) does (at the default 30 digits), and above 1/2 it is out of range
+    def scan(text):
+        return subprocess.run([sys.executable, "-m", "epilab.cli", "scan", "--max", "3",
+                               "--format", "csv", "--threshold", text],
+                              capture_output=True, text=True, timeout=5)
+
+    proc = scan(threshold)
+    if same_as is None:
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: threshold must be in (0, 1/2]\n"
+    else:
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == scan(same_as).stdout
 
 
 @pytest.mark.parametrize("argv, cause", [

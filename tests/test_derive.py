@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import epilab.derive
 import epilab.expr
-from epilab import oracle
 from epilab.bignum import Surd
 from epilab.derive import (
     ScanRow,
@@ -24,7 +23,7 @@ from epilab.derive import (
 from epilab.expr import PrecisionCapError, cfrac, parse
 from epilab.oracle import e_interval, pi_interval
 
-from conftest import reference
+from conftest import as_fractions, reference
 
 
 def test_solve_pi_quadratic_examples():
@@ -211,7 +210,8 @@ def _assert_rows_equal(rows, expected):
 @pytest.mark.parametrize("threshold", [Fraction(6, 100), Fraction(1, 2)])
 @pytest.mark.parametrize("digits", [10, 30, 60])
 def test_scan_rows_equal_direct_fraction_evaluation(digits, threshold):
-    expected = _direct_scan(10, pi_interval(digits), e_interval(digits), threshold)
+    expected = _direct_scan(10, as_fractions(pi_interval(digits)), as_fractions(e_interval(digits)),
+                            threshold)
     _assert_rows_equal(linear_combo_scan(10, digits, threshold.as_integer_ratio()), expected)
 
 
@@ -219,9 +219,10 @@ def test_scan_ties_follow_fraction_semantics(monkeypatch):
     # made-up units on the 10**-2 grid, with midpoints 7/2 and 147/50 =
     # 2.94: pi's row lands exactly on a half-integer (nearest rounds up)
     # and e's residual is exactly -0.06 (not flagged)
-    units = {oracle._pi_unit: (2, 350 - 33, 350 + 33), oracle._e_unit: (2, 294 - 14, 294 + 14)}
-    monkeypatch.setattr(epilab.derive, "_cached", lambda kernel, digits: units[kernel])
-    fake_pi, fake_e = ((Fraction(lo, 100), Fraction(hi, 100)) for _, lo, hi in units.values())
+    units = {"pi_interval": (350 - 33, 350 + 33, 100), "e_interval": (294 - 14, 294 + 14, 100)}
+    for name, bounds in units.items():
+        monkeypatch.setattr(epilab.derive, name, lambda digits, bounds=bounds: bounds)
+    fake_pi, fake_e = (as_fractions(bounds) for bounds in units.values())
     threshold = Fraction(6, 100)
     rows = linear_combo_scan(4, 30, threshold.as_integer_ratio())
     _assert_rows_equal(rows, _direct_scan(4, fake_pi, fake_e, threshold))
@@ -249,7 +250,7 @@ def test_cfrac_convergents_bracket_value():
     from epilab.expr import eval_interval
 
     quotients = cfrac(parse("exp(pi)"), 7)
-    lo, hi = eval_interval(parse("exp(pi)"), 40)
+    lo, hi = as_fractions(eval_interval(parse("exp(pi)"), 40))
     # reconstruct convergents h/k and check alternating bracketing
     h0, k0 = quotients[0], 1
     h1, k1 = quotients[1] * quotients[0] + 1, quotients[1]

@@ -1,7 +1,8 @@
 """Pinned digests of the evaluator's enclosures.
 
-Each digest hashes exact values: every endpoint eval_interval returns,
-as its reduced numerator and denominator, and every eval_expr result, as
+Each digest hashes exact values: every endpoint of eval_interval's bounds
+(lo, hi, den), as the reduced numerator and denominator of lo/den and
+hi/den, and every eval_expr result, as
 the mantissa and scale of its value and of its error bound.  An input
 that has no certified result is hashed by its error's type and message.
 A change to the evaluator that moves any endpoint by any amount, or
@@ -37,6 +38,8 @@ from epilab.expr import (
 )
 from epilab.oracle import NoCertifiedResult
 from epilab.registry import REGISTRY
+
+from conftest import as_fractions
 
 #: trees written out, so each case named in the module docstring is
 #: certainly among the inputs
@@ -93,7 +96,7 @@ def _trees() -> list:
 
 def _results(node, digits: int) -> list[str]:
     try:
-        lo, hi = eval_interval(node, digits)
+        lo, hi = as_fractions(eval_interval(node, digits))
         value, err = eval_expr(node, digits)
     except NoCertifiedResult as exc:
         return [f"{type(exc).__name__}: {exc}"]

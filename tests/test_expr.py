@@ -27,7 +27,6 @@ from epilab.expr import (
     Sqrt,
     Sub,
     _WORDS,
-    _enclose,
     _tokenize,
     depth,
     eval_expr,
@@ -37,11 +36,11 @@ from epilab.expr import (
 )
 from epilab.oracle import ExpRangeError
 
-from conftest import reference
+from conftest import as_fractions, reference
 
 
 def exact(text):
-    lo, hi = eval_interval(parse(text), 20)
+    lo, hi = as_fractions(eval_interval(parse(text), 20))
     assert lo == hi
     return lo
 
@@ -78,14 +77,14 @@ def test_rational_subtrees_stay_exact():
 def test_an_exact_value_is_a_point_in_lowest_terms(text, point):
     # the evaluator's enclosure of an exact value is the point (p, p, q),
     # reduced as Fraction(p, q) would be, at every precision
-    assert _enclose(parse(text), 5) == _enclose(parse(text), 40) == point
-    lo, hi = eval_interval(parse(text), 5)
+    assert eval_interval(parse(text), 5) == eval_interval(parse(text), 40) == point
+    lo, hi = as_fractions(eval_interval(parse(text), 5))
     assert lo == hi == Fraction(point[0], point[2])
 
 
 def test_rational_literal_leaves_are_exact_points():
     tree = Mul(RatLit(Fraction(6, 4)), Add(IntLit(1), RatLit(Fraction(-1, 3))))
-    assert _enclose(tree, 10) == (1, 1, 1)
+    assert eval_interval(tree, 10) == (1, 1, 1)
 
 
 def test_sqrt_is_root_two():
@@ -199,7 +198,7 @@ def test_to_text_renders_rational_leaves(tree, rendered):
     # parse builds no RatLit, so the round trip below, which compares
     # trees, cannot take these; their values must agree
     assert to_text(tree) == rendered
-    assert eval_interval(parse(rendered), 20) == eval_interval(tree, 20)
+    assert as_fractions(eval_interval(parse(rendered), 20)) == as_fractions(eval_interval(tree, 20))
 
 
 leaves = st.one_of(
@@ -251,7 +250,7 @@ def test_eval_error_bound_is_sound():
         "pi^2*e",
     ):
         node = parse(text)
-        truth_lo, truth_hi = eval_interval(node, 60)
+        truth_lo, truth_hi = as_fractions(eval_interval(node, 60))
         value, error_bound = eval_expr(node, 12)  # in units of 10**-14 and 10**-18
         truth_mid = (truth_lo + truth_hi) / 2
         assert abs(Fraction(value, 10**14) - truth_mid) <= Fraction(error_bound, 10**18), text
@@ -259,8 +258,8 @@ def test_eval_error_bound_is_sound():
 
 def test_eval_intervals_overlap_across_precision():
     node = parse("exp(pi) - pi")
-    lo1, hi1 = eval_interval(node, 10)
-    lo2, hi2 = eval_interval(node, 25)
+    lo1, hi1 = as_fractions(eval_interval(node, 10))
+    lo2, hi2 = as_fractions(eval_interval(node, 25))
     assert max(lo1, lo2) <= min(hi1, hi2)
     assert hi2 - lo2 < hi1 - lo1
 
@@ -282,20 +281,20 @@ def test_odd_roots_of_negative_values():
     assert exact("root(3, 0-8)") == -2
     assert exact("root(5, 0 - 32/243)") == Fraction(-2, 3)
     # an argument that straddles zero encloses zero
-    lo, hi = eval_interval(parse("root(3, pi - pi)"), 10)
+    lo, hi = as_fractions(eval_interval(parse("root(3, pi - pi)"), 10))
     assert lo <= 0 <= hi and hi - lo <= Fraction(1, 10**10)
     # about -6.7e-15, whose enclosure at the first guard digits straddles
     # zero; at one digit that coarse enclosure is already narrow enough
     arg = parse("314159265358980/10^14 - pi")
-    lo, hi = eval_interval(Root(arg, 3), 1)
-    arg_lo, arg_hi = eval_interval(arg, 60)
+    lo, hi = as_fractions(eval_interval(Root(arg, 3), 1))
+    arg_lo, arg_hi = as_fractions(eval_interval(arg, 60))
     assert lo**3 <= arg_lo and arg_hi <= hi**3 and lo < 0 < hi
 
 
 @pytest.mark.parametrize("digits", [30, 100])
 def test_odd_root_of_negative_contains_mpmath(digits):
     mpmath = pytest.importorskip("mpmath")
-    lo, hi = eval_interval(parse("root(3, 0-pi)"), digits)
+    lo, hi = as_fractions(eval_interval(parse("root(3, 0-pi)"), digits))
     with mpmath.workdps(2 * digits + 60):
         man, exp = mpmath.cbrt(mpmath.pi).man_exp  # the mantissa carries no sign
     ref = -Fraction(man) * Fraction(2) ** exp
@@ -307,7 +306,7 @@ def test_odd_root_of_negative_contains_mpmath(digits):
 def test_odd_root_of_vanishing_width_narrows(text):
     # the root's width shrinks only as 10**(-guard/k), so the guard must
     # keep growing geometrically, not by the digits each attempt missed by
-    lo, hi = eval_interval(parse(text), 100)
+    lo, hi = as_fractions(eval_interval(parse(text), 100))
     assert lo <= 0 <= hi
     assert hi - lo <= Fraction(1, 10**100)
 
@@ -318,7 +317,7 @@ def test_division_by_vanishing_width_hits_precision_cap():
 
 
 def test_exp_range():
-    lo, hi = eval_interval(parse("exp(100)"), 5)
+    lo, hi = as_fractions(eval_interval(parse("exp(100)"), 5))
     assert lo > 10**43
     with pytest.raises(ExpRangeError):
         eval_interval(parse("exp(101)"), 5)
@@ -336,7 +335,7 @@ def test_exp_argument_across_the_limit_is_undecided_not_out_of_range(text):
 
 def test_interval_width_honors_request():
     for digits in (6, 18, 34):
-        lo, hi = eval_interval(parse("pi^9/e^8"), digits)
+        lo, hi = as_fractions(eval_interval(parse("pi^9/e^8"), digits))
         assert hi - lo <= Fraction(10, 10**digits)
 
 
@@ -346,15 +345,15 @@ def test_exp_of_a_point_calls_the_kernel_once_per_attempt(monkeypatch, text, per
     # precision are the calls of one attempt: one for an exact argument,
     # one per endpoint otherwise
     import epilab.expr
-    from epilab.oracle import _exp_units
+    from epilab.oracle import exp_interval
 
     calls = []
 
     def counting(num, den, eps_digits):
         calls.append(eps_digits)
-        return _exp_units(num, den, eps_digits)
+        return exp_interval(num, den, eps_digits)
 
-    monkeypatch.setattr(epilab.expr, "_exp_units", counting)
-    lo, hi = eval_interval(parse(text), 30)
+    monkeypatch.setattr(epilab.expr, "exp_interval", counting)
+    lo, hi = as_fractions(eval_interval(parse(text), 30))
     assert hi - lo <= Fraction(1, 10**30)
     assert calls and all(calls.count(w) == per_attempt for w in calls)

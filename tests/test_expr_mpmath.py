@@ -40,6 +40,8 @@ from epilab.expr import (
 )
 from epilab.oracle import EXP_ARG_LIMIT, ExpRangeError
 
+from conftest import as_fractions
+
 mpmath = pytest.importorskip("mpmath")
 iv = mpmath.iv
 
@@ -208,7 +210,7 @@ trees = st.recursive(leaves, _combine, max_leaves=8)
 def test_enclosures_meet_mpmath(tree, digits):
     ref = _reference(tree, digits)
     try:
-        lo, hi = eval_interval(tree, digits)
+        lo, hi = as_fractions(eval_interval(tree, digits))
     except EvalDomainError:
         assert ref is _Domain
         return

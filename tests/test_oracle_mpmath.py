@@ -20,6 +20,8 @@ from epilab import oracle
 from epilab.expr import eval_interval, parse
 from epilab.oracle import EXP_ARG_LIMIT, e_interval, exp_interval, pi_interval
 
+from conftest import as_fractions
+
 mpmath = pytest.importorskip("mpmath")
 
 
@@ -33,7 +35,7 @@ def _exact(x) -> Fraction:
 def test_exact_keeps_the_sign():
     assert _exact(-3) == -3
     assert _exact(mpmath.mpf(3) / 4) == Fraction(3, 4)
-    lo, hi = eval_interval(parse("root(3, 0-pi)"), 30)
+    lo, hi = as_fractions(eval_interval(parse("root(3, 0-pi)"), 30))
     with mpmath.workdps(120):
         ref = _exact(-mpmath.cbrt(mpmath.pi))
     assert ref < 0
@@ -46,7 +48,7 @@ def test_exact_keeps_the_sign():
     ("e", e_interval, lambda: mpmath.e()),
 ])
 def test_constant_enclosure_contains_mpmath(name, interval, reference, digits):
-    lo, hi = interval(digits)
+    lo, hi = as_fractions(interval(digits))
     with mpmath.workdps(2 * digits + 60):
         ref = _exact(reference())
     assert lo <= ref <= hi, name
@@ -60,7 +62,7 @@ def test_constant_enclosure_contains_mpmath(name, interval, reference, digits):
 def test_deep_constant_enclosure_contains_mpmath(name, interval, reference):
     # the deep end of the kernels: 20,000 digits, past every benchmark size
     digits = 20000
-    lo, hi = interval(digits)
+    lo, hi = as_fractions(interval(digits))
     with mpmath.workdps(2 * digits + 60):
         ref = _exact(reference())
     assert lo <= ref <= hi, name
@@ -73,10 +75,10 @@ def test_deep_constant_enclosure_contains_mpmath(name, interval, reference):
     ("e", e_interval, lambda: mpmath.e()),
 ])
 def test_warm_enclosure_equals_cold(name, interval, reference, digits):
-    cold = interval(digits)
+    cold = as_fractions(interval(digits))
     interval(5000)
     # a finer enclosure in the cache does not change the one asked for
-    lo, hi = interval(digits)
+    lo, hi = as_fractions(interval(digits))
     assert (lo, hi) == cold, name
     unit = 10 ** (digits + oracle._guard(digits))
     assert unit % lo.denominator == 0 and unit % hi.denominator == 0, name
@@ -104,7 +106,7 @@ def exp_arguments(draw) -> Fraction:
 @example(Fraction(1, 10**300), 80)
 @example(Fraction(-1, 10**300), 80)
 def test_exp_enclosure_contains_mpmath(x, digits):
-    lo, hi = exp_interval(x, digits)
+    lo, hi = as_fractions(exp_interval(x.numerator, x.denominator, digits))
     # exp(100) has 44 integer digits; a relative precision of 2d + 110
     # digits leaves 2d + 60 after the point with room for the rounding
     # of x itself
@@ -121,7 +123,7 @@ def test_exp_enclosure_contains_mpmath(x, digits):
 @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(-7, 3), Fraction(EXP_ARG_LIMIT - 1, 7)],
                          ids=str)
 def test_deep_exp_enclosure_contains_mpmath(x, digits):
-    lo, hi = exp_interval(x, digits)
+    lo, hi = as_fractions(exp_interval(x.numerator, x.denominator, digits))
     with mpmath.workdps(2 * digits + 110):
         ref = _exact(mpmath.exp(mpmath.mpf(x.numerator) / x.denominator))
     assert lo <= ref <= hi

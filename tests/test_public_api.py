@@ -33,7 +33,7 @@ def test_every_export_resolves(name):
 
 # every name `import epilab` bound when the package imported all its modules
 PACKAGE_EXPORTS = {
-    "bignum": ["BigFixed", "Surd", "floor_neg_log10", "ilog10_floor", "iroot", "root_interval"],
+    "bignum": ["BigFixed", "Surd", "ilog10_floor", "iroot", "root_interval"],
     "oracle": ["CONSTANTS", "ExpRangeError", "constant_reference", "e_interval", "exp_interval",
                "pi_interval"],
     "series": ["DEFAULT_MAX_TERMS", "E_FACTORIAL", "GREGORY_LEIBNIZ", "LAMBDA6", "NILAKANTHA",
@@ -215,9 +215,9 @@ def test_no_import_of_fractions_sits_in_a_loop():
     assert found == []
 
 
-#: the Fraction views of the integer enclosures, and the module of each
-VIEWS = {"pi_interval": "oracle", "e_interval": "oracle", "exp_interval": "oracle",
-         "eval_interval": "expr", "root_interval": "bignum"}
+#: the enclosure functions, each returning bounds (lo, hi, den), by module
+ENCLOSURES = {"pi_interval": "oracle", "e_interval": "oracle", "exp_interval": "oracle",
+              "eval_interval": "expr", "root_interval": "bignum"}
 
 
 def _names(node) -> list[str]:
@@ -241,12 +241,21 @@ def test_only_bignum_and_cli_name_the_renderer():
     assert uses == []
 
 
-def test_package_code_reads_units_not_views():
-    # the views stay public for users, tests and the benchmark's tracer;
-    # inside the package, code reads the integer units under them
-    uses = sorted((path.name, name)
-                  for path in (SRC / "epilab").glob("*.py")
-                  for node in ast.walk(ast.parse(path.read_text()))
+def test_one_function_per_enclosure():
+    # each enclosure is one public function returning integer bounds: the
+    # oracle's kernels and cache stay inside oracle, the integer twins
+    # that stood beside Fraction views are gone, and no enclosure
+    # function builds a Fraction
+    trees = {path.stem: ast.parse(path.read_text()) for path in (SRC / "epilab").glob("*.py")}
+    private = {"_cached", "_pi_unit", "_e_unit", "_exp_unit"}
+    gone = {"_enclose", "_exp_units", "root_units", "_ilog10_floor", "floor_neg_log10"}
+    uses = sorted((stem, name) for stem, tree in trees.items() for node in ast.walk(tree)
                   for name in _names(node)
-                  if VIEWS.get(name, path.stem) != path.stem)
+                  if name in gone or name in private and stem != "oracle")
     assert uses == []
+    defined = {(stem, node.name): node for stem, tree in trees.items()
+               for node in tree.body if isinstance(node, ast.FunctionDef)}
+    bodies = [defined[module, name] for name, module in ENCLOSURES.items()]
+    assert [fn.name for fn in bodies for node in ast.walk(fn)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and "fractions" in _imported_modules(node)] == []

@@ -26,6 +26,8 @@ from epilab.registry import (
     verify_all,
 )
 
+from conftest import as_fractions
+
 EXPECTED_IDS = [f"R{i:02d}" for i in range(1, 21)]
 
 
@@ -53,7 +55,7 @@ def test_near_integer_sides_are_integers():
     for rid in EXPECTED_IDS:
         rel = get_relation(rid)
         if rel.kind == NEAR_INTEGER:
-            lo, hi = eval_interval(rel.rhs, 10)
+            lo, hi = as_fractions(eval_interval(rel.rhs, 10))
             assert lo == hi
             assert lo.denominator == 1
 

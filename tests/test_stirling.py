@@ -20,7 +20,7 @@ from epilab.stirling import (
     stirling_factor,
 )
 
-from conftest import reference
+from conftest import as_fractions, reference
 
 
 def _printed(bounds, scale: int) -> Fraction:
@@ -107,7 +107,7 @@ def test_e_half_integer_square_is_exact_rational():
 
 def test_e_half_integer_tracks_exp():
     for n in range(0, 5):
-        lo, hi = exp_interval(Fraction(2 * n + 1, 2), 20)
+        lo, hi = as_fractions(exp_interval(2 * n + 1, 2, 20))
         target = (lo + hi) / 2
         s = e_half_integer(n, 2)
         lo, hi = s.interval(20)

@@ -27,8 +27,8 @@ _EXPORTS = {
             "PrecisionCapError RatLit Root Sqrt Sub cfrac eval_expr eval_interval parse to_text",
     "registry": "REGISTRY Relation VerificationFailure VerificationReport digits_of_agreement "
                 "get_relation relation_ids verify verify_all",
-    "derive": "ScanRow binomial_linearize linear_combo_scan linearize_error_bound "
-              "solve_linear_2x2 solve_pi_quadratic",
+    "derive": "binomial_linearize linearize_error_bound scan_units solve_linear_2x2 "
+              "solve_pi_quadratic",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 # a star import resolves these through __getattr__, and so loads every module

@@ -184,41 +184,40 @@ class CompareRow:
     distance_to_9: tuple[int, int]  # the same
 
 
-def compare_expansions(rows: int) -> list[CompareRow]:
+def compare_expansions(rows: int) -> Iterator[CompareRow]:
     """Term-by-term table of the e and 2*pi expansions and their sum.
 
     Row 1 holds the integer heads (3 and 6, summing to 9 exactly); row 2
     the cancelling pair -1/3 and +1/3; afterwards both series creep
     toward their limits and the running sum drifts from 9 toward
-    e + 2*pi = 9.0014...
+    e + 2*pi = 9.0014...  The check runs at the call; each row is made as
+    it is read, so a reader that renders each row in turn holds one row's
+    exact sums at a time.
     """
-    return list(_compare_rows(rows))
-
-
-def _compare_rows(rows: int) -> Iterator[CompareRow]:
-    """compare_expansions' rows, each made as it is read: a reader that
-    renders each row in turn holds one row's exact sums at a time."""
     if rows < 1:
         raise ValueError("rows must be >= 1")
     # the 2*pi view splits the offset into display rows: 6, then +1/3
-    two_pi_run = chain(((6, 1), (1, 3)), NILAKANTHA_PAIRED.pairs(1, rows - 2))
-    # The running sum is num/den with den = eq * pq: eq the last e
-    # denominator, which each next one is a multiple of (1, 3, then 4!,
-    # 5!, ...), and pq the product of the 2*pi denominators so far.  So
-    # every row multiplies by small ints only, and pays no gcd but the one
-    # that puts the 2*pi term in lowest terms (the e terms, 3, -1/3 and
-    # 1/(k+1)!, are in lowest terms already).
-    num, den, eq, pq = 0, 1, 1, 1
-    for k, ((ep, q_e), (pp, q_p)) in enumerate(zip(e_regrouped().pairs(1, rows), two_pi_run), 1):
-        m = q_e // eq
-        num = (num * m + ep * pq) * q_p + pp * den * m
-        den *= m * q_p
-        eq, pq = q_e, pq * q_p
-        g = math.gcd(pp, q_p)
-        yield CompareRow(
-            k=k,
-            e_term=(ep, q_e),
-            two_pi_term=(pp // g, q_p // g),
-            running=(num, den),
-            distance_to_9=(abs(num - 9 * den), den),
-        )
+    terms = zip(e_regrouped().pairs(1, rows),
+                chain(((6, 1), (1, 3)), NILAKANTHA_PAIRED.pairs(1, rows - 2)))
+    def made():
+        # The running sum is num/den with den = eq * pq: eq the last e
+        # denominator, which each next one is a multiple of (1, 3, then
+        # 4!, 5!, ...), and pq the product of the 2*pi denominators so
+        # far.  So every row multiplies by small ints only, and pays no gcd
+        # but the one that puts the 2*pi term in lowest terms (the e terms,
+        # 3, -1/3 and 1/(k+1)!, are in lowest terms already).
+        num, den, eq, pq = 0, 1, 1, 1
+        for k, ((ep, q_e), (pp, q_p)) in enumerate(terms, 1):
+            m = q_e // eq
+            num = (num * m + ep * pq) * q_p + pp * den * m
+            den *= m * q_p
+            eq, pq = q_e, pq * q_p
+            g = math.gcd(pp, q_p)
+            yield CompareRow(
+                k=k,
+                e_term=(ep, q_e),
+                two_pi_term=(pp // g, q_p // g),
+                running=(num, den),
+                distance_to_9=(abs(num - 9 * den), den),
+            )
+    return made()

@@ -413,7 +413,7 @@ def _rational(text: str) -> tuple[int, int, int]:
 
 
 def cmd_scan(args) -> int:
-    from .derive import _scan_units
+    from .derive import scan_units
     try:
         p, q, k = _rational(args.threshold)
     except (ValueError, ZeroDivisionError):
@@ -424,8 +424,8 @@ def cmd_scan(args) -> int:
     # flags only an exact integer: the rows stay those of the exact value
     size = len(args.threshold)
     k = min(max(k, -(args.digits + 20 + size)), size + 1)
-    two_den, units = _scan_units(args.max, args.digits,
-                                 (p * 10**k, q) if k >= 0 else (p, q * 10**-k))
+    two_den, units = scan_units(args.max, args.digits,
+                                (p * 10**k, q) if k >= 0 else (p, q * 10**-k))
     if args.format == "text":
         # text holds the rows it prints, to size its columns; csv holds none
         units = [u for u in units if args.all_rows or u[7]]
@@ -451,14 +451,14 @@ def cmd_scan(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .accel import _compare_rows
+    from .accel import compare_expansions
     # each row is rendered as it is made, so its exact sums, with
     # thousands of digits at hundreds of rows, are freed once printed
     rows = (
         [str(r.k), _rational_to_digits(*r.e_term), _rational_to_digits(*r.two_pi_term),
          *(BigFixed(_div_nearest(num * 10**args.scale, den), args.scale).to_decimal_string()
            for num, den in (r.running, r.distance_to_9))]
-        for r in _compare_rows(args.rows)
+        for r in compare_expansions(args.rows)
     )
     _emit(args, ["k", "e_term", "two_pi_term", "running_sum", "distance_to_9"], rows,
           text=None if args.quiet else "e expansion (3 - 1/3 + 1/24 + ...) against 2*pi "

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from ._record import record
 from .bignum import Surd
 from .oracle import e_interval, pi_interval
 
@@ -20,8 +19,7 @@ __all__ = [
     "binomial_linearize",
     "linearize_error_bound",
     "solve_linear_2x2",
-    "ScanRow",
-    "linear_combo_scan",
+    "scan_units",
 ]
 
 def solve_pi_quadratic(b: int | Fraction, c: int | Fraction) -> Surd:
@@ -86,28 +84,19 @@ def solve_linear_2x2(
     return (b1 * a22 - b2 * a12) / det, (a11 * b2 - a21 * b1) / det
 
 
-@record
-class ScanRow:
-    n: int
-    m: int
-    value: Fraction
-    nearest: int
-    residual: Fraction
-    mod7: bool
-    predicted: int | None
-    flagged: bool
+def scan_units(max_coeff: int, digits: int,
+               threshold: tuple[int, int]) -> tuple[int, Iterator[tuple]]:
+    """Scan n*pi + m*e for all |n|, |m| <= max_coeff, (n, m) != (0, 0).
 
-
-def _scan_units(max_coeff: int, digits: int,
-                threshold: tuple[int, int]) -> tuple[int, Iterator[tuple]]:
-    """linear_combo_scan's rows as tuples (n, m, total, nearest, residual,
-    mod7, predicted, flagged), with total and residual the numerators of
-    the value and the residual over the returned two_den.  The value is
-    the midpoint of the enclosure of n*pi + m*e, (n*(plo + phi) +
-    m*(elo + ehi))/2 whatever the signs of n and m; the oracle's bounds on
-    pi and e share their denominator, so each field is an integer
-    sum or floor division.  The rows are made as they are read, after the
-    checks and the enclosures, so a bad argument raises before any output.
+    Returns two_den and the rows (n, m, total, nearest, residual, mod7,
+    predicted, flagged): total and residual are numerators over two_den
+    of the value, the midpoint (n*(plo + phi) + m*(elo + ehi))/2 of the
+    enclosure, and of its signed residual; predicted is (22n + 19m)/7
+    when mod7, 7 | n - 2m.  The oracle's bounds on pi and e share their
+    denominator, so each field is an integer sum or floor division.  A
+    row is flagged when |residual| < threshold, the pair (p, q), q > 0.
+    The rows are made as they are read, after the checks and the
+    enclosures, so a bad argument raises at the call, before any output.
     """
     if max_coeff < 1:
         raise ValueError("max_coeff must be >= 1")
@@ -134,23 +123,6 @@ def _scan_units(max_coeff: int, digits: int,
                 yield (n, m, total, nearest, residual, mod7, predicted,
                        abs(residual) * tq < limit)
     return two_den, rows()
-
-
-def linear_combo_scan(max_coeff: int, digits: int = 30,
-                      threshold: tuple[int, int] = (6, 100)) -> list[ScanRow]:
-    """Scan n*pi + m*e for all |n|, |m| <= max_coeff, (n, m) != (0, 0).
-
-    Each row records the midpoint value, the nearest integer, the signed
-    residual, whether n - 2m is divisible by 7, and for such rows the
-    predicted integer (22n + 19m)/7 (always exact when 7 | n - 2m).  A
-    row is flagged when |residual| < threshold, judged on the midpoint;
-    the threshold is a pair (p, q), q > 0, the value p/q.  The value and
-    residual are Fractions.
-    """
-    from fractions import Fraction
-    two_den, rows = _scan_units(max_coeff, digits, threshold)
-    return [ScanRow(n, m, Fraction(total, two_den), nearest, Fraction(residual, two_den), *rest)
-            for n, m, total, nearest, residual, *rest in rows]
 
 
 def __getattr__(name: str):

@@ -545,10 +545,10 @@ def cfrac(expr: Expr, n_terms: int, digits: int = 30) -> list[int]:
 
     Quotients are emitted only while both endpoints of the certified
     interval produce the same partial quotient; precision doubles on
-    demand up to CFRAC_MAX_DIGITS.  An exactly rational value terminates
-    early with its full (shorter) expansion.  Note an expression that is
-    rational but not syntactically so (e.g. pi - pi + 1) cannot certify
-    its termination and exhausts the cap instead.
+    demand up to CFRAC_MAX_DIGITS (digits above it are tried once).  An
+    exactly rational value terminates early with its full expansion; an
+    expression that is rational but not syntactically so (pi - pi + 1)
+    cannot certify its termination, and the error names the digits.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
@@ -562,6 +562,6 @@ def cfrac(expr: Expr, n_terms: int, digits: int = 30) -> list[int]:
             return terms
         if d >= CFRAC_MAX_DIGITS:
             raise PrecisionCapError(
-                f"could not certify {n_terms} partial quotients at {CFRAC_MAX_DIGITS} digits"
-            )
+                f"could not certify {n_terms} partial quotients at {d} digits (a value that is "
+                "rational but not written as one, such as pi - pi or sqrt(2)^2, never certifies)")
         d = min(2 * d, CFRAC_MAX_DIGITS)

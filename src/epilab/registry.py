@@ -8,8 +8,9 @@ combined evaluation error is under a tenth of the residual, i.e. the
 gap is provably real rather than rounding noise.
 
 The ``paper_eq`` string is a catalog anchor carried through to reports;
-``paper_quote`` is the decimal prefix (or claimed value) traditionally
-printed for that relation and is what the golden tests pin.
+``paper_quote`` is the value traditionally printed for that relation:
+its right-hand side as text, or a decimal prefix of its left-hand side,
+which tests/test_registry.py checks against the certified enclosure.
 
 Known quirk, kept on purpose: R16 registers pi^6 against 960 even
 though the nearest integer is 961 (pi^6 = 961.389...).  The claim comes

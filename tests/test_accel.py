@@ -128,7 +128,7 @@ def test_e_regrouped_converges_to_e_within_bounds():
 
 
 def test_compare_rows_start_at_exactly_nine():
-    rows = compare_expansions(4)
+    rows = list(compare_expansions(4))
     assert [r.k for r in rows] == [1, 2, 3, 4]
     # the terms are pairs (num, den) in lowest terms; running and
     # distance_to_9 are exact pairs (num, den)
@@ -150,7 +150,7 @@ def test_compare_distance_settles_near_true_gap():
     e_ref = reference("e", 30)
     two_pi = reference("two_pi", 30)
     gap = e_ref + two_pi - 9
-    last = Fraction(*compare_expansions(80)[-1].distance_to_9)
+    last = Fraction(*list(compare_expansions(80))[-1].distance_to_9)
     assert abs(last - gap) < Fraction(1, 10**6)
     assert Fraction(146, 10**5) <= last < Fraction(147, 10**5)
 

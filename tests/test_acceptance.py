@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from epilab.accel import compare_expansions, gl_regroup_term, paired_term_identity
 from epilab.bignum import BigFixed, root_interval
-from epilab.derive import binomial_linearize, linear_combo_scan, solve_linear_2x2, solve_pi_quadratic
+from epilab.derive import binomial_linearize, scan_units, solve_linear_2x2, solve_pi_quadratic
 from epilab.expr import _floor_cf, cfrac, eval_expr, eval_interval, parse
 from epilab.oracle import exp_interval, pi_interval
 from epilab.registry import get_relation, relation_ids, verify, verify_all
@@ -229,15 +229,17 @@ def test_cfrac_1000_terms_match_mpmath(name):
 
 
 def test_criterion_09_linear_scan():
-    rows = linear_combo_scan(10)
-    family = {(r.n, r.m): r for r in rows if r.mod7}
+    two_den, rows = scan_units(10, 30, (6, 100))
+    # (nearest, residual) of each row with 7 | n - 2m
+    family = {(n, m): (nearest, Fraction(residual, two_den))
+              for n, m, _, nearest, residual, mod7, *_ in rows if mod7}
     assert family
-    for (n, m), row in family.items():
-        assert abs(row.residual) < Fraction(6, 100), (n, m)
-        assert row.nearest == Fraction(22 * n + 19 * m, 7), (n, m)
+    for (n, m), (nearest, residual) in family.items():
+        assert abs(residual) < Fraction(6, 100), (n, m)
+        assert nearest == Fraction(22 * n + 19 * m, 7), (n, m)
     shown = [family[(3, -2)], family[(-1, 3)], family[(-4, 5)]]
-    assert [r.nearest for r in shown] == [4, 5, 1]
-    mags = [abs(r.residual) for r in shown]
+    assert [nearest for nearest, _ in shown] == [4, 5, 1]
+    mags = [abs(residual) for _, residual in shown]
     assert mags[0] < mags[1] < mags[2]
     print("criterion 09 PASS: 7k-family residuals < 0.06, nearest = (22n+19m)/7, displayed order holds")
 

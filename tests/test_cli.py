@@ -353,20 +353,21 @@ def test_compare_memory_does_not_grow_with_rows():
 
 def _reference_scan(fmt, max_coeff, digits, threshold):
     """`scan --format csv|json` output built the slow way, as a check on the
-    CLI's integer rendering: linear_combo_scan's Fraction rows, each value
-    and residual through BigFixed.from_fraction at 6 places, and in csv
-    json's spellings of booleans, with null as an empty cell."""
+    CLI's integer rendering: scan_units' rows, each value and residual
+    read as a Fraction and rounded by BigFixed.from_fraction at 6
+    places, and in csv json's spellings of booleans, with null as an
+    empty cell."""
     import csv
     import io
 
-    from epilab.derive import linear_combo_scan
+    from epilab.derive import scan_units
 
     columns = ["n", "m", "value", "nearest", "residual", "mod7", "predicted", "flagged"]
+    two_den, rows = scan_units(max_coeff, digits, Fraction(threshold).as_integer_ratio())
     typed = [
-        [r.n, r.m, BigFixed.from_fraction(r.value, 6).to_decimal_string(), r.nearest,
-         BigFixed.from_fraction(r.residual, 6).to_decimal_string(), r.mod7, r.predicted,
-         r.flagged]
-        for r in linear_combo_scan(max_coeff, digits, Fraction(threshold).as_integer_ratio())
+        [n, m, BigFixed.from_fraction(Fraction(total, two_den), 6).to_decimal_string(), nearest,
+         BigFixed.from_fraction(Fraction(residual, two_den), 6).to_decimal_string(), *rest]
+        for n, m, total, nearest, residual, *rest in rows
     ]
     if fmt == "json":
         return json.dumps([dict(zip(columns, row)) for row in typed], indent=2) + "\n"
@@ -679,7 +680,7 @@ def test_unexpected_zero_division_is_a_fault_not_a_usage_error(monkeypatch, caps
     def broken(*args):
         raise ZeroDivisionError("division by zero")
 
-    monkeypatch.setattr(epilab.derive, "_scan_units", broken)
+    monkeypatch.setattr(epilab.derive, "scan_units", broken)
     with pytest.raises(ZeroDivisionError):
         main(["scan", "--max", "2"])
 

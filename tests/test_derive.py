@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -13,10 +14,9 @@ import epilab.derive
 import epilab.expr
 from epilab.bignum import Surd
 from epilab.derive import (
-    ScanRow,
     binomial_linearize,
-    linear_combo_scan,
     linearize_error_bound,
+    scan_units,
     solve_linear_2x2,
     solve_pi_quadratic,
 )
@@ -133,8 +133,18 @@ def test_solve_linear_2x2_plugs_back(a11, a12, b1, a21, a22, b2):
     assert a21 * x + a22 * y == b2
 
 
+Row = namedtuple("Row", "n m value nearest residual mod7 predicted flagged")
+
+
+def _scan(max_coeff, digits=30, threshold=(6, 100)):
+    """scan_units' rows, with the value and residual read as Fractions."""
+    two_den, rows = scan_units(max_coeff, digits, threshold)
+    return [Row(n, m, Fraction(total, two_den), nearest, Fraction(residual, two_den), *rest)
+            for n, m, total, nearest, residual, *rest in rows]
+
+
 def test_scan_shape_and_residual_ranges():
-    rows = linear_combo_scan(10)
+    rows = _scan(10)
     assert len(rows) == 440  # every (n, m) pair except (0, 0)
     seen = {(r.n, r.m) for r in rows}
     assert (0, 0) not in seen
@@ -147,7 +157,7 @@ def test_scan_shape_and_residual_ranges():
 
 
 def test_scan_sevens_family():
-    rows = linear_combo_scan(10)
+    rows = _scan(10)
     family = [r for r in rows if r.mod7]
     assert len(family) == 62
     for r in family:
@@ -161,20 +171,20 @@ def test_scan_sevens_family():
 def test_scan_threshold_validation():
     # the threshold is a pair (p, q), q > 0, in (0, 1/2]
     with pytest.raises(ValueError):
-        linear_combo_scan(10, threshold=(3, 5))
+        scan_units(10, 30, (3, 5))
     with pytest.raises(ValueError):
-        linear_combo_scan(10, threshold=(0, 1))
+        scan_units(10, 30, (0, 1))
     with pytest.raises(ValueError):
-        linear_combo_scan(10, threshold=(-1, 10))
-    assert sum(r.flagged for r in linear_combo_scan(2, threshold=(1, 2))) == 24
+        scan_units(10, 30, (-1, 10))
+    assert sum(r.flagged for r in _scan(2, threshold=(1, 2))) == 24
     with pytest.raises(ValueError):
-        linear_combo_scan(0)
+        scan_units(0, 30, (6, 100))
 
 
 def test_scan_values_track_oracle():
     pi_ref = reference("pi", 35)
     e_ref = reference("e", 35)
-    for r in linear_combo_scan(3, digits=30):
+    for r in _scan(3, digits=30):
         assert abs(r.value - (r.n * pi_ref + r.m * e_ref)) < Fraction(1, 10**25)
         assert r.nearest == round(r.n * float(pi_ref) + r.m * float(e_ref))
 
@@ -196,8 +206,8 @@ def _direct_scan(max_coeff, pi_iv, e_iv, threshold):
             mod7 = (n - 2 * m) % 7 == 0
             num = 22 * n + 19 * m
             predicted = num // 7 if mod7 and num % 7 == 0 else None
-            rows.append(ScanRow(n, m, mid, nearest, residual, mod7, predicted,
-                                abs(residual) < threshold))
+            rows.append(Row(n, m, mid, nearest, residual, mod7, predicted,
+                            abs(residual) < threshold))
     return rows
 
 
@@ -212,7 +222,7 @@ def _assert_rows_equal(rows, expected):
 def test_scan_rows_equal_direct_fraction_evaluation(digits, threshold):
     expected = _direct_scan(10, as_fractions(pi_interval(digits)), as_fractions(e_interval(digits)),
                             threshold)
-    _assert_rows_equal(linear_combo_scan(10, digits, threshold.as_integer_ratio()), expected)
+    _assert_rows_equal(_scan(10, digits, threshold.as_integer_ratio()), expected)
 
 
 def test_scan_ties_follow_fraction_semantics(monkeypatch):
@@ -224,7 +234,7 @@ def test_scan_ties_follow_fraction_semantics(monkeypatch):
         monkeypatch.setattr(epilab.derive, name, lambda digits, bounds=bounds: bounds)
     fake_pi, fake_e = (as_fractions(bounds) for bounds in units.values())
     threshold = Fraction(6, 100)
-    rows = linear_combo_scan(4, 30, threshold.as_integer_ratio())
+    rows = _scan(4, 30, threshold.as_integer_ratio())
     _assert_rows_equal(rows, _direct_scan(4, fake_pi, fake_e, threshold))
     by_nm = {(r.n, r.m): r for r in rows}
     assert by_nm[1, 0].nearest == 4 and by_nm[1, 0].residual == Fraction(-1, 2)
@@ -277,3 +287,11 @@ def test_cfrac_argument_validation_and_cap(monkeypatch):
     # pi - pi is no exact point, so pi - pi + 1 straddles 1 at every precision
     with pytest.raises(PrecisionCapError, match="at 128 digits"):
         cfrac(parse("pi - pi + 1"), 2)
+
+
+def test_cfrac_cap_message_names_the_digits_reached(monkeypatch):
+    # asked for more digits than the cap, cfrac evaluates once, at the
+    # digits asked for, and its message names those and the likely cause
+    monkeypatch.setattr(epilab.expr, "CFRAC_MAX_DIGITS", 128)
+    with pytest.raises(PrecisionCapError, match="at 200 digits .*rational but not written as one"):
+        cfrac(parse("pi - pi + 1"), 2, 200)

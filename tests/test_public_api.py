@@ -50,8 +50,8 @@ PACKAGE_EXPORTS = {
              "Sqrt", "Sub", "cfrac", "eval_expr", "eval_interval", "parse", "to_text"],
     "registry": ["REGISTRY", "Relation", "VerificationFailure", "VerificationReport",
                  "digits_of_agreement", "get_relation", "relation_ids", "verify", "verify_all"],
-    "derive": ["ScanRow", "binomial_linearize", "linear_combo_scan", "linearize_error_bound",
-               "solve_linear_2x2", "solve_pi_quadratic"],
+    "derive": ["binomial_linearize", "linearize_error_bound", "scan_units", "solve_linear_2x2",
+               "solve_pi_quadratic"],
 }
 
 
@@ -259,3 +259,28 @@ def test_one_function_per_enclosure():
     assert [fn.name for fn in bodies for node in ast.walk(fn)
             if isinstance(node, (ast.Import, ast.ImportFrom))
             and "fractions" in _imported_modules(node)] == []
+
+
+def _defined(node) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+        return [node.id]
+    return []
+
+
+def test_one_function_per_stream():
+    # the scan and the e/2*pi comparison each stream from one public
+    # function: the list and Fraction views that stood beside them, and
+    # the private twins the CLI ran, are gone, and every name the CLI
+    # imports from derive and accel is in that module's __all__
+    trees = {path.stem: ast.parse(path.read_text()) for path in (SRC / "epilab").glob("*.py")}
+    gone = {"linear_combo_scan", "ScanRow", "_scan_units", "_compare_rows"}
+    assert sorted((stem, name) for stem, tree in trees.items() for node in ast.walk(tree)
+                  for name in _defined(node) if name in gone) == []
+    imported = {(node.module, alias.name) for node in ast.walk(trees["cli"])
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module in ("derive", "accel") for alias in node.names}
+    assert {module for module, _ in imported} == {"derive", "accel"}
+    assert sorted((module, name) for module, name in imported
+                  if name not in importlib.import_module(f"epilab.{module}").__all__) == []

@@ -10,13 +10,26 @@ from pathlib import Path
 
 import pytest
 
+from epilab._record import record
 from epilab.bignum import BigFixed
-from epilab.derive import ScanRow
 from epilab.expr import Add, ConstE, ConstPi, IntLit, Root, Sub, eval_expr, parse
 from epilab.registry import NEAR_EQUAL, Relation
 from epilab.series import SeriesSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@record
+class ScanRow:
+    """A record with int, Fraction, bool and optional fields."""
+    n: int
+    m: int
+    value: Fraction
+    nearest: int
+    residual: Fraction
+    mod7: bool
+    predicted: int | None
+    flagged: bool
 
 
 def _spec(**kw) -> SeriesSpec:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import epilab.registry
 from epilab.bignum import BigFixed
-from epilab.expr import EvalDomainError, PrecisionCapError, parse
+from epilab.expr import EvalDomainError, PrecisionCapError, eval_interval, parse, to_text
 from epilab.oracle import ExpRangeError
 from epilab.registry import (
     NEAR_EQUAL,
@@ -217,6 +217,24 @@ def test_registry_is_immutable_tuple():
     assert len(REGISTRY) == 20
     with pytest.raises(AttributeError):
         REGISTRY[0].id = "zzz"  # type: ignore[misc]
+
+
+@pytest.mark.parametrize("rel", REGISTRY, ids=lambda rel: rel.id)
+def test_paper_quote_is_the_rhs_or_a_certified_prefix(rel):
+    # a quote is the right-hand side as printed, with * read as a space
+    # (R17's "96 pi^3"), or a decimal string, less any trailing "...",
+    # that both ends of the left-hand side's certified enclosure begin
+    # with when truncated at its places ("20.08" for e^3 = 20.0855...)
+    if rel.paper_quote == to_text(rel.rhs).replace("*", " "):
+        return
+    whole, dot, frac = rel.paper_quote.removesuffix("...").partition(".")
+    assert dot and whole.isdigit() and frac.isdigit(), rel.paper_quote
+    places = len(frac)
+    lo, hi, den = eval_interval(rel.lhs, places + 5)
+    assert lo > 0  # so flooring truncates
+    for end in (lo, hi):
+        t = end * 10**places // den
+        assert f"{t // 10**places}.{t % 10**places:0{places}d}" == f"{whole}.{frac}"
 
 
 @pytest.mark.parametrize("digits", [6, 30])

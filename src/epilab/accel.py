@@ -37,7 +37,7 @@ from collections.abc import Iterator
 from itertools import chain
 
 from ._record import record
-from .series import NILAKANTHA, NILAKANTHA_PAIRED, SeriesSpec, _join, _pairs_e, scale_series
+from .series import E_FACTORIAL, NILAKANTHA, NILAKANTHA_PAIRED, SeriesSpec, _join, scale_series
 
 __all__ = [
     "gl_regroup_term",
@@ -149,7 +149,12 @@ def nilakantha_doubled() -> SeriesSpec:
 def _e_regrouped_pairs(a: int, b: int) -> Iterator[tuple[int, int]]:
     # 1 + 1 + 1/2 + 1/6 = 3 - 1/3, then the plain factorial terms: term
     # k >= 3 is 1/(k+1)!, term k + 1 of the factorial series
-    return chain(((3, 1), (-1, 3))[a - 1:b], _pairs_e(max(a, 3) + 1, b + 1))
+    return chain(((3, 1), (-1, 3))[a - 1:b], E_FACTORIAL.pairs(max(a, 3) + 1, b + 1))
+
+
+def _e_regrouped_run(a: int, b: int) -> tuple[int, int]:
+    # the heads 3 = 9/3 and -1/3 within a..b, then the factorial run shifted by one
+    return _join(9 * (a <= 1 <= b) - (a <= 2 <= b), 3, *E_FACTORIAL.run_sum(max(a, 3) + 1, b + 1))
 
 
 def _e_regrouped_tail(k: int) -> tuple[int, int]:
@@ -172,6 +177,7 @@ def e_regrouped() -> SeriesSpec:
         start_index=1,
         pairs=_e_regrouped_pairs,
         tail_bound=_e_regrouped_tail,
+        run_sum=_e_regrouped_run,
     )
 
 

@@ -21,6 +21,9 @@ directed rounding every enclosure in the package is built with: the
 expression evaluator, the root kernels and the CLI's printed bounds
 round their integer units with them.
 
+:func:`_binary_split`, the one (P, Q, T) splitter, sums Chudnovsky's pi
+series for oracle and the factorial series' runs for series, exactly.
+
 :class:`Surd` represents quadratic irrationals ``a + b*sqrt(r)`` exactly,
 with the square part of ``r`` factored into ``b`` so the radicand is
 canonical.
@@ -143,6 +146,18 @@ def floor_div(n: int, d: int) -> int:
 def ceil_div(n: int, d: int) -> int:
     """ceil(n / d) for integers, d != 0: the one rounding up."""
     return -(-n // d)
+
+
+def _binary_split(leaf, a: int, b: int) -> tuple[int, int, int]:
+    """(P, Q, T) of the sum of c(k) r(k), a <= k < b, with r(k) = r(k-1)
+    p(k)/q(k) and leaf(k) = (p(k), q(k), c(k) p(k)): P, Q the products of
+    p, q, and T/Q the sum in units of r(a-1); (1, 1, 0) for no terms."""
+    if b - a < 2:
+        return leaf(a) if b > a else (1, 1, 0)
+    m = (a + b) // 2
+    p1, q1, t1 = _binary_split(leaf, a, m)
+    p2, q2, t2 = _binary_split(leaf, m, b)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ rationals (see Brent & Zimmermann, *Modern Computer Arithmetic*,
 sections 4.4 and 4.9).
 
 * pi comes from the Chudnovsky series (Chudnovsky & Chudnovsky, 1988),
-  about 14 digits a term, summed exactly into one fraction T/Q by binary
-  splitting (Haible & Papanikolaou, ANTS 1998).  One integer division
-  by T, with sqrt(10005) from math.isqrt, gives pi within 3 units.
+  about 14 digits a term, summed exactly into one fraction T/Q by the
+  package's one binary splitter, bignum's.  One integer division by T,
+  with sqrt(10005) from math.isqrt, gives pi within 3 units.
 * e is the factorial series sum(1/n!), each term the previous one
   divided by n, with remainder bound 2/(N+1)!.
 * exp(x), for 0 <= x <= EXP_ARG_LIMIT, comes from argument reduction
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 
-from .bignum import _div_nearest, ceil_div, floor_div
+from .bignum import _binary_split, _div_nearest, ceil_div, floor_div
 
 __all__ = [
     "ExpRangeError",
@@ -81,26 +81,14 @@ def _guard(eps_digits: int) -> int:
 _A, _B, _Q1 = 13591409, 545140134, 640320**3 // 24
 
 
-def _chudnovsky(a: int, b: int) -> tuple[int, int, int]:
-    """Binary splitting (P, Q, T) of the Chudnovsky terms a <= k < b.
-
-    426880 sqrt(10005) / pi is the sum of the terms t_k = (-1)^k (6k)!
-    (_A + _B k) / ((3k)! k!^3 640320^(3k)), and t_k / t_(k-1) is -p(k)/q(k)
-    with p(k) = (6k-5)(2k-1)(6k-1) and q(k) = k^3 _Q1.  P and Q are the
-    products of p and q over the range, and T/Q is the sum of its terms in
-    units of term a-1 (of 1 for a = 0), exactly: the halves join as P1 P2,
-    Q1 Q2 and T1 Q2 + P1 T2.
-    """
-    if b - a == 1:
-        if a == 0:
-            return 1, 1, _A
-        p = (6 * a - 5) * (2 * a - 1) * (6 * a - 1)
-        t = p * (_A + _B * a)
-        return p, a * a * a * _Q1, -t if a % 2 else t
-    m = (a + b) // 2
-    p1, q1, t1 = _chudnovsky(a, m)
-    p2, q2, t2 = _chudnovsky(m, b)
-    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+def _chudnovsky_leaf(k: int) -> tuple[int, int, int]:
+    # 426880 sqrt(10005) / pi is the sum of (-1)^k (_A + _B k) r(k), where
+    # r(k) = (6k)! / ((3k)! k!^3 640320^(3k)) is r(k-1) p / (k^3 _Q1)
+    if k == 0:
+        return 1, 1, _A
+    p = (6 * k - 5) * (2 * k - 1) * (6 * k - 1)
+    t = p * (_A + _B * k)
+    return p, k * k * k * _Q1, -t if k % 2 else t
 
 
 def _pi_unit(work: int) -> tuple[int, int]:
@@ -122,7 +110,7 @@ def _pi_unit(work: int) -> tuple[int, int]:
     # closed-form term count, checked once without a big power
     if 47 * n < (333 * work + 99) // 100 + (2 * (_A + _B * n)).bit_length():
         raise RuntimeError(f"{n} Chudnovsky terms do not reach 10**-{work}")
-    _, q, t = _chudnovsky(0, n)
+    _, q, t = _binary_split(_chudnovsky_leaf, 0, n)
     y = 426880 * math.isqrt(10005 * 100**work) * q // t
     return y - 1, y + 2
 

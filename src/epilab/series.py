@@ -11,10 +11,13 @@ p/q, not necessarily in lowest terms: a spec's offset, its tail bounds,
 and the values, bounds and errors the sums and tables return.  A spec
 states its terms once, as runs of such pairs ``pairs(a, b)``, so a run
 can carry state from one term to the next (the factorial of the e series
-is multiplied up, not rebuilt).  The sums read only these runs: an exact
+is multiplied up, not rebuilt).  The sums read these runs: an exact
 sum joins them over a common denominator, a fixed-point sum rounds each
-pair inline.  ``term(n)`` is the run of one index as a Fraction, a view
-for callers; it alone imports :mod:`fractions`.
+pair inline.  An exact sum reads ``run_sum(a, b)`` instead where a spec
+states it: e's runs and those of its scaled copies and of the regrouped
+e series are summed by bignum's (P, Q, T) splitter, as oracle's
+Chudnovsky series is.  ``term(n)`` is the run of one index as a
+Fraction, a view for callers; it alone imports :mod:`fractions`.
 
 Builtins (index ranges are inclusive of start_index):
 
@@ -33,7 +36,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import cycle, islice
 
 from ._record import record
-from .bignum import ilog10_floor
+from .bignum import _binary_split, ilog10_floor
 from .oracle import CONSTANTS, NoCertifiedResult, constant_reference
 
 __all__ = [
@@ -91,7 +94,7 @@ class SeriesSpec:
     one that bounds the absolute value of the sum of all terms with
     index > N.  alternating marks series whose terms strictly alternate
     in sign with non-increasing magnitude (which is what makes
-    |term(N+1)| a valid tail bound).
+    |term(N+1)| a valid tail bound); run_sum(a, b), if set, sums a run.
     """
 
     name: str
@@ -101,6 +104,7 @@ class SeriesSpec:
     pairs: Callable[[int, int], Iterable[tuple[int, int]]]
     tail_bound: Callable[[int], tuple[int, int]]
     alternating: bool = False
+    run_sum: Callable[[int, int], tuple[int, int]] | None = None
 
     def __post_init__(self) -> None:
         if self.constant not in CONSTANTS:
@@ -146,6 +150,12 @@ def _pairs_e(a: int, b: int) -> Iterator[tuple[int, int]]:
     for n in range(a, b + 1):
         yield 1, q
         q *= n + 1
+
+
+def _run_e(a: int, b: int) -> tuple[int, int]:
+    # sum(1/n!, a <= n <= b) = T/(Q (a-1)!) = T/b!: 1/n! is 1/(n-1)! over n, (-1)! is 1
+    _, q, t = _binary_split(lambda n: (1, n or 1, 1), a, b + 1)
+    return t, q * math.factorial(max(a - 1, 0))
 
 
 def _tail_e(n: int) -> tuple[int, int]:
@@ -199,6 +209,7 @@ E_FACTORIAL = SeriesSpec(
     start_index=0,
     pairs=_pairs_e,
     tail_bound=_tail_e,
+    run_sum=_run_e,
 )
 
 GREGORY_LEIBNIZ = SeriesSpec(
@@ -279,30 +290,30 @@ def scale_series(spec: SeriesSpec, factor: int | Fraction, *, name: str | None =
     if fn == 0:
         raise ValueError("factor must be nonzero")
 
+    def scaled(pq: tuple[int, int]) -> tuple[int, int]:
+        return fn * pq[0], fd * pq[1]
+
     def pairs(a: int, b: int, _p=spec.pairs) -> Iterator[tuple[int, int]]:
-        return ((fn * p, fd * q) for p, q in _p(a, b))
+        return map(scaled, _p(a, b))
 
     def tail(n: int, _b=spec.tail_bound) -> tuple[int, int]:
         p, q = _b(n)
         return abs(fn) * p, fd * q
 
-    op, oq = spec.offset
     return SeriesSpec(
         name=name or f"{spec.name}-scaled",
         constant=constant or spec.constant,
-        offset=(fn * op, fd * oq),
+        offset=scaled(spec.offset),
         start_index=spec.start_index,
         pairs=pairs,
         tail_bound=tail,
         alternating=spec.alternating,
+        run_sum=spec.run_sum and (lambda a, b, _r=spec.run_sum: scaled(_r(a, b))),
     )
 
 
 def _join(p1: int, q1: int, p2: int, q2: int) -> tuple[int, int]:
-    """p1/q1 + p2/q2 as a pair over lcm(q1, q2), cheaply when q1 divides q2."""
-    k, r = divmod(q2, q1)
-    if r == 0:
-        return p1 * k + p2, q2
+    """p1/q1 + p2/q2 as a pair over lcm(q1, q2)."""
     g = math.gcd(q1, q2)
     return p1 * (q2 // g) + p2 * (q1 // g), q1 // g * q2
 
@@ -312,17 +323,15 @@ def _exact_sum(pairs: Iterator[tuple[int, int]], count: int) -> tuple[int, int]:
     Q > 0, not in lowest terms; (0, 1) when count is 0.
 
     A leaf of up to _LEAF_TERMS terms joins over the product of their
-    denominators with one gcd at its end, or with none while each divides
-    the next (e's n!).  Longer runs are halved recursively, so each join
-    meets sums of similar size, and joined over the lcm; depth-first, so
-    terms are drawn in order.
+    denominators with one gcd at its end.  Longer runs are halved
+    recursively, so each join meets sums of similar size, and joined over
+    the lcm; depth-first, so terms are drawn in order.
     """
     if count <= _LEAF_TERMS:
-        p1, q1, g = 0, 1, 1
+        p1, q1 = 0, 1
         for p, q in islice(pairs, count):
-            k, r = divmod(q, q1)
-            p1, q1, g = (p1 * k + p, q, g) if r == 0 else (p1 * q + p * q1, q1 * q, 0)
-        g = g or math.gcd(p1, q1)
+            p1, q1 = p1 * q + p * q1, q1 * q
+        g = math.gcd(p1, q1)
         return p1 // g, q1 // g
     half = (count + 1) // 2
     return _join(*_exact_sum(pairs, half), *_exact_sum(pairs, count - half))
@@ -343,7 +352,8 @@ def partial_sum(spec: SeriesSpec, n: int) -> SumResult:
     count = n - spec.start_index + 1
     pairs = iter(spec.pairs(spec.start_index, n))
     if count <= EXACT_TERM_LIMIT:
-        return SumResult(_join(*spec.offset, *_exact_sum(pairs, count)), n, spec.tail_bound(n))
+        run = spec.run_sum(spec.start_index, n) if spec.run_sum else _exact_sum(pairs, count)
+        return SumResult(_join(*spec.offset, *run), n, spec.tail_bound(n))
     unit = 10**FIXED_ACC_SCALE
     two_unit = 2 * unit
     acc = 0
@@ -422,7 +432,8 @@ def convergence_table(spec: SeriesSpec, checkpoints: Sequence[int]) -> list[Conv
     pairs = iter(spec.pairs(spec.start_index, points[-1]))
     i = spec.start_index
     for point, (bp, bq) in zip(points, bounds):
-        pq = _join(*pq, *_exact_sum(pairs, point - i + 1))
+        pq = _join(*pq, *(spec.run_sum(i, point) if spec.run_sum
+                          else _exact_sum(pairs, point - i + 1)))
         tp, tq = _join(*spec.offset, *pq)
         i = point + 1
         # the error is err / (tq * two_den), the certificate eps over the same

@@ -187,6 +187,35 @@ def test_exp_negative_is_reciprocal():
     assert lo_n * lo_p <= 1 <= hi_n * hi_p
 
 
+_A, _B, _Q1 = 13591409, 545140134, 640320**3 // 24
+
+
+def _chudnovsky(a: int, b: int) -> tuple[int, int, int]:
+    """The Chudnovsky recursion that oracle ran before the package had one
+    splitter, kept as the reference: (P, Q, T) of the terms a <= k < b."""
+    if b - a == 1:
+        if a == 0:
+            return 1, 1, _A
+        p = (6 * a - 5) * (2 * a - 1) * (6 * a - 1)
+        t = p * (_A + _B * a)
+        return p, a * a * a * _Q1, -t if a % 2 else t
+    m = (a + b) // 2
+    p1, q1, t1 = _chudnovsky(a, m)
+    p2, q2, t2 = _chudnovsky(m, b)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
+def test_the_splitter_gives_the_chudnovsky_recursions_triples():
+    # every n up to 100, and _pi_unit's term counts at 5,000 and 10,000 digits
+    from epilab.bignum import _binary_split
+
+    assert (oracle._A, oracle._B, oracle._Q1) == (_A, _B, _Q1)
+    for n in (*range(1, 101), 359, 716):
+        assert _binary_split(oracle._chudnovsky_leaf, 0, n) == _chudnovsky(0, n), n
+    assert [(5000 + oracle._guard(5000)) // 14 + 2, (10**4 + oracle._guard(10**4)) // 14 + 2] \
+        == [359, 716]
+
+
 def test_pi_term_count_reaches_every_work(monkeypatch):
     # _pi_unit's closed-form count work // 14 + 2 meets its docstring's
     # inequality for every work up to 10**5 digits; the check that guards

@@ -253,6 +253,10 @@ def test_one_function_per_enclosure():
                   for name in _names(node)
                   if name in gone or name in private and stem != "oracle")
     assert uses == []
+    # one (P, Q, T) splitter, bignum's: oracle's own Chudnovsky recursion is gone
+    assert sorted((stem, name) for stem, tree in trees.items() for node in ast.walk(tree)
+                  for name in _defined(node) if name in ("_chudnovsky", "_binary_split")) \
+        == [("bignum", "_binary_split")]
     defined = {(stem, node.name): node for stem, tree in trees.items()
                for node in tree.body if isinstance(node, ast.FunctionDef)}
     bodies = [defined[module, name] for name, module in ENCLOSURES.items()]

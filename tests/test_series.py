@@ -286,6 +286,39 @@ def test_pair_runs_equal_the_terms(name, ends, factor):
     assert list(spec.pairs(b + 1, b)) == []
 
 
+def test_e_run_sum_is_the_factorial_sum():
+    # every run a..b up to 40 against the Fraction sum of the terms, the
+    # regrouped e series' runs too, and two long runs against sum(b!/n!)
+    # over b!, an integer sum that shares no code with the splitter
+    ef, er = builtin("e-factorial"), e_regrouped()
+    for a in range(41):
+        for b in range(a, 41):
+            expected = sum(REFERENCE_TERMS["e-factorial"](n) for n in range(a, b + 1))
+            assert F(ef.run_sum(a, b)) == expected, (a, b)
+            if a:
+                terms = (REFERENCE_TERMS["e-factorial-regrouped"](k) for k in range(a, b + 1))
+                assert F(er.run_sum(a, b)) == sum(terms, Fraction(0)), (a, b)
+    for a, b in ((0, 1999), (1000, 4999)):
+        units, quotient = 0, 1  # quotient = b!/n!, from n = b down
+        for n in range(b, a - 1, -1):
+            units += quotient
+            quotient *= n
+        p, q = ef.run_sum(a, b)
+        assert p * math.factorial(b) == units * q, (a, b)
+    scaled = scale_series(ef, Fraction(3, 7))
+    for a, b in ((0, 0), (0, 40), (3, 17), (1000, 4999)):
+        assert F(scaled.run_sum(a, b)) == Fraction(3, 7) * F(ef.run_sum(a, b)), (a, b)
+
+
+def test_only_the_e_series_state_a_run_sum():
+    # the factorial series, its scaled copies and the regrouped e series
+    # sum through the splitter; every other series joins its pairs
+    assert sorted(name for name, spec in RUN_SPECS.items() if spec.run_sum) \
+        == ["e-factorial", "e-factorial-regrouped"]
+    assert scale_series(builtin("e-factorial"), 2).run_sum is not None
+    assert scale_series(builtin("zeta8"), 2).run_sum is None
+
+
 def _rounded_at_fixed_scale(t: Fraction) -> int:
     # nearest multiple of 10**-FIXED_ACC_SCALE, in units, ties away from zero
     units = abs(t) * 10**FIXED_ACC_SCALE

@@ -8,9 +8,9 @@ one to its caller (a :class:`Surd`'s parts), and only the functions that
 build or compare a Fraction import :mod:`fractions` (and the
 :mod:`decimal` it loads), so code that works on integers pays for
 neither.  Nothing is ever evaluated in binary floating point.
-:class:`BigFixed`, the decimal fixed point ``mantissa * 10**-scale``,
-renders a result for print.  Only the CLI names it or its body,
-:func:`_fixed_to_string`: the CLI alone decides each printed rounding.
+:func:`_fixed_to_string` writes ``mantissa * 10**-scale`` in plain
+decimal; the CLI alone calls it, in the one function that rounds each
+printed decimal.  No module uses :class:`BigFixed`, its fixed point.
 
 Rounding onto the decimal grid 10**-scale happens in two ways only.
 :func:`_div_nearest`, and :meth:`BigFixed.from_fraction` through it,

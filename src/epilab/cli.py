@@ -6,12 +6,14 @@ Output formats: text (default), csv (always with a header row), json
 byte-identical output; --quiet drops everything except the payload.
 
 Each command builds its output once, as rows of string cells under named
-columns, and hands them to one emitter, _emit, which alone looks at
---format: csv writes the cells as they are, json writes them as records
-through one writer in json.dumps(indent=2)'s layout, and text prints the
-command's own layout or the rows as a table.  A command names its
-literal columns, whose cells are json literals (integers, true, false;
-the empty cell is null); every other cell is a json string.
+columns, each decimal among them rounded from the library's exact
+integers by one function, _places, and hands them to one emitter, _emit,
+which alone looks at --format: csv writes the cells as they are, json
+writes them as records through one writer in json.dumps(indent=2)'s
+layout, and text prints the command's own layout or the rows as a
+table.  A command names its literal columns, whose cells are json
+literals (integers, true, false; the empty cell is null); every other
+cell is a json string.
 
 parse_args reads argv as argparse did, against one option table
 (build_parser): each argument's kind, default, floor and help.  It
@@ -37,8 +39,8 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .bignum import (BigFixed, _div_nearest, _fixed_to_string, _int_to_digits, _rational_to_digits,
-                     ceil_div, floor_div, root_interval)
+from .bignum import (_div_nearest, _fixed_to_string, _rational_to_digits, ceil_div, floor_div,
+                     root_interval)
 from .oracle import _FORMS, NoCertifiedResult, constant_reference, e_interval, exp_interval
 
 # series, expr, registry, derive, stirling and accel are imported inside
@@ -137,6 +139,13 @@ def _emit(args, columns, rows, literal=(), *, payload=None, text=None, table=Non
                 print("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
 
 
+def _places(num: int, den: int, places: int, rounding=_div_nearest) -> str:
+    """num/den, den > 0, at `places` decimals: to nearest with ties away
+    from zero, or by floor_div or ceil_div.  Every decimal the commands
+    print is rounded here."""
+    return _fixed_to_string(rounding(num * 10**places, den), places)
+
+
 # ---------------------------------------------------------------------------
 # compute
 
@@ -186,13 +195,13 @@ def cmd_compute(args) -> int:
             lo, hi, den = root_interval(max(lo, 0), hi, den, k, digits + 6)
     # the midpoint is positive, so rounding it down makes the rendered
     # digits a prefix of its decimal expansion, which is what "value to N
-    # digits" means here; the value is at most the midpoint, so the error
-    # is at most hi/den - value
+    # digits" means here; the value printed is at most the midpoint, so
+    # the error is at most hi/den - value
     value = floor_div((lo + hi) * 10**digits, 2 * den)
-    error_bound = ceil_div((hi * 10**digits - value * den) * 10**4, den)
     cells = {"constant": args.constant, "method": args.method, "digits": str(digits),
-             "terms": terms, "value": BigFixed(value, digits).to_decimal_string(),
-             "error_bound": BigFixed(error_bound, digits + 4).to_decimal_string()}
+             "terms": terms, "value": _places(lo + hi, 2 * den, digits, floor_div),
+             "error_bound": _places(hi * 10**digits - value * den, den * 10**digits, digits + 4,
+                                    ceil_div)}
     text = cells["value"] if args.quiet else "\n".join([
         f"{args.constant} = {cells['value']}", f"method = {args.method}",
         *([f"terms = {terms}"] if terms else []), f"error <= {cells['error_bound']}"])
@@ -218,12 +227,9 @@ def cmd_table(args) -> int:
     if max(checkpoints) > EXACT_TERM_LIMIT:
         raise ValueError(f"--checkpoints must be <= {EXACT_TERM_LIMIT}")
 
-    def cell(pair, scale, rounding=_div_nearest):  # a pair (p, q) at `scale` places
-        return BigFixed(rounding(pair[0] * 10**scale, pair[1]), scale).to_decimal_string()
-
     # the value and error round to nearest, the bound up
-    rows = [[str(r.n), cell(r.value, args.scale), cell(r.abs_error, 25),
-             cell(r.bound, 25, ceil_div), str(r.digits_correct)]
+    rows = [[str(r.n), _places(*r.value, args.scale), _places(*r.abs_error, 25),
+             _places(*r.bound, 25, ceil_div), str(r.digits_correct)]
             for r in convergence_table(spec, checkpoints)]
     _emit(args, ["n", "value", "abs_error", "bound", "digits_correct"], rows,
           text=None if args.quiet else f"series = {spec.name} (limit: {spec.constant})",
@@ -233,6 +239,14 @@ def cmd_table(args) -> int:
 
 # ---------------------------------------------------------------------------
 # verify
+
+
+def _verify_cells(r) -> list[str]:
+    """A report's decimal cells: lhs and rhs at precision_used places, and
+    the residual lhs - rhs and |lhs - rhs| / |rhs| at ten places more."""
+    d, unit, residual = r.precision_used, 10 ** (r.precision_used + 2), r.lhs_units - r.rhs_units
+    return [_places(r.lhs_units, unit, d), _places(r.rhs_units, unit, d),
+            _places(residual, unit, d + 10), _places(abs(residual), abs(r.rhs_units), d + 10)]
 
 
 def cmd_verify(args) -> int:
@@ -250,10 +264,7 @@ def cmd_verify(args) -> int:
     rows = [
         [r.relation_id, r.paper_eq, "", "", "", "", "", "", _BOOL[False]]
         if isinstance(r, VerificationFailure) else
-        [r.relation_id, r.paper_eq,
-         *(BigFixed(v, r.precision_used).to_decimal_string() for v in (r.lhs_value, r.rhs_value)),
-         *(BigFixed(v, r.precision_used + 10).to_decimal_string()
-           for v in (r.abs_residual, r.rel_residual)),
+        [r.relation_id, r.paper_eq, *_verify_cells(r),
          str(r.digits_of_agreement), str(r.precision_used), _BOOL[r.certified]]
         for r in reports
     ]
@@ -308,18 +319,11 @@ def cmd_cfrac(args) -> int:
 # stirling
 
 
-def _midpoint(bounds: tuple[int, int, int], scale: int) -> BigFixed:
-    """The midpoint of bounds (lo, hi, den) rounded to nearest at `scale` places."""
-    lo, hi, den = bounds
-    return BigFixed(_div_nearest((lo + hi) * 10**scale, 2 * den), scale)
-
-
-def _rel_error(approx: BigFixed, lo: int, hi: int, den: int) -> str:
-    """ceil(max |approx - x| / min x, over x in [lo/den, hi/den]) at ten
-    places, for lo > 0."""
-    a, u = approx.mantissa * den, 10**approx.scale
-    worst = max(abs(a - lo * u), abs(a - hi * u))
-    return BigFixed(ceil_div(worst * 10**10, lo * u), 10).to_decimal_string()
+def _rel_error(value: int, scale: int, lo: int, hi: int, den: int) -> str:
+    """ceil(max |a - x| / min x, over x in [lo/den, hi/den]) at ten
+    places, a being value * 10**-scale, for lo > 0."""
+    a, u = value * den, 10**scale
+    return _places(max(abs(a - lo * u), abs(a - hi * u)), lo * u, 10, ceil_div)
 
 
 def cmd_stirling(args) -> int:
@@ -330,31 +334,27 @@ def cmd_stirling(args) -> int:
     n, k = 1 if args.n is None else args.n, 2 if args.k is None else args.k
     if args.op == "e-half":
         s = e_half_integer(n, k)
-        sq = s.squared().as_fraction()
-        cells = {
-            "op": "e-half", "n": str(n), "k": str(k),
-            "surd": str(s),
-            "squared": f"{_int_to_digits(sq.numerator)}/{_int_to_digits(sq.denominator)}",
-            "squared_decimal": BigFixed.from_fraction(sq, scale).to_decimal_string(),
-        }
+        p, q = s.squared().as_fraction().as_integer_ratio()
+        cells = {"op": "e-half", "n": str(n), "k": str(k), "surd": str(s),
+                 "squared": _rational_to_digits(p, q), "squared_decimal": _places(p, q, scale)}
         text = f"{s}; squared = {cells['squared']} ≈ {cells['squared_decimal']}"
     elif args.op in ("approx", "ratio"):
         # bounds lo <= x * den <= hi on the true value x
         if args.op == "approx":
             # the target first: its range check names why a large n fails
             lo, hi, den = exp_interval(n, 1, scale + 10)
-            value = _midpoint(e_power_approx(n, k, scale + 2), scale)
+            a_lo, a_hi, a_den = e_power_approx(n, k, scale + 2)
             name = f"e^{n}"
         else:
-            value = _midpoint(e_from_ratio(n, k, scale + 2), scale)
+            a_lo, a_hi, a_den = e_from_ratio(n, k, scale + 2)
             lo, hi, den = e_interval(scale + 10)
             name = "e"
-        cells = {
-            "op": args.op, "n": str(n), "k": str(k),
-            "value": value.to_decimal_string(),
-            "target": _midpoint((lo, hi, den), scale).to_decimal_string(),
-            "rel_error": _rel_error(value, lo, hi, den),
-        }
+        # each midpoint prints rounded to nearest; the error is that of the value printed
+        value = _div_nearest((a_lo + a_hi) * 10**scale, 2 * a_den)
+        cells = {"op": args.op, "n": str(n), "k": str(k),
+                 "value": _places(a_lo + a_hi, 2 * a_den, scale),
+                 "target": _places(lo + hi, 2 * den, scale),
+                 "rel_error": _rel_error(value, scale, lo, hi, den)}
         text = f"{name} ≈ {cells['value']}  (true {cells['target']}, " \
                f"rel error {cells['rel_error']})"
     else:  # e8: each field of the decomposition is a cell under its own name
@@ -362,7 +362,7 @@ def cmd_stirling(args) -> int:
         cells = {"op": "e8"}
         for name in ("e8", "value_96pi3", "base_64pi3", "correction", "gap_from_3_2", "ratio"):
             v = getattr(d, name)  # an enclosure (lo, hi, den), or an exact pair (p, q)
-            cells[name] = (_midpoint(v, scale).to_decimal_string() if len(v) == 3
+            cells[name] = (_places(v[0] + v[1], 2 * v[2], scale) if len(v) == 3
                            else _rational_to_digits(*v))
         text = "\n".join([
             f"e^8        = {cells['e8']}",
@@ -429,11 +429,10 @@ def cmd_scan(args) -> int:
     if args.format == "text":
         # text holds the rows it prints, to size its columns; csv holds none
         units = [u for u in units if args.all_rows or u[7]]
-    # value and residual are num / two_den; each cell renders at six places
-    # as BigFixed does, with no record built per cell
+    # value and residual are num / two_den, each printed at six places
     rows = (
-        [str(n), str(m), _fixed_to_string(_div_nearest(total * 10**6, two_den), 6), str(nearest),
-         _fixed_to_string(_div_nearest(residual * 10**6, two_den), 6), _BOOL[mod7],
+        [str(n), str(m), _places(total, two_den, 6), str(nearest),
+         _places(residual, two_den, 6), _BOOL[mod7],
          "" if predicted is None else str(predicted), _BOOL[flagged]]
         for n, m, total, nearest, residual, mod7, predicted, flagged in units
     )
@@ -456,8 +455,7 @@ def cmd_compare(args) -> int:
     # thousands of digits at hundreds of rows, are freed once printed
     rows = (
         [str(r.k), _rational_to_digits(*r.e_term), _rational_to_digits(*r.two_pi_term),
-         *(BigFixed(_div_nearest(num * 10**args.scale, den), args.scale).to_decimal_string()
-           for num, den in (r.running, r.distance_to_9))]
+         _places(*r.running, args.scale), _places(*r.distance_to_9, args.scale)]
         for r in compare_expansions(args.rows)
     )
     _emit(args, ["k", "e_term", "two_pi_term", "running_sum", "distance_to_9"], rows,

@@ -3,9 +3,10 @@
 Each Relation pairs a left-hand expression with the value it nearly
 equals, either another expression (near_equal) or a claimed integer
 (near_integer).  ``verify`` evaluates both sides with certified error
-bounds and reports the residual; a report is *certified* only when the
-combined evaluation error is under a tenth of the residual, i.e. the
-gap is provably real rather than rounding noise.
+bounds and reports their values as computed, with no rounding for
+print; a report is *certified* only when the combined evaluation error
+is under a tenth of the residual, i.e. the gap is provably real rather
+than rounding noise.
 
 The ``paper_eq`` string is a catalog anchor carried through to reports;
 ``paper_quote`` is the value traditionally printed for that relation:
@@ -21,7 +22,7 @@ reports the distance to the claimed integer as registered.
 from __future__ import annotations
 
 from ._record import record
-from .bignum import _div_nearest, ilog10_floor
+from .bignum import ilog10_floor
 from .expr import EvalDomainError, Expr, PrecisionCapError, eval_expr, parse
 from .oracle import ExpRangeError
 
@@ -67,10 +68,8 @@ class VerificationReport:
     relation_id: str
     paper_eq: str
     kind: str
-    lhs_value: int  # in units of 10**-precision_used, as is rhs_value
-    rhs_value: int
-    abs_residual: int  # in units of 10**-(precision_used + 10), as is rel_residual
-    rel_residual: int
+    lhs_units: int  # eval_expr's value, in units of 10**-(precision_used + 2), as is rhs_units
+    rhs_units: int
     digits_of_agreement: int
     precision_used: int
     certified: bool
@@ -149,13 +148,14 @@ def digits_of_agreement(a: int, b: int, *, cap: int | None = None) -> int:
 
 
 def verify(relation: Relation, digits: int) -> VerificationReport:
-    """Evaluate both sides and report the residual with certification.
+    """Evaluate both sides and report them with certification.
 
     Precision is raised to the relation's min_digits when the request is
-    lower.  abs_residual is signed (lhs - rhs); rel_residual is the
-    unsigned residual over |rhs|.  For near_integer relations the rhs
-    must evaluate to an exact integer and the residual is the distance
-    from the lhs to that claimed integer.
+    lower.  The report carries each side's value as eval_expr computes
+    it, unrounded, so the residual lhs_units - rhs_units is exact on
+    that grid; the CLI alone rounds them for print.  For near_integer
+    relations the rhs must evaluate to an exact integer and the residual
+    is the distance from the lhs to that claimed integer.
     """
     if digits < 6:
         raise ValueError("digits must be >= 6")
@@ -167,18 +167,15 @@ def verify(relation: Relation, digits: int) -> VerificationReport:
         raise ValueError(f"{relation.id}: rhs evaluates to zero")
     if relation.kind == NEAR_INTEGER and rhs % 10 ** (d + 2):
         raise ValueError(f"{relation.id}: near_integer rhs is not an integer")
-    residual = lhs - rhs
     return VerificationReport(
         relation_id=relation.id,
         paper_eq=relation.paper_eq,
         kind=relation.kind,
-        lhs_value=_div_nearest(lhs, 100),
-        rhs_value=_div_nearest(rhs, 100),
-        abs_residual=residual * 10**8,
-        rel_residual=_div_nearest(abs(residual) * 10 ** (d + 10), abs(rhs)),
+        lhs_units=lhs,
+        rhs_units=rhs,
         digits_of_agreement=digits_of_agreement(lhs, rhs, cap=d),
         precision_used=d,
-        certified=10 * (lhs_err + rhs_err) < abs(residual) * 10**4,
+        certified=10 * (lhs_err + rhs_err) < abs(lhs - rhs) * 10**4,
     )
 
 

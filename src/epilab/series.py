@@ -13,10 +13,10 @@ states its terms once, as runs of such pairs ``pairs(a, b)``, so a run
 can carry state from one term to the next (the factorial of the e series
 is multiplied up, not rebuilt).  The sums read these runs: an exact
 sum joins them over a common denominator, a fixed-point sum rounds each
-pair inline.  An exact sum reads ``run_sum(a, b)`` instead where a spec
-states it: e's runs and those of its scaled copies and of the regrouped
-e series are summed by bignum's (P, Q, T) splitter, as oracle's
-Chudnovsky series is.  ``term(n)`` is the run of one index as a
+pair inline.  A sum reads ``run_sum(a, b)`` instead, exactly at any
+count, where a spec states it: e's runs and those of its scaled copies
+and of the regrouped e series are summed by bignum's (P, Q, T) splitter,
+as oracle's Chudnovsky series is.  ``term(n)`` is the run of one index as a
 Fraction, a view for callers; it alone imports :mod:`fractions`.
 
 Builtins (index ranges are inclusive of start_index):
@@ -56,8 +56,8 @@ __all__ = [
 
 DEFAULT_MAX_TERMS = 10**8
 
-#: switch partial sums from exact rationals to fixed-point accumulation
-#: above this many terms (exact arithmetic slows as denominators grow)
+#: past this many terms a series with no run_sum is summed in fixed point,
+#: not exactly (exact arithmetic slows as denominators grow)
 EXACT_TERM_LIMIT = 10**4
 
 #: working scale of the fixed-point accumulation path
@@ -121,11 +121,10 @@ class SeriesSpec:
 class SumResult:
     """Partial sum with certificate.
 
-    value: the partial sum including the offset, a pair (p, q), q > 0.
-    When at most EXACT_TERM_LIMIT terms were requested it is the exact
-    rational sum of the terms; otherwise the exact value of the
-    fixed-point accumulation (each term rounded inline), with the
-    rounding added to `bound`.
+    value: the partial sum including the offset, a pair (p, q), q > 0:
+    the exact sum of the terms, if the spec states run_sum or at most
+    EXACT_TERM_LIMIT terms were asked for; else the exact value of the
+    fixed-point sum (each term rounded inline), its rounding in `bound`.
     terms_used: index of the last term included.
     bound: certified bound on |true limit - value|, a pair as well.
     """
@@ -340,18 +339,19 @@ def _exact_sum(pairs: Iterator[tuple[int, int]], count: int) -> tuple[int, int]:
 def partial_sum(spec: SeriesSpec, n: int) -> SumResult:
     """Offset plus terms start_index..n, with a certified bound.
 
-    Up to EXACT_TERM_LIMIT terms the sum is exact (see _exact_sum),
-    joined to the offset as a pair, and the bound is exactly
-    tail_bound(n).  Beyond that each term p/q is rounded inline to the
-    nearest multiple of 10**-FIXED_ACC_SCALE (ties away from zero, as
-    bignum._div_nearest), the integers are added, and the per-term
-    rounding (at most half an ulp each) is added to the bound.
+    Exact by run_sum at any count, where the spec states it, or else up
+    to EXACT_TERM_LIMIT terms (see _exact_sum), joined to the offset as
+    a pair; the bound is then exactly tail_bound(n).  Beyond that each
+    term p/q is rounded inline to the nearest multiple of
+    10**-FIXED_ACC_SCALE (ties away from zero, as bignum._div_nearest),
+    the integers are added, and the per-term rounding (at most half an
+    ulp each) is added to the bound.
     """
     if n < spec.start_index:
         raise ValueError(f"n must be >= start_index ({spec.start_index})")
     count = n - spec.start_index + 1
     pairs = iter(spec.pairs(spec.start_index, n))
-    if count <= EXACT_TERM_LIMIT:
+    if spec.run_sum or count <= EXACT_TERM_LIMIT:
         run = spec.run_sum(spec.start_index, n) if spec.run_sum else _exact_sum(pairs, count)
         return SumResult(_join(*spec.offset, *run), n, spec.tail_bound(n))
     unit = 10**FIXED_ACC_SCALE

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from epilab.accel import compare_expansions, gl_regroup_term, paired_term_identity
 from epilab.bignum import BigFixed, root_interval
+from epilab.cli import _verify_cells
 from epilab.derive import binomial_linearize, scan_units, solve_linear_2x2, solve_pi_quadratic
 from epilab.expr import _floor_cf, cfrac, eval_expr, eval_interval, parse
 from epilab.oracle import exp_interval, pi_interval
@@ -26,8 +27,8 @@ from conftest import as_bounds, as_fractions, reference
 
 
 def _lhs_text(report) -> str:
-    """The report's lhs as the CLI prints it: its units at precision_used places."""
-    return BigFixed(report.lhs_value, report.precision_used).to_decimal_string()
+    """The report's lhs as the CLI prints it, at precision_used places."""
+    return _verify_cells(report)[0]
 
 
 def test_criterion_01_registry_golden_digits():
@@ -44,7 +45,7 @@ def test_criterion_01_registry_golden_digits():
         assert _lhs_text(report).startswith(prefix), rid
         assert report.certified, rid
     r04 = verify(get_relation("R04"), 30)
-    v = Fraction(r04.lhs_value, 10**r04.precision_used)
+    v = Fraction(_lhs_text(r04))
     assert Fraction(99998, 10000) <= v < 10
     # the flat-ratio digits beyond the printed prefix, pinned from the oracle
     r06 = verify(get_relation("R06"), 30)
@@ -60,7 +61,7 @@ def test_criterion_02_ramanujan_constant():
     int_part, frac_part = text.split(".")
     assert int_part == "262537412640768743"
     assert frac_part.startswith("99999999999925")
-    residual = Fraction(report.abs_residual, 10 ** (report.precision_used + 10))
+    residual = Fraction(report.lhs_units - report.rhs_units, 10 ** (report.precision_used + 2))
     assert abs(residual) < Fraction(1, 10**12)
     assert report.certified
     assert elapsed < 10
@@ -250,13 +251,15 @@ def test_criterion_10_soundness_sweep():
     for rid in relation_ids():
         rel = get_relation(rid)
         report = verify(rel, 30)
-        for expr, reported in ((rel.lhs, report.lhs_value), (rel.rhs, report.rhs_value)):
+        d = report.precision_used
+        for expr, reported in ((rel.lhs, report.lhs_units), (rel.rhs, report.rhs_units)):
             lo, hi = as_fractions(eval_interval(expr, 60))
             truth = (lo + hi) / 2
-            value, error_bound = eval_expr(expr, 30)  # in units of 10**-32 and 10**-36
-            if abs(Fraction(value, 10**32) - truth) > Fraction(error_bound, 10**36):
+            value, error_bound = eval_expr(expr, d)  # in units of 10**-(d+2) and 10**-(d+6)
+            if reported != value or abs(Fraction(value, 10 ** (d + 2)) - truth) \
+                    > Fraction(error_bound, 10 ** (d + 6)):
                 violations.append(("expr", rid))
-        if report.certified and report.abs_residual == 0:
+        if report.certified and report.lhs_units == report.rhs_units:
             violations.append(("certified-zero-residual", rid))
     # series: certified tail bounds vs oracle at assorted cut points
     for name in ("e-factorial", "gregory-leibniz", "nilakantha", "nilakantha-paired", "lambda6", "zeta8"):

@@ -6,8 +6,9 @@ import contextlib
 import csv
 import io
 import json
+import math
 import re
-from decimal import ROUND_HALF_UP, Context, Decimal
+from decimal import MAX_PREC, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 import subprocess
 import sys
@@ -17,8 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epilab.bignum import BigFixed, _div_nearest, _fixed_to_string
-from epilab.cli import _option, _rational, build_parser, main, parse_args
+from epilab.bignum import BigFixed, _div_nearest, ceil_div, floor_div
+from epilab.cli import _option, _places, _rational, build_parser, main, parse_args
 from epilab.series import DEFAULT_MAX_TERMS, builtin_names
 
 
@@ -241,6 +242,16 @@ def test_stirling_e_half(capsys):
             0, f"sqrt(2)*7/6; squared = 49/18 ≈ {square}\n", "")
 
 
+def test_stirling_e_half_prints_an_integer_square_as_an_integer(capsys):
+    # as every other exact rational is printed, and as the surd's own text
+    for argv, surd, square in ((["--n", "0", "--k", "1"], "sqrt(2)", "2"),
+                               (["--n", "1", "--k", "1"], "sqrt(2)*3", "18")):
+        assert run(capsys, "stirling", "--op", "e-half", *argv) == (
+            0, f"{surd}; squared = {square} ≈ {square}.0000\n", "")
+        rc, out, _ = run(capsys, "stirling", "--op", "e-half", *argv, "--format", "json")
+        assert (rc, json.loads(out)["squared"]) == (0, square)
+
+
 def test_stirling_approx_reports_relative_error(capsys):
     rc, out, _ = run(capsys, "stirling", "--op", "approx", "--n", "1", "--k", "3")
     assert rc == 0
@@ -445,7 +456,44 @@ def test_scan_cell_is_the_quotient_rounded_half_away(cell):
     q = Context(prec=60).divide(Decimal(num), Decimal(two_den))
     q = q.quantize(Decimal("1e-6"), rounding=ROUND_HALF_UP)
     expected = format(abs(q) if q == 0 else q, "f")
-    assert _fixed_to_string(_div_nearest(num * 10**6, two_den), 6) == expected
+    assert _places(num, two_den, 6) == expected
+
+
+_ROUNDINGS = {"nearest": _div_nearest, "floor": floor_div, "ceil": ceil_div}
+
+
+def _places_reference(num: int, den: int, places: int, rounding: str) -> str:
+    """num/den at `places` decimals by Fraction arithmetic: to nearest with
+    ties away from zero, down or up; written out by decimal, which
+    converts an int with no cap on its digits."""
+    x = Fraction(num, den) * 10**places
+    if rounding == "nearest":
+        units = math.floor(abs(x) + Fraction(1, 2)) * (-1 if x < 0 else 1)
+    else:
+        units = math.floor(x) if rounding == "floor" else math.ceil(x)
+    return format(Decimal(units).scaleb(-places, Context(prec=MAX_PREC)), "f")
+
+
+@given(st.integers(-10**50, 10**50), st.integers(1, 10**30), st.integers(0, 40))
+@example(1, 2, 0).via("a positive tie")
+@example(-1, 2, 0).via("a negative tie")
+@example(-25, 1000, 2).via("a negative tie below the point")
+@example(-1, 3, 0).via("a negative value that rounds to zero")
+@example(7, 1, 5).via("an integer")
+def test_places_matches_a_fraction_reference(num, den, places):
+    # the one function that rounds every printed decimal, in each rounding
+    assert _places(num, den, places) == _places_reference(num, den, places, "nearest")
+    for name, rounding in _ROUNDINGS.items():
+        got = _places(num, den, places, rounding)
+        assert got == _places_reference(num, den, places, name), name
+
+
+@pytest.mark.parametrize("num, den", [(22, 7), (-1, 3), (10**5000 + 1, 2 * 10**5000),
+                                      (-10**5000 - 1, 2 * 10**5000)],
+                         ids=["22/7", "-1/3", "a tie at place 5,001", "a negative tie"])
+def test_places_past_the_int_str_cap(default_int_str_limit, num, den):
+    for name, rounding in _ROUNDINGS.items():
+        assert _places(num, den, 5000, rounding) == _places_reference(num, den, 5000, name), name
 
 
 def test_compare_table(capsys):

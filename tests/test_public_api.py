@@ -241,6 +241,21 @@ def test_only_bignum_and_cli_name_the_renderer():
     assert uses == []
 
 
+def test_the_cli_rounds_for_print_in_one_function():
+    # cli renders through _places alone and names no BigFixed, and the
+    # registry's reports carry unrounded values
+    cli = ast.parse((SRC / "epilab" / "cli.py").read_text())
+    assert [name for node in ast.walk(cli) for name in _names(node) if name == "BigFixed"] == []
+    (places,) = [fn for fn in cli.body if isinstance(fn, ast.FunctionDef) and fn.name == "_places"]
+    inside = {id(node) for node in ast.walk(places)}
+    uses = [node for node in ast.walk(cli) if not isinstance(node, (ast.Import, ast.ImportFrom))
+            and "_fixed_to_string" in _names(node)]
+    assert uses and all(id(node) in inside for node in uses)
+    registry = ast.parse((SRC / "epilab" / "registry.py").read_text())
+    assert [name for node in ast.walk(registry) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in _names(node) if name == "_div_nearest"] == []
+
+
 def test_one_function_per_enclosure():
     # each enclosure is one public function returning integer bounds: the
     # oracle's kernels and cache stay inside oracle, the integer twins

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epilab.registry
-from epilab.bignum import BigFixed
+from epilab.cli import _verify_cells
 from epilab.expr import EvalDomainError, PrecisionCapError, eval_interval, parse, to_text
 from epilab.oracle import ExpRangeError
 from epilab.registry import (
@@ -106,12 +107,14 @@ def test_verify_r02_report_fields():
     r = verify(get_relation("R02"), 12)
     assert r.relation_id == "R02"
     assert r.precision_used == 12
-    # lhs and rhs in units of 10**-12, the residuals in units of 10**-22
-    assert BigFixed(r.lhs_value, 12).to_decimal_string().startswith("68.99966")
-    assert r.rhs_value == 69 * 10**12
+    # lhs and rhs in units of 10**-14, as eval_expr computes them; the
+    # CLI prints them at 12 places and the residuals at 22
+    lhs, rhs, residual, rel = _verify_cells(r)
+    assert lhs.startswith("68.99966")
+    assert r.rhs_units == 69 * 10**14 and rhs == "69.000000000000"
     # the signed residual keeps the direction of the miss
-    assert r.abs_residual < 0
-    assert r.rel_residual > 0
+    assert r.lhs_units < r.rhs_units and residual.startswith("-0.000")
+    assert Fraction(rel) > 0
     assert r.digits_of_agreement == 5
     assert r.certified
 
@@ -237,11 +240,20 @@ def test_paper_quote_is_the_rhs_or_a_certified_prefix(rel):
         assert f"{t // 10**places}.{t % 10**places:0{places}d}" == f"{whole}.{frac}"
 
 
+def _nearest_text(x: Fraction, places: int) -> str:
+    """x at `places` decimals, rounded to nearest with ties away from zero,
+    by Fraction arithmetic and str formatting alone."""
+    units = math.floor(abs(x) * 10**places + Fraction(1, 2))
+    digits = str(units).rjust(places + 1, "0")
+    sign = "-" if x < 0 and units else ""
+    return sign + (f"{digits[:-places]}.{digits[-places:]}" if places else digits)
+
+
 @pytest.mark.parametrize("digits", [6, 30])
 def test_verify_matches_a_fraction_reference(digits):
-    # verify works on eval_expr's mantissas; the same report from exact
-    # Fractions, for the catalog and for residuals of 10^-j, j around the
-    # precision, whose certificates flip from yes to no
+    # verify reports eval_expr's mantissas and the CLI rounds them; the
+    # same cells from exact Fractions, for the catalog and for residuals of
+    # 10^-j, j around the precision, whose certificates flip from yes to no
     from epilab.expr import eval_expr
 
     near = [Relation(f"X{j}", parse(f"pi + 1/10^{j}"), parse("pi"), NEAR_EQUAL, "none", "")
@@ -254,11 +266,9 @@ def test_verify_matches_a_fraction_reference(digits):
         # values in units of 10**-(d + 2), bounds in units of 10**-(d + 6)
         lhs, rhs = Fraction(lhs, 10 ** (d + 2)), Fraction(rhs, 10 ** (d + 2))
         residual = lhs - rhs
-        expected = (BigFixed.from_fraction(residual, d + 10),
-                    BigFixed.from_fraction(abs(residual) / abs(rhs), d + 10),
-                    10 * Fraction(lhs_err + rhs_err, 10 ** (d + 6)) < abs(residual))
-        got = (BigFixed(report.abs_residual, d + 10), BigFixed(report.rel_residual, d + 10),
-               report.certified)
-        assert [str(x) for x in got] == [str(x) for x in expected], relation.id
+        expected = [_nearest_text(lhs, d), _nearest_text(rhs, d), _nearest_text(residual, d + 10),
+                    _nearest_text(abs(residual) / abs(rhs), d + 10),
+                    10 * Fraction(lhs_err + rhs_err, 10 ** (d + 6)) < abs(residual)]
+        assert [*_verify_cells(report), report.certified] == expected, relation.id
         flags.add((relation.id[0], report.certified))
     assert flags == {("R", True), ("X", True), ("X", False)}

@@ -310,6 +310,23 @@ def test_e_run_sum_is_the_factorial_sum():
         assert F(scaled.run_sum(a, b)) == Fraction(3, 7) * F(ef.run_sum(a, b)), (a, b)
 
 
+def test_a_run_sum_is_exact_past_the_exact_term_limit():
+    # e and a scaled copy of it are summed by the splitter at any count,
+    # against sum(n!/k!) over n!, an integer sum that shares no code with
+    # it; the bound is the tail bound alone, with no fixed-point rounding
+    ef = builtin("e-factorial")
+    n = EXACT_TERM_LIMIT  # EXACT_TERM_LIMIT + 1 terms, from index 0
+    units, quotient = 0, 1  # quotient = n!/k!, from k = n down
+    for k in range(n, -1, -1):
+        units += quotient
+        quotient *= k
+    exact = Fraction(units, math.factorial(n))
+    for spec, factor in ((ef, 1), (scale_series(ef, Fraction(-7, 3)), Fraction(-7, 3))):
+        r = partial_sum(spec, n)
+        assert F(r.value) == factor * exact, spec.name
+        assert r.bound == spec.tail_bound(n), spec.name
+
+
 def test_only_the_e_series_state_a_run_sum():
     # the factorial series, its scaled copies and the regrouped e series
     # sum through the splitter; every other series joins its pairs
@@ -326,8 +343,9 @@ def _rounded_at_fixed_scale(t: Fraction) -> int:
 
 
 def test_fixed_point_path_rounds_each_term_to_nearest(monkeypatch):
+    # the fixed-point path serves only the specs that state no run_sum
     monkeypatch.setattr(series, "EXACT_TERM_LIMIT", 10)
-    specs = [builtin(name) for name in ALL_NAMES]
+    specs = [spec for spec in map(builtin, ALL_NAMES) if not spec.run_sum]
     specs.append(scale_series(builtin("nilakantha"), Fraction(-7, 3)))
     # every term lies halfway between two grid points, of either sign
     specs.append(SeriesSpec("ties", "pi", (3, 1), 0,

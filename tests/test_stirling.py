@@ -8,7 +8,7 @@ from math import factorial
 import pytest
 
 from epilab import expr
-from epilab.cli import _midpoint
+from epilab.cli import _places
 from epilab.oracle import exp_interval
 from epilab.stirling import (
     STIRLING_COEFFS,
@@ -26,7 +26,8 @@ from conftest import as_fractions, reference
 def _printed(bounds, scale: int) -> Fraction:
     """An enclosure (lo, hi, den) as the CLI prints it at `scale` places,
     from bounds two digits finer: the midpoint rounded to nearest."""
-    return _midpoint(bounds, scale).as_fraction()
+    lo, hi, den = bounds
+    return Fraction(_places(lo + hi, 2 * den, scale))
 
 
 def test_coefficients_frozen():

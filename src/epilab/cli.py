@@ -142,8 +142,10 @@ def _emit(args, columns, rows, literal=(), *, payload=None, text=None, table=Non
 def _places(num: int, den: int, places: int, rounding=_div_nearest) -> str:
     """num/den, den > 0, at `places` decimals: to nearest with ties away
     from zero, or by floor_div or ceil_div.  Every decimal the commands
-    print is rounded here."""
-    return _fixed_to_string(rounding(num * 10**places, den), places)
+    print is rounded here.  A num already on the grid, den = 10**places,
+    is every rounding of itself, and is rendered with no division."""
+    unit = 10**places
+    return _fixed_to_string(num if den == unit else rounding(num * unit, den), places)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +158,10 @@ def cmd_compute(args) -> int:
     # both methods give bounds lo <= constant * den <= hi
     if args.method == "oracle" and (args.terms, args.max_terms) == (None, None):
         lo, hi, den = constant_reference(args.constant, digits)
+        # on its grid, den = 10**(digits + 3): the midpoint floored at
+        # `digits` places, and hi/den less that value, over den
+        value = (lo + hi) // 2000
+        error = hi - 1000 * value, den
     else:
         # the series are loaded only where a series or its options are named
         from .series import DEFAULT_MAX_TERMS, builtin, builtin_names, partial_sum, terms_needed
@@ -193,15 +199,15 @@ def cmd_compute(args) -> int:
         den *= f
         if k > 1:
             lo, hi, den = root_interval(max(lo, 0), hi, den, k, digits + 6)
+        value = floor_div((lo + hi) * 10**digits, 2 * den)
+        error = hi * 10**digits - value * den, den * 10**digits
     # the midpoint is positive, so rounding it down makes the rendered
     # digits a prefix of its decimal expansion, which is what "value to N
     # digits" means here; the value printed is at most the midpoint, so
     # the error is at most hi/den - value
-    value = floor_div((lo + hi) * 10**digits, 2 * den)
     cells = {"constant": args.constant, "method": args.method, "digits": str(digits),
-             "terms": terms, "value": _places(lo + hi, 2 * den, digits, floor_div),
-             "error_bound": _places(hi * 10**digits - value * den, den * 10**digits, digits + 4,
-                                    ceil_div)}
+             "terms": terms, "value": _places(value, 10**digits, digits),
+             "error_bound": _places(*error, digits + 4, ceil_div)}
     text = cells["value"] if args.quiet else "\n".join([
         f"{args.constant} = {cells['value']}", f"method = {args.method}",
         *([f"terms = {terms}"] if terms else []), f"error <= {cells['error_bound']}"])
@@ -351,8 +357,7 @@ def cmd_stirling(args) -> int:
             name = "e"
         # each midpoint prints rounded to nearest; the error is that of the value printed
         value = _div_nearest((a_lo + a_hi) * 10**scale, 2 * a_den)
-        cells = {"op": args.op, "n": str(n), "k": str(k),
-                 "value": _places(a_lo + a_hi, 2 * a_den, scale),
+        cells = {"op": args.op, "n": str(n), "k": str(k), "value": _places(value, 10**scale, scale),
                  "target": _places(lo + hi, 2 * den, scale),
                  "rel_error": _rel_error(value, scale, lo, hi, den)}
         text = f"{name} ≈ {cells['value']}  (true {cells['target']}, " \

@@ -71,7 +71,7 @@ __all__ = [
 MAX_DEPTH = 64
 _MAX_ATTEMPTS = 8  # evaluations eval_interval tries before PrecisionCapError
 
-#: cfrac doubles its precision up to this many digits before PrecisionCapError
+#: cfrac raises its precision up to this many digits before PrecisionCapError
 CFRAC_MAX_DIGITS = 4096
 
 
@@ -517,12 +517,14 @@ def eval_expr(expr: Expr, digits: int) -> tuple[int, int]:
 # continued fractions
 
 
-def _floor_cf(a: int, b: int, c: int, d: int, n_terms: int) -> list[int] | None:
+def _floor_cf(a: int, b: int, c: int, d: int, n_terms: int,
+              out: list[int] | None = None) -> list[int] | None:
     # floor-algorithm continued fraction on the interval a/b <= c/d (b, d >
     # 0, in lowest terms or not), as integer Euclid on the endpoints; every
     # emitted quotient is certain because both endpoints agree on it.  None
-    # means the interval is too wide to decide the next quotient.
-    out: list[int] = []
+    # means the interval is too wide to decide the next quotient; the
+    # quotients certified before it are then left in out, if given.
+    out = [] if out is None else out
     while len(out) < n_terms:
         q, a = divmod(a, b)
         if c // d != q:
@@ -544,9 +546,12 @@ def cfrac(expr: Expr, n_terms: int, digits: int = 30) -> list[int]:
     """Certified continued fraction [a0; a1, ...] of an expression tree.
 
     Quotients are emitted only while both endpoints of the certified
-    interval produce the same partial quotient; precision doubles on
-    demand up to CFRAC_MAX_DIGITS (digits above it are tried once).  An
-    exactly rational value terminates early with its full expansion; an
+    interval produce the same partial quotient.  The first attempt is at
+    Lévy's estimate for n_terms quotients, and never below digits; after
+    one that certified k quotients, the next aims at n_terms/k times its
+    digits, with a margin, or doubles them if k = 0, up to
+    CFRAC_MAX_DIGITS (digits above it are tried once).  An exactly
+    rational value terminates early with its full expansion; an
     expression that is rational but not syntactically so (pi - pi + 1)
     cannot certify its termination, and the error names the digits.
     """
@@ -554,14 +559,18 @@ def cfrac(expr: Expr, n_terms: int, digits: int = 30) -> list[int]:
         raise ValueError("n_terms must be >= 1")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    d = digits
+    # Lévy: the n-th convergent of almost every real is good to about
+    # n pi^2/(6 ln 2 ln 10) = 1.0306 n digits; the margin covers its spread
+    d = max(digits, min(n_terms * 10306 // 10000 + n_terms // 32 + 10, CFRAC_MAX_DIGITS))
     while True:
         lo, hi, den = eval_interval(expr, d)
-        terms = _floor_cf(lo, den, hi, den, n_terms)
-        if terms is not None:
+        terms: list[int] = []
+        if _floor_cf(lo, den, hi, den, n_terms, terms) is not None:
             return terms
         if d >= CFRAC_MAX_DIGITS:
             raise PrecisionCapError(
                 f"could not certify {n_terms} partial quotients at {d} digits (a value that is "
                 "rational but not written as one, such as pi - pi or sqrt(2)^2, never certifies)")
-        d = min(2 * d, CFRAC_MAX_DIGITS)
+        # an eighth more for quotients that grow, as e's do; a quarter at least
+        k = len(terms)
+        d = min(max(d * n_terms // k * 9 // 8 + 10, d * 5 // 4) if k else 2 * d, CFRAC_MAX_DIGITS)

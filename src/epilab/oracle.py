@@ -252,10 +252,11 @@ def constant_reference(constant: str, digits: int) -> tuple[int, int, int]:
         raise ValueError(f"unknown constant {constant!r}; expected one of {CONSTANTS}")
     # pi > 0, so the k-th power of each endpoint bounds pi**k; the
     # midpoint m is (lo**k + hi**k)/2 of the units, times f, rounded to
-    # nearest, and lies within 10 units of the constant
+    # nearest, and lies within 10 units of the constant.  unit is a power
+    # of ten above den, so the division is by the small unit**k // den
     k, f = _FORMS[constant]
     extra = 10 if k > 1 else 4 + f  # doubling pi costs one digit
     lo, hi, unit = (e_interval if constant == "e" else pi_interval)(digits + extra)
     den = 10 ** (digits + 3)
-    m = _div_nearest((lo**k + hi**k) * f * den, 2 * unit**k)
+    m = _div_nearest((lo**k + hi**k) * f, 2 * (unit**k // den))
     return m - 10, m + 10, den

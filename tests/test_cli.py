@@ -13,6 +13,7 @@ from fractions import Fraction
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -480,6 +481,10 @@ def _places_reference(num: int, den: int, places: int, rounding: str) -> str:
 @example(-25, 1000, 2).via("a negative tie below the point")
 @example(-1, 3, 0).via("a negative value that rounds to zero")
 @example(7, 1, 5).via("an integer")
+@example(-123456, 10**3, 3).via("a negative value on the grid 10**-places")
+@example(-7, 1, 0).via("a negative integer at no places")
+@example(0, 10**40, 40).via("zero on the grid")
+@example(10**45 + 999, 10**40, 40).via("a value on the grid past the point")
 def test_places_matches_a_fraction_reference(num, den, places):
     # the one function that rounds every printed decimal, in each rounding
     assert _places(num, den, places) == _places_reference(num, den, places, "nearest")
@@ -489,11 +494,43 @@ def test_places_matches_a_fraction_reference(num, den, places):
 
 
 @pytest.mark.parametrize("num, den", [(22, 7), (-1, 3), (10**5000 + 1, 2 * 10**5000),
-                                      (-10**5000 - 1, 2 * 10**5000)],
-                         ids=["22/7", "-1/3", "a tie at place 5,001", "a negative tie"])
+                                      (-10**5000 - 1, 2 * 10**5000), (31 * 10**4999 + 9, 10**5000),
+                                      (-10**5001 - 999, 10**5000)],
+                         ids=["22/7", "-1/3", "a tie at place 5,001", "a negative tie",
+                              "on the grid", "negative, on the grid"])
 def test_places_past_the_int_str_cap(default_int_str_limit, num, den):
+    assert _places(num, den, 5000) == _places_reference(num, den, 5000, "nearest")
     for name, rounding in _ROUNDINGS.items():
         assert _places(num, den, 5000, rounding) == _places_reference(num, den, 5000, name), name
+
+
+@st.composite
+def _on_the_oracle_grid(draw):
+    digits = draw(st.integers(1, 60))
+    return digits, draw(st.integers(10, 10 ** (digits + 5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_on_the_oracle_grid())
+@example((5, 314159999)).via("a midpoint that ends in ...999")
+@example((5, 314160000)).via("a midpoint on the printed grid")
+@example((4000, 2718 * 10**4000 - 1)).via("4,000 digits")
+@example((5000, 3141 * 10**5000 + 592)).via("5,000 digits")
+def test_compute_cells_on_the_oracle_grid(case):
+    # compute's oracle path floors the midpoint once, on constant_reference's
+    # grid; its cells must be those of the generic expressions for any den
+    digits, m = case
+    lo, hi, den = m - 10, m + 10, 10 ** (digits + 3)
+    value = floor_div((lo + hi) * 10**digits, 2 * den)
+    expected = {"value": _places(lo + hi, 2 * den, digits, floor_div),
+                "error_bound": _places(hi * 10**digits - value * den, den * 10**digits,
+                                       digits + 4, ceil_div)}
+    out = io.StringIO()
+    with mock.patch("epilab.cli.constant_reference", return_value=(lo, hi, den)), \
+            contextlib.redirect_stdout(out):
+        assert main(["compute", "pi", "--digits", str(digits), "--format", "json"]) == 0
+    cells = json.loads(out.getvalue())
+    assert {name: cells[name] for name in expected} == expected
 
 
 def test_compare_table(capsys):

@@ -289,6 +289,69 @@ def test_cfrac_argument_validation_and_cap(monkeypatch):
         cfrac(parse("pi - pi + 1"), 2)
 
 
+def _count_evaluations(monkeypatch) -> list[int]:
+    """The digits of each eval_interval call that cfrac makes, in order."""
+    digits, evaluate = [], epilab.expr.eval_interval
+
+    def counted(expr, d):
+        digits.append(d)
+        return evaluate(expr, d)
+
+    monkeypatch.setattr(epilab.expr, "eval_interval", counted)
+    return digits
+
+
+def test_cfrac_starts_at_levys_estimate(monkeypatch):
+    # about 1.03 digits a quotient: one evaluation where doubling from 30
+    # digits made 7 (pi) and 8 (exp(pi))
+    calls = _count_evaluations(monkeypatch)
+    assert cfrac(parse("pi"), 1000)[:5] == [3, 7, 15, 1, 292]
+    assert len(calls) == 1
+    calls.clear()
+    assert cfrac(parse("exp(pi)"), 3000)[:7] == [23, 7, 9, 3, 1, 1, 591]
+    assert len(calls) <= 2
+    calls.clear()
+    # e's quotients grow, so Lévy undershoots; the retry aims from the k certified
+    assert cfrac(parse("e"), 1000)[:5] == [2, 1, 2, 1, 1]
+    assert len(calls) == 2 and calls[1] > calls[0]
+    calls.clear()
+    assert cfrac(parse("pi"), 7) == [3, 7, 15, 1, 292, 1, 1]
+    assert calls == [30]  # never below the digits asked for
+
+
+def test_cfrac_schedule_ends_at_the_cap(monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    # no quotient certifies: the precision doubles up to the cap, as it did
+    with pytest.raises(PrecisionCapError, match="at 4096 digits"):
+        cfrac(parse("pi-pi"), 7)
+    assert calls == [30, 60, 120, 240, 480, 960, 1920, 3840, 4096]
+    calls.clear()
+    # Lévy's estimate is past the cap: one attempt, at the cap
+    with pytest.raises(PrecisionCapError, match="100000 partial quotients at 4096 digits"):
+        cfrac(parse("pi"), 100000)
+    assert calls == [4096]
+    calls.clear()
+    # digits above the cap are tried once
+    with pytest.raises(PrecisionCapError, match="at 5000 digits"):
+        cfrac(parse("pi - pi + 1"), 2, 5000)
+    assert calls == [5000]
+    calls.clear()
+    with pytest.raises(PrecisionCapError, match="at 5000 digits"):
+        cfrac(parse("pi"), 100000, 5000)
+    assert calls == [5000]
+
+
+@pytest.mark.parametrize("argv", [["pi-pi"], ["pi", "--terms", "100000"]])
+def test_cfrac_cli_still_fails_at_the_cap(capsys, argv):
+    from epilab.cli import main
+
+    assert main(["cfrac", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: could not certify ")
+    assert " partial quotients at 4096 digits (a value that is rational" in captured.err
+
+
 def test_cfrac_cap_message_names_the_digits_reached(monkeypatch):
     # asked for more digits than the cap, cfrac evaluates once, at the
     # digits asked for, and its message names those and the likely cause

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from epilab import oracle
-from epilab.bignum import BigFixed
+from epilab.bignum import BigFixed, _div_nearest
 from epilab.oracle import (
     CONSTANTS,
     EXP_ARG_LIMIT,
@@ -108,6 +108,18 @@ def test_constant_reference_equals_fraction_midpoint(constant, digits):
     want = _fraction_midpoint_reference(constant, digits)
     assert (lo + hi) // 2 == want.mantissa
     assert (hi - lo, den) == (20, 10**want.scale)
+
+
+def test_constant_reference_equals_its_long_division_form():
+    # the midpoint divided by the small unit**k // den is the one the
+    # division of its product with den by unit**k gave, at every precision
+    for constant, (k, f) in oracle._FORMS.items():
+        extra = 10 if k > 1 else 4 + f
+        for digits in range(1, 301):
+            lo, hi, unit = (e_interval if constant == "e" else pi_interval)(digits + extra)
+            den = 10 ** (digits + 3)
+            m = _div_nearest((lo**k + hi**k) * f * den, 2 * unit**k)
+            assert constant_reference(constant, digits) == (m - 10, m + 10, den), (constant, digits)
 
 
 def test_interval_width_and_containment():

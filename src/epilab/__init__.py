@@ -24,7 +24,7 @@ _EXPORTS = {
     "stirling": "STIRLING_COEFFS E8Decomposition double_factorial e_from_ratio e_half_integer "
                 "e_power_approx stirling_e8_decomposition stirling_factor",
     "expr": "Add ConstE ConstPi Div EvalDomainError Exp Expr IntLit Mul ParseError PowInt "
-            "PrecisionCapError RatLit Root Sqrt Sub cfrac eval_expr eval_interval parse to_text",
+            "PrecisionCapError Root Sqrt Sub cfrac eval_expr eval_interval parse to_text",
     "registry": "REGISTRY Relation VerificationFailure VerificationReport digits_of_agreement "
                 "get_relation relation_ids verify verify_all",
     "derive": "binomial_linearize linearize_error_bound scan_units solve_linear_2x2 "

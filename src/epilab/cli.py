@@ -312,7 +312,7 @@ def cmd_cfrac(args) -> int:
     expr = parse(args.expr)
     # a quotient can pass the 4,300 digits str() converts, so each is
     # rendered in pieces
-    quotients = [_rational_to_digits(q) for q in cfrac(expr, args.terms, args.digits)]
+    quotients = [_rational_to_digits(q) for q in cfrac(expr, args.terms)]
     shown = to_text(expr)
     text = " ".join(quotients)
     _emit(args, ["index", "quotient"], ([str(i), q] for i, q in enumerate(quotients)),
@@ -333,11 +333,18 @@ def _rel_error(value: int, scale: int, lo: int, hi: int, den: int) -> str:
 
 
 def cmd_stirling(args) -> int:
-    from .stirling import e_from_ratio, e_half_integer, e_power_approx, stirling_e8_decomposition
+    from .stirling import (STIRLING_COEFFS, e_from_ratio, e_half_integer, e_power_approx,
+                           stirling_e8_decomposition)
     scale = (4 if args.op == "e-half" else 10) if args.scale is None else args.scale
     if args.op == "e8" and (args.n, args.k) != (None, None):
         raise ValueError("--n and --k apply only to --op approx, ratio and e-half")
     n, k = 1 if args.n is None else args.n, 2 if args.k is None else args.k
+    # the library checks these ranges too, but names its parameters n and k
+    least_n, top_k = (0, 2) if args.op == "e-half" else (1, len(STIRLING_COEFFS))
+    if n < least_n:
+        raise ValueError(f"--n must be >= {least_n}")
+    if not 1 <= k <= top_k:
+        raise ValueError(f"--k must be in 1..{top_k}")
     if args.op == "e-half":
         s = e_half_integer(n, k)
         p, q = s.squared().as_fraction().as_integer_ratio()
@@ -506,7 +513,7 @@ def build_parser() -> dict:
             "--all": (bool, False, None, "verify the whole registry"), **common(digits=6)}),
         "cfrac": (cmd_cfrac, "certified continued fraction of an expression", {
             "expr": (str, ..., None, "expression text, e.g. 'exp(pi)'"),
-            "--terms": (int, 7, 1, ""), **common()}),
+            "--terms": (int, 7, 1, ""), **common(digits=0)}),
         "stirling": (cmd_stirling, "Stirling-series approximants of e", {
             "--op": (("approx", "ratio", "e-half", "e8"), ..., None, ""),
             "--n": (int, None, None, "default 1"), "--k": (int, None, None, "default 2"),

@@ -1,8 +1,9 @@
 """Expression trees over pi and e, with certified interval evaluation.
 
 The AST covers exactly what the coincidence registry needs: the two
-constants, integer and rational literals, field operations, integer
-powers, k-th roots, and exp.  ``parse`` accepts the matching text form:
+constants, integer literals (a rational is a quotient of two), field
+operations, integer powers, k-th roots, and exp.  ``parse`` accepts the
+matching text form:
 
     expr   :=  term  (('+' | '-') term)*
     term   :=  unary (('*' | '/') unary)*
@@ -22,10 +23,10 @@ on the decimal grid 10**-w: pi and e enter as the oracle's bounds,
 each operation is computed exactly on the bounds and rounded outward
 onto the grid by integer floor and ceiling division, so no inexact node
 pays for a gcd and the numbers stay bounded.  If the interval comes out
-too wide, the whole tree is re-evaluated with the guard digits raised by
-as many as the width missed by, and at least doubled; if a comparison
-like "is the divisor nonzero" cannot be decided, with doubled guard
-digits.  The result interval always contains the true value; that
+too wide, or a comparison like "is the divisor nonzero" cannot be
+decided, the whole tree is re-evaluated with the guard digits raised by
+the digits the width missed by (none if undecided), and at least
+doubled.  The result interval always contains the true value; that
 containment is the correctness claim everything downstream leans on.
 
 ``eval_interval`` returns the bounds (lo, hi, den) of the root, and
@@ -47,7 +48,6 @@ __all__ = [
     "ConstPi",
     "ConstE",
     "IntLit",
-    "RatLit",
     "Add",
     "Sub",
     "Mul",
@@ -111,10 +111,10 @@ class ConstE(Expr):
 class IntLit(Expr):
     value: int
 
-
-@record
-class RatLit(Expr):
-    value: Fraction  # a fractions.Fraction, or any exact number with as_integer_ratio
+    def __post_init__(self) -> None:
+        # a float would enter as its binary value, not the decimal it was written as
+        if not isinstance(self.value, int):
+            raise TypeError(f"IntLit takes an int, not {type(self.value).__name__}")
 
 
 @record
@@ -182,14 +182,6 @@ def _render(expr: Expr, ctx: int) -> str:
     if isinstance(expr, IntLit):
         s = str(expr.value)
         return f"({s})" if expr.value < 0 else s
-    if isinstance(expr, RatLit):
-        v = expr.value
-        if v.denominator == 1:
-            return _render(IntLit(v.numerator), ctx)
-        if v.numerator < 0:
-            return f"(0 - {-v.numerator}/{v.denominator})"
-        s = f"{v.numerator}/{v.denominator}"
-        return f"({s})" if ctx > 2 else s
     if isinstance(expr, (Add, Sub)):
         op = "+" if isinstance(expr, Add) else "-"
         s = f"{_render(expr.left, 1)} {op} {_render(expr.right, 2)}"
@@ -210,7 +202,7 @@ def _render(expr: Expr, ctx: int) -> str:
 
 
 def depth(expr: Expr) -> int:
-    if isinstance(expr, (ConstPi, ConstE, IntLit, RatLit)):
+    if isinstance(expr, (ConstPi, ConstE, IntLit)):
         return 1
     if isinstance(expr, (Add, Sub, Mul, Div)):
         return 1 + max(depth(expr.left), depth(expr.right))
@@ -403,9 +395,8 @@ def _eval(expr: Expr, w: int) -> _IV:
     """The exact point, or bounds rounded outward onto 10**-w (exp's: 10**-(w + 4))."""
     if isinstance(expr, (ConstPi, ConstE)):
         return _out(*(pi_interval if isinstance(expr, ConstPi) else e_interval)(w), w)
-    if isinstance(expr, (IntLit, RatLit)):
-        p, q = expr.value.as_integer_ratio()  # in lowest terms, q > 0
-        return p, p, q
+    if isinstance(expr, IntLit):
+        return expr.value, expr.value, 1
     if isinstance(expr, (Add, Sub, Mul, Div)):
         alo, ahi, ad = _eval(expr.left, w)
         blo, bhi, bd = _eval(expr.right, w)
@@ -473,7 +464,7 @@ def eval_interval(expr: Expr, digits: int) -> _IV:
     An attempt that comes back too wide retries with the guard raised by
     the digits the width missed by, plus a margin, or doubled if that is
     more, so a value with many digits before the point costs two
-    attempts; an undecided comparison doubles the guard.
+    attempts; an undecided comparison misses by none, so doubles it.
     PrecisionCapError signals that the attempts ran out (for example
     when a subexpression is exactly zero where a nonzero value is
     needed).
@@ -488,14 +479,15 @@ def eval_interval(expr: Expr, digits: int) -> _IV:
         try:
             lo, hi, den = _eval(expr, digits + guard)
         except _Undecided:
-            guard *= 2
-            continue
-        if (hi - lo) * target <= den:
-            return lo, hi, den
-        # Add the digits the width missed by, and one more for the rounding
-        # the estimate leaves out; but at least double, since the width of
-        # an odd root near zero shrinks slower than 10**-guard
-        guard += max(guard, ilog10_floor((hi - lo) * target, den) + 2)
+            missed = 0
+        else:
+            if (hi - lo) * target <= den:
+                return lo, hi, den
+            # and one more for the rounding the estimate leaves out
+            missed = ilog10_floor((hi - lo) * target, den) + 2
+        # at least double, since the width of an odd root near zero
+        # shrinks slower than 10**-guard
+        guard += max(guard, missed)
     raise PrecisionCapError(f"interval did not narrow to 10^-{digits} "
                             f"within {_MAX_ATTEMPTS} attempts")
 
@@ -542,26 +534,24 @@ def _floor_cf(a: int, b: int, c: int, d: int, n_terms: int,
     return out
 
 
-def cfrac(expr: Expr, n_terms: int, digits: int = 30) -> list[int]:
+def cfrac(expr: Expr, n_terms: int) -> list[int]:
     """Certified continued fraction [a0; a1, ...] of an expression tree.
 
     Quotients are emitted only while both endpoints of the certified
-    interval produce the same partial quotient.  The first attempt is at
-    Lévy's estimate for n_terms quotients, and never below digits; after
-    one that certified k quotients, the next aims at n_terms/k times its
-    digits, with a margin, or doubles them if k = 0, up to
-    CFRAC_MAX_DIGITS (digits above it are tried once).  An exactly
+    interval produce the same partial quotient, so they do not depend on
+    the precision they were found at.  The first attempt is at Lévy's
+    estimate for n_terms quotients; after one that certified k
+    quotients, the next aims at n_terms/k times its digits, with a
+    margin, or doubles them if k = 0, up to CFRAC_MAX_DIGITS.  An exactly
     rational value terminates early with its full expansion; an
     expression that is rational but not syntactically so (pi - pi + 1)
     cannot certify its termination, and the error names the digits.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
     # Lévy: the n-th convergent of almost every real is good to about
     # n pi^2/(6 ln 2 ln 10) = 1.0306 n digits; the margin covers its spread
-    d = max(digits, min(n_terms * 10306 // 10000 + n_terms // 32 + 10, CFRAC_MAX_DIGITS))
+    d = min(n_terms * 10306 // 10000 + n_terms // 32 + 10, CFRAC_MAX_DIGITS)
     while True:
         lo, hi, den = eval_interval(expr, d)
         terms: list[int] = []

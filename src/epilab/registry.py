@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from ._record import record
 from .bignum import ilog10_floor
-from .expr import EvalDomainError, Expr, PrecisionCapError, eval_expr, parse
-from .oracle import ExpRangeError
+from .expr import Expr, eval_expr, parse
+from .oracle import NoCertifiedResult
 
 __all__ = [
     "NEAR_EQUAL",
@@ -182,15 +182,15 @@ def verify(relation: Relation, digits: int) -> VerificationReport:
 def verify_all(digits: int) -> list[VerificationReport | VerificationFailure]:
     """Verify every registered relation in registry order.
 
-    A relation that fails to evaluate (a domain error, an exp argument
-    out of range or the precision cap) contributes a VerificationFailure
-    and the run continues; output order matches REGISTRY order.  Any
-    other exception is a fault and propagates.
+    A relation with no certified result (a NoCertifiedResult: a domain
+    error, an exp argument out of range or the precision cap) contributes
+    a VerificationFailure and the run continues; output order matches
+    REGISTRY order.  Any other exception is a fault and propagates.
     """
     out: list[VerificationReport | VerificationFailure] = []
     for relation in REGISTRY:
         try:
             out.append(verify(relation, digits))
-        except (EvalDomainError, ExpRangeError, PrecisionCapError) as exc:
+        except NoCertifiedResult as exc:
             out.append(VerificationFailure(relation.id, relation.paper_eq, str(exc)))
     return out

@@ -633,7 +633,6 @@ def test_closed_stdout_ends_quietly():
     ["compute", "pi", "--method", "zeta8", "--digits", "0"],
     ["compute", "pi", "--method", "lambda6", "--digits", "-3"],
     ["compute", "pi", "--method", "gregory-leibniz", "--digits", "-1"],
-    ["cfrac", "pi", "--digits", "0"],
     ["verify", "R02", "--digits", "0"],  # verify keeps its own, higher floor
     ["compute", "pi", "--method", "zeta8", "--max-terms", "0"],
     ["compute", "pi", "--max-terms", "-5"],
@@ -740,6 +739,15 @@ def test_a_threshold_far_past_the_scans_grid_ends_at_once(threshold, same_as):
     ("compute pi --method zeta8 --terms 5 --max-terms 3", "--terms must be <= 3"),
     # e8 reads neither --n nor --k, and says so
     ("stirling --op e8 --n 7 --k 9", "--n and --k apply only to --op approx, ratio and e-half"),
+    # the other ops range-check them under the options' names
+    ("stirling --op approx --n 0", "--n must be >= 1"),
+    ("stirling --op ratio --n -3", "--n must be >= 1"),
+    ("stirling --op ratio --k 0", "--k must be in 1..4"),
+    ("stirling --op approx --k 5", "--k must be in 1..4"),
+    ("stirling --op e-half --n -1", "--n must be >= 0"),
+    ("stirling --op e-half --k 3", "--k must be in 1..2"),
+    # a certified quotient is the same at any precision, so cfrac takes no --digits
+    ("cfrac pi --digits 30", "unknown option --digits"),
     (f"compute pi --method zeta8 --terms {DEFAULT_MAX_TERMS + 1}",
      f"--terms must be <= {DEFAULT_MAX_TERMS}"),
 ])

@@ -316,29 +316,20 @@ def test_cfrac_starts_at_levys_estimate(monkeypatch):
     assert len(calls) == 2 and calls[1] > calls[0]
     calls.clear()
     assert cfrac(parse("pi"), 7) == [3, 7, 15, 1, 292, 1, 1]
-    assert calls == [30]  # never below the digits asked for
+    assert calls == [17]  # 7 quotients and the margin of 10
 
 
 def test_cfrac_schedule_ends_at_the_cap(monkeypatch):
     calls = _count_evaluations(monkeypatch)
-    # no quotient certifies: the precision doubles up to the cap, as it did
+    # no quotient certifies: the precision doubles up to the cap
     with pytest.raises(PrecisionCapError, match="at 4096 digits"):
         cfrac(parse("pi-pi"), 7)
-    assert calls == [30, 60, 120, 240, 480, 960, 1920, 3840, 4096]
+    assert calls == [17, 34, 68, 136, 272, 544, 1088, 2176, 4096]
     calls.clear()
     # Lévy's estimate is past the cap: one attempt, at the cap
     with pytest.raises(PrecisionCapError, match="100000 partial quotients at 4096 digits"):
         cfrac(parse("pi"), 100000)
     assert calls == [4096]
-    calls.clear()
-    # digits above the cap are tried once
-    with pytest.raises(PrecisionCapError, match="at 5000 digits"):
-        cfrac(parse("pi - pi + 1"), 2, 5000)
-    assert calls == [5000]
-    calls.clear()
-    with pytest.raises(PrecisionCapError, match="at 5000 digits"):
-        cfrac(parse("pi"), 100000, 5000)
-    assert calls == [5000]
 
 
 @pytest.mark.parametrize("argv", [["pi-pi"], ["pi", "--terms", "100000"]])
@@ -353,8 +344,10 @@ def test_cfrac_cli_still_fails_at_the_cap(capsys, argv):
 
 
 def test_cfrac_cap_message_names_the_digits_reached(monkeypatch):
-    # asked for more digits than the cap, cfrac evaluates once, at the
-    # digits asked for, and its message names those and the likely cause
+    # Lévy's estimate is past a lowered cap: cfrac evaluates once, at the
+    # cap, and its message names those digits and the likely cause
     monkeypatch.setattr(epilab.expr, "CFRAC_MAX_DIGITS", 128)
-    with pytest.raises(PrecisionCapError, match="at 200 digits .*rational but not written as one"):
-        cfrac(parse("pi - pi + 1"), 2, 200)
+    calls = _count_evaluations(monkeypatch)
+    with pytest.raises(PrecisionCapError, match="at 128 digits .*rational but not written as one"):
+        cfrac(parse("pi - pi + 1"), 200)
+    assert calls == [128]

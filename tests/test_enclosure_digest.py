@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from fractions import Fraction
 
 from epilab.expr import (
     Add,
@@ -29,7 +28,6 @@ from epilab.expr import (
     IntLit,
     Mul,
     PowInt,
-    RatLit,
     Root,
     Sub,
     eval_expr,
@@ -68,7 +66,7 @@ def _leaf(rng: random.Random):
     if pick == 3:
         return IntLit(rng.choice((0, 1, 2, 3)))
     num = rng.randrange(-30, 31)
-    return RatLit(Fraction(num, rng.randrange(1, 12)))
+    return Div(IntLit(num), IntLit(rng.randrange(1, 12)))
 
 
 def _tree(rng: random.Random, depth: int):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -22,7 +23,6 @@ from epilab.expr import (
     ParseError,
     PowInt,
     PrecisionCapError,
-    RatLit,
     Root,
     Sqrt,
     Sub,
@@ -83,8 +83,27 @@ def test_an_exact_value_is_a_point_in_lowest_terms(text, point):
 
 
 def test_rational_literal_leaves_are_exact_points():
-    tree = Mul(RatLit(Fraction(6, 4)), Add(IntLit(1), RatLit(Fraction(-1, 3))))
+    # a rational is written as a quotient of integer literals
+    tree = Mul(Div(IntLit(6), IntLit(4)), Add(IntLit(1), Div(IntLit(-1), IntLit(3))))
     assert eval_interval(tree, 10) == (1, 1, 1)
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**6), st.integers(1, 40))
+@example(0, 7, 1)
+@example(-6, 4, 5)
+@example(10**6, 10**6, 40)
+def test_a_quotient_of_literals_is_the_lowest_terms_point(p, q, digits):
+    g = math.gcd(p, q)
+    tree = Div(IntLit(p), IntLit(q))
+    assert eval_interval(tree, digits) == (p // g, p // g, q // g)
+    assert eval_interval(parse(to_text(tree)), digits) == (p // g, p // g, q // g)
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, Fraction(1, 3), "7", None])
+def test_an_integer_literal_takes_only_an_int(value):
+    # a float would enter as its binary value, 0.1 as 3602879701896397/2**55
+    with pytest.raises(TypeError, match="IntLit takes an int"):
+        IntLit(value)
 
 
 def test_sqrt_is_root_two():
@@ -187,16 +206,16 @@ def test_to_text_frozen_forms():
 
 
 @pytest.mark.parametrize("tree, rendered", [
-    (RatLit(Fraction(-3, 7)), "(0 - 3/7)"),
-    (RatLit(Fraction(4)), "4"),
-    (RatLit(Fraction(-4)), "(-4)"),
-    (PowInt(RatLit(Fraction(2, 3)), 3), "(2/3)^3"),
-    (PowInt(RatLit(Fraction(-2, 3)), 2), "(0 - 2/3)^2"),
-    (Div(ConstPi(), RatLit(Fraction(2, 3))), "pi/(2/3)"),
+    (Div(IntLit(-3), IntLit(7)), "(-3)/7"),
+    (IntLit(4), "4"),
+    (IntLit(-4), "(-4)"),
+    (PowInt(Div(IntLit(2), IntLit(3)), 3), "(2/3)^3"),
+    (PowInt(Sub(IntLit(0), Div(IntLit(2), IntLit(3))), 2), "(0 - 2/3)^2"),
+    (Div(ConstPi(), Div(IntLit(2), IntLit(3))), "pi/(2/3)"),
 ])
 def test_to_text_renders_rational_leaves(tree, rendered):
-    # parse builds no RatLit, so the round trip below, which compares
-    # trees, cannot take these; their values must agree
+    # parse reads a negative literal as 0 minus it, so the round trip
+    # below, which compares trees, cannot take every one; values must agree
     assert to_text(tree) == rendered
     assert as_fractions(eval_interval(parse(rendered), 20)) == as_fractions(eval_interval(tree, 20))
 
@@ -314,6 +333,37 @@ def test_odd_root_of_vanishing_width_narrows(text):
 def test_division_by_vanishing_width_hits_precision_cap():
     with pytest.raises(PrecisionCapError):
         eval_interval(parse("1/(pi - pi)"), 10)
+
+
+@pytest.mark.parametrize("text, digits, attempts", [
+    # undecided every time: the guard doubles until the attempts run out
+    ("1/(pi - pi)", 10, [20, 30, 50, 90, 170, 330, 650, 1290, "cap"]),
+    # 18 digits before the point: the second attempt adds the digits missed
+    ("exp(pi*sqrt(163))", 30, [40, 50]),
+    # an odd root of a width around zero narrows slowly: the guard doubles
+    ("root(3, pi - pi)", 10, [20, 30, 50]),
+])
+def test_eval_interval_attempt_schedule(monkeypatch, text, digits, attempts):
+    # the precision of each whole-tree evaluation eval_interval makes
+    import epilab.expr
+
+    calls, evaluate, nesting = [], epilab.expr._eval, []
+
+    def recorded(expr, w):
+        if not nesting:
+            calls.append(w)
+        nesting.append(w)
+        try:
+            return evaluate(expr, w)
+        finally:
+            nesting.pop()
+
+    monkeypatch.setattr(epilab.expr, "_eval", recorded)
+    try:
+        eval_interval(parse(text), digits)
+    except PrecisionCapError:
+        calls.append("cap")
+    assert calls == attempts
 
 
 def test_exp_range():

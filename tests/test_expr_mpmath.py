@@ -32,7 +32,6 @@ from epilab.expr import (
     Mul,
     PowInt,
     PrecisionCapError,
-    RatLit,
     Root,
     Sub,
     eval_interval,
@@ -106,7 +105,7 @@ def _ref(node):
         return iv.pi
     if isinstance(node, ConstE):
         return iv.e
-    if isinstance(node, (IntLit, RatLit)):
+    if isinstance(node, IntLit):
         return Fraction(node.value)
     if isinstance(node, (Add, Sub, Mul, Div)):
         a, b = _ref(node.left), _ref(node.right)
@@ -174,7 +173,7 @@ def _reference(node, digits: int):
 
 leaves = st.one_of(
     st.integers(min_value=0, max_value=12).map(IntLit),
-    st.builds(lambda n, d: RatLit(Fraction(n, d)), st.integers(-20, 20), st.integers(1, 9)),
+    st.builds(lambda n, d: Div(IntLit(n), IntLit(d)), st.integers(-20, 20), st.integers(1, 9)),
     st.just(ConstPi()),
     st.just(ConstE()),
 )

@@ -46,7 +46,7 @@ PACKAGE_EXPORTS = {
                  "e_half_integer", "e_power_approx", "stirling_e8_decomposition",
                  "stirling_factor"],
     "expr": ["Add", "ConstE", "ConstPi", "Div", "EvalDomainError", "Exp", "Expr",
-             "IntLit", "Mul", "ParseError", "PowInt", "PrecisionCapError", "RatLit", "Root",
+             "IntLit", "Mul", "ParseError", "PowInt", "PrecisionCapError", "Root",
              "Sqrt", "Sub", "cfrac", "eval_expr", "eval_interval", "parse", "to_text"],
     "registry": ["REGISTRY", "Relation", "VerificationFailure", "VerificationReport",
                  "digits_of_agreement", "get_relation", "relation_ids", "verify", "verify_all"],

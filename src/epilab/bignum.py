@@ -233,6 +233,27 @@ def ilog10_floor(num: int, den: int = 1) -> int:
     return e
 
 
+def _general(num: int, den: int) -> str:
+    """num/den, den > 0, as f"{num / den:g}" prints it: six significant
+    digits, ties to even, in fixed or exponent layout.  Exact, and for a
+    value past float range too."""
+    if num == 0:
+        return "0"
+    e = ilog10_floor(abs(num), den)
+    shift = 5 - e  # the digits m = num/den * 10**shift, 10**5 <= m < 10**6
+    n, d = abs(num) * 10**max(shift, 0), den * 10**max(-shift, 0)
+    m, r = divmod(n, d)
+    if 2 * r > d or (2 * r == d and m % 2):
+        m += 1
+    if m == 10**6:
+        m, e = 10**5, e + 1
+    fixed = -4 <= e < 6
+    text = _fixed_to_string(m, 5 - e if fixed else 5)
+    if "." in text:
+        text = text.rstrip("0").rstrip(".")
+    return ("-" if num < 0 else "") + (text if fixed else f"{text}e{e:+03d}")
+
+
 # ---------------------------------------------------------------------------
 # quadratic irrationals
 

@@ -31,6 +31,10 @@ else is a fault and ends in a traceback.  main maps each error to its
 code; verify alone also returns 1, after its output, when a relation
 failed or is not certified.  Every non-zero exit writes one error: line
 to stderr.
+
+main() with no argument reads sys.argv and is the program: once the
+command has run it calls gc.freeze(), so interpreter exit collects no
+object alive then.  main(argv) with a list never touches the collector.
 """
 
 from __future__ import annotations
@@ -643,6 +647,12 @@ def main(argv=None) -> int:
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) and exc.args else exc}",
               file=sys.stderr)
         return 2
+    finally:
+        if argv is None:
+            # the process ends next: frozen objects are skipped by the
+            # collections that interpreter exit runs
+            import gc
+            gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

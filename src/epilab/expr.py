@@ -40,7 +40,8 @@ from __future__ import annotations
 import math
 
 from ._record import record
-from .bignum import _div_nearest, ceil_div, floor_div, ilog10_floor, iroot, root_interval
+from .bignum import (_div_nearest, _general, ceil_div, floor_div, ilog10_floor, iroot,
+                     root_interval)
 from .oracle import EXP_ARG_LIMIT, NoCertifiedResult, e_interval, exp_interval, pi_interval
 
 __all__ = [
@@ -146,6 +147,10 @@ class PowInt(Expr):
     base: Expr
     exponent: int
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.exponent, int):
+            raise TypeError(f"PowInt takes an int exponent, not {type(self.exponent).__name__}")
+
 
 @record
 class Root(Expr):
@@ -153,6 +158,8 @@ class Root(Expr):
     k: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.k, int):
+            raise TypeError(f"Root takes an int index, not {type(self.k).__name__}")
         if self.k < 1:
             raise ValueError("root index must be >= 1")
 
@@ -426,7 +433,7 @@ def _eval(expr: Expr, w: int) -> _IV:
         k = expr.k
         if k % 2 == 0:
             if hi < 0:
-                raise EvalDomainError(f"root of a negative value (<= {hi / den:g})")
+                raise EvalDomainError(f"root of a negative value (<= {_general(hi, den)})")
             if lo < 0:
                 # might be a genuinely negative value seen too coarsely, or a
                 # tiny true value straddled by the interval; retry either way

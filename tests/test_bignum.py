@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from epilab.bignum import (
     BigFixed,
+    _general,
     Surd,
     ceil_div,
     floor_div,
@@ -161,6 +162,36 @@ def test_log10_helpers():
     assert ilog10_floor(1, 10) == -1
     with pytest.raises(ValueError):
         ilog10_floor(1, 0)
+
+
+_DOUBLES = st.tuples(st.integers(min_value=-(2**53), max_value=2**53),
+                     st.integers(min_value=0, max_value=200))
+
+
+@given(_DOUBLES)
+@example((1234565, 0)).via("a tie at the sixth digit, to even")
+@example((1999999, 1)).via("rounding up to the next power of ten")
+@example((-15, 5)).via("fixed layout with trailing zeros dropped")
+@example((3, 20)).via("below 1e-4, exponent layout")
+@example((2**52, 0)).via("at or past 1e6, exponent layout")
+def test_general_prints_what_float_g_prints(pair):
+    # p / 2**k is a double, so format(, "g") rounds the same exact value
+    p, k = pair
+    assert _general(p, 2**k) == f"{p / 2**k:g}"
+
+
+@given(_DOUBLES.filter(lambda pair: pair[0] != 0), st.sampled_from([-400, 400]))
+def test_general_past_float_range(pair, k):
+    # the same six digits, with the exponent moved by k
+    p, shift = pair
+    digits, _, e = f"{p / 2**shift:.5e}".partition("e")
+    num, den = (p * 10**k, 2**shift) if k > 0 else (p, 2**shift * 10**-k)
+    assert _general(num, den) == f"{digits.rstrip('0').rstrip('.')}e{int(e) + k:+03d}"
+
+
+def test_general_of_zero_and_of_the_root_bounds():
+    assert [_general(0, 7), _general(-8, 1), _general(-10**20, 1), _general(-10**400, 1),
+            _general(-1, 10**400)] == ["0", "-8", "-1e+20", "-1e+400", "-1e-400"]
 
 
 @given(st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(10**6),

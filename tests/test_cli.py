@@ -218,6 +218,17 @@ def test_cfrac_root_of_negative_exits_one(capsys):
     assert err.startswith("error: root of a negative value")
 
 
+@pytest.mark.parametrize("expr, bound", [
+    ("root(2, -8)", "-8"),
+    ("sqrt(pi-4)", "-0.858407"),
+    ("sqrt(0-10^20)", "-1e+20"),
+    ("sqrt(0-10^400)", "-1e+400"),  # past float range
+    ("root(2, 0-10^400)", "-1e+400"),
+])
+def test_root_of_negative_names_its_bound(capsys, expr, bound):
+    assert run(capsys, "cfrac", expr) == (1, "", f"error: root of a negative value (<= {bound})\n")
+
+
 def test_cfrac_odd_root_of_negative_value(capsys):
     rc, out, err = run(capsys, "cfrac", "root(3, 0-8)")
     assert (rc, out, err) == (0, "expr = root(3, 0 - 8)\n-2\n", "")

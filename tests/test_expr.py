@@ -106,6 +106,17 @@ def test_an_integer_literal_takes_only_an_int(value):
         IntLit(value)
 
 
+@pytest.mark.parametrize("value", [0.5, 2.0, Fraction(1, 2), "2", None])
+@pytest.mark.parametrize("node, name", [(lambda v: PowInt(ConstPi(), v), "PowInt"),
+                                        (lambda v: Root(IntLit(2), v), "Root")],
+                         ids=["PowInt", "Root"])
+def test_a_power_and_a_root_take_only_an_int(node, name, value):
+    # PowInt(pi, 0.5) would be evaluated in binary floating point, and
+    # Root(2, 2.5) would fail deep in the integer arithmetic
+    with pytest.raises(TypeError, match=f"{name} takes an int"):
+        node(value)
+
+
 def test_sqrt_is_root_two():
     assert parse("sqrt(51)") == Root(IntLit(51), 2)
     assert Sqrt(ConstPi()) == Root(ConstPi(), 2)

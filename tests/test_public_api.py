@@ -256,6 +256,19 @@ def test_the_cli_rounds_for_print_in_one_function():
             for name in _names(node) if name == "_div_nearest"] == []
 
 
+def test_only_cli_main_names_the_collector():
+    # main freezes the collector when it runs as the program; no library
+    # call may touch the collector of the process that imported it
+    trees = {path.stem: ast.parse(path.read_text()) for path in (SRC / "epilab").glob("*.py")}
+    (main,) = [fn for fn in trees["cli"].body if isinstance(fn, ast.FunctionDef)
+               and fn.name == "main"]
+    inside = {id(node) for node in ast.walk(main)}
+    uses = [(stem, node) for stem, tree in trees.items() for node in ast.walk(tree)
+            if "gc" in _names(node)]
+    assert uses
+    assert [(stem, node.lineno) for stem, node in uses if id(node) not in inside] == []
+
+
 def test_one_function_per_enclosure():
     # each enclosure is one public function returning integer bounds: the
     # oracle's kernels and cache stay inside oracle, the integer twins

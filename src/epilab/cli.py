@@ -24,7 +24,8 @@ certified result (an error derived from oracle.NoCertifiedResult: the
 value is undefined, such as a root of a negative number or a division by
 zero, an exp argument lies outside |x| <= 100, the precision cap is
 reached, or a series cannot reach the precision within its term cap), or
-when stdout closes before the output ends; 2 for usage errors
+when stdout closes before the output ends or cannot be written (any
+OSError: the commands do no other I/O); 2 for usage errors
 (ValueError or KeyError): an unknown command or option, a missing or bad
 value, one below its option's floor, an unparsable expression.  Anything
 else is a fault and ends in a traceback.  main maps each error to its
@@ -160,14 +161,14 @@ def cmd_compute(args) -> int:
     digits = args.digits
     terms = ""
     # both methods give bounds lo <= constant * den <= hi
-    if args.method == "oracle" and (args.terms, args.max_terms) == (None, None):
+    if args.method == "oracle" and args.terms is None:
         lo, hi, den = constant_reference(args.constant, digits)
         # on its grid, den = 10**(digits + 3): the midpoint floored at
         # `digits` places, and hi/den less that value, over den
         value = (lo + hi) // 2000
         error = hi - 1000 * value, den
     else:
-        # the series are loaded only where a series or its options are named
+        # the series are loaded only where a series or --terms is named
         from .series import DEFAULT_MAX_TERMS, builtin, builtin_names, partial_sum, terms_needed
         # the series of e for e, those of pi and its forms for pi
         allowed = ("oracle", *[n for n in builtin_names()
@@ -177,22 +178,13 @@ def cmd_compute(args) -> int:
                 f"method {args.method!r} not valid for {args.constant}; "
                 f"choose from {', '.join(allowed)}"
             )
-        cap = DEFAULT_MAX_TERMS if args.max_terms is None else args.max_terms
-        if args.terms not in (None, "auto"):
-            try:
-                count = int(args.terms)
-            except ValueError:
-                raise ValueError(
-                    f"bad --terms {args.terms!r}; expected a count or 'auto'") from None
-            if count < 1:
-                raise ValueError("--terms must be >= 1")
-            if count > cap:
-                raise ValueError(f"--terms must be <= {cap}")
+        if args.terms is not None and args.terms > DEFAULT_MAX_TERMS:
+            raise ValueError(f"--terms must be <= {DEFAULT_MAX_TERMS}")
         if args.method == "oracle":
-            raise ValueError("--terms and --max-terms apply only to a series --method")
+            raise ValueError("--terms applies only to a series --method")
         spec = builtin(args.method)
-        last = (terms_needed(spec, digits + 1, cap=cap) if args.terms in (None, "auto")
-                else spec.start_index + count - 1)
+        last = (terms_needed(spec, digits + 1) if args.terms is None
+                else spec.start_index + args.terms - 1)
         result = partial_sum(spec, last)
         terms = str(result.terms_used - spec.start_index + 1)
         (vp, vq), (rp, rq) = result.value, result.bound
@@ -505,9 +497,8 @@ def build_parser() -> dict:
         "compute": (cmd_compute, "evaluate a constant by series or oracle", {
             "constant": (("pi", "e"), ..., None, ""),
             "--method": (str, "oracle", None, "oracle (default) or a series: {series}"),
-            "--terms": (str, None, None,
-                        "term count, or 'auto' to invert the tail bound (default)"),
-            "--max-terms": (int, None, 1, ""), **common()}),
+            "--terms": (int, None, 1, "default: the fewest whose tail bound meets --digits"),
+            **common()}),
         "table": (cmd_table, "convergence table for a builtin series", {
             "series": (str, ..., None, "one of: {series}"),
             "--checkpoints": (str, "10,100,1000", None, ""),
@@ -578,7 +569,7 @@ def _option(arg: str, names) -> str:
 
 def parse_args(argv) -> SimpleNamespace:
     """argv read against the option table: each argument under its name
-    without dashes (--max-terms is max_terms), the command, and func, which
+    without dashes (--all-rows is all_rows), the command, and func, which
     runs it.  A usage error is a ValueError; -h or --help (or a prefix)
     before any -- runs _help in place of the command, whatever else argv
     holds, as argparse did."""
@@ -633,11 +624,14 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # the reader has gone: point fd 1 at devnull, so the flush at
+    except OSError as exc:
+        # the commands do no I/O but stdout's, so a write failed, or the
+        # reader has gone: point fd 1 at devnull, so the flush at
         # interpreter exit finds nowhere to fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout was closed before the output ended", file=sys.stderr)
+        print("error: stdout was closed before the output ended"
+              if isinstance(exc, BrokenPipeError) else
+              f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
         return 1
     except NoCertifiedResult as exc:
         print(f"error: {exc}", file=sys.stderr)

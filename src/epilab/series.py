@@ -365,12 +365,13 @@ def partial_sum(spec: SeriesSpec, n: int) -> SumResult:
     return SumResult(_join(*spec.offset, acc, unit), n, _join(*spec.tail_bound(n), count, two_unit))
 
 
-def terms_needed(spec: SeriesSpec, digits: int, *, cap: int = DEFAULT_MAX_TERMS) -> int:
+def terms_needed(spec: SeriesSpec, digits: int) -> int:
     """Smallest last-index N with tail_bound(N) < 10**-digits.
 
     Galloping search followed by bisection, so expensive tail bounds
-    (factorials) are only evaluated O(log N) times.  Raises
-    InfeasibleRequest if the cap cannot reach the target.
+    (factorials) are only evaluated O(log N) times.  N is at most
+    DEFAULT_MAX_TERMS, the one ceiling: past it InfeasibleRequest is
+    raised.
     """
     scale = 10**digits
 
@@ -383,12 +384,10 @@ def terms_needed(spec: SeriesSpec, digits: int, *, cap: int = DEFAULT_MAX_TERMS)
     if below(lo):
         return lo
     hi = max(lo * 2, lo + 1)
-    while hi < cap and not below(hi):
-        lo, hi = hi, hi * 2
-    if hi >= cap:
-        hi = cap
-        if not below(hi):
-            raise InfeasibleRequest(spec.name, digits, cap)
+    while not below(hi):
+        if hi >= DEFAULT_MAX_TERMS:
+            raise InfeasibleRequest(spec.name, digits, DEFAULT_MAX_TERMS)
+        lo, hi = hi, min(hi * 2, DEFAULT_MAX_TERMS)
     # invariant: not below(lo), and below(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2

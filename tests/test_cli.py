@@ -645,15 +645,16 @@ def test_closed_stdout_ends_quietly():
     ["compute", "pi", "--method", "lambda6", "--digits", "-3"],
     ["compute", "pi", "--method", "gregory-leibniz", "--digits", "-1"],
     ["verify", "R02", "--digits", "0"],  # verify keeps its own, higher floor
-    ["compute", "pi", "--method", "zeta8", "--max-terms", "0"],
-    ["compute", "pi", "--max-terms", "-5"],
+    # --terms too, before the oracle path says it takes none
+    ["compute", "pi", "--method", "zeta8", "--terms", "0"],
+    ["compute", "pi", "--terms", "-5"],
 ], ids=" ".join)
 def test_non_positive_precision_exits_two(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert out == ""
     cause = {"--digits": "--digits must be >= 1", "--scale": "--scale must be >= 0",
-             "--max-terms": "--max-terms must be >= 1"}[argv[-2]]
+             "--terms": "--terms must be >= 1"}[argv[-2]]
     if argv[0] == "verify":
         cause = "--digits must be >= 6"
     assert err == f"error: {cause}\n"
@@ -730,14 +731,17 @@ def test_a_threshold_far_past_the_scans_grid_ends_at_once(threshold, same_as):
 @pytest.mark.parametrize("argv, cause", [
     ("scan --max 0", "--max must be >= 1"),
     ("cfrac pi --terms 0", "--terms must be >= 1"),
-    ("compute pi --method zeta8 --terms x", "bad --terms 'x'; expected a count or 'auto'"),
+    ("compute pi --method zeta8 --terms x", "bad --terms 'x'; expected an integer"),
     # the oracle sums no series, but checks --terms as the series do
-    ("compute pi --terms abc", "bad --terms 'abc'; expected a count or 'auto'"),
+    ("compute pi --terms abc", "bad --terms 'abc'; expected an integer"),
+    # a count is the one way to give it: 'auto' was the default written out
+    ("compute pi --method nilakantha --terms auto", "bad --terms 'auto'; expected an integer"),
     ("compute pi --terms 0", "--terms must be >= 1"),
     ("compute e --terms -2", "--terms must be >= 1"),
     # and rejects a valid one, which it would ignore
-    ("compute pi --terms 5", "--terms and --max-terms apply only to a series --method"),
-    ("compute pi --max-terms 3", "--terms and --max-terms apply only to a series --method"),
+    ("compute pi --terms 5", "--terms applies only to a series --method"),
+    # the term cap is the library's, DEFAULT_MAX_TERMS, and no option sets it
+    ("compute pi --max-terms 3", "unknown option --max-terms"),
     ("table zeta8 --checkpoints 0", "--checkpoints must be >= 1"),
     ("table zeta8 --checkpoints 10,0", "--checkpoints must be >= 1"),
     ("table zeta8 --checkpoints abc", "bad --checkpoints 'abc'; expected e.g. 10,100,1000"),
@@ -746,8 +750,6 @@ def test_a_threshold_far_past_the_scans_grid_ends_at_once(threshold, same_as):
     # the floors of the option table name the option, not the library parameter
     ("compare --rows 0", "--rows must be >= 1"),
     ("table zeta8 --scale -1", "--scale must be >= 0"),
-    # the term cap bounds an explicit count too
-    ("compute pi --method zeta8 --terms 5 --max-terms 3", "--terms must be <= 3"),
     # e8 reads neither --n nor --k, and says so
     ("stirling --op e8 --n 7 --k 9", "--n and --k apply only to --op approx, ratio and e-half"),
     # the other ops range-check them under the options' names
@@ -759,6 +761,7 @@ def test_a_threshold_far_past_the_scans_grid_ends_at_once(threshold, same_as):
     ("stirling --op e-half --k 3", "--k must be in 1..2"),
     # a certified quotient is the same at any precision, so cfrac takes no --digits
     ("cfrac pi --digits 30", "unknown option --digits"),
+    # the term cap bounds an explicit count too
     (f"compute pi --method zeta8 --terms {DEFAULT_MAX_TERMS + 1}",
      f"--terms must be <= {DEFAULT_MAX_TERMS}"),
 ])
@@ -901,7 +904,6 @@ def test_json_writer_matches_json_dumps(case):
     "",  # no command
     "bogus",  # an unknown command
     "compute pi --bogus",  # an unknown option
-    "compute pi --m oracle",  # an ambiguous prefix: --method or --max-terms
     "compute pi --digits",  # a missing value
     "compute pi --method --digits 5",  # an option where the value belongs
     "compute pi --digits x",  # a bad int
@@ -930,9 +932,17 @@ def test_help_names_every_argument(capsys, command, flag):
     assert [n for n in named if not re.search(rf"^  {re.escape(n)}\b", out, re.M)] == []
 
 
+def test_compute_takes_a_series_length_as_a_count_alone(capsys):
+    rc, out, _ = run(capsys, "compute", "--help")
+    terms = [line for line in out.splitlines() if line.startswith("  --terms")]
+    assert rc == 0 and len(terms) == 1
+    assert terms[0].startswith("  --terms N ") and terms[0].endswith("; >= 1")
+    assert "--max-terms" not in out and "auto" not in out
+
+
 #: what argparse read from `compute pi --digits 5`
 _COMPUTE_PI_5 = {"command": "compute", "constant": "pi", "method": "oracle", "terms": None,
-                 "max_terms": None, "format": "text", "quiet": False, "digits": 5}
+                 "format": "text", "quiet": False, "digits": 5}
 
 
 @pytest.mark.parametrize("argv, changed", [
@@ -945,13 +955,8 @@ _COMPUTE_PI_5 = {"command": "compute", "constant": "pi", "method": "oracle", "te
     ("compute --digits 5 -- pi", {}),  # -- before positionals
     ("compute pi --digits +5", {}),  # what int() takes
     ("compute pi --digits 5 --qu --quiet", {"quiet": True}),
-    ("compute e --method=e-factorial --terms -3 --digits 5",
-     {"constant": "e", "method": "e-factorial", "terms": "-3"}),  # a negative value
-    ("compute e --method=e-factorial --terms -٣ --digits 5",
-     {"constant": "e", "method": "e-factorial", "terms": "-٣"}),  # in Arabic-Indic digits
-    ("compute e --method=e-factorial --terms -.٣ --digits 5",
-     {"constant": "e", "method": "e-factorial", "terms": "-.٣"}),
-    ("compute pi --max-terms 4 --digits 5 --max-t 3", {"max_terms": 3}),
+    ("compute e --method=e-factorial --terms ٣ --digits 5",
+     {"constant": "e", "method": "e-factorial", "terms": 3}),  # in Arabic-Indic digits
 ], ids=repr)
 def test_accepted_forms_parse_as_argparse_read_them(argv, changed):
     args = vars(parse_args(argv.split()))
@@ -991,10 +996,19 @@ def test_a_negative_number_is_a_value_as_argparse_read_it(word):
             assert _option(word, names) != ""
 
 
+def test_an_ambiguous_prefix_names_every_option_it_starts():
+    # no command has two options that share a prefix, so the table is
+    # stood in for by names that do
+    names = {"--method": None, "--max-terms": None}
+    with pytest.raises(ValueError, match="^ambiguous option --m: --method, --max-terms$"):
+        _option("--m", names)
+    assert _option("--me=oracle", names) == "--method"
+    assert _option("--max", names) == "--max-terms"
+
+
 #: values for the arguments the table types as str: valid, edge and bad
 _STR_VALUES = {
     "--method": ["oracle", *builtin_names(), "basel"],
-    "--terms": ["auto", "1", "7", "0", "-2", "x"],
     "series": [*builtin_names(), "basel"],
     "--checkpoints": ["10", "1,5,20", "20,3", "0", ",", "abc", "20000"],
     "id": ["R01", "R05", "R20", "R99"],

@@ -78,7 +78,9 @@ def test_main_with_a_list_leaves_the_collector_alone(capsys):
 def test_a_failed_write_still_exits_one():
     with open("/dev/full", "w") as full:
         proc = _program("-m", "epilab.cli", "compute", "pi", "--digits", "10", stdout=full)
-    assert proc.returncode == 1
+    # one error: line names the cause, and the exit-time flush fails no more
+    assert (proc.returncode, proc.stderr) == (
+        1, "error: cannot write stdout: No space left on device\n")
 
 
 def test_the_program_runs_under_a_profiler():

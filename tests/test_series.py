@@ -122,10 +122,12 @@ def test_terms_needed_infeasible_without_enough_budget():
     assert exc.value.digits == 30
     assert "30" in str(exc.value)
     assert str(exc.value.cap) in str(exc.value)
-    # a feasible request right at the cap edge does not raise
-    assert terms_needed(gl, 3, cap=10**4) > 0
-    with pytest.raises(InfeasibleRequest):
-        terms_needed(gl, 5, cap=10**4)
+    # the cap is DEFAULT_MAX_TERMS alone, which no caller can raise:
+    # 4/(2N + 3) < 10**-7 at N = 2*10**7 - 1, but 10**-8 needs 2*10**8 - 1
+    assert terms_needed(gl, 7) == 2 * 10**7 - 1
+    for digits in (8, 9):
+        with pytest.raises(InfeasibleRequest, match=f"10\\^-{digits} within 100000000 terms$"):
+            terms_needed(gl, digits)
 
 
 def test_convergence_table_shape_and_monotonicity():

@@ -60,19 +60,17 @@ __all__ = ["main"]
 _BOOL = ("false", "true")
 
 
-def _json(payload, literal=()) -> str:
-    """payload in the layout json.dumps(payload, indent=2) gives it.
+def _json(record, literal=()) -> str:
+    """record in the layout json.dumps(record, indent=2) gives it.
 
-    payload is a record or a list of records, and a record is a dict or
-    an iterable of (key, cell) pairs; a cell is a string, or a list of
-    strings.  A cell under a key in literal is written as it is, and as
-    null when empty; every other cell is a json string, escaped by json's
-    own encoder.  No literal goes through int -> str, so integers past
-    its 4,300-digit cap are written too.
+    A record is a dict or an iterable of (key, cell) pairs; a cell is a
+    string, or a list of strings.  A cell under a key in literal is
+    written as it is, and as null when empty; every other cell is a json
+    string, escaped by json's own encoder.  No literal goes through
+    int -> str, so integers past its 4,300-digit cap are written too.
+    A list of records streams through _json_list.
     """
-    if isinstance(payload, list):
-        return "".join(_json_list(payload, literal))
-    return _json_record(payload, literal, "", _quote())
+    return _json_record(record, literal, "", _quote())
 
 
 def _quote():
@@ -85,7 +83,7 @@ def _quote():
 
 
 def _json_list(records, literal=()):
-    """_json of a list of records, one record a piece: a long list is never held whole."""
+    """A list of records in _json's layout, one record a piece: a long list is never held whole."""
     quote = _quote()  # once, not once per record
     head = "["
     for record in records:
@@ -117,9 +115,9 @@ def _emit(args, columns, rows, literal=(), *, payload=None, text=None, table=Non
     json stream them).  csv writes them under a header row; json writes
     them as a list of records, or writes payload in their place when the
     command's json has another shape, a dict or a list of records (see
-    _json).  text prints text, the command's own layout, when given, and
-    then table, rows for a text table, when given: each column as wide as
-    its widest cell, header included, two spaces apart.
+    _json and _json_list).  text prints text, the command's own layout,
+    when given, and then table, rows for a text table, when given: each
+    column as wide as its widest cell, header included, two spaces apart.
     """
     if args.format == "json" and isinstance(payload, dict):
         print(_json(payload, literal))

@@ -12,8 +12,9 @@ matching text form:
     atom   :=  integer | 'pi' | 'e' | '(' expr ')'
              | 'sqrt(' expr ')' | 'root(' k ',' expr ')' | 'exp(' expr ')'
 
-'-' and '/' associate left.  Exponents may be negative ('^-2').  Tree
-depth is capped at MAX_DEPTH both when parsing and when evaluating.
+The table _BINARY holds each binary operator's token, node and precedence
+for parse, to_text and depth; all associate left.  Exponents may be
+negative ('^-2').  Tree depth is capped at MAX_DEPTH when parsing and evaluating.
 
 Evaluation is interval arithmetic on integers: every node carries bounds
 (lo, hi, den), lo <= value * den <= hi with den > 0.  An exact subtree is
@@ -174,6 +175,12 @@ def Sqrt(arg: Expr) -> Root:
     return Root(arg, 2)
 
 
+#: the binary operators: token -> (node, precedence); each associates left,
+#: and a higher precedence binds tighter
+_BINARY = {"+": (Add, 1), "-": (Sub, 1), "*": (Mul, 2), "/": (Div, 2)}
+_SPELLING = {node: (tok, prec) for tok, (node, prec) in _BINARY.items()}
+
+
 def to_text(expr: Expr) -> str:
     """Render an AST in the grammar above; parse(to_text(x)) evaluates
     equal to x.  Parentheses appear only where precedence needs them."""
@@ -181,7 +188,13 @@ def to_text(expr: Expr) -> str:
 
 
 def _render(expr: Expr, ctx: int) -> str:
-    # precedence: + - are 1, * / are 2, ^ is 3, atoms 4
+    # ctx is the least precedence that needs no parentheses here: a
+    # power's base takes 3, tighter than any binary operator
+    if type(expr) in _SPELLING:
+        tok, prec = _SPELLING[type(expr)]
+        tok = f" {tok} " if prec == 1 else tok  # the loosest operators are spaced
+        s = f"{_render(expr.left, prec)}{tok}{_render(expr.right, prec + 1)}"
+        return f"({s})" if ctx > prec else s
     if isinstance(expr, ConstPi):
         return "pi"
     if isinstance(expr, ConstE):
@@ -189,16 +202,8 @@ def _render(expr: Expr, ctx: int) -> str:
     if isinstance(expr, IntLit):
         s = str(expr.value)
         return f"({s})" if expr.value < 0 else s
-    if isinstance(expr, (Add, Sub)):
-        op = "+" if isinstance(expr, Add) else "-"
-        s = f"{_render(expr.left, 1)} {op} {_render(expr.right, 2)}"
-        return f"({s})" if ctx > 1 else s
-    if isinstance(expr, (Mul, Div)):
-        op = "*" if isinstance(expr, Mul) else "/"
-        s = f"{_render(expr.left, 2)}{op}{_render(expr.right, 3)}"
-        return f"({s})" if ctx > 2 else s
     if isinstance(expr, PowInt):
-        return f"{_render(expr.base, 4)}^{expr.exponent}"
+        return f"{_render(expr.base, 3)}^{expr.exponent}"
     if isinstance(expr, Root):
         if expr.k == 2:
             return f"sqrt({_render(expr.arg, 1)})"
@@ -209,14 +214,12 @@ def _render(expr: Expr, ctx: int) -> str:
 
 
 def depth(expr: Expr) -> int:
+    if type(expr) in _SPELLING:
+        return 1 + max(depth(expr.left), depth(expr.right))
     if isinstance(expr, (ConstPi, ConstE, IntLit)):
         return 1
-    if isinstance(expr, (Add, Sub, Mul, Div)):
-        return 1 + max(depth(expr.left), depth(expr.right))
-    if isinstance(expr, (PowInt,)):
-        return 1 + depth(expr.base)
-    if isinstance(expr, (Root, Exp)):
-        return 1 + depth(expr.arg)
+    if isinstance(expr, (PowInt, Root, Exp)):
+        return 1 + depth(expr.base if isinstance(expr, PowInt) else expr.arg)
     raise TypeError(f"not an Expr: {expr!r}")
 
 
@@ -253,116 +256,81 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.next()
-        if got != tok:
-            raise ParseError(f"expected {tok!r}, got {got!r}")
-
-    # each AST level costs at most five grammar-rule frames, so this
-    # recursion ceiling never rejects a tree the depth invariant allows
-    _RECURSION_LIMIT = 5 * MAX_DEPTH + 16
-
-    def _guard(self, d: int) -> int:
-        if d > self._RECURSION_LIMIT:
-            raise ParseError(f"expression deeper than {MAX_DEPTH}")
-        return d
-
-    def parse_expr(self, d: int = 1) -> Expr:
-        self._guard(d)
-        node = self.parse_term(d + 1)
-        while self.peek() in ("+", "-"):
-            op = self.next()
-            rhs = self.parse_term(d + 1)
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
-
-    def parse_term(self, d: int) -> Expr:
-        self._guard(d)
-        node = self.parse_unary(d + 1)
-        while self.peek() in ("*", "/"):
-            op = self.next()
-            rhs = self.parse_unary(d + 1)
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
-
-    def parse_unary(self, d: int) -> Expr:
-        self._guard(d)
-        if self.peek() == "-":
-            self.next()
-            return Sub(IntLit(0), self.parse_unary(d + 1))
-        return self.parse_power(d + 1)
-
-    def parse_power(self, d: int) -> Expr:
-        self._guard(d)
-        node = self.parse_atom(d + 1)
-        while self.peek() == "^":
-            self.next()
-            node = PowInt(node, self.parse_int())
-        return node
-
-    def parse_int(self) -> int:
-        sign = 1
-        if self.peek() == "-":
-            self.next()
-            sign = -1
-        tok = self.next()
-        if not tok.isdigit():
-            raise ParseError(f"expected integer, got {tok!r}")
-        return sign * int(tok)
-
-    def parse_atom(self, d: int) -> Expr:
-        self._guard(d)
-        tok = self.next()
-        if tok.isdigit():
-            return IntLit(int(tok))
-        if tok == "pi":
-            return ConstPi()
-        if tok == "e":
-            return ConstE()
-        if tok == "(":
-            node = self.parse_expr(d + 1)
-            self.expect(")")
-            return node
-        if tok in ("sqrt", "exp"):
-            self.expect("(")
-            arg = self.parse_expr(d + 1)
-            self.expect(")")
-            return Sqrt(arg) if tok == "sqrt" else Exp(arg)
-        if tok == "root":
-            self.expect("(")
-            k = self.parse_int()
-            if k < 1:
-                raise ParseError("root index must be >= 1")
-            self.expect(",")
-            arg = self.parse_expr(d + 1)
-            self.expect(")")
-            return Root(arg, k)
-        raise ParseError(f"unexpected token {tok!r}")
+#: the nesting past which parse stops: a group ('(' or a function's argument)
+#: costs 5 and a unary '-' 1, so it cuts off the inputs that the recursive
+#: descent in tests/test_expr.py cuts off; a tree within MAX_DEPTH, written
+#: without redundant parentheses, stays under it
+_MAX_NESTING = 5 * MAX_DEPTH + 16
 
 
 def parse(text: str) -> Expr:
     """Parse expression text into an AST; raises ParseError on bad input."""
-    parser = _Parser(_tokenize(text))
-    if parser.peek() is None:
+    tokens = _tokenize(text)
+    if not tokens:
         raise ParseError("empty expression")
-    node = parser.parse_expr()
-    if parser.peek() is not None:
-        raise ParseError(f"trailing input at token {parser.pos}: {parser.peek()!r}")
+    tokens.append("")  # the end: no token is empty
+    pos = 0
+
+    def take(want: str = "") -> str:
+        nonlocal pos
+        tok = tokens[pos]
+        if not tok:
+            raise ParseError("unexpected end of expression")
+        if want and tok != want:
+            raise ParseError(f"expected {want!r}, got {tok!r}")
+        pos += 1
+        return tok
+
+    def integer() -> int:
+        sign = -1 if tokens[pos] == "-" and take() else 1
+        tok = take()
+        if not tok.isdigit():
+            raise ParseError(f"expected integer, got {tok!r}")
+        return sign * int(tok)
+
+    def binary(nesting: int, prec: int) -> Expr:
+        # an operand, then each operator that binds at least as tight as prec
+        node = operand(nesting)
+        while tokens[pos] in _BINARY and _BINARY[tokens[pos]][1] >= prec:
+            node_type, op_prec = _BINARY[take()]
+            node = node_type(node, binary(nesting, op_prec + 1))
+        return node
+
+    def operand(nesting: int) -> Expr:
+        # '-' operand | atom ('^' integer)*: the minus binds looser than the power
+        if nesting > _MAX_NESTING:
+            raise ParseError(f"expression deeper than {MAX_DEPTH}")
+        if tokens[pos] == "-":
+            take()
+            return Sub(IntLit(0), operand(nesting + 1))
+        tok = take()
+        if tok.isdigit():
+            node = IntLit(int(tok))
+        elif tok in ("pi", "e"):
+            node = ConstPi() if tok == "pi" else ConstE()
+        elif tok in ("(", "sqrt", "exp", "root"):
+            if tok != "(":
+                take("(")
+            k = 2
+            if tok == "root":
+                k = integer()
+                if k < 1:
+                    raise ParseError("root index must be >= 1")
+                take(",")
+            node = binary(nesting + 5, 1)
+            take(")")
+            if tok != "(":
+                node = Exp(node) if tok == "exp" else Root(node, k)
+        else:
+            raise ParseError(f"unexpected token {tok!r}")
+        while tokens[pos] == "^":
+            take()
+            node = PowInt(node, integer())
+        return node
+
+    node = binary(5, 1)
+    if tokens[pos]:
+        raise ParseError(f"trailing input at token {pos}: {tokens[pos]!r}")
     if depth(node) > MAX_DEPTH:
         raise ParseError(f"expression deeper than {MAX_DEPTH}")
     return node
@@ -552,22 +520,26 @@ def cfrac(expr: Expr, n_terms: int) -> list[int]:
     margin, or doubles them if k = 0, up to CFRAC_MAX_DIGITS.  An exactly
     rational value terminates early with its full expansion; an
     expression that is rational but not syntactically so (pi - pi + 1)
-    cannot certify its termination, and the error names the digits.
+    cannot certify its termination; at the cap the error counts the
+    quotients certified, and suspects such a value if the last raise added none.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     # Lévy: the n-th convergent of almost every real is good to about
     # n pi^2/(6 ln 2 ln 10) = 1.0306 n digits; the margin covers its spread
     d = min(n_terms * 10306 // 10000 + n_terms // 32 + 10, CFRAC_MAX_DIGITS)
+    before = 0  # the quotients the attempt before certified; none before the first
     while True:
         lo, hi, den = eval_interval(expr, d)
         terms: list[int] = []
         if _floor_cf(lo, den, hi, den, n_terms, terms) is not None:
             return terms
-        if d >= CFRAC_MAX_DIGITS:
-            raise PrecisionCapError(
-                f"could not certify {n_terms} partial quotients at {d} digits (a value that is "
-                "rational but not written as one, such as pi - pi or sqrt(2)^2, never certifies)")
-        # an eighth more for quotients that grow, as e's do; a quarter at least
         k = len(terms)
+        if d >= CFRAC_MAX_DIGITS:
+            hint = ("; a value that is rational but not written as one, such as pi - pi or "
+                    "sqrt(2)^2, never certifies") if k <= before else ""
+            raise PrecisionCapError(f"could not certify {n_terms} partial quotients at {d} "
+                                    f"digits ({k} certified{hint})")
+        # an eighth more for quotients that grow, as e's do; a quarter at least
         d = min(max(d * n_terms // k * 9 // 8 + 10, d * 5 // 4) if k else 2 * d, CFRAC_MAX_DIGITS)
+        before = k

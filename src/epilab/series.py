@@ -36,7 +36,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import cycle, islice
 
 from ._record import record
-from .bignum import _binary_split, ilog10_floor
+from .bignum import _binary_split, _general, ilog10_floor
 from .oracle import CONSTANTS, NoCertifiedResult, constant_reference
 
 __all__ = [
@@ -441,8 +441,8 @@ def convergence_table(spec: SeriesSpec, checkpoints: Sequence[int]) -> list[Conv
             raise ValueError("reference oracle not precise enough for this table")
         if (err - eps) * bq > bp * tq * two_den:
             raise BoundViolation(
-                f"{spec.name} at N={point}: measured error {err / (tq * two_den):g} "
-                f"exceeds certified bound {bp / bq:g}"
+                f"{spec.name} at N={point}: measured error {_general(err, tq * two_den)} "
+                f"exceeds certified bound {_general(bp, bq)}"
             )
         rows.append(
             ConvergenceRow(

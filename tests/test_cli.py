@@ -889,13 +889,14 @@ def _json_records(draw):
 @example(([{"expr": "pi", "quotients": [3, 7]}, {"quotients": []}, {}], {"quotients"}))
 @example(([], set())).via("an empty list")
 def test_json_writer_matches_json_dumps(case):
-    from epilab.cli import _json
+    from epilab.cli import _json, _json_list
 
     records, literal = case
     cells = [{k: v if k not in literal else _literal_cell(v) for k, v in r.items()}
              for r in records]
-    assert _json(cells, literal) == json.dumps(records, indent=2)
-    assert _json([list(r.items()) for r in cells], literal) == json.dumps(records, indent=2)
+    assert "".join(_json_list(cells, literal)) == json.dumps(records, indent=2)
+    pairs = (list(r.items()) for r in cells)
+    assert "".join(_json_list(pairs, literal)) == json.dumps(records, indent=2)
     for record, typed in zip(cells, records):
         assert _json(record, literal) == json.dumps(typed, indent=2)
 

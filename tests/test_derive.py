@@ -340,7 +340,24 @@ def test_cfrac_cli_still_fails_at_the_cap(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: could not certify ")
-    assert " partial quotients at 4096 digits (a value that is rational" in captured.err
+    # only pi - pi, which certifies nothing, is suspected of being rational
+    tail = "(0 certified; a value that is rational" if argv == ["pi-pi"] else "(3981 certified)\n"
+    assert f" partial quotients at 4096 digits {tail}" in captured.err
+
+
+@pytest.mark.parametrize("text, n_terms, certified, rational", [
+    ("pi", 5000, 3981, False),  # irrational: the one attempt, at the cap, certified 3981
+    ("pi-pi", 7, 0, True),  # the precision doubled to the cap and certified none
+    ("pi-pi+1/3", 7, 1, True),  # the raise to the cap certified 1, as the attempt before it
+    ("pi-pi+1/3", 5000, 1, False),  # one attempt, which certified more than none
+])
+def test_cfrac_cap_message_counts_the_quotients_certified(text, n_terms, certified, rational):
+    with pytest.raises(PrecisionCapError) as caught:
+        cfrac(parse(text), n_terms)
+    message = str(caught.value)
+    assert message.startswith(f"could not certify {n_terms} partial quotients at 4096 digits "
+                              f"({certified} certified")
+    assert ("rational but not written as one" in message) == rational
 
 
 def test_cfrac_cap_message_names_the_digits_reached(monkeypatch):

@@ -17,6 +17,7 @@ from epilab.expr import (
     Div,
     EvalDomainError,
     Exp,
+    Expr,
     IntLit,
     MAX_DEPTH,
     Mul,
@@ -199,6 +200,155 @@ def test_depth_guard_follows_tree_depth():
     with pytest.raises(ParseError):
         # unbounded nesting is still cut off, without a RecursionError
         parse("(" * 5000 + "1" + ")" * 5000)
+
+
+class _DescentParser:
+    """The parser as it was written in recursive descent, one method a
+    grammar rule, with a recursion ceiling: the reference for parse."""
+
+    _RECURSION_LIMIT = 5 * MAX_DEPTH + 16
+
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of expression")
+        self.pos += 1
+        return tok
+
+    def expect(self, tok: str) -> None:
+        got = self.next()
+        if got != tok:
+            raise ParseError(f"expected {tok!r}, got {got!r}")
+
+    def _guard(self, d: int) -> None:
+        if d > self._RECURSION_LIMIT:
+            raise ParseError(f"expression deeper than {MAX_DEPTH}")
+
+    def parse_expr(self, d: int = 1) -> Expr:
+        self._guard(d)
+        node = self.parse_term(d + 1)
+        while self.peek() in ("+", "-"):
+            op = self.next()
+            rhs = self.parse_term(d + 1)
+            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+        return node
+
+    def parse_term(self, d: int) -> Expr:
+        self._guard(d)
+        node = self.parse_unary(d + 1)
+        while self.peek() in ("*", "/"):
+            op = self.next()
+            rhs = self.parse_unary(d + 1)
+            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+        return node
+
+    def parse_unary(self, d: int) -> Expr:
+        self._guard(d)
+        if self.peek() == "-":
+            self.next()
+            return Sub(IntLit(0), self.parse_unary(d + 1))
+        return self.parse_power(d + 1)
+
+    def parse_power(self, d: int) -> Expr:
+        self._guard(d)
+        node = self.parse_atom(d + 1)
+        while self.peek() == "^":
+            self.next()
+            node = PowInt(node, self.parse_int())
+        return node
+
+    def parse_int(self) -> int:
+        sign = 1
+        if self.peek() == "-":
+            self.next()
+            sign = -1
+        tok = self.next()
+        if not tok.isdigit():
+            raise ParseError(f"expected integer, got {tok!r}")
+        return sign * int(tok)
+
+    def parse_atom(self, d: int) -> Expr:
+        self._guard(d)
+        tok = self.next()
+        if tok.isdigit():
+            return IntLit(int(tok))
+        if tok == "pi":
+            return ConstPi()
+        if tok == "e":
+            return ConstE()
+        if tok == "(":
+            node = self.parse_expr(d + 1)
+            self.expect(")")
+            return node
+        if tok in ("sqrt", "exp"):
+            self.expect("(")
+            arg = self.parse_expr(d + 1)
+            self.expect(")")
+            return Sqrt(arg) if tok == "sqrt" else Exp(arg)
+        if tok == "root":
+            self.expect("(")
+            k = self.parse_int()
+            if k < 1:
+                raise ParseError("root index must be >= 1")
+            self.expect(",")
+            arg = self.parse_expr(d + 1)
+            self.expect(")")
+            return Root(arg, k)
+        raise ParseError(f"unexpected token {tok!r}")
+
+
+def _parse_by_descent(text: str) -> Expr:
+    parser = _DescentParser(_tokenize(text))
+    if parser.peek() is None:
+        raise ParseError("empty expression")
+    node = parser.parse_expr()
+    if parser.peek() is not None:
+        raise ParseError(f"trailing input at token {parser.pos}: {parser.peek()!r}")
+    if depth(node) > MAX_DEPTH:
+        raise ParseError(f"expression deeper than {MAX_DEPTH}")
+    return node
+
+
+def _tree_or_error(parse_text, text):
+    try:
+        return parse_text(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+_TOKENS = ["(", ")", "+", "-", "*", "/", "^", ",", "pi", "e", "sqrt", "root", "exp",
+           "0", "1", "2", "10", "٣"]
+# runs of one piece, long enough to cross MAX_DEPTH and the nesting ceiling
+_RUNS = st.tuples(st.sampled_from(["(", "-", "sqrt(", "exp(", "root(3,", "- (", "-(", "2^",
+                                   ")", "1)", "+1", "*2)"]),
+                  st.integers(1, 80)).map(lambda run: run[0] * run[1])
+
+
+@given(st.lists(st.one_of(st.sampled_from(_TOKENS), _RUNS), max_size=24).map(" ".join))
+@example("2 - -3*-pi^-2 / (e + 1)^2")
+@example("root(0, 2)")
+@example("root(-2, e)")
+@example("root(2 e)")
+@example("(" * 66 + "1" + ")" * 66)  # the deepest group nesting parse allows
+@example("(" * 66 + "1" + ")" * 67)  # ... with trailing input after it
+@example("(" * 67 + "1" + ")" * 67)
+@example("-" * 331 + "1)")  # the longest run of minuses before the ceiling
+@example("-" * 332 + "1)")
+@example("(" * 60 + "-" * 31 + "1)")
+@example("(" * 60 + "-" * 32)
+@example("sqrt(" * 64 + "1" + ")" * 64)
+@example("sqrt(" * 65 + "1" + ")" * 64)  # deeper than MAX_DEPTH, and unclosed
+@settings(max_examples=500, deadline=None)
+def test_parse_reads_what_the_descent_read(text):
+    # the same tree, or the same ParseError text
+    assert _tree_or_error(parse, text) == _tree_or_error(_parse_by_descent, text)
 
 
 def test_to_text_frozen_forms():

@@ -184,6 +184,22 @@ def test_convergence_table_catches_lying_bound():
         convergence_table(liar, (10,))
 
 
+def test_a_bound_violation_prints_numbers_past_float_range():
+    # an error past 1e308 and a bound below 1e-308, which a float division
+    # overflows on and rounds to 0
+    liar = SeriesSpec(
+        name="liar",
+        constant="pi",
+        offset=(0, 1),
+        start_index=1,
+        pairs=lambda a, b: ((10**400, 1) for _ in range(a, b + 1)),
+        tail_bound=lambda n: (1, 10**400),
+    )
+    with pytest.raises(BoundViolation) as caught:
+        convergence_table(liar, (2,))
+    assert str(caught.value) == "liar at N=2: measured error 2e+400 exceeds certified bound 1e-400"
+
+
 def test_scale_series_halves_sums_and_bounds():
     paired = builtin("nilakantha-paired")
     halved = scale_series(paired, Fraction(1, 2), name="halved", constant="pi")
